@@ -43,9 +43,10 @@ from .codes import (
     TWO_BURST_DELETION,
     Codebook,
     DEFAULT_ENUM_GUARD,
+    _largest_bucket,
 )
-from .errors import DecodeAmbiguity, DecodeFailure, GuardLimit
-from .words import all_words, check_word, run_count, rsyn0, weights
+from .errors import DecodeAmbiguity, DecodeFailure
+from .words import check_word, run_count, rsyn0, weights
 
 __all__ = ["C31Params", "C31Trace", "classify_31", "c31_member", "c31_decode", "c31_param_search"]
 
@@ -189,18 +190,11 @@ def c31_param_search(
     """Largest (a, b, c, d) bucket at even length n, ties lexicographic."""
     if n < 4 or n % 2:
         raise ValueError(f"length must be even and >= 4, got {n}")
-    if n > guard:
-        raise GuardLimit(f"search at n={n} exceeds the enumeration guard {guard}")
 
     def key_of(x):
         w = weights(x)
         return (rsyn0(x) % (4 * n), w.odd % 4, w.even % 4, run_count(x) % 5)
 
-    counts: dict[tuple, int] = {}
-    for x in all_words(n):
-        k = key_of(x)
-        counts[k] = counts.get(k, 0) + 1
-    best = min(counts, key=lambda k: (-counts[k], k))
-    members = tuple(x for x in all_words(n) if key_of(x) == best)
+    best, members = _largest_bucket(n, key_of, guard)
     params = C31Params(n, *best)
     return params, Codebook("c31", n, params.to_dict(), members)

@@ -17,24 +17,10 @@ import json
 import math
 import sys
 
-from .c31 import C31Params, c31_decode, c31_member, c31_param_search
 from .channel import ball, ball_size_formula, refined_ball, refined_ball_size, sphere_packing_bound
-from .codes import (
-    Codebook,
-    c21_decode,
-    c21_member,
-    c21rll_member,
-    lev2_decode,
-    lev2_member,
-    pigeonhole_search,
-    rll_max_run,
-    svt21_decode,
-    svt21_member,
-    vt_decode,
-    vt_member,
-)
-from .cts import CtsParams, cts_decode, cts_member, cts_param_search, window_capacity
+from .cts import window_capacity
 from .errors import DecodingError, DivisibilityError, GuardLimit
+from .families import FAMILIES
 from .simulate import family_setup, simulate
 from .verify import (
     bound_report,
@@ -46,12 +32,6 @@ from .verify import (
 from .words import check_word
 
 __all__ = ["main"]
-
-MEMBER_FAMILIES = ("vt", "lev2", "c21", "c21rll", "svt21", "cts", "c31")
-DECODE_FAMILIES = ("vt", "lev2", "c21", "svt21", "cts", "c31")
-SEARCH_FAMILIES = ("vt", "lev2", "c21", "c21rll", "svt21", "cts", "c31")
-SIM_FAMILIES = ("c21", "cts", "c31")
-VERIFY_BOOK_FAMILIES = ("c21", "cts", "c31")
 
 
 def _parse_params(text: str | None) -> list[int]:
@@ -94,30 +74,17 @@ def _gather_words(args) -> list[str]:
 
 
 def _need(args, *names):
+    """Require each named option that the subcommand offers."""
     for name in names:
-        if getattr(args, name, None) is None:
+        if name in vars(args) and getattr(args, name) is None:
             raise ValueError(f"--{name} is required here")
 
 
-def _take_params(args, count: int, names: str) -> list[int]:
-    vals = _parse_params(args.params)
-    if len(vals) != count:
-        raise ValueError(f"--params needs {count} values ({names}), got {len(vals)}")
-    return vals
-
-
-def _cts_params(args) -> CtsParams:
-    _need(args, "n", "t", "s", "params")
-    vals = _parse_params(args.params)
-    k = args.t - args.s
-    want = 2 + 2 * max(k - 1, 0)
-    if len(vals) != want:
-        raise ValueError(
-            f"cts at t={args.t} s={args.s} needs {want} params "
-            f"(a,b then c,d per extra row), got {len(vals)}"
-        )
-    rows = tuple((vals[i], vals[i + 1]) for i in range(2, len(vals), 2))
-    return CtsParams.derive(args.n, args.t, args.s, vals[0], vals[1], rows)
+def _family(args, *names):
+    """The family the command names, once it has every option it needs."""
+    fam = FAMILIES[args.family]
+    _need(args, *names, *fam.needs)
+    return fam
 
 
 def _emit(obj, as_json: bool, lines: list[str]):
@@ -177,40 +144,15 @@ def cmd_ball(args) -> int:
 # -------------------------------------------------------------- member
 
 
-def _membership(args, x: str) -> bool:
-    fam = args.family
-    n = len(x)
-    if args.n is not None and args.n != n:
-        raise ValueError(f"word length {n} does not match --n {args.n}")
-    if fam == "vt":
-        (a,) = _take_params(args, 1, "a")
-        return vt_member(x, a, n)
-    if fam == "lev2":
-        (a,) = _take_params(args, 1, "a")
-        return lev2_member(x, a, n)
-    if fam == "c21":
-        a, b = _take_params(args, 2, "a,b")
-        return c21_member(x, a, b, n)
-    if fam == "c21rll":
-        a, b = _take_params(args, 2, "a,b")
-        return c21rll_member(x, a, b, n, args.f)
-    if fam == "svt21":
-        _need(args, "P")
-        c, d = _take_params(args, 2, "c,d")
-        return svt21_member(x, c, d, args.P)
-    if fam == "cts":
-        return cts_member(x, _cts_params(args))
-    if fam == "c31":
-        a, b, c, d = _take_params(args, 4, "a,b,c,d")
-        return c31_member(x, C31Params(n, a, b, c, d))
-    raise ValueError(f"unknown family {fam!r}")
-
-
 def cmd_member(args) -> int:
     words = _gather_words(args)
     all_in = True
     for x in words:
-        ok = _membership(args, x)
+        n = len(x)
+        if args.n is not None and args.n != n:
+            raise ValueError(f"word length {n} does not match --n {args.n}")
+        fam = _family(args)
+        ok = fam.member(x, fam.params(_parse_params(args.params), n, args), n)
         all_in &= ok
         _emit(
             {"word": x, "family": args.family, "member": ok},
@@ -223,88 +165,12 @@ def cmd_member(args) -> int:
 # -------------------------------------------------------------- decode
 
 
-def _decode_one(args, y: str) -> tuple[dict, list[str]]:
-    fam = args.family
-    if fam in ("vt", "lev2"):
-        _need(args, "n")
-        (a,) = _take_params(args, 1, "a")
-        word = vt_decode(y, a, args.n) if fam == "vt" else lev2_decode(y, a, args.n)
-        return {"decoded": word}, [f"decoded {word}"]
-    if fam == "c21":
-        _need(args, "n")
-        a, b = _take_params(args, 2, "a,b")
-        out = c21_decode(y, a, b, args.n)
-        payload = {
-            "decoded": out.word,
-            "classification": out.classification,
-            "window": list(out.window),
-        }
-        return payload, [
-            f"decoded {out.word}",
-            f"classification {out.classification}",
-            f"window [{out.window[0]}, {out.window[1]}]",
-        ]
-    if fam == "svt21":
-        _need(args, "n", "P", "window")
-        c, d = _take_params(args, 2, "c,d")
-        word = svt21_decode(y, c, d, args.P, args.window, args.n)
-        return {"decoded": word}, [f"decoded {word}"]
-    if fam == "cts":
-        params = _cts_params(args)
-        word, trace = cts_decode(y, params, trace=True)
-        payload = {
-            "decoded": word,
-            "row1": {
-                "decoded": trace.row1.word,
-                "classification": trace.row1.classification,
-                "window": list(trace.row1.window),
-            },
-            "column_window": list(trace.column_window) if trace.column_window else None,
-            "rows": list(trace.rows),
-        }
-        lines = [f"decoded {word}"]
-        if args.verbose:
-            lines.append(
-                f"row 1: {trace.row1.word}  {trace.row1.classification}  "
-                f"window [{trace.row1.window[0]}, {trace.row1.window[1]}]"
-            )
-            if trace.column_window:
-                lines.append(
-                    f"column window [{trace.column_window[0]}, {trace.column_window[1]}]"
-                )
-            for i, row in enumerate(trace.rows[1:], start=2):
-                lines.append(f"row {i}: {row}")
-        return payload, lines
-    if fam == "c31":
-        _need(args, "n")
-        a, b, c, d = _take_params(args, 4, "a,b,c,d")
-        word, trace = c31_decode(y, C31Params(args.n, a, b, c, d), trace=True)
-        payload = {"decoded": word, "classification": trace.classification}
-        lines = [f"decoded {word}", f"classification {trace.classification}"]
-        if args.verbose:
-            payload["trace"] = {
-                "d_odd": trace.d_odd,
-                "d_even": trace.d_even,
-                "d_run": trace.d_run,
-                "candidates": trace.candidates,
-                "survivors": trace.survivors,
-                "run_filter_decisive": trace.run_filter_decisive,
-            }
-            lines.append(
-                f"deltas odd={trace.d_odd} even={trace.d_even} run={trace.d_run}"
-            )
-            lines.append(
-                f"candidates {trace.candidates}, survivors {trace.survivors}, "
-                f"run filter {'decisive' if trace.run_filter_decisive else 'idle'}"
-            )
-        return payload, lines
-    raise ValueError(f"unknown family {fam!r}")
-
-
 def cmd_decode(args) -> int:
     words = _gather_words(args)
     for y in words:
-        payload, lines = _decode_one(args, y)
+        fam = _family(args, "n")
+        params = fam.params(_parse_params(args.params), args.n, args)
+        payload, lines = fam.decode(y, params, args.n, args)
         _emit(payload, args.json, lines)
     return 0
 
@@ -313,20 +179,8 @@ def cmd_decode(args) -> int:
 
 
 def cmd_search(args) -> int:
-    fam = args.family
-    _need(args, "n")
-    if fam == "cts":
-        _need(args, "t", "s")
-        params, book = cts_param_search(args.n, args.t, args.s)
-    elif fam == "c31":
-        _, book = c31_param_search(args.n)
-    elif fam == "svt21":
-        _need(args, "P")
-        _, book = pigeonhole_search("svt21", args.n, P=args.P)
-    elif fam in ("vt", "lev2", "c21", "c21rll"):
-        _, book = pigeonhole_search(fam, args.n, f=args.f)
-    else:
-        raise ValueError(f"unknown family {fam!r}")
+    fam = _family(args, "n")
+    _, book = fam.search(args.n, args.t, args.s, args.P, args.f)
     print(json.dumps(book.to_dict(include_members=args.members), sort_keys=True))
     return 0
 
@@ -343,15 +197,6 @@ def _print_report(rep) -> bool:
     return rep.verdict
 
 
-def _verify_book(args):
-    fam = args.family
-    _need(args, "n")
-    if fam == "cts":
-        _need(args, "t", "s")
-    t, s, _, book, decode = family_setup(fam, args.n, args.t, args.s)
-    return t, s, book, decode
-
-
 def cmd_verify(args) -> int:
     if args.check == "ball-laws":
         ns = list(range(2, args.n_max + 1))
@@ -362,7 +207,8 @@ def cmd_verify(args) -> int:
         return 0 if ok else 1
     if args.family is None:
         raise ValueError(f"verify {args.check} needs a family")
-    t, s, book, decode = _verify_book(args)
+    _family(args, "n")
+    t, s, _, book, decode = family_setup(args.family, args.n, args.t, args.s)
     if args.check == "disjoint":
         rep = verify_disjoint(book.members, t, s)
     elif args.check == "roundtrip":
@@ -438,9 +284,7 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    _need(args, "n")
-    if args.family == "cts":
-        _need(args, "t", "s")
+    _family(args, "n")
     res = simulate(
         args.family, args.n, args.trials, args.seed, t=args.t, s=args.s
     )
@@ -496,6 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="burst-error codes: balls, membership, decoding, search, verification",
     )
     sub = top.add_subparsers(dest="command", required=True)
+    decodable = [name for name, fam in FAMILIES.items() if fam.decode]
+    roundtrip = [name for name, fam in FAMILIES.items() if fam.roundtrip]
 
     p = sub.add_parser("ball", help="enumerate a burst ball around a word")
     _add_word_args(p)
@@ -504,26 +350,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ball)
 
     p = sub.add_parser("member", help="test codebook membership")
-    p.add_argument("family", choices=MEMBER_FAMILIES)
+    p.add_argument("family", choices=list(FAMILIES))
     _add_word_args(p)
     _add_common(p, t=True, s=True, n=True, params=True, P=True, f=True)
     p.set_defaults(func=cmd_member)
 
     p = sub.add_parser("decode", help="decode a received word")
-    p.add_argument("family", choices=DECODE_FAMILIES)
+    p.add_argument("family", choices=decodable)
     _add_word_args(p)
     _add_common(p, t=True, s=True, n=True, params=True, P=True, window=True, verbose=True)
     p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("search", help="find the best parameters by pigeonhole")
-    p.add_argument("family", choices=SEARCH_FAMILIES)
+    p.add_argument("family", choices=list(FAMILIES))
     _add_common(p, t=True, s=True, n=True, P=True, f=True, json_flag=False)
     p.add_argument("--members", action="store_true", help="include the codeword list")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("verify", help="exhaustive checks, JSON report per line")
     p.add_argument("check", choices=("ball-laws", "disjoint", "roundtrip", "equivalence", "bound"))
-    p.add_argument("family", nargs="?", choices=VERIFY_BOOK_FAMILIES, default=None)
+    p.add_argument("family", nargs="?", choices=roundtrip, default=None)
     _add_common(p, t=True, s=True, n=True, json_flag=False)
     p.add_argument("--n-max", type=int, default=8, dest="n_max")
     p.add_argument("--t-max", type=int, default=4, dest="t_max")
@@ -538,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("simulate", help="seeded random bursts through a decoder")
-    p.add_argument("family", choices=SIM_FAMILIES)
+    p.add_argument("family", choices=roundtrip)
     _add_common(p, t=True, s=True, n=True)
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)

@@ -64,7 +64,6 @@ __all__ = [
     "max_run_length",
     "c21rll_member",
     "pigeonhole_search",
-    "SEARCH_FAMILIES",
     "DEFAULT_ENUM_GUARD",
 ]
 
@@ -128,7 +127,7 @@ class Codebook:
         return d
 
     def __contains__(self, x: str) -> bool:
-        return x in set(self.members)
+        return x in self.members
 
 
 def _survivors(candidates, predicate):
@@ -352,7 +351,22 @@ def c21rll_member(x: str, a: int, b: int, n: int, f: int | None = None) -> bool:
 
 # ---------------------------------------------------------------- search
 
-SEARCH_FAMILIES = ("vt", "lev2", "c21", "c21rll", "svt21")
+
+def _largest_bucket(n: int, key_of, guard: int) -> tuple[tuple, tuple[str, ...]]:
+    """Key and members of the largest bucket of length-n words under key_of.
+
+    Words keyed None are left out, ties go to the smallest key, and
+    lengths above guard are refused.
+    """
+    if n > guard:
+        raise GuardLimit(f"search at n={n} exceeds the enumeration guard {guard}")
+    counts: dict[tuple, int] = {}
+    for x in all_words(n):
+        key = key_of(x)
+        if key is not None:
+            counts[key] = counts.get(key, 0) + 1
+    best = min(counts, key=lambda k: (-counts[k], k))
+    return best, tuple(x for x in all_words(n) if key_of(x) == best)
 
 
 def _family_key(family: str, n: int, P: int | None, f: int | None):
@@ -379,7 +393,7 @@ def _family_key(family: str, n: int, P: int | None, f: int | None):
         return (
             lambda x: (vt_syndrome(x) % (2 * P - 1), x.count("1") % 4)
         ), ("c", "d"), {"P": P}
-    raise ValueError(f"unknown family {family!r}; choose from {SEARCH_FAMILIES}")
+    raise ValueError(f"unknown family {family!r}; choose from vt, lev2, c21, c21rll, svt21")
 
 
 def pigeonhole_search(
@@ -398,17 +412,7 @@ def pigeonhole_search(
     """
     if n < 1:
         raise ValueError("length must be >= 1")
-    if n > guard:
-        raise GuardLimit(f"search at n={n} exceeds the enumeration guard {guard}")
     key_of, names, fixed = _family_key(family, n, P, f)
-
-    counts: dict[tuple, int] = {}
-    for x in all_words(n):
-        key = key_of(x)
-        if key is not None:
-            counts[key] = counts.get(key, 0) + 1
-    best_key = min(counts, key=lambda k: (-counts[k], k))
-
-    members = tuple(x for x in all_words(n) if key_of(x) == best_key)
+    best_key, members = _largest_bucket(n, key_of, guard)
     params = dict(zip(names, best_key)) | fixed
     return params, Codebook(family, n, params, members)

@@ -39,6 +39,7 @@ from .codes import (
     Codebook,
     DecodeOutcome,
     DEFAULT_ENUM_GUARD,
+    _largest_bucket,
     c21_decode,
     c21_member,
     c21rll_member,
@@ -47,13 +48,12 @@ from .codes import (
     svt21_decode,
     svt21_member,
 )
-from .errors import DecodeFailure, GuardLimit
-from .words import all_words, check_word, deinterleave, interleave, vt_syndrome
+from .errors import DecodeFailure
+from .words import check_word, deinterleave, interleave, vt_syndrome
 
 __all__ = [
     "CtsParams",
     "CtsTrace",
-    "row_run_cap",
     "window_capacity",
     "column_window",
     "cts_member",
@@ -62,14 +62,22 @@ __all__ = [
 ]
 
 
-def row_run_cap(m: int) -> int:
-    """Run cap for the row-1 code at row length m."""
-    return rll_max_run(m)
+def _shape(n: int, t: int, s: int) -> tuple[int, int]:
+    """Row count k and row length m of the construction at (n, t, s)."""
+    if s < 1 or t < 2 * s:
+        raise ValueError(f"construction needs t >= 2s >= 2, got t={t}, s={s}")
+    k = t - s
+    if n % k != 0:
+        raise ValueError(f"row count {k} must divide n={n}")
+    m = n // k
+    if m < 2:
+        raise ValueError("rows must have length >= 2")
+    return k, m
 
 
 def window_capacity(m: int, s: int) -> int:
     """Window capacity P for the row codes: f+1, or f+2 once s >= 2."""
-    return row_run_cap(m) + (1 if s == 1 else 2)
+    return rll_max_run(m) + (1 if s == 1 else 2)
 
 
 @dataclass(frozen=True)
@@ -91,32 +99,22 @@ class CtsParams:
     P: int
 
     def __post_init__(self):
-        n, t, s = self.n, self.t, self.s
-        if s < 1:
-            raise ValueError("need s >= 1")
-        if t < 2 * s:
-            raise ValueError(f"construction needs t >= 2s, got t={t}, s={s}")
-        k = t - s
-        if n % k != 0:
-            raise ValueError(f"row count {k} must divide n={n}")
-        m = n // k
-        if m < 2:
-            raise ValueError("rows must have length >= 2")
+        k, m = _shape(self.n, self.t, self.s)
         if len(self.row_params) != k - 1:
             raise ValueError(
                 f"expected {k - 1} row parameter pairs, got {len(self.row_params)}"
             )
-        if self.f != row_run_cap(m):
-            raise ValueError(f"run cap must be {row_run_cap(m)} at m={m}")
-        if self.P != window_capacity(m, s):
-            raise ValueError(f"window capacity must be {window_capacity(m, s)}")
+        if self.f != rll_max_run(m):
+            raise ValueError(f"run cap must be {rll_max_run(m)} at m={m}")
+        if self.P != window_capacity(m, self.s):
+            raise ValueError(f"window capacity must be {window_capacity(m, self.s)}")
 
     @classmethod
     def derive(cls, n, t, s, a, b, row_params=()):
-        m = n // (t - s)
+        _, m = _shape(n, t, s)
         return cls(
             n, t, s, a, b, tuple(tuple(rp) for rp in row_params),
-            row_run_cap(m), window_capacity(m, s),
+            rll_max_run(m), window_capacity(m, s),
         )
 
     @property
@@ -219,17 +217,8 @@ def cts_param_search(
     tuple of row syndromes; ties go to the lexicographically smallest
     tuple.
     """
-    if n > guard:
-        raise GuardLimit(f"search at n={n} exceeds the enumeration guard {guard}")
-    if s < 1 or t < 2 * s:
-        raise ValueError(f"construction needs t >= 2s >= 2, got t={t}, s={s}")
-    k = t - s
-    if n % k != 0:
-        raise ValueError(f"row count {k} must divide n={n}")
-    m = n // k
-    if m < 2:
-        raise ValueError("rows must have length >= 2")
-    f = row_run_cap(m)
+    k, m = _shape(n, t, s)
+    f = rll_max_run(m)
     P = window_capacity(m, s)
 
     def key_of(x):
@@ -242,14 +231,7 @@ def cts_param_search(
             key.append(row.count("1") % 4)
         return tuple(key)
 
-    counts: dict[tuple, int] = {}
-    for x in all_words(n):
-        key = key_of(x)
-        if key is not None:
-            counts[key] = counts.get(key, 0) + 1
-    best = min(counts, key=lambda kk: (-counts[kk], kk))
-
-    members = tuple(x for x in all_words(n) if key_of(x) == best)
+    best, members = _largest_bucket(n, key_of, guard)
     params = CtsParams.derive(
         n, t, s, best[0], best[1],
         tuple(zip(best[2::2], best[3::2])),

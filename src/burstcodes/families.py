@@ -1,0 +1,189 @@
+"""The code families, one entry each: the one place a family is registered.
+
+Every family is the same triple: a syndrome membership test, a
+candidate decoder, and a pigeonhole search that keeps the largest
+residue bucket.  FAMILIES says, per family, how the command line and
+the simulator reach that triple, so neither of them names a family.
+
+Entries call package functions through their module at call time
+(codes.c21_decode(...), never a stored function object), so anything
+that replaces a module attribute, such as a tracer, sees these calls.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Callable
+
+from . import c31, codes, cts
+
+__all__ = ["Family", "FAMILIES"]
+
+
+@dataclass(frozen=True)
+class Family:
+    """How to reach one code family.
+
+    burst is the (t, s) the family corrects, None where --t and --s
+    choose it.  needs names the options the family cannot work without,
+    checked wherever a subcommand offers them; apart from member, every
+    subcommand also needs --n.
+
+    params(vals, n, opts) builds the parameter object from the --params
+    integers, the length and the parsed options; member(x, params, n)
+    tests membership; search(n, t, s, P, f, **guard) returns (params,
+    Codebook).  decode(y, params, n, opts) returns the JSON payload and
+    the text lines of the decode subcommand, None for a family without
+    a decoder.  roundtrip(y, params, n) returns the decoded codeword;
+    it is set exactly for the families verify and simulate take.
+    """
+
+    burst: tuple[int, int] | None
+    needs: tuple[str, ...]
+    params: Callable
+    member: Callable
+    search: Callable
+    decode: Callable | None = None
+    roundtrip: Callable | None = None
+
+
+def _take(vals: list[int], names: str) -> dict:
+    """The --params integers named by names ("a,b"), checked for count."""
+    keys = names.split(",")
+    if len(vals) != len(keys):
+        raise ValueError(f"--params needs {len(keys)} values ({names}), got {len(vals)}")
+    return dict(zip(keys, vals))
+
+
+def _word(word: str):
+    return {"decoded": word}, [f"decoded {word}"]
+
+
+def _outcome(out: codes.DecodeOutcome):
+    payload = {
+        "decoded": out.word,
+        "classification": out.classification,
+        "window": list(out.window),
+    }
+    return payload, [
+        f"decoded {out.word}",
+        f"classification {out.classification}",
+        f"window [{out.window[0]}, {out.window[1]}]",
+    ]
+
+
+def _cts_params(vals: list[int], n: int, opts) -> cts.CtsParams:
+    k = opts.t - opts.s
+    want = 2 + 2 * max(k - 1, 0)
+    if len(vals) != want:
+        raise ValueError(
+            f"cts at t={opts.t} s={opts.s} needs {want} params "
+            f"(a,b then c,d per extra row), got {len(vals)}"
+        )
+    rows = tuple((vals[i], vals[i + 1]) for i in range(2, len(vals), 2))
+    return cts.CtsParams.derive(n, opts.t, opts.s, vals[0], vals[1], rows)
+
+
+def _decode_cts(y: str, params: cts.CtsParams, n: int, opts):
+    word, trace = cts.cts_decode(y, params, trace=True)
+    payload = {
+        "decoded": word,
+        "row1": {
+            "decoded": trace.row1.word,
+            "classification": trace.row1.classification,
+            "window": list(trace.row1.window),
+        },
+        "column_window": list(trace.column_window) if trace.column_window else None,
+        "rows": list(trace.rows),
+    }
+    lines = [f"decoded {word}"]
+    if opts.verbose:
+        lines.append(
+            f"row 1: {trace.row1.word}  {trace.row1.classification}  "
+            f"window [{trace.row1.window[0]}, {trace.row1.window[1]}]"
+        )
+        if trace.column_window:
+            lines.append(
+                f"column window [{trace.column_window[0]}, {trace.column_window[1]}]"
+            )
+        for i, row in enumerate(trace.rows[1:], start=2):
+            lines.append(f"row {i}: {row}")
+    return payload, lines
+
+
+def _decode_c31(y: str, params: c31.C31Params, n: int, opts):
+    word, trace = c31.c31_decode(y, params, trace=True)
+    payload = {"decoded": word, "classification": trace.classification}
+    lines = [f"decoded {word}", f"classification {trace.classification}"]
+    if opts.verbose:
+        payload["trace"] = {
+            "d_odd": trace.d_odd,
+            "d_even": trace.d_even,
+            "d_run": trace.d_run,
+            "candidates": trace.candidates,
+            "survivors": trace.survivors,
+            "run_filter_decisive": trace.run_filter_decisive,
+        }
+        lines.append(f"deltas odd={trace.d_odd} even={trace.d_even} run={trace.d_run}")
+        lines.append(
+            f"candidates {trace.candidates}, survivors {trace.survivors}, "
+            f"run filter {'decisive' if trace.run_filter_decisive else 'idle'}"
+        )
+    return payload, lines
+
+
+FAMILIES = {
+    "vt": Family(
+        burst=(1, 0), needs=(),
+        params=lambda vals, n, opts: _take(vals, "a"),
+        member=lambda x, p, n: codes.vt_member(x, p["a"], n),
+        search=lambda n, t, s, P, f, **kw: codes.pigeonhole_search("vt", n, f=f, **kw),
+        decode=lambda y, p, n, opts: _word(codes.vt_decode(y, p["a"], n)),
+    ),
+    "lev2": Family(
+        burst=(2, 0), needs=(),
+        params=lambda vals, n, opts: _take(vals, "a"),
+        member=lambda x, p, n: codes.lev2_member(x, p["a"], n),
+        search=lambda n, t, s, P, f, **kw: codes.pigeonhole_search("lev2", n, f=f, **kw),
+        decode=lambda y, p, n, opts: _word(codes.lev2_decode(y, p["a"], n)),
+    ),
+    "c21": Family(
+        burst=(2, 1), needs=(),
+        params=lambda vals, n, opts: _take(vals, "a,b"),
+        member=lambda x, p, n: codes.c21_member(x, p["a"], p["b"], n),
+        search=lambda n, t, s, P, f, **kw: codes.pigeonhole_search("c21", n, f=f, **kw),
+        decode=lambda y, p, n, opts: _outcome(codes.c21_decode(y, p["a"], p["b"], n)),
+        roundtrip=lambda y, p, n: codes.c21_decode(y, p["a"], p["b"], n).word,
+    ),
+    "c21rll": Family(
+        burst=(2, 1), needs=(),
+        params=lambda vals, n, opts: _take(vals, "a,b") | {"f": opts.f},
+        member=lambda x, p, n: codes.c21rll_member(x, p["a"], p["b"], n, p["f"]),
+        search=lambda n, t, s, P, f, **kw: codes.pigeonhole_search("c21rll", n, f=f, **kw),
+    ),
+    "svt21": Family(
+        burst=(2, 1), needs=("P", "window"),
+        params=lambda vals, n, opts: _take(vals, "c,d") | {"P": opts.P},
+        member=lambda x, p, n: codes.svt21_member(x, p["c"], p["d"], p["P"]),
+        search=lambda n, t, s, P, f, **kw: codes.pigeonhole_search("svt21", n, P=P, **kw),
+        decode=lambda y, p, n, opts: _word(
+            codes.svt21_decode(y, p["c"], p["d"], p["P"], opts.window, n)
+        ),
+    ),
+    "cts": Family(
+        burst=None, needs=("n", "t", "s", "params"),
+        params=_cts_params,
+        member=lambda x, p, n: cts.cts_member(x, p),
+        search=lambda n, t, s, P, f, **kw: cts.cts_param_search(n, t, s, **kw),
+        decode=_decode_cts,
+        roundtrip=lambda y, p, n: cts.cts_decode(y, p),
+    ),
+    "c31": Family(
+        burst=(3, 1), needs=(),
+        params=lambda vals, n, opts: c31.C31Params(n, **_take(vals, "a,b,c,d")),
+        member=lambda x, p, n: c31.c31_member(x, p),
+        search=lambda n, t, s, P, f, **kw: c31.c31_param_search(n, **kw),
+        decode=_decode_c31,
+        roundtrip=lambda y, p, n: c31.c31_decode(y, p),
+    ),
+}

@@ -11,11 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .c31 import c31_decode, c31_param_search
 from .channel import BurstSpec, apply_burst
-from .codes import c21_decode, pigeonhole_search
-from .cts import cts_decode, cts_param_search
 from .errors import DecodingError
+from .families import FAMILIES
 
 __all__ = ["SplitMix64", "SimulationResult", "simulate", "family_setup"]
 
@@ -90,23 +88,18 @@ def family_setup(family: str, n: int, t: int | None = None, s: int | None = None
     """Search the best codebook for a family and build its decoder.
 
     Returns (t, s, params_dict, codebook, decode) where decode maps a
-    received word back to the codeword.  Families: c21, c31, cts (the
-    last needs t and s).
+    received word back to the codeword.  Families: those with a
+    roundtrip decoder in FAMILIES (c21, c31, cts; the last needs t and s).
     """
+    fam = FAMILIES.get(family)
+    if fam is None or fam.roundtrip is None:
+        raise ValueError(f"unknown family {family!r}")
+    if fam.burst is None and (t is None or s is None):
+        raise ValueError(f"{family} simulation needs t and s")
+    t, s = fam.burst or (t, s)
     kwargs = {} if guard is None else {"guard": guard}
-    if family == "c21":
-        params, book = pigeonhole_search("c21", n, **kwargs)
-        a, b = params["a"], params["b"]
-        return 2, 1, params, book, lambda y: c21_decode(y, a, b, n).word
-    if family == "c31":
-        params, book = c31_param_search(n, **kwargs)
-        return 3, 1, params.to_dict(), book, lambda y: c31_decode(y, params)
-    if family == "cts":
-        if t is None or s is None:
-            raise ValueError("cts simulation needs t and s")
-        params, book = cts_param_search(n, t, s, **kwargs)
-        return t, s, params.to_dict(), book, lambda y: cts_decode(y, params)
-    raise ValueError(f"unknown family {family!r}")
+    params, book = fam.search(n, t, s, None, None, **kwargs)
+    return t, s, book.params, book, lambda y: fam.roundtrip(y, params, n)
 
 
 def simulate(

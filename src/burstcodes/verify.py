@@ -144,6 +144,7 @@ def verify_equivalence(members, t: int, s: int) -> VerificationReport:
     the equivalence; the report carries both verdicts.
     """
     start = time.perf_counter()
+    members = tuple(members)
     fwd = verify_disjoint(members, t, s)
     rev = verify_disjoint(members, s, t)
     agree = fwd.verdict == rev.verdict
@@ -155,7 +156,7 @@ def verify_equivalence(members, t: int, s: int) -> VerificationReport:
         }
     return VerificationReport(
         check="equivalence",
-        params={"t": t, "s": s, "codewords": len(tuple(members))},
+        params={"t": t, "s": s, "codewords": len(members)},
         verdict=agree,
         counts={
             "forward_pass": int(fwd.verdict),

@@ -20,8 +20,6 @@ __all__ = [
     "weights",
     "interleave",
     "deinterleave",
-    "format_rows",
-    "parse_rows",
     "all_words",
     "RunProfile",
     "Weights",
@@ -134,19 +132,6 @@ def deinterleave(rows) -> str:
         if len(r) != width:
             raise ValueError("rows must have equal length")
     return "".join(r[j] for j in range(width) for r in rows)
-
-
-def format_rows(rows) -> str:
-    """Rows joined by '/', the one-line display form of an array."""
-    return "/".join(rows)
-
-
-def parse_rows(text: str) -> tuple[str, ...]:
-    """Inverse of format_rows."""
-    rows = tuple(text.split("/"))
-    for r in rows:
-        check_word(r, what="row")
-    return rows
 
 
 def all_words(n: int):

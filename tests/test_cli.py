@@ -238,6 +238,11 @@ def test_exit_2_on_domain_error(capsys):
     code, _, err = run(capsys, "ball", "10", "--t", "5", "--s", "1")
     assert code == 2
     assert "error" in err
+    code, _, err = run(
+        capsys, "member", "cts", "--t", "2", "--s", "2", "--n", "4", "--params", "1,2", "0101"
+    )
+    assert code == 2
+    assert err.startswith("error: construction needs t >= 2s >= 2")
 
 
 def test_exit_3_on_guard(capsys):

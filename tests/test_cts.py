@@ -3,13 +3,13 @@
 import pytest
 
 from burstcodes.channel import BurstSpec, apply_burst
+from burstcodes.codes import rll_max_run
 from burstcodes.cts import (
     CtsParams,
     column_window,
     cts_decode,
     cts_member,
     cts_param_search,
-    row_run_cap,
     window_capacity,
 )
 from burstcodes.words import all_words, interleave
@@ -57,8 +57,8 @@ def test_params_validation():
 
 
 def test_window_capacity_rule():
-    assert window_capacity(5, 1) == row_run_cap(5) + 1
-    assert window_capacity(6, 2) == row_run_cap(6) + 2
+    assert window_capacity(5, 1) == rll_max_run(5) + 1
+    assert window_capacity(6, 2) == rll_max_run(6) + 2
 
 
 def _roundtrip_all_bursts(n, t, s):

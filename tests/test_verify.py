@@ -71,6 +71,10 @@ def test_equivalence_bad_pair_fails_both_ways():
     rep = verify_equivalence(("11111", "01010"), 3, 1)
     assert rep.verdict
     assert rep.counts == {"forward_pass": 0, "swapped_pass": 0}
+    # an iterator is read once for both directions
+    rep = verify_equivalence(iter(("0000000000", "0000000001")), 2, 1)
+    assert rep.verdict and rep.params["codewords"] == 2
+    assert rep.counts == {"forward_pass": 0, "swapped_pass": 0}
 
 
 def test_ball_laws_small_sweep():

@@ -8,9 +8,7 @@ from burstcodes.words import (
     all_words,
     check_word,
     deinterleave,
-    format_rows,
     interleave,
-    parse_rows,
     rsyn0,
     run_count,
     run_profile,
@@ -95,12 +93,6 @@ def test_roundtrip_exhaustive_small():
         for x in all_words(n):
             for k in divisors:
                 assert deinterleave(interleave(x, k)) == x
-
-
-def test_format_parse_rows():
-    rows = ("1011", "0100", "1100")
-    assert format_rows(rows) == "1011/0100/1100"
-    assert parse_rows("1011/0100/1100") == rows
 
 
 def test_check_word_rejects_junk():
