@@ -191,10 +191,22 @@ def c31_param_search(
     if n < 4 or n % 2:
         raise ValueError(f"length must be even and >= 4, got {n}")
 
-    def key_of(x):
-        w = weights(x)
-        return (rsyn0(x) % (4 * n), w.odd % 4, w.even % 4, run_count(x) % 5)
+    def step(st, i, bit):
+        # rsyn0 adds n+1-i where x_i != x_{i-1} (x_0 = 0); the run count
+        # starts at 1 and counts only the changes inside x
+        a, last, odd, even, runs = st
+        if bit != last:
+            a = (a + n + 1 - i) % (4 * n)
+            if i > 1:
+                runs = (runs + 1) % 5
+        if bit:
+            if i % 2:
+                odd = (odd + 1) % 4
+            else:
+                even = (even + 1) % 4
+        return a, bit, odd, even, runs
 
-    best, members = _largest_bucket(n, key_of, guard)
+    row = ((0, 0, 0, 0, 1), step, lambda st: (st[0],) + st[2:])
+    best, members = _largest_bucket(n, (row,), guard)
     params = C31Params(n, *best)
     return params, Codebook("c31", n, params.to_dict(), members)

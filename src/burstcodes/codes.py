@@ -26,9 +26,10 @@ what happened: with delta = (b - weight(y)) mod 4,
     delta in {0, 1}  ->  the burst acted like a single deletion.
 
 pigeonhole_search() finds, for any family, the syndrome values whose
-codebook is largest by bucketing the full length-n space; averaging
-guarantees the winner is at least 2^n over the number of residue
-classes.
+codebook is largest; averaging guarantees the winner is at least 2^n
+over the number of residue classes.  Every residue is a sum of
+per-position terms, so bucket sizes come from a dynamic program over
+positions and only the winning bucket's members are ever built.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DecodeAmbiguity, DecodeFailure, GuardLimit
-from .words import all_words, check_word, run_profile, rsyn0, vt_syndrome
+from .words import check_word, rsyn0, vt_syndrome
 
 __all__ = [
     "NO_ERROR",
@@ -352,47 +353,122 @@ def c21rll_member(x: str, a: int, b: int, n: int, f: int | None = None) -> bool:
 # ---------------------------------------------------------------- search
 
 
-def _largest_bucket(n: int, key_of, guard: int) -> tuple[tuple, tuple[str, ...]]:
-    """Key and members of the largest bucket of length-n words under key_of.
+def _row_tables(init, step, key, m: int):
+    """Best key of one row automaton over m positions, and its live edges.
 
-    Words keyed None are left out, ties go to the smallest key, and
-    lengths above guard are refused.
+    The forward pass counts the words reaching each state at each
+    position; the best key follows the (-count, key) rule.  The backward
+    pass keeps, per position, the states that can still end on the best
+    key, each with its (symbol, next state) edges in symbol order.
+    """
+    levels = [{init: 1}]
+    for pos in range(1, m + 1):
+        nxt: dict = {}
+        for state, count in levels[-1].items():
+            for bit in (0, 1):
+                t = step(state, pos, bit)
+                if t is not None:
+                    nxt[t] = nxt.get(t, 0) + count
+        levels.append(nxt)
+    sizes: dict[tuple, int] = {}
+    for state, count in levels[m].items():
+        bucket = key(state)
+        sizes[bucket] = sizes.get(bucket, 0) + count
+    best = min(sizes, key=lambda k: (-sizes[k], k))
+    live: dict = {state: () for state in levels[m] if key(state) == best}
+    edges: list = [None] * m
+    for pos in range(m, 0, -1):
+        here = {}
+        for state in levels[pos - 1]:
+            out = tuple(
+                (ch, t) for ch, t in (("0", step(state, pos, 0)), ("1", step(state, pos, 1)))
+                if t in live
+            )
+            if out:
+                here[state] = out
+        edges[pos - 1] = live = here
+    return best, edges
+
+
+def _largest_bucket(n: int, rows: tuple, guard: int) -> tuple[tuple, tuple[str, ...]]:
+    """Key and members of the largest syndrome bucket of length-n words.
+
+    rows holds one automaton (init, step, key) per row of the word read
+    as an array of k = len(rows) rows: row r has coordinates r+1, r+1+k,
+    ...  step(state, pos, bit) reads the bit at 1-based row position pos
+    and returns the next state, or None to leave the word out; key(state)
+    is the row's residue tuple, and a word's key is its rows' keys joined.
+    Rows share no coordinate, so bucket sizes multiply across rows and the
+    best key is the rows' best keys joined.  Ties go to the smallest key,
+    members come in lexicographic order from a depth-first walk that only
+    enters prefixes able to end in the best bucket, and lengths above
+    guard are refused.
     """
     if n > guard:
         raise GuardLimit(f"search at n={n} exceeds the enumeration guard {guard}")
-    counts: dict[tuple, int] = {}
-    for x in all_words(n):
-        key = key_of(x)
-        if key is not None:
-            counts[key] = counts.get(key, 0) + 1
-    best = min(counts, key=lambda k: (-counts[k], k))
-    return best, tuple(x for x in all_words(n) if key_of(x) == best)
+    k = len(rows)
+    best: tuple = ()
+    tables = []
+    for init, step, key in rows:
+        row_best, edges = _row_tables(init, step, key, n // k)
+        best += row_best
+        tables.append(edges)
+    members = []
+    stack = [(0, "", tuple(init for init, _, _ in rows))]
+    while stack:
+        i, word, states = stack.pop()
+        if i == n:
+            members.append(word)
+            continue
+        r = i % k
+        for ch, t in reversed(tables[r][i // k][states[r]]):
+            stack.append((i + 1, word + ch, states[:r] + (t,) + states[r + 1 :]))
+    return best, tuple(members)
 
 
-def _family_key(family: str, n: int, P: int | None, f: int | None):
-    """Return (key function, parameter names, fixed params) for a family."""
+def _weighted_row(mod: int, cap: int | None = None):
+    """Row automaton keyed (sum of i * x_i mod mod, weight mod 4).
+
+    With a run cap the state also carries the last bit and the length of
+    the current run, and a run longer than cap leaves the word out.
+    """
+    if cap is None:
+        return (0, 0), lambda st, i, b: ((st[0] + i * b) % mod, (st[1] + b) % 4), lambda st: st
+
+    def step(st, i, b):
+        s, w, last, run = st
+        run = run + 1 if b == last else 1
+        if run > cap:
+            return None
+        return (s + i * b) % mod, (w + b) % 4, b, run
+
+    return (0, 0, None, 0), step, lambda st: st[:2]
+
+
+def _family_rows(family: str, n: int, P: int | None, f: int | None):
+    """Return (row automata, parameter names, fixed params) for a family."""
     if family == "vt":
-        return (lambda x: (vt_syndrome(x) % (n + 1),)), ("a",), {}
+        return ((0, lambda s, i, b: (s + i * b) % (n + 1), lambda s: (s,)),), ("a",), {}
     if family == "lev2":
-        return (lambda x: (rsyn0(x) % (2 * n),)), ("a",), {}
+        # rsyn0(x) sums n+1-i over the i where x_i != x_{i-1}, with x_0 = 0
+        def step(st, i, b):
+            s, last = st
+            return ((s + n + 1 - i) % (2 * n) if b != last else s), b
+
+        return (((0, 0), step, lambda st: st[:1]),), ("a",), {}
     if family == "c21":
-        return (
-            lambda x: (vt_syndrome(x) % (2 * n - 1), x.count("1") % 4)
-        ), ("a", "b"), {}
+        return (_weighted_row(2 * n - 1),), ("a", "b"), {}
     if family == "c21rll":
         cap = rll_max_run(n) if f is None else f
-        key = lambda x: (  # noqa: E731
-            (vt_syndrome(x) % (2 * n - 1), x.count("1") % 4)
-            if rll_member(x, cap)
-            else None
-        )
-        return key, ("a", "b"), {"f": cap}
+        if cap < 1:
+            raise ValueError("run cap must be >= 1")
+        return (_weighted_row(2 * n - 1, cap),), ("a", "b"), {"f": cap}
     if family == "svt21":
         if P is None:
             raise ValueError("svt21 search needs the window capacity P")
-        return (
-            lambda x: (vt_syndrome(x) % (2 * P - 1), x.count("1") % 4)
-        ), ("c", "d"), {"P": P}
+        if P < 1:
+            raise ValueError("window capacity P must be >= 1")
+        return (_weighted_row(2 * P - 1),), ("c", "d"), {"P": P}
     raise ValueError(f"unknown family {family!r}; choose from vt, lev2, c21, c21rll, svt21")
 
 
@@ -404,15 +480,17 @@ def pigeonhole_search(
     f: int | None = None,
     guard: int = DEFAULT_ENUM_GUARD,
 ) -> tuple[dict, Codebook]:
-    """Best syndrome values for a family at length n, by full enumeration.
+    """Best syndrome values for a family at length n.
 
-    Buckets all 2^n words by their residue tuple and returns the largest
-    bucket; ties go to the lexicographically smallest tuple, so results
-    are reproducible.  Lengths above guard are refused.
+    Counts the words of each residue tuple by dynamic programming over
+    positions and returns the largest bucket; ties go to the
+    lexicographically smallest tuple, so results are reproducible.  The
+    cost is the count tables plus O(|C| n) for the members, so guard
+    bounds the codebook that gets built: lengths above it are refused.
     """
     if n < 1:
         raise ValueError("length must be >= 1")
-    key_of, names, fixed = _family_key(family, n, P, f)
-    best_key, members = _largest_bucket(n, key_of, guard)
+    rows, names, fixed = _family_rows(family, n, P, f)
+    best_key, members = _largest_bucket(n, rows, guard)
     params = dict(zip(names, best_key)) | fixed
     return params, Codebook(family, n, params, members)

@@ -40,6 +40,7 @@ from .codes import (
     DecodeOutcome,
     DEFAULT_ENUM_GUARD,
     _largest_bucket,
+    _weighted_row,
     c21_decode,
     c21_member,
     c21rll_member,
@@ -49,7 +50,7 @@ from .codes import (
     svt21_member,
 )
 from .errors import DecodeFailure
-from .words import check_word, deinterleave, interleave, vt_syndrome
+from .words import check_word, deinterleave, interleave
 
 __all__ = [
     "CtsParams",
@@ -213,25 +214,16 @@ def cts_param_search(
 ) -> tuple[CtsParams, Codebook]:
     """Largest syndrome bucket for the construction at (n, t, s).
 
-    Buckets every word whose first row respects the run cap by the full
+    Buckets the words whose first row respects the run cap by the full
     tuple of row syndromes; ties go to the lexicographically smallest
-    tuple.
+    tuple.  Rows share no coordinate, so each row is counted on its own.
     """
     k, m = _shape(n, t, s)
     f = rll_max_run(m)
     P = window_capacity(m, s)
 
-    def key_of(x):
-        rows = interleave(x, k)
-        if not rll_member(rows[0], f):
-            return None
-        key = [vt_syndrome(rows[0]) % (2 * m - 1), rows[0].count("1") % 4]
-        for row in rows[1:]:
-            key.append(vt_syndrome(row) % (2 * P - 1))
-            key.append(row.count("1") % 4)
-        return tuple(key)
-
-    best, members = _largest_bucket(n, key_of, guard)
+    rows = (_weighted_row(2 * m - 1, f),) + (_weighted_row(2 * P - 1),) * (k - 1)
+    best, members = _largest_bucket(n, rows, guard)
     params = CtsParams.derive(
         n, t, s, best[0], best[1],
         tuple(zip(best[2::2], best[3::2])),

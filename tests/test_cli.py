@@ -243,6 +243,13 @@ def test_exit_2_on_domain_error(capsys):
     )
     assert code == 2
     assert err.startswith("error: construction needs t >= 2s >= 2")
+    for P in ("0", "-2"):
+        code, out, err = run(capsys, "search", "svt21", "--n", "6", "--P", P)
+        assert (code, out) == (2, "")
+        assert err == "error: window capacity P must be >= 1\n"
+    code, _, err = run(capsys, "search", "c21rll", "--n", "6", "--f", "0")
+    assert code == 2
+    assert err == "error: run cap must be >= 1\n"
 
 
 def test_exit_3_on_guard(capsys):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from burstcodes.c31 import c31_param_search
 from burstcodes.channel import BurstSpec, apply_burst
 from burstcodes.codes import (
     MERGE_00_TO_1,
@@ -22,6 +23,7 @@ from burstcodes.codes import (
     vt_decode,
     vt_member,
 )
+from burstcodes.cts import cts_param_search
 from burstcodes.errors import DecodeFailure, GuardLimit
 from burstcodes.words import all_words, vt_syndrome
 
@@ -234,22 +236,56 @@ def test_pigeonhole_c21rll_n8_meets_guarantee():
 
 
 def test_pigeonhole_tie_break_is_lexicographic():
-    # determinism: repeated runs give identical parameters and members
-    first = pigeonhole_search("c21", 7)
-    second = pigeonhole_search("c21", 7)
-    assert first[0] == second[0]
-    assert first[1].members == second[1].members
+    # at n = 7 two c21 buckets tie for the maximum; the smaller key wins
+    n = 7
+    counts = {}
+    for x in all_words(n):
+        key = (vt_syndrome(x) % (2 * n - 1), x.count("1") % 4)
+        counts[key] = counts.get(key, 0) + 1
+    top = max(counts.values())
+    tied = sorted(k for k, c in counts.items() if c == top)
+    assert tied == [(3, 0), (12, 3)]
+    params, book = pigeonhole_search("c21", n)
+    assert (params["a"], params["b"]) == (3, 0)
+    assert book.size == top
 
 
 def test_pigeonhole_guard():
+    assert pigeonhole_search("vt", 8, guard=8)[1].n == 8
+    with pytest.raises(GuardLimit):
+        pigeonhole_search("vt", 9, guard=8)
     with pytest.raises(GuardLimit):
         pigeonhole_search("vt", 25)
-    params, _ = pigeonhole_search("vt", 25, guard=25) if False else (None, None)
+    assert c31_param_search(8, guard=8)[1].n == 8
+    with pytest.raises(GuardLimit):
+        c31_param_search(10, guard=8)
+    assert cts_param_search(8, 4, 2, guard=8)[1].n == 8
+    with pytest.raises(GuardLimit):
+        cts_param_search(10, 4, 2, guard=8)
+
+
+def test_pigeonhole_c21_at_the_guard_limit():
+    n = 24
+    params, book = pigeonhole_search("c21", n)
+    assert book.size >= -(-(2**n) // (4 * 47))  # ceil(2^24/188) = 89,241
+    assert all(x < y for x, y in zip(book.members, book.members[1:]))
+    assert all(c21_member(x, params["a"], params["b"], n) for x in book.members)
 
 
 def test_pigeonhole_svt21_needs_p():
     with pytest.raises(ValueError):
         pigeonhole_search("svt21", 6)
+    for P in (0, -2):
+        with pytest.raises(ValueError, match="window capacity P must be >= 1"):
+            pigeonhole_search("svt21", 6, P=P)
+
+
+def test_pigeonhole_rejects_bad_caps_before_the_guard():
+    for n in (6, 30):
+        with pytest.raises(ValueError, match="run cap must be >= 1"):
+            pigeonhole_search("c21rll", n, f=0)
+        with pytest.raises(ValueError, match="window capacity P must be >= 1"):
+            pigeonhole_search("svt21", n, P=0)
 
 
 def test_pigeonhole_unknown_family():

@@ -1,0 +1,95 @@
+"""The dynamic-programming searches against brute-force bucketing.
+
+The reference keys every word of length n with the family's syndrome
+functions from words.py, keeps the largest bucket (ties to the smallest
+key) and lists its members in word order.  The searches must agree on
+the key, the size and the members tuple, byte for byte.
+"""
+
+import pytest
+
+from burstcodes.c31 import c31_param_search
+from burstcodes.codes import pigeonhole_search, rll_max_run, rll_member
+from burstcodes.cts import cts_param_search, window_capacity
+from burstcodes.words import all_words, interleave, rsyn0, run_count, vt_syndrome, weights
+
+
+def reference_bucket(n, key_of):
+    counts = {}
+    for x in all_words(n):
+        key = key_of(x)
+        if key is not None:
+            counts[key] = counts.get(key, 0) + 1
+    best = min(counts, key=lambda k: (-counts[k], k))
+    return best, tuple(x for x in all_words(n) if key_of(x) == best)
+
+
+def weighted_key(x, mod):
+    return (vt_syndrome(x) % mod, weights(x).total % 4)
+
+
+def pigeonhole_case(family, n, P=None, f=None):
+    if family == "vt":
+        key_of = lambda x: (vt_syndrome(x) % (n + 1),)  # noqa: E731
+    elif family == "lev2":
+        key_of = lambda x: (rsyn0(x) % (2 * n),)  # noqa: E731
+    elif family == "c21":
+        key_of = lambda x: weighted_key(x, 2 * n - 1)  # noqa: E731
+    elif family == "c21rll":
+        cap = rll_max_run(n) if f is None else f
+        key_of = lambda x: weighted_key(x, 2 * n - 1) if rll_member(x, cap) else None  # noqa: E731
+    else:
+        key_of = lambda x: weighted_key(x, 2 * P - 1)  # noqa: E731
+    params, book = pigeonhole_search(family, n, P=P, f=f)
+    names = {"vt": "a", "lev2": "a", "svt21": "cd"}.get(family, "ab")
+    return reference_bucket(n, key_of), tuple(params[c] for c in names), book
+
+
+def c31_case(n):
+    def key_of(x):
+        w = weights(x)
+        return (rsyn0(x) % (4 * n), w.odd % 4, w.even % 4, run_count(x) % 5)
+
+    params, book = c31_param_search(n)
+    return reference_bucket(n, key_of), (params.a, params.b, params.c, params.d), book
+
+
+def cts_case(n, t, s):
+    k = t - s
+    m = n // k
+    f, P = rll_max_run(m), window_capacity(m, s)
+
+    def key_of(x):
+        rows = interleave(x, k)
+        if not rll_member(rows[0], f):
+            return None
+        key = weighted_key(rows[0], 2 * m - 1)
+        for row in rows[1:]:
+            key += weighted_key(row, 2 * P - 1)
+        return key
+
+    params, book = cts_param_search(n, t, s)
+    found = (params.a, params.b) + sum(params.row_params, ())
+    return reference_bucket(n, key_of), found, book
+
+
+CASES = (
+    [(pigeonhole_case, (fam, n)) for fam in ("vt", "lev2", "c21", "c21rll") for n in range(1, 13)]
+    + [(pigeonhole_case, ("c21rll", n, None, f)) for f in (1, 2) for n in range(1, 13)]
+    + [(pigeonhole_case, ("svt21", n, P)) for P in (1, 2, 3, 6) for n in range(1, 13)]
+    + [(c31_case, (n,)) for n in range(4, 13, 2)]
+    + [
+        (cts_case, shape)
+        for shape in ((6, 2, 1), (8, 3, 1), (9, 4, 1), (12, 4, 1), (12, 4, 2), (12, 6, 3), (14, 2, 1))
+    ]
+)
+
+
+@pytest.mark.parametrize(
+    "case, args", CASES, ids=[f"{c.__name__[:-5]}{a}" for c, a in CASES]
+)
+def test_search_matches_brute_force(case, args):
+    (best, members), found, book = case(*args)
+    assert found == best
+    assert book.size == len(members)
+    assert book.members == members
