@@ -7,6 +7,11 @@ center word; refined_ball() restricts to outputs whose inserted block
 disagrees with the deleted block at both boundary symbols, which is the
 partition device behind the closed-form ball size.
 
+Both run on one integer kernel, _burst_outputs(): a word of length n is
+the int whose binary digits it spells (x_1 most significant), and each
+output is spliced together with shifts and masks, so no string is built
+until the members are listed.
+
 Ball size and the resulting sphere-packing ceiling are exact:
 
     |B_{t,s}(x)| = (n - t + 2) * 2^(s-1)        for any center x,
@@ -21,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import DivisibilityError
-from .words import all_words, check_word, interleave, run_profile
+from .words import check_word, interleave, run_profile
 
 __all__ = [
     "BurstSpec",
@@ -92,25 +97,68 @@ class Ball:
         return d
 
 
+def _burst_outputs(v: int, n: int, t: int, s: int, refined: bool = False) -> set[int]:
+    """Every output of a (t, s)-burst on the length-n word whose bits are v.
+
+    The burst at 0-based start i keeps the i leading and r = n - i - t
+    trailing bits of v and puts an s-bit value ins between them:
+    ((v >> (n - i)) << (s + r)) | (ins << r) | (v & ((1 << r) - 1)).
+    Since those s bits of the kept part are 0, the outputs of one start
+    are an arithmetic progression in ins, added as one range.  With
+    refined set and t, s >= 1, ins must differ from the deleted block in
+    its first and in its last bit, which fixes both end bits of ins and
+    leaves the middle s - 2 free (for s = 1, one bit that must differ
+    from both).  Callers check that 0 <= t <= n and s >= 0.
+    """
+    split = refined and t > 0 and s > 0
+    out: set[int] = set()
+    for i in range(n - t + 1):
+        r = n - i - t
+        keep = ((v >> (n - i)) << (s + r)) | (v & ((1 << r) - 1))
+        if not split:
+            out.update(range(keep, keep + (1 << (s + r)), 1 << r))
+            continue
+        first, last = (v >> (r + t - 1)) & 1, (v >> r) & 1
+        if s == 1:
+            if first == last:
+                out.add(keep | ((1 - first) << r))
+            continue
+        low = keep | ((1 - first) << (s - 1 + r)) | ((1 - last) << r)
+        out.update(range(low, low + (1 << (s - 1 + r)), 2 << r))
+    return out
+
+
+def _members(out: set[int], m: int) -> tuple[str, ...]:
+    """The length-m words of out, sorted.
+
+    Words of one length sort the same as strings and as ints.
+    """
+    if m == 0:
+        return ("",) * len(out)
+    fmt = f"0{m}b"
+    return tuple([format(u, fmt) for u in sorted(out)])
+
+
+def _check_burst(x: str, t: int, s: int) -> None:
+    check_word(x)
+    if t < 0 or s < 0:
+        raise ValueError("burst sizes must be >= 0")
+    if len(x) < t:
+        raise ValueError(f"word of length {len(x)} cannot lose a burst of {t}")
+
+
 def ball(x: str, t: int, s: int) -> Ball:
     """Every word reachable from x by one (t, s)-burst.
 
-    Enumerates all starts and all 2^s inserted words, deduplicating.
-    Requires n >= t so at least one start exists.
+    Tries all n - t + 1 starts and all 2^s inserted words and keeps each
+    distinct output once; members are sorted, which for words of one
+    length is numeric order.  Requires n >= t so at least one start
+    exists.
     """
-    check_word(x)
+    _check_burst(x, t, s)
     n = len(x)
-    if t < 0 or s < 0:
-        raise ValueError("burst sizes must be >= 0")
-    if n < t:
-        raise ValueError(f"word of length {n} cannot lose a burst of {t}")
-    out = set()
-    for start in range(1, n - t + 2):
-        i = start - 1
-        head, tail = x[:i], x[i + t :]
-        for ins in all_words(s):
-            out.add(head + ins + tail)
-    return Ball(x, t, s, tuple(sorted(out)))
+    out = _burst_outputs(int(x or "0", 2), n, t, s)
+    return Ball(x, t, s, _members(out, n - t + s))
 
 
 def ball_size_formula(n: int, t: int, s: int) -> int:
@@ -130,30 +178,13 @@ def refined_ball(x: str, k: int, l: int) -> Ball:
 
     For k = 0 or l = 0 there is no boundary to disagree with and this is
     the plain burst-insertion or burst-deletion ball.  Over all l (or all
-    k) these refined balls partition the full ball.
+    k) these refined balls partition the full ball.  Members are sorted
+    as in ball(); the tuple is empty when no insert meets the condition.
     """
-    check_word(x)
+    _check_burst(x, k, l)
     n = len(x)
-    if k < 0 or l < 0:
-        raise ValueError("burst sizes must be >= 0")
-    if n < k:
-        raise ValueError(f"word of length {n} cannot lose a burst of {k}")
-    out = set()
-    if k == 0:
-        for start in range(1, n + 2):
-            i = start - 1
-            for ins in all_words(l):
-                out.add(x[:i] + ins + x[i:])
-    else:
-        for start in range(1, n - k + 2):
-            i = start - 1
-            head, tail = x[:i], x[i + k :]
-            first, last = x[i], x[i + k - 1]
-            for ins in all_words(l):
-                if l >= 1 and (ins[0] == first or ins[-1] == last):
-                    continue
-                out.add(head + ins + tail)
-    return Ball(x, k, l, tuple(sorted(out)), refined=True)
+    out = _burst_outputs(int(x or "0", 2), n, k, l, refined=True)
+    return Ball(x, k, l, _members(out, n - k + l), refined=True)
 
 
 def refined_ball_size(x: str, k: int, l: int) -> int:
@@ -164,12 +195,8 @@ def refined_ball_size(x: str, k: int, l: int) -> int:
     that row count to divide n; otherwise DivisibilityError is raised
     and the caller can fall back to enumeration.
     """
-    check_word(x)
+    _check_burst(x, k, l)
     n = len(x)
-    if k < 0 or l < 0:
-        raise ValueError("burst sizes must be >= 0")
-    if n < k:
-        raise ValueError(f"word of length {n} cannot lose a burst of {k}")
     if k == 0:
         if l == 0:
             return 1

@@ -199,6 +199,8 @@ def _print_report(rep) -> bool:
 
 def cmd_verify(args) -> int:
     if args.check == "ball-laws":
+        if args.n_max < 2:
+            raise ValueError(f"--n-max must be >= 2, got {args.n_max}")
         ns = list(range(2, args.n_max + 1))
         reports = verify_ball_laws(ns, args.t_max, args.s_max)
         ok = True

@@ -12,7 +12,13 @@ import json
 import time
 from dataclasses import dataclass, field
 
-from .channel import ball, ball_size_formula, refined_ball, refined_ball_size, sphere_packing_bound
+from .channel import (
+    _burst_outputs,
+    ball,
+    ball_size_formula,
+    refined_ball_size,
+    sphere_packing_bound,
+)
 from .errors import DecodingError, DivisibilityError
 from .words import all_words
 
@@ -184,8 +190,17 @@ def verify_ball_laws(
     * refined-size: each closed-form refined size (where its
       divisibility precondition holds) matches enumeration
 
+    Words and balls are ints on the channel's bitmask kernel.  Per word,
+    each distinct refined (k, l) part and its closed form are computed
+    once and shared by every (t, s) that uses it; the full ball is
+    enumerated on its own from all starts and inserts, never assembled
+    from the parts.  Counts are per (t, s) and part.  Raises ValueError
+    unless t_max, s_max >= 1, which any combination needs.
+
     Returns reports keyed 'size', 'partition', 'refined-size'.
     """
+    if t_max < 1 or s_max < 1:
+        raise ValueError(f"ball-law sweep needs t_max, s_max >= 1, got {t_max}, {s_max}")
     n_values = sorted(set(n_values))
     if n_values and n_values[-1] > guard:
         from .errors import GuardLimit
@@ -199,52 +214,56 @@ def verify_ball_laws(
     formula_checks = 0
     for n in n_values:
         pairs = [
-            (t, s)
-            for t in range(1, t_max + 1)
-            for s in range(1, s_max + 1)
-            if max(t, s) <= n
+            (t, s, ball_size_formula(n, t, s), _refined_parts(t, s))
+            for t in range(1, min(t_max, n) + 1)
+            for s in range(1, min(s_max, n) + 1)
         ]
-        for x in all_words(n):
-            words += 1
-            for t, s in pairs:
+        kls = sorted({kl for *_, parts in pairs for kl in parts})
+        words += 1 << n
+        if not pairs:
+            continue
+        fmt = f"0{n}b"
+        for v in range(1 << n):
+            x = format(v, fmt)
+            known = {}
+            for k, l in kls:
+                try:
+                    predicted = refined_ball_size(x, k, l)
+                except DivisibilityError:
+                    predicted = None
+                known[k, l] = _burst_outputs(v, n, k, l, True), predicted
+            for t, s, formula, parts in pairs:
                 combos += 1
-                full = ball(x, t, s)
-                if full.size != ball_size_formula(n, t, s):
+                full = _burst_outputs(v, n, t, s)
+                if len(full) != formula:
                     fails["size"] += 1
                     wit["size"] = wit["size"] or {
                         "x": x, "t": t, "s": s,
-                        "enumerated": full.size,
-                        "formula": ball_size_formula(n, t, s),
+                        "enumerated": len(full),
+                        "formula": formula,
                     }
-                seen: set[str] = set()
-                union_ok = True
+                union: set[int] = set()
                 total = 0
-                for k, l in _refined_parts(t, s):
-                    part = refined_ball(x, k, l)
-                    total += part.size
-                    if seen & part.member_set():
-                        union_ok = False
-                    seen |= part.member_set()
-                    try:
-                        predicted = refined_ball_size(x, k, l)
-                    except DivisibilityError:
-                        predicted = None
+                for k, l in parts:
+                    part, predicted = known[k, l]
+                    total += len(part)
+                    union |= part
                     if predicted is not None:
                         formula_checks += 1
-                        if predicted != part.size:
+                        if predicted != len(part):
                             fails["refined-size"] += 1
                             wit["refined-size"] = wit["refined-size"] or {
                                 "x": x, "k": k, "l": l,
-                                "enumerated": part.size,
+                                "enumerated": len(part),
                                 "formula": predicted,
                             }
-                if not union_ok or seen != full.member_set() or total != len(seen):
+                if not (union == full and total == len(union)):
                     fails["partition"] += 1
                     wit["partition"] = wit["partition"] or {
                         "x": x, "t": t, "s": s,
                         "parts_total": total,
-                        "union": len(seen),
-                        "ball": full.size,
+                        "union": len(union),
+                        "ball": len(full),
                     }
     elapsed = time.perf_counter() - start
     base_params = {

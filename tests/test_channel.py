@@ -1,7 +1,7 @@
 """Channel geometry: frozen ball examples, size laws, partition smoke tests."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from burstcodes.channel import (
@@ -14,6 +14,7 @@ from burstcodes.channel import (
     sphere_packing_bound,
 )
 from burstcodes.errors import DivisibilityError
+from burstcodes.verify import _refined_parts
 from burstcodes.words import all_words
 
 # worked (4,1)-ball around 101000111
@@ -189,3 +190,34 @@ def test_apply_burst_lands_in_ball(args):
     for start in range(1, n - t + 2):
         for ins in all_words(s):
             assert apply_burst(x, BurstSpec(t, s, start, ins)) in b
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=13, max_value=40).flatmap(
+        lambda n: st.tuples(
+            st.integers(min_value=0, max_value=2**n - 1).map(
+                lambda v: format(v, f"0{n}b")
+            ),
+            st.integers(min_value=1, max_value=4),
+            st.integers(min_value=1, max_value=4),
+        )
+    )
+)
+def test_ball_laws_sampled_above_the_exhaustive_range(args):
+    # the exhaustive sweeps stop at n = 12; sample the three laws beyond
+    x, t, s = args
+    n = len(x)
+    full = ball(x, t, s)
+    assert full.size == ball_size_formula(n, t, s)
+    union, total = set(), 0
+    for k, l in _refined_parts(t, s):
+        part = refined_ball(x, k, l)
+        union |= part.member_set()
+        total += part.size
+        try:
+            predicted = refined_ball_size(x, k, l)
+        except DivisibilityError:
+            continue
+        assert part.size == predicted, (k, l)
+    assert union == full.member_set() and total == len(union)

@@ -1,0 +1,140 @@
+"""The integer ball kernel against the string enumeration it replaced.
+
+`ref_ball`, `ref_refined_ball` and `ref_ball_laws` are the string code:
+every start times every word of `all_words(s)`, spliced by slicing,
+deduplicated in a set and sorted.  The package must give equal `Ball`s
+and equal ball-law reports (timings aside).
+"""
+
+import pytest
+
+from burstcodes.channel import (
+    Ball,
+    ball,
+    ball_size_formula,
+    refined_ball,
+    refined_ball_size,
+)
+from burstcodes.errors import DivisibilityError
+from burstcodes.verify import _refined_parts, verify_ball_laws
+from burstcodes.words import all_words
+
+
+def ref_ball(x, t, s):
+    n = len(x)
+    out = set()
+    for i in range(n - t + 1):
+        head, tail = x[:i], x[i + t :]
+        for ins in all_words(s):
+            out.add(head + ins + tail)
+    return Ball(x, t, s, tuple(sorted(out)))
+
+
+def ref_refined_ball(x, k, l):
+    n = len(x)
+    out = set()
+    for i in range(n - k + 1):
+        head, tail = x[:i], x[i + k :]
+        for ins in all_words(l):
+            if k >= 1 and l >= 1 and (ins[0] == x[i] or ins[-1] == x[i + k - 1]):
+                continue
+            out.add(head + ins + tail)
+    return Ball(x, k, l, tuple(sorted(out)), refined=True)
+
+
+def ref_ball_laws(n_values, t_max, s_max):
+    """The string sweep: counts, verdicts and witnesses per law."""
+    fails = {"size": 0, "partition": 0, "refined-size": 0}
+    wit = {"size": None, "partition": None, "refined-size": None}
+    words = combos = formula_checks = 0
+    for n in sorted(set(n_values)):
+        pairs = [
+            (t, s)
+            for t in range(1, t_max + 1)
+            for s in range(1, s_max + 1)
+            if max(t, s) <= n
+        ]
+        for x in all_words(n):
+            words += 1
+            for t, s in pairs:
+                combos += 1
+                full = ref_ball(x, t, s)
+                if full.size != ball_size_formula(n, t, s):
+                    fails["size"] += 1
+                    wit["size"] = wit["size"] or {
+                        "x": x, "t": t, "s": s,
+                        "enumerated": full.size,
+                        "formula": ball_size_formula(n, t, s),
+                    }
+                seen = set()
+                union_ok = True
+                total = 0
+                for k, l in _refined_parts(t, s):
+                    part = ref_refined_ball(x, k, l)
+                    total += part.size
+                    if seen & part.member_set():
+                        union_ok = False
+                    seen |= part.member_set()
+                    try:
+                        predicted = refined_ball_size(x, k, l)
+                    except DivisibilityError:
+                        continue
+                    formula_checks += 1
+                    if predicted != part.size:
+                        fails["refined-size"] += 1
+                        wit["refined-size"] = wit["refined-size"] or {
+                            "x": x, "k": k, "l": l,
+                            "enumerated": part.size,
+                            "formula": predicted,
+                        }
+                if not union_ok or seen != full.member_set() or total != len(seen):
+                    fails["partition"] += 1
+                    wit["partition"] = wit["partition"] or {
+                        "x": x, "t": t, "s": s,
+                        "parts_total": total,
+                        "union": len(seen),
+                        "ball": full.size,
+                    }
+    base = {"words": words, "burst_combinations": combos}
+    return {
+        "size": (fails["size"] == 0, base | {"failures": fails["size"]}, wit["size"]),
+        "partition": (
+            fails["partition"] == 0, base | {"failures": fails["partition"]}, wit["partition"]
+        ),
+        "refined-size": (
+            fails["refined-size"] == 0,
+            base | {"formula_checks": formula_checks, "failures": fails["refined-size"]},
+            wit["refined-size"],
+        ),
+    }
+
+
+@pytest.mark.parametrize("n", range(0, 9))
+def test_balls_match_string_reference(n):
+    for x in all_words(n):
+        for t in range(n + 1):
+            for s in range(5):
+                got, want = ball(x, t, s), ref_ball(x, t, s)
+                assert got == want, (x, t, s)
+                got, want = refined_ball(x, t, s), ref_refined_ball(x, t, s)
+                assert got == want and got.refined, (x, t, s)
+
+
+def test_reference_covers_empty_outputs():
+    # nothing left: the one output is the empty word
+    assert ball("1", 1, 0).members == ("",) == ref_ball("1", 1, 0).members
+    assert refined_ball("", 0, 0).members == ("",)
+    # no single bit differs from both ends of the deleted block 01
+    assert refined_ball("01", 2, 1).members == () == ref_refined_ball("01", 2, 1).members
+    assert refined_ball("0110", 2, 1).members == ("000",)
+
+
+@pytest.mark.parametrize("t_max,s_max", [(4, 4), (5, 2), (2, 5)])
+def test_ball_law_reports_match_string_sweep(t_max, s_max):
+    ns = range(1, 8)
+    reports = verify_ball_laws(ns, t_max, s_max)
+    want = ref_ball_laws(ns, t_max, s_max)
+    for key, (verdict, counts, witness) in want.items():
+        d = reports[key].to_dict()
+        assert d["params"] == {"n_values": list(ns), "t_max": t_max, "s_max": s_max}
+        assert (d["verdict"] == "pass", d["counts"], d["witness"]) == (verdict, counts, witness)

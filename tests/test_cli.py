@@ -250,6 +250,14 @@ def test_exit_2_on_domain_error(capsys):
     code, _, err = run(capsys, "search", "c21rll", "--n", "6", "--f", "0")
     assert code == 2
     assert err == "error: run cap must be >= 1\n"
+    # a ball-law sweep that would check no burst combination
+    for flag, value, msg in (
+        ("--t-max", "0", "ball-law sweep needs t_max, s_max >= 1, got 0, 4"),
+        ("--s-max", "0", "ball-law sweep needs t_max, s_max >= 1, got 4, 0"),
+        ("--n-max", "1", "--n-max must be >= 2, got 1"),
+    ):
+        code, out, err = run(capsys, "verify", "ball-laws", "--n-max", "5", flag, value)
+        assert (code, out, err) == (2, "", f"error: {msg}\n")
 
 
 def test_exit_3_on_guard(capsys):

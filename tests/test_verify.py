@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from burstcodes import verify
 from burstcodes.channel import ball
 from burstcodes.codes import c21_decode, pigeonhole_search
 from burstcodes.errors import GuardLimit
@@ -89,6 +90,66 @@ def test_ball_laws_small_sweep():
 def test_ball_laws_guard():
     with pytest.raises(GuardLimit):
         verify_ball_laws([20])
+
+
+@pytest.mark.parametrize("t_max,s_max", [(0, 4), (4, 0), (-1, -1)])
+def test_ball_laws_reject_a_sweep_with_no_bursts(t_max, s_max):
+    with pytest.raises(ValueError, match="t_max, s_max >= 1"):
+        verify_ball_laws([4, 5], t_max, s_max)
+
+
+def test_ball_laws_cap_burst_sizes_at_n():
+    # sizes above n have no start; a huge bound must cost nothing
+    big = verify_ball_laws([3, 4], 10**9, 10**9)
+    small = verify_ball_laws([3, 4], 4, 4)
+    for key in small:
+        assert big[key].verdict and big[key].counts == small[key].counts
+
+
+def _only_failure(reports, law):
+    """The sweep over n = 4, 5 with every law but `law` passing."""
+    for key, rep in reports.items():
+        assert rep.verdict == (key != law), (key, rep.witness)
+    rep = reports[law]
+    assert rep.counts["failures"] > 0
+    return rep.witness
+
+
+def test_ball_laws_catch_a_wrong_size_formula(monkeypatch):
+    real = verify.ball_size_formula
+
+    def off_at_5_2_3(n, t, s):
+        return real(n, t, s) + ((n, t, s) == (5, 2, 3))
+
+    monkeypatch.setattr(verify, "ball_size_formula", off_at_5_2_3)
+    reports = verify_ball_laws([4, 5], 3, 3)
+    w = _only_failure(reports, "size")
+    assert w == {"x": "00000", "t": 2, "s": 3, "enumerated": 20, "formula": 21}
+    assert reports["size"].counts["failures"] == 2**5  # every center at n = 5
+
+
+def test_ball_laws_catch_a_wrong_refined_size(monkeypatch):
+    real = verify.refined_ball_size
+    monkeypatch.setattr(verify, "refined_ball_size", lambda x, k, l: real(x, k, l) + 1)
+    w = _only_failure(verify_ball_laws([4, 5], 3, 3), "refined-size")
+    assert w["formula"] == w["enumerated"] + 1
+    assert w["x"] == "0000"
+
+
+def test_ball_laws_catch_a_part_that_drops_an_output(monkeypatch):
+    real = verify._burst_outputs
+
+    def drop_one(v, n, t, s, refined=False):
+        out = real(v, n, t, s, refined)
+        # (2, 0) at n = 5 has no closed form (2 does not divide 5), so
+        # only the partition law can see the loss
+        if refined and (v, n, t, s) == (0b10110, 5, 2, 0):
+            out.discard(max(out))
+        return out
+
+    monkeypatch.setattr(verify, "_burst_outputs", drop_one)
+    w = _only_failure(verify_ball_laws([4, 5], 3, 3), "partition")
+    assert w["x"] == "10110" and w["parts_total"] == w["union"] == w["ball"] - 1
 
 
 def test_bound_report(c21_book):
