@@ -207,6 +207,6 @@ def c31_param_search(
         return a, bit, odd, even, runs
 
     row = ((0, 0, 0, 0, 1), step, lambda st: (st[0],) + st[2:])
-    best, members = _largest_bucket(n, (row,), guard)
+    best, size, lister = _largest_bucket(n, (row,), guard)
     params = C31Params(n, *best)
-    return params, Codebook("c31", n, params.to_dict(), members)
+    return params, Codebook._listed_later("c31", n, params.to_dict(), size, lister)

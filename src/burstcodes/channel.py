@@ -139,6 +139,12 @@ def _members(out: set[int], m: int) -> tuple[str, ...]:
     return tuple([format(u, fmt) for u in sorted(out)])
 
 
+def _check_room(n: int, t: int, s: int) -> None:
+    """Refuse a length that no (t, s)-burst fits in."""
+    if n < t:
+        raise ValueError(f"no ({t}, {s})-burst fits in length n={n}")
+
+
 def _check_burst(x: str, t: int, s: int) -> None:
     check_word(x)
     if t < 0 or s < 0:

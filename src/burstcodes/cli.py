@@ -13,6 +13,7 @@ so report lines carry no timings and all sets are sorted.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -336,7 +337,13 @@ def _add_common(p, *, t=False, s=False, n=False, params=False, P=False,
         p.add_argument("--verbose", action="store_true")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process.
+
+    Parsing leaves the parser unchanged and help text is laid out to the
+    terminal width when it is printed, so one parser serves every call.
+    """
     top = argparse.ArgumentParser(
         prog="burstcodes",
         description="burst-error codes: balls, membership, decoding, search, verification",

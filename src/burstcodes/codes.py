@@ -29,7 +29,9 @@ pigeonhole_search() finds, for any family, the syndrome values whose
 codebook is largest; averaging guarantees the winner is at least 2^n
 over the number of residue classes.  Every residue is a sum of
 per-position terms, so bucket sizes come from a dynamic program over
-positions and only the winning bucket's members are ever built.
+positions.  The codebook it returns takes its size from those counts;
+the winning bucket's members are built on first use, and no other
+bucket's ever are.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .channel import _check_room
 from .errors import DecodeAmbiguity, DecodeFailure, GuardLimit
 from .words import check_word, rsyn0, vt_syndrome
 
@@ -98,18 +101,37 @@ class DecodeOutcome:
     window: tuple[int, int]
 
 
-@dataclass(frozen=True)
 class Codebook:
-    """All words of one length satisfying one family's syndrome equations."""
+    """All words of one length satisfying one family's syndrome equations.
 
-    family: str
-    n: int
-    params: dict
-    members: tuple[str, ...]
+    A book built from its members holds them from the start.  A book a
+    search returns knows its size from the bucket counts and lists its
+    members on first access, once; the lister and the count tables it
+    needs are dropped then, so a book that is never listed costs no
+    more than the counts.
+    """
+
+    def __init__(self, family: str, n: int, params: dict, members: tuple[str, ...]):
+        self.family = family
+        self.n = n
+        self.params = params
+        self.size = len(members)
+        self._members = members
+        self._lister = None
+
+    @classmethod
+    def _listed_later(cls, family: str, n: int, params: dict, size: int, lister) -> Codebook:
+        """A book of known size whose members lister() returns when first needed."""
+        book = cls(family, n, params, ())
+        book.size = size
+        book._lister = lister
+        return book
 
     @property
-    def size(self) -> int:
-        return len(self.members)
+    def members(self) -> tuple[str, ...]:
+        if self._lister is not None:
+            self._members, self._lister = self._lister(), None
+        return self._members
 
     @property
     def redundancy(self) -> float:
@@ -129,6 +151,19 @@ class Codebook:
 
     def __contains__(self, x: str) -> bool:
         return x in self.members
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Codebook):
+            return NotImplemented
+        return (self.family, self.n, self.params, self.members) == (
+            other.family, other.n, other.params, other.members
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"Codebook(family={self.family!r}, n={self.n}, "
+            f"params={self.params!r}, size={self.size})"
+        )
 
 
 def _survivors(candidates, predicate):
@@ -234,6 +269,7 @@ def c21_decode(y: str, a: int, b: int, n: int) -> DecodeOutcome:
     The weight delta picks the error shape; candidate preimages of that
     shape are filtered by the position-weighted syndrome.
     """
+    _check_room(n, 2, 1)
     check_word(y)
     if len(y) != n - 1:
         raise ValueError(f"received word must have length {n - 1}, got {len(y)}")
@@ -353,13 +389,12 @@ def c21rll_member(x: str, a: int, b: int, n: int, f: int | None = None) -> bool:
 # ---------------------------------------------------------------- search
 
 
-def _row_tables(init, step, key, m: int):
-    """Best key of one row automaton over m positions, and its live edges.
+def _row_counts(init, step, key, m: int):
+    """Forward pass of one row automaton over m positions.
 
-    The forward pass counts the words reaching each state at each
-    position; the best key follows the (-count, key) rule.  The backward
-    pass keeps, per position, the states that can still end on the best
-    key, each with its (symbol, next state) edges in symbol order.
+    Counts the words reaching each state at each position and picks the
+    best key by the (-count, key) rule.  Returns the per-position state
+    counts, the best key and the number of row words ending on it.
     """
     levels = [{init: 1}]
     for pos in range(1, m + 1):
@@ -375,6 +410,14 @@ def _row_tables(init, step, key, m: int):
         bucket = key(state)
         sizes[bucket] = sizes.get(bucket, 0) + count
     best = min(sizes, key=lambda k: (-sizes[k], k))
+    return levels, best, sizes[best]
+
+
+def _row_edges(step, key, levels: list, best: tuple) -> list:
+    """Backward pass over a row's forward levels: per position, the
+    states that can still end on the best key, each with its (symbol,
+    next state) edges in symbol order."""
+    m = len(levels) - 1
     live: dict = {state: () for state in levels[m] if key(state) == best}
     edges: list = [None] * m
     for pos in range(m, 0, -1):
@@ -387,32 +430,26 @@ def _row_tables(init, step, key, m: int):
             if out:
                 here[state] = out
         edges[pos - 1] = live = here
-    return best, edges
+    return edges
 
 
-def _largest_bucket(n: int, rows: tuple, guard: int) -> tuple[tuple, tuple[str, ...]]:
-    """Key and members of the largest syndrome bucket of length-n words.
+def _list_members(n: int, rows: tuple, counted: dict) -> tuple[str, ...]:
+    """The best bucket's words in lexicographic order.
 
-    rows holds one automaton (init, step, key) per row of the word read
-    as an array of k = len(rows) rows: row r has coordinates r+1, r+1+k,
-    ...  step(state, pos, bit) reads the bit at 1-based row position pos
-    and returns the next state, or None to leave the word out; key(state)
-    is the row's residue tuple, and a word's key is its rows' keys joined.
-    Rows share no coordinate, so bucket sizes multiply across rows and the
-    best key is the rows' best keys joined.  Ties go to the smallest key,
-    members come in lexicographic order from a depth-first walk that only
-    enters prefixes able to end in the best bucket, and lengths above
-    guard are refused.
+    Runs the backward pass of each distinct row over its forward levels
+    in counted, then walks depth first, 0 before 1, entering only
+    prefixes that can still end in the best bucket, so the walk costs
+    O(|C| n).  counted is emptied before the walk: the walk needs only
+    the edges, and members built while the count tables are still held
+    would leave the heap larger once the tables go.
     """
-    if n > guard:
-        raise GuardLimit(f"search at n={n} exceeds the enumeration guard {guard}")
     k = len(rows)
-    best: tuple = ()
-    tables = []
-    for init, step, key in rows:
-        row_best, edges = _row_tables(init, step, key, n // k)
-        best += row_best
-        tables.append(edges)
+    edges = {
+        row: _row_edges(row[1], row[2], levels, best)
+        for row, (levels, best, _) in counted.items()
+    }
+    counted.clear()
+    tables = [edges[row] for row in rows]
     members = []
     stack = [(0, "", tuple(init for init, _, _ in rows))]
     while stack:
@@ -423,7 +460,35 @@ def _largest_bucket(n: int, rows: tuple, guard: int) -> tuple[tuple, tuple[str, 
         r = i % k
         for ch, t in reversed(tables[r][i // k][states[r]]):
             stack.append((i + 1, word + ch, states[:r] + (t,) + states[r + 1 :]))
-    return best, tuple(members)
+    return tuple(members)
+
+
+def _largest_bucket(n: int, rows: tuple, guard: int):
+    """Key, size and member lister of the largest syndrome bucket of
+    length-n words.
+
+    rows holds one automaton (init, step, key) per row of the word read
+    as an array of k = len(rows) rows: row r has coordinates r+1, r+1+k,
+    ...  step(state, pos, bit) reads the bit at 1-based row position pos
+    and returns the next state, or None to leave the word out; key(state)
+    is the row's residue tuple, and a word's key is its rows' keys joined.
+    Rows share no coordinate, so bucket sizes multiply across rows and the
+    best key is the rows' best keys joined; ties go to the smallest key.
+    Lengths above guard are refused before any counting.
+
+    Only the forward counts run here, once per distinct row automaton.
+    The returned lister takes no argument and returns the members in
+    lexicographic order from those same counts; nothing is listed until
+    it is called, and it may be called only once, since it frees the
+    counts.
+    """
+    if n > guard:
+        raise GuardLimit(f"search at n={n} exceeds the enumeration guard {guard}")
+    m = n // len(rows)
+    counted = {row: _row_counts(*row, m) for row in dict.fromkeys(rows)}
+    best = sum((counted[row][1] for row in rows), ())
+    size = math.prod(counted[row][2] for row in rows)
+    return best, size, lambda: _list_members(n, rows, counted)
 
 
 def _weighted_row(mod: int, cap: int | None = None):
@@ -485,12 +550,13 @@ def pigeonhole_search(
     Counts the words of each residue tuple by dynamic programming over
     positions and returns the largest bucket; ties go to the
     lexicographically smallest tuple, so results are reproducible.  The
-    cost is the count tables plus O(|C| n) for the members, so guard
-    bounds the codebook that gets built: lengths above it are refused.
+    search costs the count tables; the book lists its members, for
+    O(|C| n) more, on first access.  guard bounds the codebook that can
+    get built: lengths above it are refused.
     """
     if n < 1:
         raise ValueError("length must be >= 1")
     rows, names, fixed = _family_rows(family, n, P, f)
-    best_key, members = _largest_bucket(n, rows, guard)
+    best_key, size, lister = _largest_bucket(n, rows, guard)
     params = dict(zip(names, best_key)) | fixed
-    return params, Codebook(family, n, params, members)
+    return params, Codebook._listed_later(family, n, params, size, lister)

@@ -223,10 +223,9 @@ def cts_param_search(
     P = window_capacity(m, s)
 
     rows = (_weighted_row(2 * m - 1, f),) + (_weighted_row(2 * P - 1),) * (k - 1)
-    best, members = _largest_bucket(n, rows, guard)
+    best, size, lister = _largest_bucket(n, rows, guard)
     params = CtsParams.derive(
         n, t, s, best[0], best[1],
         tuple(zip(best[2::2], best[3::2])),
     )
-    book = Codebook("cts", n, params.to_dict(), members)
-    return params, book
+    return params, Codebook._listed_later("cts", n, params.to_dict(), size, lister)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .channel import BurstSpec, apply_burst
+from .channel import BurstSpec, _check_room, apply_burst
 from .errors import DecodingError
 from .families import FAMILIES
 
@@ -90,6 +90,7 @@ def family_setup(family: str, n: int, t: int | None = None, s: int | None = None
     Returns (t, s, params_dict, codebook, decode) where decode maps a
     received word back to the codeword.  Families: those with a
     roundtrip decoder in FAMILIES (c21, c31, cts; the last needs t and s).
+    A length n < t, which no (t, s)-burst fits in, is refused.
     """
     fam = FAMILIES.get(family)
     if fam is None or fam.roundtrip is None:
@@ -97,6 +98,7 @@ def family_setup(family: str, n: int, t: int | None = None, s: int | None = None
     if fam.burst is None and (t is None or s is None):
         raise ValueError(f"{family} simulation needs t and s")
     t, s = fam.burst or (t, s)
+    _check_room(n, t, s)
     kwargs = {} if guard is None else {"guard": guard}
     params, book = fam.search(n, t, s, None, None, **kwargs)
     return t, s, book.params, book, lambda y: fam.roundtrip(y, params, n)

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 from .channel import (
     _burst_outputs,
+    _check_room,
     ball,
     ball_size_formula,
     refined_ball_size,
@@ -95,7 +96,9 @@ def verify_roundtrip(members, t: int, s: int, decode) -> VerificationReport:
     """Apply every (t, s)-burst to every codeword and decode it back.
 
     decode is a callable from received word to codeword; raising a
-    DecodingError counts as a failure with the exception recorded.
+    DecodingError counts as a failure with the exception recorded.  A
+    codeword shorter than t takes no burst, so it is refused rather than
+    passed over.
     """
     from .channel import BurstSpec, apply_burst
 
@@ -105,6 +108,7 @@ def verify_roundtrip(members, t: int, s: int, decode) -> VerificationReport:
     witness = None
     for x in members:
         n = len(x)
+        _check_room(n, t, s)
         for pos in range(1, n - t + 2):
             for ins in all_words(s):
                 corruptions += 1

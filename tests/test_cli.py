@@ -1,11 +1,17 @@
 """CLI behavior: golden outputs, JSON shapes, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from burstcodes import BurstSpec, apply_burst, ball, c31_param_search
+from burstcodes import BurstSpec, apply_burst, ball, c31_param_search, codes
 from burstcodes.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 BALL_GOLDEN = """\
 center 101000111 n=9
@@ -154,6 +160,46 @@ def test_search_json_shape(capsys):
     assert isinstance(d["redundancy"], float)
 
 
+C21_N8_MEMBERS = [
+    "00111100", "01011010", "01100110", "01101001",
+    "10010110", "10011001", "10100101", "11000011",
+]
+
+
+def test_search_lists_members_only_when_asked(capsys, monkeypatch):
+    code, out, _ = run(capsys, "search", "c21", "--n", "8", "--members")
+    assert code == 0
+    d = json.loads(out)
+    assert d.pop("members") == C21_N8_MEMBERS
+    code, out, _ = run(capsys, "search", "c21", "--n", "8")
+    assert (code, json.loads(out)) == (0, d)
+
+    def no_listing(*args):
+        raise AssertionError("search listed members it does not print")
+
+    monkeypatch.setattr(codes, "_list_members", no_listing)
+    code, out, _ = run(capsys, "search", "c21", "--n", "18")
+    assert code == 0
+    assert out == (
+        '{"family": "c21", "n": 18, "params": {"a": 15, "b": 1}, '
+        '"redundancy": 6.8232, "size": 2315}\n'
+    )
+    # the patch does sit on the listing path
+    with pytest.raises(AssertionError, match="listed members"):
+        main(["search", "c21", "--n", "8", "--members"])
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "burstcodes", "search", "c21", "--n", "8"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=60,
+    )
+    code, out, err = run(capsys, "search", "c21", "--n", "8")
+    assert (code, err) == (0, "")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+
+
 def test_search_cts(capsys):
     code, out, _ = run(capsys, "search", "cts", "--n", "8", "--t", "3", "--s", "1")
     assert code == 0
@@ -250,6 +296,14 @@ def test_exit_2_on_domain_error(capsys):
     code, _, err = run(capsys, "search", "c21rll", "--n", "6", "--f", "0")
     assert code == 2
     assert err == "error: run cap must be >= 1\n"
+    # no (2, 1)-burst fits a word of length 1
+    for argv in (
+        ("decode", "c21", "--n", "1", "--params", "0,0", ""),
+        ("verify", "roundtrip", "c21", "--n", "1"),
+        ("simulate", "c21", "--n", "1"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", "error: no (2, 1)-burst fits in length n=1\n")
     # a ball-law sweep that would check no burst combination
     for flag, value, msg in (
         ("--t-max", "0", "ball-law sweep needs t_max, s_max >= 1, got 0, 4"),

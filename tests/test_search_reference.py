@@ -3,7 +3,8 @@
 The reference keys every word of length n with the family's syndrome
 functions from words.py, keeps the largest bucket (ties to the smallest
 key) and lists its members in word order.  The searches must agree on
-the key, the size and the members tuple, byte for byte.
+the key, the size and the members tuple, byte for byte; the size comes
+from the bucket counts, the members from a later listing pass.
 """
 
 import pytest
@@ -91,5 +92,9 @@ CASES = (
 def test_search_matches_brute_force(case, args):
     (best, members), found, book = case(*args)
     assert found == best
+    # size comes from the bucket counts, before any member is listed
     assert book.size == len(members)
     assert book.members == members
+    assert book.size == len(book.members)
+    # members are listed once; later accesses return the same tuple
+    assert book.members is book.members

@@ -61,6 +61,13 @@ def test_roundtrip_fail_records_first_witness(c21_book):
     assert rep.counts["failures"] > 0
 
 
+def test_roundtrip_refuses_words_no_burst_fits():
+    with pytest.raises(ValueError, match=r"^no \(2, 1\)-burst fits in length n=1$"):
+        verify_roundtrip(["0"], 2, 1, lambda y: "0")
+    # an empty book has no word to be short, and checks nothing
+    assert verify_roundtrip([], 2, 1, lambda y: "0").counts["corruptions"] == 0
+
+
 def test_equivalence_good_book(c21_book):
     rep = verify_equivalence(c21_book.members, 2, 1)
     assert rep.verdict
