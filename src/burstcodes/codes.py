@@ -18,6 +18,14 @@ demand exactly one survivor.  Zero survivors raise DecodeFailure and
 two or more raise DecodeAmbiguity; the two conditions are different
 facts about the received word and are never conflated.
 
+The VT-sum decoders (VT, C21, SVT21) check each candidate in O(1).  One
+O(n) pass over y gives its VT sum and a suffix-weight table, the number
+of 1s in each suffix; a candidate that inserts or splices at a position
+shifts that suffix up one coordinate, so its sum is y's sum plus the
+suffix weight plus the new symbols' terms.  Strings are built only for
+survivors.  The run-syndrome decoders (LEV2 here, and C31) still build
+and rescan every candidate.
+
 The weight residue mod 4 of a received (2, 1)-burst output determines
 what happened: with delta = (b - weight(y)) mod 4,
 
@@ -38,6 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .channel import _check_room
 from .errors import DecodeAmbiguity, DecodeFailure, GuardLimit
@@ -187,6 +196,36 @@ def _expect_one(seen: dict, context: str) -> tuple[str, object]:
     return word, tag
 
 
+def _suffix_ones(y: str) -> tuple[list[int], int]:
+    """ones[i], the number of 1s in y[i:] for i = 0..len(y), and y's VT sum.
+
+    ones[0] is the weight.  A 1 at coordinate j is counted in ones[0..j-1],
+    j times, so the VT sum is the sum of the table.
+    """
+    ones = list(accumulate(map("1".__eq__, reversed(y)), initial=0))[::-1]
+    return ones, sum(ones)
+
+
+def _insertions(y: str, ones: list[int], V: int, mod: int, target: int, bits) -> dict:
+    """The words y[:i] + bit + y[i:] whose VT sum is target mod mod, each
+    with the first index i that gives it.
+
+    Inserting bit at index i moves every 1 of y[i:] up one coordinate, so
+    the sum is V + ones[i] + (i + 1) * bit: O(1) per candidate.  Inserting
+    a bit right after an equal symbol gives the word of index i - 1 again
+    and is skipped, so a string is built once per distinct survivor.
+    """
+    seen = {}
+    for i in range(len(y) + 1):
+        for bit in bits:
+            sym = "01"[bit]
+            if i and y[i - 1] == sym:
+                continue
+            if (V + ones[i] + (i + 1) * bit) % mod == target:
+                seen[y[:i] + sym + y[i:]] = i
+    return seen
+
+
 # ---------------------------------------------------------------- VT
 
 
@@ -199,11 +238,12 @@ def vt_member(x: str, a: int, n: int) -> bool:
 
 def vt_decode(y: str, a: int, n: int) -> str:
     """Recover the VT(n; a) codeword a single deletion of which gave y."""
+    _check_room(n, 1, 0)
     check_word(y)
     if len(y) != n - 1:
         raise ValueError(f"received word must have length {n - 1}, got {len(y)}")
-    cands = ((i, y[:i] + bit + y[i:]) for i in range(n) for bit in "01")
-    seen = _survivors(cands, lambda w: vt_syndrome(w) % (n + 1) == a % (n + 1))
+    ones, V = _suffix_ones(y)
+    seen = _insertions(y, ones, V, n + 1, a % (n + 1), (0, 1))
     word, _ = _expect_one(seen, "vt_decode")
     return word
 
@@ -212,6 +252,8 @@ def vt_decode(y: str, a: int, n: int) -> str:
 
 
 def lev2_member(x: str, a: int, n: int) -> bool:
+    if n < 1:
+        raise ValueError("length must be >= 1")
     check_word(x)
     if len(x) != n:
         return False
@@ -224,6 +266,8 @@ def lev2_decode(y: str, a: int, n: int) -> str:
     The received length says how many symbols went missing (0, 1, or 2);
     the zero-prefixed run syndrome mod 2n then pins the unique preimage.
     """
+    if n < 1:
+        raise ValueError("length must be >= 1")
     check_word(y)
     a = a % (2 * n)
     if len(y) == n:
@@ -256,11 +300,18 @@ def c21_member(x: str, a: int, b: int, n: int) -> bool:
 
 
 def _deletion_run(x: str, y: str) -> tuple[int, int]:
-    """The run of x whose one-symbol deletion yields y, as 1-based bounds."""
-    hits = [p for p in range(1, len(x) + 1) if x[: p - 1] + x[p:] == y]
-    if not hits:
+    """The run of x whose one-symbol deletion yields y, as 1-based bounds.
+
+    Deleting any symbol of a run gives the same word, and y first differs
+    from x at the run's last symbol, so one scan finds the run.
+    """
+    q = next((i for i, (u, v) in enumerate(zip(x, y)) if u != v), len(y))
+    if x[q + 1 :] != y[q:]:
         raise DecodeFailure("decoded word does not reduce to the received word")
-    return hits[0], hits[-1]
+    lo = q
+    while lo and x[lo - 1] == x[q]:
+        lo -= 1
+    return lo + 1, q + 1
 
 
 def c21_decode(y: str, a: int, b: int, n: int) -> DecodeOutcome:
@@ -273,30 +324,33 @@ def c21_decode(y: str, a: int, b: int, n: int) -> DecodeOutcome:
     check_word(y)
     if len(y) != n - 1:
         raise ValueError(f"received word must have length {n - 1}, got {len(y)}")
-    a = a % (2 * n - 1)
+    mod = 2 * n - 1
+    a = a % mod
     b = b % 4
-    delta = (b - y.count("1")) % 4
-
-    def vt_ok(w: str) -> bool:
-        return vt_syndrome(w) % (2 * n - 1) == a
+    ones, V = _suffix_ones(y)
+    delta = (b - ones[0]) % 4
 
     if delta == 3 or delta == 2:
-        mark, patch, label = (
-            ("1", "00", MERGE_00_TO_1) if delta == 3 else ("0", "11", MERGE_11_TO_0)
+        # replacing the symbol at coordinate p by the patch moves y[p:] up
+        # one coordinate; 00 for a 1 takes p off the sum, 11 for a 0 adds
+        # p + (p + 1).  Two such words differ at the smaller p, so no word
+        # comes twice.
+        mark, patch, label, gain = (
+            ("1", "00", MERGE_00_TO_1, lambda p: -p)
+            if delta == 3
+            else ("0", "11", MERGE_11_TO_0, lambda p: 2 * p + 1)
         )
-        cands = (
-            (p, y[: p - 1] + patch + y[p:])
+        seen = {
+            y[: p - 1] + patch + y[p:]: p
             for p in range(1, n)
-            if y[p - 1] == mark
-        )
-        seen = _survivors(cands, vt_ok)
+            if y[p - 1] == mark and (V + gain(p) + ones[p]) % mod == a
+        }
         word, p = _expect_one(seen, "c21_decode")
         return DecodeOutcome(word, label, (p, p))
 
     # delta 0 or 1: the burst kept one of the two symbols it deleted, so the
-    # net effect is a single deletion
-    cands = ((i, y[:i] + bit + y[i:]) for i in range(n) for bit in "01")
-    seen = _survivors(cands, lambda w: vt_ok(w) and w.count("1") % 4 == b)
+    # net effect is a single deletion, and only the bit delta gives weight b
+    seen = _insertions(y, ones, V, mod, a, (delta,))
     word, _ = _expect_one(seen, "c21_decode")
     return DecodeOutcome(word, SINGLE_DELETION, _deletion_run(word, y))
 
@@ -334,17 +388,22 @@ def svt21_decode(
     lo, hi = max(lo, 1), min(hi, n - 1)
     if lo > hi:
         raise ValueError(f"window {window} has no valid burst start for n={n}")
-    c = c % (2 * P - 1)
+    mod = 2 * P - 1
+    c = c % mod
     d = d % 4
-    cands = (
-        (p, y[: p - 1] + pair + y[p:])
-        for p in range(lo, hi + 1)
-        for pair in ("00", "01", "10", "11")
-    )
-    seen = _survivors(
-        cands,
-        lambda w: vt_syndrome(w) % (2 * P - 1) == c and w.count("1") % 4 == d,
-    )
+    ones, V = _suffix_ones(y)
+    seen = {}
+    for p in range(lo, hi + 1):
+        # replacing y_p by the pair b0 b1 takes p * y_p off the sum, adds
+        # p * b0 + (p + 1) * b1, and moves y[p:] up one coordinate
+        yp = y[p - 1] == "1"
+        base = V - p * yp + ones[p]
+        for b0, b1 in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            # with b1 = y_p the word is that of the pair (y_{p-1}, b0) at p - 1
+            if p > lo and b1 == yp:
+                continue
+            if (base + p * b0 + (p + 1) * b1) % mod == c and (ones[0] - yp + b0 + b1) % 4 == d:
+                seen[y[: p - 1] + "01"[b0] + "01"[b1] + y[p:]] = p
     word, _ = _expect_one(seen, "svt21_decode")
     return word
 

@@ -304,6 +304,14 @@ def test_exit_2_on_domain_error(capsys):
     ):
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (2, "", "error: no (2, 1)-burst fits in length n=1\n")
+    # length 0 leaves no deletion to undo and no modulus for lev2
+    for argv, msg in (
+        (("decode", "vt", "--n", "0", "--params", "0", ""), "no (1, 0)-burst fits in length n=0"),
+        (("decode", "lev2", "--n", "0", "--params", "0", ""), "length must be >= 1"),
+        (("member", "lev2", "--n", "0", "--params", "0", ""), "length must be >= 1"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {msg}\n")
     # a ball-law sweep that would check no burst combination
     for flag, value, msg in (
         ("--t-max", "0", "ball-law sweep needs t_max, s_max >= 1, got 0, 4"),

@@ -1,0 +1,271 @@
+"""The VT-sum decoders against the string filters they replaced.
+
+`ref_vt_decode`, `ref_c21_decode` (with `ref_deletion_run`) and
+`ref_svt21_decode` build every candidate preimage as a string and rescan
+it with `vt_syndrome`.  The package decoders check each candidate from
+one suffix-weight table instead; they must return the same word,
+classification and window, and raise the same exception type with the
+same message, candidate order, dedup rule and sorted survivor list
+included.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from burstcodes.channel import BurstSpec, _check_room, apply_burst
+from burstcodes.codes import (
+    MERGE_00_TO_1,
+    MERGE_11_TO_0,
+    SINGLE_DELETION,
+    DecodeOutcome,
+    c21_decode,
+    svt21_decode,
+    vt_decode,
+)
+from burstcodes.errors import DecodeAmbiguity, DecodeFailure, DecodingError
+from burstcodes.words import all_words, check_word, vt_syndrome
+
+# ---------------------------------------------------------------- reference
+
+
+def ref_survivors(candidates, predicate):
+    """Deduplicated candidates passing predicate; candidates are (tag, word)."""
+    seen: dict[str, object] = {}
+    for tag, word in candidates:
+        if word not in seen and predicate(word):
+            seen[word] = tag
+    return seen
+
+
+def ref_expect_one(seen: dict, context: str) -> tuple[str, object]:
+    if not seen:
+        raise DecodeFailure(f"{context}: no syndrome-consistent candidate")
+    if len(seen) > 1:
+        raise DecodeAmbiguity(
+            f"{context}: {len(seen)} syndrome-consistent candidates: "
+            + ", ".join(sorted(seen))
+        )
+    [(word, tag)] = seen.items()
+    return word, tag
+
+
+def ref_vt_decode(y: str, a: int, n: int) -> str:
+    """Recover the VT(n; a) codeword a single deletion of which gave y."""
+    check_word(y)
+    if len(y) != n - 1:
+        raise ValueError(f"received word must have length {n - 1}, got {len(y)}")
+    cands = ((i, y[:i] + bit + y[i:]) for i in range(n) for bit in "01")
+    seen = ref_survivors(cands, lambda w: vt_syndrome(w) % (n + 1) == a % (n + 1))
+    word, _ = ref_expect_one(seen, "vt_decode")
+    return word
+
+
+def ref_deletion_run(x: str, y: str) -> tuple[int, int]:
+    """The run of x whose one-symbol deletion yields y, as 1-based bounds."""
+    hits = [p for p in range(1, len(x) + 1) if x[: p - 1] + x[p:] == y]
+    if not hits:
+        raise DecodeFailure("decoded word does not reduce to the received word")
+    return hits[0], hits[-1]
+
+
+def ref_c21_decode(y: str, a: int, b: int, n: int) -> DecodeOutcome:
+    """Correct one (2, 1)-burst against syndromes (a mod 2n-1, b mod 4).
+
+    The weight delta picks the error shape; candidate preimages of that
+    shape are filtered by the position-weighted syndrome.
+    """
+    _check_room(n, 2, 1)
+    check_word(y)
+    if len(y) != n - 1:
+        raise ValueError(f"received word must have length {n - 1}, got {len(y)}")
+    a = a % (2 * n - 1)
+    b = b % 4
+    delta = (b - y.count("1")) % 4
+
+    def vt_ok(w: str) -> bool:
+        return vt_syndrome(w) % (2 * n - 1) == a
+
+    if delta == 3 or delta == 2:
+        mark, patch, label = (
+            ("1", "00", MERGE_00_TO_1) if delta == 3 else ("0", "11", MERGE_11_TO_0)
+        )
+        cands = (
+            (p, y[: p - 1] + patch + y[p:])
+            for p in range(1, n)
+            if y[p - 1] == mark
+        )
+        seen = ref_survivors(cands, vt_ok)
+        word, p = ref_expect_one(seen, "c21_decode")
+        return DecodeOutcome(word, label, (p, p))
+
+    # delta 0 or 1: the burst kept one of the two symbols it deleted, so the
+    # net effect is a single deletion
+    cands = ((i, y[:i] + bit + y[i:]) for i in range(n) for bit in "01")
+    seen = ref_survivors(cands, lambda w: vt_ok(w) and w.count("1") % 4 == b)
+    word, _ = ref_expect_one(seen, "c21_decode")
+    return DecodeOutcome(word, SINGLE_DELETION, ref_deletion_run(word, y))
+
+
+def ref_svt21_decode(
+    y: str, c: int, d: int, P: int, window: tuple[int, int], n: int
+) -> str:
+    """Correct a (2, 1)-burst known to start inside window.
+
+    window is a 1-based inclusive interval of at most P coordinates; it
+    is clamped to the valid start range 1..n-1.  Only syndromes mod
+    2P-1 and mod 4 are needed because candidate starts this close
+    together can never collide on both.
+    """
+    check_word(y)
+    if len(y) != n - 1:
+        raise ValueError(f"received word must have length {n - 1}, got {len(y)}")
+    if P < 1:
+        raise ValueError("window capacity P must be >= 1")
+    lo, hi = window
+    if lo > hi:
+        raise ValueError(f"empty window {window}")
+    if hi - lo + 1 > P:
+        raise ValueError(f"window {window} longer than P={P}")
+    lo, hi = max(lo, 1), min(hi, n - 1)
+    if lo > hi:
+        raise ValueError(f"window {window} has no valid burst start for n={n}")
+    c = c % (2 * P - 1)
+    d = d % 4
+    cands = (
+        (p, y[: p - 1] + pair + y[p:])
+        for p in range(lo, hi + 1)
+        for pair in ("00", "01", "10", "11")
+    )
+    seen = ref_survivors(
+        cands,
+        lambda w: vt_syndrome(w) % (2 * P - 1) == c and w.count("1") % 4 == d,
+    )
+    word, _ = ref_expect_one(seen, "svt21_decode")
+    return word
+
+
+# ---------------------------------------------------------------- comparison
+
+
+def outcome(decode, *args):
+    """The decode's result, or the type and message of what it raised."""
+    try:
+        return decode(*args)
+    except (ValueError, DecodingError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_same(fast, ref, *args):
+    got, want = outcome(fast, *args), outcome(ref, *args)
+    assert got == want, args
+    return want
+
+
+def kind(got):
+    """A compared outcome's classification, "decoded" or exception type."""
+    if isinstance(got, tuple):
+        return got[0]
+    return getattr(got, "classification", "decoded")
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_vt_and_c21_match_reference_exhaustively(n):
+    vt_kinds, c21_kinds = set(), set()
+    for y in all_words(n - 1):
+        for a in range(n + 1):
+            vt_kinds.add(kind(assert_same(vt_decode, ref_vt_decode, y, a, n)))
+        for a in range(2 * n - 1):
+            for b in range(4):
+                c21_kinds.add(kind(assert_same(c21_decode, ref_c21_decode, y, a, b, n)))
+    # VT(n; a) is a perfect single-deletion code: every y has exactly one
+    # preimage.  C21 corrects its bursts, so no y has two.
+    assert vt_kinds == {"decoded"}
+    assert c21_kinds == {SINGLE_DELETION, MERGE_00_TO_1, MERGE_11_TO_0, DecodeFailure}
+
+
+@pytest.mark.parametrize("P", [1, 2, 3])
+def test_svt21_matches_reference_on_every_window(P):
+    kinds = set()
+    for n in range(2, 7):
+        # every placement: clipped at either end, empty, longer than P and
+        # entirely outside the start range 1..n-1
+        windows = [(lo, hi) for lo in range(1 - P, n + 1) for hi in range(lo - 1, lo + P + 1)]
+        for y in all_words(n - 1):
+            for c in range(2 * P - 1):
+                for d in range(4):
+                    for w in windows:
+                        kinds.add(kind(assert_same(svt21_decode, ref_svt21_decode, y, c, d, P, w, n)))
+    # at P = 1 the sum mod 1 cannot tell the pair 01 from 10
+    ambiguous = {DecodeAmbiguity} if P == 1 else set()
+    assert kinds == {"decoded", DecodeFailure, ValueError} | ambiguous
+
+
+def test_bad_inputs_match_reference():
+    for args in (("0101", 3, 4), ("01", 0, 4), ("0a1", 0, 4), ("", 0, 1)):
+        assert_same(vt_decode, ref_vt_decode, *args)
+    for args in (("0101", 3, 0, 4), ("011", 0, 0, 5), ("0x11", 0, 0, 5), ("", 0, 0, 1)):
+        assert_same(c21_decode, ref_c21_decode, *args)
+    for args in (
+        ("0101", 7, 2, 0, (1, 1), 5),
+        ("0101", 7, 2, 3, (1, 4), 5),
+        ("010", 7, 2, 3, (1, 1), 5),
+        ("01z1", 7, 2, 3, (1, 1), 5),
+    ):
+        assert_same(svt21_decode, ref_svt21_decode, *args)
+
+
+# ---------------------------------------------------------------- sampled
+
+
+def word_and(extra):
+    """A word of length 17..64 drawn with extra(n) values."""
+    return st.integers(min_value=17, max_value=64).flatmap(
+        lambda n: st.tuples(
+            st.integers(min_value=0, max_value=2**n - 1).map(lambda v: format(v, f"0{n}b")),
+            extra(n),
+        )
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(word_and(lambda n: st.integers(min_value=1, max_value=n)))
+def test_vt_sampled_deletions(args):
+    x, start = args
+    n = len(x)
+    y = apply_burst(x, BurstSpec(1, 0, start, ""))
+    a = vt_syndrome(x) % (n + 1)
+    assert vt_decode(y, a, n) == ref_vt_decode(y, a, n) == x
+
+
+@settings(max_examples=100, deadline=None)
+@given(word_and(lambda n: st.tuples(st.integers(1, n - 1), st.sampled_from("01"))))
+def test_c21_sampled_bursts(args):
+    x, (start, ins) = args
+    n = len(x)
+    y = apply_burst(x, BurstSpec(2, 1, start, ins))
+    a, b = vt_syndrome(x) % (2 * n - 1), x.count("1") % 4
+    got = c21_decode(y, a, b, n)
+    assert got == ref_c21_decode(y, a, b, n)
+    assert got.word == x
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    word_and(
+        lambda n: st.tuples(
+            st.integers(1, n - 1),
+            st.sampled_from("01"),
+            st.integers(2, 8),
+            st.integers(0, 7),
+        )
+    )
+)
+def test_svt21_sampled_bursts(args):
+    x, (start, ins, P, before) = args
+    n = len(x)
+    y = apply_burst(x, BurstSpec(2, 1, start, ins))
+    lo = start - min(before, P - 1)
+    window = (lo, lo + P - 1)
+    c, d = vt_syndrome(x) % (2 * P - 1), x.count("1") % 4
+    assert svt21_decode(y, c, d, P, window, n) == ref_svt21_decode(y, c, d, P, window, n) == x
