@@ -27,8 +27,10 @@ Codeword space: n even, and for parameters (a, b, c, d)
     rsyn0(x) = a (mod 4n),  odd_weight(x) = b (mod 4),
     even_weight(x) = c (mod 4),  run_count(x) = d (mod 5).
 
-320n residue tuples, so the best choice keeps at least 2^n/(320n)
-codewords: redundancy below log2(n) + 9.
+_rows(n) states these congruences once, as the row automaton that both
+c31_member and c31_param_search run.  The residue tuples number the
+product of its moduli, 4n * 4 * 4 * 5 = 320n, so the best choice keeps
+at least 2^n/(320n) codewords: redundancy below log2(n) + 9.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from .codes import (
     TWO_BURST_DELETION,
     Codebook,
     DEFAULT_ENUM_GUARD,
+    _in_bucket,
     _largest_bucket,
 )
 from .errors import DecodeAmbiguity, DecodeFailure
@@ -102,18 +105,32 @@ class C31Trace:
     run_filter_decisive: bool
 
 
+def _rows(n: int) -> tuple:
+    """The one row automaton of the code, residues (a, odd, even, runs)."""
+
+    def step(st, i, bit):
+        # rsyn0 adds n+1-i where x_i != x_{i-1} (x_0 = 0); the run count
+        # starts at 1 and counts only the changes inside x
+        a, odd, even, runs, last = st
+        if bit != last:
+            a = (a + n + 1 - i) % (4 * n)
+            if i > 1:
+                runs = (runs + 1) % 5
+        if bit:
+            if i % 2:
+                odd = (odd + 1) % 4
+            else:
+                even = (even + 1) % 4
+        return a, odd, even, runs, bit
+
+    return (((0, 0, 0, 1, 0), step, (4 * n, 4, 4, 5)),)
+
+
 def c31_member(x: str, params: C31Params) -> bool:
     check_word(x)
-    n = params.n
-    if len(x) != n:
+    if len(x) != params.n:
         return False
-    w = weights(x)
-    return (
-        rsyn0(x) % (4 * n) == params.a % (4 * n)
-        and w.odd % 4 == params.b % 4
-        and w.even % 4 == params.c % 4
-        and run_count(x) % 5 == params.d % 5
-    )
+    return _in_bucket(x, _rows(params.n), (params.a, params.b, params.c, params.d))
 
 
 def classify_31(y: str, params: C31Params) -> str:
@@ -190,23 +207,6 @@ def c31_param_search(
     """Largest (a, b, c, d) bucket at even length n, ties lexicographic."""
     if n < 4 or n % 2:
         raise ValueError(f"length must be even and >= 4, got {n}")
-
-    def step(st, i, bit):
-        # rsyn0 adds n+1-i where x_i != x_{i-1} (x_0 = 0); the run count
-        # starts at 1 and counts only the changes inside x
-        a, last, odd, even, runs = st
-        if bit != last:
-            a = (a + n + 1 - i) % (4 * n)
-            if i > 1:
-                runs = (runs + 1) % 5
-        if bit:
-            if i % 2:
-                odd = (odd + 1) % 4
-            else:
-                even = (even + 1) % 4
-        return a, bit, odd, even, runs
-
-    row = ((0, 0, 0, 0, 1), step, lambda st: (st[0],) + st[2:])
-    best, size, lister = _largest_bucket(n, (row,), guard)
+    best, size, lister = _largest_bucket(n, _rows(n), guard)
     params = C31Params(n, *best)
     return params, Codebook._listed_later("c31", n, params.to_dict(), size, lister)

@@ -25,8 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import DivisibilityError
-from .words import check_word, interleave, run_profile
+from .words import check_word
 
 __all__ = [
     "BurstSpec",
@@ -193,13 +192,17 @@ def refined_ball(x: str, k: int, l: int) -> Ball:
     return Ball(x, k, l, _members(out, n - k + l), refined=True)
 
 
-def refined_ball_size(x: str, k: int, l: int) -> int:
-    """Closed-form size of refined_ball(x, k, l).
+def _shift_changes(v: int, n: int, d: int) -> int:
+    """#{i <= n - d : x_i != x_{i+d}} for the length-n word whose bits are v."""
+    return ((v ^ (v >> d)) & ((1 << (n - d)) - 1)).bit_count()
 
-    The k >= 1 formulas with l <= 1 read run counts off the k-row (for
-    l = 0) or (k-1)-row (for l = 1) interleaving of x, so they require
-    that row count to divide n; otherwise DivisibilityError is raised
-    and the caller can fall back to enumeration.
+
+def refined_ball_size(x: str, k: int, l: int) -> int:
+    """Closed-form size of refined_ball(x, k, l), at every length n.
+
+    A (k, 0)-burst at start i gives the output of start i + 1 exactly
+    when x_i = x_{i+k}; a (k, 1)-burst has one refined insert, a distinct
+    output, exactly when x_i = x_{i+k-1}.
     """
     _check_burst(x, k, l)
     n = len(x)
@@ -207,16 +210,11 @@ def refined_ball_size(x: str, k: int, l: int) -> int:
         if l == 0:
             return 1
         return n * 2 ** (l - 1) + 2**l
+    v = int(x or "0", 2)
     if l == 0:
-        if n % k != 0:
-            raise DivisibilityError(f"size formula for (k={k}, l=0) needs {k} | {n}")
-        return 1 + sum(run_profile(row).count - 1 for row in interleave(x, k))
+        return 1 + _shift_changes(v, n, k)
     if l == 1:
-        if k == 1:
-            return n  # Hamming sphere of radius exactly 1
-        if n % (k - 1) != 0:
-            raise DivisibilityError(f"size formula for (k={k}, l=1) needs {k - 1} | {n}")
-        return n - sum(run_profile(row).count for row in interleave(x, k - 1))
+        return n - (k - 1) - _shift_changes(v, n, k - 1)
     return (n - k + 1) * 2 ** (l - 2)
 
 

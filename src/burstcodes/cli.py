@@ -18,9 +18,9 @@ import json
 import math
 import sys
 
+from . import c31, codes, cts
 from .channel import ball, ball_size_formula, refined_ball, refined_ball_size, sphere_packing_bound
-from .cts import window_capacity
-from .errors import DecodingError, DivisibilityError, GuardLimit
+from .errors import DecodingError, GuardLimit
 from .families import FAMILIES
 from .simulate import family_setup, simulate
 from .verify import (
@@ -101,43 +101,21 @@ def _emit(obj, as_json: bool, lines: list[str]):
 
 def cmd_ball(args) -> int:
     words = _gather_words(args)
+    if args.refined is None:
+        _need(args, "t", "s")
     for x in words:
         if args.refined is not None:
             k, l = args.refined
-            b = refined_ball(x, k, l)
-            try:
-                formula = refined_ball_size(x, k, l)
-            except DivisibilityError:
-                formula = None
-            payload = {
-                "center": x,
-                "k": k,
-                "l": l,
-                "size": b.size,
-                "formula": formula,
-                "members": list(b.members),
-            }
-            head = (
-                f"refined ball k={k} l={l}: size {b.size}, "
-                + ("formula n/a" if formula is None else f"formula {formula}, "
-                   + ("match" if formula == b.size else "MISMATCH"))
-            )
+            kind, sizes = "refined ball", {"k": k, "l": l}
+            b, formula = refined_ball(x, k, l), refined_ball_size(x, k, l)
         else:
-            _need(args, "t", "s")
-            b = ball(x, args.t, args.s)
-            formula = ball_size_formula(len(x), args.t, args.s)
-            payload = {
-                "center": x,
-                "t": args.t,
-                "s": args.s,
-                "size": b.size,
-                "formula": formula,
-                "members": list(b.members),
-            }
-            head = (
-                f"ball t={args.t} s={args.s}: size {b.size}, formula {formula}, "
-                + ("match" if formula == b.size else "MISMATCH")
-            )
+            kind, sizes = "ball", {"t": args.t, "s": args.s}
+            b, formula = ball(x, args.t, args.s), ball_size_formula(len(x), args.t, args.s)
+        payload = {"center": x, **sizes, "size": b.size, "formula": formula,
+                   "members": list(b.members)}
+        shown = " ".join(f"{key}={val}" for key, val in sizes.items())
+        verdict = "match" if formula == b.size else "MISMATCH"
+        head = f"{kind} {shown}: size {b.size}, formula {formula}, {verdict}"
         _emit(payload, args.json, [f"center {x} n={len(x)}", head, *b.members])
     return 0
 
@@ -229,23 +207,18 @@ def cmd_verify(args) -> int:
 
 
 def _construction_buckets(n: int, t: int, s: int) -> int | None:
-    """Syndrome-bucket count of the best construction at (n, t, s)."""
+    """Syndrome-bucket count of the best construction at (n, t, s): the
+    product of the moduli of its row automata, None where none exists."""
     if (t, s) == (3, 1):
-        return 320 * n
-    if (t, s) == (2, 1):
-        return 4 * (2 * n - 1)
-    if s >= 1 and t >= 2 * s:
-        k = t - s
-        if n % k:
+        rows = c31._rows(n)
+    elif (t, s) == (2, 1):
+        rows, _, _ = codes._family_rows("c21", n, None, None)
+    else:
+        try:
+            rows = cts._rows(n, t, s)
+        except ValueError:
             return None
-        m = n // k
-        if m < 2:
-            return None
-        P = window_capacity(m, s)
-        if k == 1:
-            return 4 * (2 * m - 1)
-        return 4 * (2 * m - 1) * (4 * (2 * P - 1)) ** (k - 1)
-    return None
+    return math.prod(mod for _, _, mods in rows for mod in mods)
 
 
 def cmd_bounds(args) -> int:
@@ -423,7 +396,7 @@ def main(argv=None) -> int:
     except DecodingError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, DivisibilityError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -33,13 +33,17 @@ what happened: with delta = (b - weight(y)) mod 4,
     delta == 2  ->  a 0 replaced 11          (merge-11->0)
     delta in {0, 1}  ->  the burst acted like a single deletion.
 
+Each family's syndrome is written once, as row automata (init, step,
+mods) whose states start with their residues (see _largest_bucket); the
+member tests run them over one word, and the searches count with them.
+
 pigeonhole_search() finds, for any family, the syndrome values whose
 codebook is largest; averaging guarantees the winner is at least 2^n
-over the number of residue classes.  Every residue is a sum of
-per-position terms, so bucket sizes come from a dynamic program over
-positions.  The codebook it returns takes its size from those counts;
-the winning bucket's members are built on first use, and no other
-bucket's ever are.
+over the number of residue classes, the product of the rows' mods.
+Every residue is a sum of per-position terms, so bucket sizes come from
+a dynamic program over positions.  The codebook it returns takes its
+size from those counts; the winning bucket's members are built on first
+use, and no other bucket's ever are.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ from itertools import accumulate
 
 from .channel import _check_room
 from .errors import DecodeAmbiguity, DecodeFailure, GuardLimit
-from .words import check_word, rsyn0, vt_syndrome
+from .words import check_word, rsyn0
 
 __all__ = [
     "NO_ERROR",
@@ -233,7 +237,7 @@ def vt_member(x: str, a: int, n: int) -> bool:
     check_word(x)
     if len(x) != n:
         return False
-    return vt_syndrome(x) % (n + 1) == a % (n + 1)
+    return _in_bucket(x, _family_rows("vt", n, None, None)[0], (a,))
 
 
 def vt_decode(y: str, a: int, n: int) -> str:
@@ -257,7 +261,7 @@ def lev2_member(x: str, a: int, n: int) -> bool:
     check_word(x)
     if len(x) != n:
         return False
-    return rsyn0(x) % (2 * n) == a % (2 * n)
+    return _in_bucket(x, _family_rows("lev2", n, None, None)[0], (a,))
 
 
 def lev2_decode(y: str, a: int, n: int) -> str:
@@ -296,7 +300,7 @@ def c21_member(x: str, a: int, b: int, n: int) -> bool:
     check_word(x)
     if len(x) != n:
         return False
-    return vt_syndrome(x) % (2 * n - 1) == a % (2 * n - 1) and x.count("1") % 4 == b % 4
+    return _in_bucket(x, _family_rows("c21", n, None, None)[0], (a, b))
 
 
 def _deletion_run(x: str, y: str) -> tuple[int, int]:
@@ -360,9 +364,7 @@ def c21_decode(y: str, a: int, b: int, n: int) -> DecodeOutcome:
 
 def svt21_member(x: str, c: int, d: int, P: int) -> bool:
     check_word(x)
-    if P < 1:
-        raise ValueError("window capacity P must be >= 1")
-    return vt_syndrome(x) % (2 * P - 1) == c % (2 * P - 1) and x.count("1") % 4 == d % 4
+    return _in_bucket(x, _family_rows("svt21", len(x), P, None)[0], (c, d))
 
 
 def svt21_decode(
@@ -442,13 +444,15 @@ def c21rll_member(x: str, a: int, b: int, n: int, f: int | None = None) -> bool:
     """C21 membership with the run cap added (default cap rll_max_run(n))."""
     if f is None:
         f = rll_max_run(n)
-    return c21_member(x, a, b, n) and rll_member(x, f)
+    check_word(x)
+    rows = _family_rows("c21rll", n, None, f)[0]
+    return len(x) == n and _in_bucket(x, rows, (a, b))
 
 
 # ---------------------------------------------------------------- search
 
 
-def _row_counts(init, step, key, m: int):
+def _row_counts(init, step, mods: tuple, m: int):
     """Forward pass of one row automaton over m positions.
 
     Counts the words reaching each state at each position and picks the
@@ -466,18 +470,18 @@ def _row_counts(init, step, key, m: int):
         levels.append(nxt)
     sizes: dict[tuple, int] = {}
     for state, count in levels[m].items():
-        bucket = key(state)
+        bucket = state[: len(mods)]
         sizes[bucket] = sizes.get(bucket, 0) + count
     best = min(sizes, key=lambda k: (-sizes[k], k))
     return levels, best, sizes[best]
 
 
-def _row_edges(step, key, levels: list, best: tuple) -> list:
+def _row_edges(step, levels: list, best: tuple) -> list:
     """Backward pass over a row's forward levels: per position, the
     states that can still end on the best key, each with its (symbol,
     next state) edges in symbol order."""
     m = len(levels) - 1
-    live: dict = {state: () for state in levels[m] if key(state) == best}
+    live: dict = {state: () for state in levels[m] if state[: len(best)] == best}
     edges: list = [None] * m
     for pos in range(m, 0, -1):
         here = {}
@@ -504,7 +508,7 @@ def _list_members(n: int, rows: tuple, counted: dict) -> tuple[str, ...]:
     """
     k = len(rows)
     edges = {
-        row: _row_edges(row[1], row[2], levels, best)
+        row: _row_edges(row[1], levels, best)
         for row, (levels, best, _) in counted.items()
     }
     counted.clear()
@@ -526,14 +530,16 @@ def _largest_bucket(n: int, rows: tuple, guard: int):
     """Key, size and member lister of the largest syndrome bucket of
     length-n words.
 
-    rows holds one automaton (init, step, key) per row of the word read
+    rows holds one automaton (init, step, mods) per row of the word read
     as an array of k = len(rows) rows: row r has coordinates r+1, r+1+k,
     ...  step(state, pos, bit) reads the bit at 1-based row position pos
-    and returns the next state, or None to leave the word out; key(state)
-    is the row's residue tuple, and a word's key is its rows' keys joined.
-    Rows share no coordinate, so bucket sizes multiply across rows and the
-    best key is the rows' best keys joined; ties go to the smallest key.
-    Lengths above guard are refused before any counting.
+    and returns the next state, or None to leave the word out.  The first
+    len(mods) entries of a state are the row's residues, the j-th taken
+    mod mods[j]; they are the row's key, and a word's key is its rows'
+    keys joined.  Rows share no coordinate, so bucket sizes multiply
+    across rows and the best key is the rows' best keys joined; ties go
+    to the smallest key.  Lengths above guard are refused before any
+    counting.
 
     Only the forward counts run here, once per distinct row automaton.
     The returned lister takes no argument and returns the members in
@@ -550,14 +556,31 @@ def _largest_bucket(n: int, rows: tuple, guard: int):
     return best, size, lambda: _list_members(n, rows, counted)
 
 
+def _in_bucket(x: str, rows: tuple, vals: tuple) -> bool:
+    """Whether x ends in the bucket of key vals, the rows' keys joined,
+    each value taken mod its modulus.  Row r reads x[r::k], the
+    coordinates _largest_bucket gives it; rows share no state, so each
+    is run and checked in turn."""
+    k = len(rows)
+    vals = iter(vals)
+    for r, (state, step, mods) in enumerate(rows):
+        for pos, bit in enumerate(map("1".__eq__, x[r::k]), 1):
+            state = step(state, pos, bit)
+            if state is None:
+                return False
+        if any(res != next(vals) % mod for res, mod in zip(state, mods)):
+            return False
+    return True
+
+
 def _weighted_row(mod: int, cap: int | None = None):
-    """Row automaton keyed (sum of i * x_i mod mod, weight mod 4).
+    """Row automaton with residues (sum of i * x_i mod mod, weight mod 4).
 
     With a run cap the state also carries the last bit and the length of
     the current run, and a run longer than cap leaves the word out.
     """
     if cap is None:
-        return (0, 0), lambda st, i, b: ((st[0] + i * b) % mod, (st[1] + b) % 4), lambda st: st
+        return (0, 0), lambda st, i, b: ((st[0] + i * b) % mod, (st[1] + b) % 4), (mod, 4)
 
     def step(st, i, b):
         s, w, last, run = st
@@ -566,20 +589,21 @@ def _weighted_row(mod: int, cap: int | None = None):
             return None
         return (s + i * b) % mod, (w + b) % 4, b, run
 
-    return (0, 0, None, 0), step, lambda st: st[:2]
+    return (0, 0, None, 0), step, (mod, 4)
 
 
 def _family_rows(family: str, n: int, P: int | None, f: int | None):
     """Return (row automata, parameter names, fixed params) for a family."""
     if family == "vt":
-        return ((0, lambda s, i, b: (s + i * b) % (n + 1), lambda s: (s,)),), ("a",), {}
+        row = ((0,), lambda st, i, b: ((st[0] + i * b) % (n + 1),), (n + 1,))
+        return (row,), ("a",), {}
     if family == "lev2":
         # rsyn0(x) sums n+1-i over the i where x_i != x_{i-1}, with x_0 = 0
         def step(st, i, b):
             s, last = st
             return ((s + n + 1 - i) % (2 * n) if b != last else s), b
 
-        return (((0, 0), step, lambda st: st[:1]),), ("a",), {}
+        return (((0, 0), step, (2 * n,)),), ("a",), {}
     if family == "c21":
         return (_weighted_row(2 * n - 1),), ("a", "b"), {}
     if family == "c21rll":

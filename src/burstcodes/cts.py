@@ -39,18 +39,16 @@ from .codes import (
     Codebook,
     DecodeOutcome,
     DEFAULT_ENUM_GUARD,
+    _in_bucket,
     _largest_bucket,
     _weighted_row,
     c21_decode,
-    c21_member,
-    c21rll_member,
     rll_max_run,
     rll_member,
     svt21_decode,
-    svt21_member,
 )
 from .errors import DecodeFailure
-from .words import check_word, deinterleave, interleave
+from .words import check_word
 
 __all__ = [
     "CtsParams",
@@ -79,6 +77,15 @@ def _shape(n: int, t: int, s: int) -> tuple[int, int]:
 def window_capacity(m: int, s: int) -> int:
     """Window capacity P for the row codes: f+1, or f+2 once s >= 2."""
     return rll_max_run(m) + (1 if s == 1 else 2)
+
+
+def _rows(n: int, t: int, s: int) -> tuple:
+    """The row automata at (n, t, s): row 1's C21 sums with the run cap,
+    then k - 1 copies of the SVT21 sums; ValueError where no
+    construction exists."""
+    k, m = _shape(n, t, s)
+    first = _weighted_row(2 * m - 1, rll_max_run(m))
+    return (first,) + (_weighted_row(2 * window_capacity(m, s) - 1),) * (k - 1)
 
 
 @dataclass(frozen=True)
@@ -143,13 +150,8 @@ def cts_member(x: str, params: CtsParams) -> bool:
     check_word(x)
     if len(x) != params.n:
         return False
-    rows = interleave(x, params.k)
-    if not c21rll_member(rows[0], params.a, params.b, params.m, params.f):
-        return False
-    return all(
-        svt21_member(row, c, d, params.P)
-        for row, (c, d) in zip(rows[1:], params.row_params)
-    )
+    vals = (params.a, params.b) + sum(params.row_params, ())
+    return _in_bucket(x, _rows(params.n, params.t, params.s), vals)
 
 
 def column_window(outcome: DecodeOutcome, s: int, m: int) -> tuple[int, int]:
@@ -203,7 +205,7 @@ def cts_decode(y: str, params: CtsParams, *, trace: bool = False):
     rows_x = [out1.word]
     for row, (c, d) in zip(rows_y[1:], params.row_params):
         rows_x.append(svt21_decode(row, c, d, params.P, window, m))
-    word = deinterleave(rows_x)
+    word = "".join(map("".join, zip(*rows_x)))
     if trace:
         return word, CtsTrace(out1, window, tuple(rows_x))
     return word
@@ -218,12 +220,7 @@ def cts_param_search(
     tuple of row syndromes; ties go to the lexicographically smallest
     tuple.  Rows share no coordinate, so each row is counted on its own.
     """
-    k, m = _shape(n, t, s)
-    f = rll_max_run(m)
-    P = window_capacity(m, s)
-
-    rows = (_weighted_row(2 * m - 1, f),) + (_weighted_row(2 * P - 1),) * (k - 1)
-    best, size, lister = _largest_bucket(n, rows, guard)
+    best, size, lister = _largest_bucket(n, _rows(n, t, s), guard)
     params = CtsParams.derive(
         n, t, s, best[0], best[1],
         tuple(zip(best[2::2], best[3::2])),

@@ -19,7 +19,7 @@ class DecodeAmbiguity(DecodingError):
 
 
 class DivisibilityError(ValueError):
-    """A closed-form size formula needs an array shape the length cannot make."""
+    """Not raised by the package; kept so that code catching it still runs."""
 
 
 class GuardLimit(Exception):

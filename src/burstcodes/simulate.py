@@ -90,14 +90,20 @@ def family_setup(family: str, n: int, t: int | None = None, s: int | None = None
     Returns (t, s, params_dict, codebook, decode) where decode maps a
     received word back to the codeword.  Families: those with a
     roundtrip decoder in FAMILIES (c21, c31, cts; the last needs t and s).
-    A length n < t, which no (t, s)-burst fits in, is refused.
+    A family that corrects one fixed burst takes its own value for an
+    omitted t or s and refuses any other.  A length n < t, which no
+    (t, s)-burst fits in, is refused.
     """
     fam = FAMILIES.get(family)
     if fam is None or fam.roundtrip is None:
         raise ValueError(f"unknown family {family!r}")
-    if fam.burst is None and (t is None or s is None):
+    burst = fam.burst or (t, s)
+    asked = (burst[0] if t is None else t, burst[1] if s is None else s)
+    if None in asked:
         raise ValueError(f"{family} simulation needs t and s")
-    t, s = fam.burst or (t, s)
+    if asked != burst:
+        raise ValueError(f"{family} corrects {burst}-bursts, not {asked}")
+    t, s = burst
     _check_room(n, t, s)
     kwargs = {} if guard is None else {"guard": guard}
     params, book = fam.search(n, t, s, None, None, **kwargs)

@@ -20,7 +20,7 @@ from .channel import (
     refined_ball_size,
     sphere_packing_bound,
 )
-from .errors import DecodingError, DivisibilityError
+from .errors import DecodingError
 from .words import all_words
 
 __all__ = [
@@ -191,8 +191,8 @@ def verify_ball_laws(
 
     * size: |ball| equals the closed form for every center
     * partition: the refined balls tile the full ball without overlap
-    * refined-size: each closed-form refined size (where its
-      divisibility precondition holds) matches enumeration
+    * refined-size: each refined part's closed-form size matches
+      enumeration; the closed forms hold at every length
 
     Words and balls are ints on the channel's bitmask kernel.  Per word,
     each distinct refined (k, l) part and its closed form are computed
@@ -229,13 +229,10 @@ def verify_ball_laws(
         fmt = f"0{n}b"
         for v in range(1 << n):
             x = format(v, fmt)
-            known = {}
-            for k, l in kls:
-                try:
-                    predicted = refined_ball_size(x, k, l)
-                except DivisibilityError:
-                    predicted = None
-                known[k, l] = _burst_outputs(v, n, k, l, True), predicted
+            known = {
+                (k, l): (_burst_outputs(v, n, k, l, True), refined_ball_size(x, k, l))
+                for k, l in kls
+            }
             for t, s, formula, parts in pairs:
                 combos += 1
                 full = _burst_outputs(v, n, t, s)
@@ -252,15 +249,14 @@ def verify_ball_laws(
                     part, predicted = known[k, l]
                     total += len(part)
                     union |= part
-                    if predicted is not None:
-                        formula_checks += 1
-                        if predicted != len(part):
-                            fails["refined-size"] += 1
-                            wit["refined-size"] = wit["refined-size"] or {
-                                "x": x, "k": k, "l": l,
-                                "enumerated": len(part),
-                                "formula": predicted,
-                            }
+                    formula_checks += 1
+                    if predicted != len(part):
+                        fails["refined-size"] += 1
+                        wit["refined-size"] = wit["refined-size"] or {
+                            "x": x, "k": k, "l": l,
+                            "enumerated": len(part),
+                            "formula": predicted,
+                        }
                 if not (union == full and total == len(union)):
                     fails["partition"] += 1
                     wit["partition"] = wit["partition"] or {

@@ -114,10 +114,15 @@ def test_refined_size_special_cases():
 
 
 def test_refined_size_divisibility_guard():
-    with pytest.raises(DivisibilityError):
-        refined_ball_size("01010", 2, 0)  # 2 does not divide 5
-    with pytest.raises(DivisibilityError):
-        refined_ball_size("0101010", 3, 1)  # 2 does not divide 7
+    # the closed forms hold where the row count does not divide n:
+    # 2 does not divide 5 for (2, 0), nor 7 for (3, 1)
+    for x, k, l, size in (
+        ("01010", 2, 0, 1),
+        ("01101", 2, 0, 3),
+        ("0101010", 3, 1, 5),
+        ("0110100", 3, 1, 2),
+    ):
+        assert refined_ball_size(x, k, l) == refined_ball(x, k, l).size == size
 
 
 def test_refined_size_matches_enumeration_small():

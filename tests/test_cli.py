@@ -59,10 +59,10 @@ def test_ball_refined(capsys):
 
 
 def test_ball_refined_no_formula(capsys):
-    # k=3 needs 3 | n; n=8 has no closed form, enumeration only
+    # 3 does not divide n = 8, and the closed form still holds
     code, out, _ = run(capsys, "ball", "10101110", "--refined", "3", "0")
     assert code == 0
-    assert "formula n/a" in out
+    assert "refined ball k=3 l=0: size 5, formula 5, match" in out
 
 
 def test_ball_json_matches_library(capsys):
@@ -296,6 +296,13 @@ def test_exit_2_on_domain_error(capsys):
     code, _, err = run(capsys, "search", "c21rll", "--n", "6", "--f", "0")
     assert code == 2
     assert err == "error: run cap must be >= 1\n"
+    # a fixed-burst family refuses any other burst, an omitted size taking its own
+    for argv in (
+        ("simulate", "c21", "--n", "8", "--t", "5"),
+        ("verify", "roundtrip", "c21", "--n", "8", "--t", "5", "--s", "1"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", "error: c21 corrects (2, 1)-bursts, not (5, 1)\n")
     # no (2, 1)-burst fits a word of length 1
     for argv in (
         ("decode", "c21", "--n", "1", "--params", "0,0", ""),
