@@ -45,10 +45,11 @@ from .codes import (
     TWO_BURST_DELETION,
     Codebook,
     DEFAULT_ENUM_GUARD,
+    _expect_one,
     _in_bucket,
     _largest_bucket,
 )
-from .errors import DecodeAmbiguity, DecodeFailure
+from .errors import DecodeFailure
 from .words import check_word, run_count, rsyn0, weights
 
 __all__ = ["C31Params", "C31Trace", "classify_31", "c31_member", "c31_decode", "c31_param_search"]
@@ -179,14 +180,7 @@ def c31_decode(y: str, params: C31Params, *, trace: bool = False):
 
     partial = [w for w in cands if passes_abc(w)]
     survivors = [w for w in partial if run_count(w) % 5 == params.d % 5]
-    if not survivors:
-        raise DecodeFailure("c31_decode: no candidate satisfies the congruences")
-    if len(survivors) > 1:
-        raise DecodeAmbiguity(
-            f"c31_decode: {len(survivors)} candidates survive: "
-            + ", ".join(sorted(survivors))
-        )
-    word = survivors[0]
+    word, _ = _expect_one(dict.fromkeys(survivors), "c31_decode")
     if not trace:
         return word
     t = C31Trace(

@@ -14,24 +14,27 @@ Four single-error families live here.
 
 All decoders work the same way: enumerate the finitely many preimages
 the claimed error type allows, keep the syndrome-consistent ones, and
-demand exactly one survivor.  Zero survivors raise DecodeFailure and
-two or more raise DecodeAmbiguity; the two conditions are different
-facts about the received word and are never conflated.
+demand exactly one survivor.  One rule, _expect_one, picks the survivor
+for every decoder here and in c31 and cts: zero survivors raise
+DecodeFailure and two or more raise DecodeAmbiguity; the two conditions
+are different facts about the received word and are never conflated.
 
-The VT-sum decoders (VT, C21, SVT21) check each candidate in O(1).  One
-O(n) pass over y gives its VT sum and a suffix-weight table, the number
-of 1s in each suffix; a candidate that inserts or splices at a position
-shifts that suffix up one coordinate, so its sum is y's sum plus the
-suffix weight plus the new symbols' terms.  Strings are built only for
-survivors.  The run-syndrome decoders (LEV2 here, and C31) still build
-and rescan every candidate.
+The VT-sum decoders (VT, C21, SVT21) share one core, _pair_splices.
+Each of their preimages replaces one symbol y_p of y by a pair b0 b1,
+and the weight change b0 + b1 - y_p names the error:
 
-The weight residue mod 4 of a received (2, 1)-burst output determines
-what happened: with delta = (b - weight(y)) mod 4,
+    -1  ->  a 1 replaced 00          (merge-00->1)
+     2  ->  a 0 replaced 11          (merge-11->0)
+    0 or 1  ->  a single deletion: the pair keeps y_p at one end.
 
-    delta == 3  ->  a 1 replaced 00          (merge-00->1)
-    delta == 2  ->  a 0 replaced 11          (merge-11->0)
-    delta in {0, 1}  ->  the burst acted like a single deletion.
+VT takes changes 0 and 1; C21 and SVT21 read their one change from the
+weight residue, (b - weight(y)) mod 4 as -1..2.  C21(n) is SVT21 at
+P = n, so C21 decodes as SVT21 over the window of every start 1..n-1.
+One O(n) pass over y gives its VT sum and a suffix-weight table, the
+number of 1s in each suffix; a splice at p shifts that suffix up one
+coordinate, so each candidate's sum is checked in O(1), and strings are
+built only for survivors.  The run-syndrome decoders (LEV2 here, and
+C31) still build and rescan every distinct candidate.
 
 Each family's syndrome is written once, as row automata (init, step,
 mods) whose states start with their residues (see _largest_bucket); the
@@ -50,6 +53,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from itertools import accumulate
 
 from .channel import _check_room
@@ -179,15 +183,6 @@ class Codebook:
         )
 
 
-def _survivors(candidates, predicate):
-    """Deduplicated candidates passing predicate; candidates are (tag, word)."""
-    seen: dict[str, object] = {}
-    for tag, word in candidates:
-        if word not in seen and predicate(word):
-            seen[word] = tag
-    return seen
-
-
 def _expect_one(seen: dict, context: str) -> tuple[str, object]:
     if not seen:
         raise DecodeFailure(f"{context}: no syndrome-consistent candidate")
@@ -210,23 +205,46 @@ def _suffix_ones(y: str) -> tuple[list[int], int]:
     return ones, sum(ones)
 
 
-def _insertions(y: str, ones: list[int], V: int, mod: int, target: int, bits) -> dict:
-    """The words y[:i] + bit + y[i:] whose VT sum is target mod mod, each
-    with the first index i that gives it.
+@cache
+def _splice_pairs(changes: tuple) -> tuple:
+    """Per symbol y_p, the pairs b0 b1 of a weight change in changes, as
+    (change, b1, pair): all of them at the first position, and after it
+    those with b1 != y_p."""
+    first = {
+        yp: tuple(
+            (b0 + b1 - int(yp), b1, "01"[b0] + "01"[b1])
+            for b0 in (0, 1)
+            for b1 in (0, 1)
+            if b0 + b1 - int(yp) in changes
+        )
+        for yp in "01"
+    }
+    later = {yp: tuple(pr for pr in first[yp] if pr[1] != int(yp)) for yp in "01"}
+    return first, later
 
-    Inserting bit at index i moves every 1 of y[i:] up one coordinate, so
-    the sum is V + ones[i] + (i + 1) * bit: O(1) per candidate.  Inserting
-    a bit right after an equal symbol gives the word of index i - 1 again
-    and is skipped, so a string is built once per distinct survivor.
+
+def _pair_splices(
+    y: str, ones: list[int], V: int, mod: int, target: int, lo: int, hi: int, changes
+) -> dict:
+    """The words that replace one y_p, lo <= p <= hi, by a pair b0 b1 whose
+    weight change b0 + b1 - y_p is in changes and whose VT sum is target
+    mod mod, each with the last p that gives it.
+
+    The splice takes p * y_p off the sum, adds p * b0 + (p + 1) * b1 and
+    moves y[p:] up one coordinate, so the sum is V + ones[p] + p * change
+    + b1: O(1) per candidate, and a string is built only for a survivor.
+    With b1 = y_p the word is that of the pair (y_{p-1}, b0) at p - 1, so
+    after lo only b1 != y_p is tried: at most one pair per change.
     """
+    first, later = _splice_pairs(changes)
+    target = (target - V) % mod
     seen = {}
-    for i in range(len(y) + 1):
-        for bit in bits:
-            sym = "01"[bit]
-            if i and y[i - 1] == sym:
-                continue
-            if (V + ones[i] + (i + 1) * bit) % mod == target:
-                seen[y[:i] + sym + y[i:]] = i
+    table = first
+    for p, yp in enumerate(y[lo - 1 : hi], lo):
+        for change, b1, pair in table[yp]:
+            if (ones[p] + p * change + b1) % mod == target:
+                seen[y[: p - 1] + pair + y[p:]] = p
+        table = later
     return seen
 
 
@@ -246,8 +264,13 @@ def vt_decode(y: str, a: int, n: int) -> str:
     check_word(y)
     if len(y) != n - 1:
         raise ValueError(f"received word must have length {n - 1}, got {len(y)}")
+    if not y:
+        # no symbol to splice at: the one bit whose sum is a
+        return "01"[a % 2]
+    # inserting a bit next to y_p replaces y_p by a pair that keeps it at
+    # one end, a weight change of 0 or 1
     ones, V = _suffix_ones(y)
-    seen = _insertions(y, ones, V, n + 1, a % (n + 1), (0, 1))
+    seen = _pair_splices(y, ones, V, n + 1, a, 1, n - 1, (0, 1))
     word, _ = _expect_one(seen, "vt_decode")
     return word
 
@@ -279,16 +302,12 @@ def lev2_decode(y: str, a: int, n: int) -> str:
             return y
         raise DecodeFailure("lev2_decode: full-length word is not a codeword")
     if len(y) == n - 1:
-        cands = ((i, y[:i] + bit + y[i:]) for i in range(n) for bit in "01")
+        cands = {y[:i] + bit + y[i:] for i in range(n) for bit in "01"}
     elif len(y) == n - 2:
-        cands = (
-            (i, y[:i] + pair + y[i:])
-            for i in range(n - 1)
-            for pair in ("00", "01", "10", "11")
-        )
+        cands = {y[:i] + pair + y[i:] for i in range(n - 1) for pair in ("00", "01", "10", "11")}
     else:
         raise ValueError(f"received length {len(y)} not in {{n, n-1, n-2}} for n={n}")
-    seen = _survivors(cands, lambda w: rsyn0(w) % (2 * n) == a)
+    seen = dict.fromkeys(w for w in cands if rsyn0(w) % (2 * n) == a)
     word, _ = _expect_one(seen, "lev2_decode")
     return word
 
@@ -321,42 +340,22 @@ def _deletion_run(x: str, y: str) -> tuple[int, int]:
 def c21_decode(y: str, a: int, b: int, n: int) -> DecodeOutcome:
     """Correct one (2, 1)-burst against syndromes (a mod 2n-1, b mod 4).
 
-    The weight delta picks the error shape; candidate preimages of that
-    shape are filtered by the position-weighted syndrome.
+    The weight delta picks the error shape, and the position-weighted
+    syndrome picks the one preimage of that shape.
     """
     _check_room(n, 2, 1)
     check_word(y)
     if len(y) != n - 1:
         raise ValueError(f"received word must have length {n - 1}, got {len(y)}")
-    mod = 2 * n - 1
-    a = a % mod
-    b = b % 4
+    # C21(n) is SVT21 at P = n over every start: a merge is a splice of
+    # weight change -1 or 2, a single deletion one of 0 or 1
     ones, V = _suffix_ones(y)
-    delta = (b - ones[0]) % 4
-
-    if delta == 3 or delta == 2:
-        # replacing the symbol at coordinate p by the patch moves y[p:] up
-        # one coordinate; 00 for a 1 takes p off the sum, 11 for a 0 adds
-        # p + (p + 1).  Two such words differ at the smaller p, so no word
-        # comes twice.
-        mark, patch, label, gain = (
-            ("1", "00", MERGE_00_TO_1, lambda p: -p)
-            if delta == 3
-            else ("0", "11", MERGE_11_TO_0, lambda p: 2 * p + 1)
-        )
-        seen = {
-            y[: p - 1] + patch + y[p:]: p
-            for p in range(1, n)
-            if y[p - 1] == mark and (V + gain(p) + ones[p]) % mod == a
-        }
-        word, p = _expect_one(seen, "c21_decode")
-        return DecodeOutcome(word, label, (p, p))
-
-    # delta 0 or 1: the burst kept one of the two symbols it deleted, so the
-    # net effect is a single deletion, and only the bit delta gives weight b
-    seen = _insertions(y, ones, V, mod, a, (delta,))
-    word, _ = _expect_one(seen, "c21_decode")
-    return DecodeOutcome(word, SINGLE_DELETION, _deletion_run(word, y))
+    change = (b - ones[0] + 1) % 4 - 1
+    seen = _pair_splices(y, ones, V, 2 * n - 1, a, 1, n - 1, (change,))
+    word, p = _expect_one(seen, "c21_decode")
+    if change in (0, 1):
+        return DecodeOutcome(word, SINGLE_DELETION, _deletion_run(word, y))
+    return DecodeOutcome(word, MERGE_00_TO_1 if change < 0 else MERGE_11_TO_0, (p, p))
 
 
 # ---------------------------------------------------------------- SVT21
@@ -390,22 +389,10 @@ def svt21_decode(
     lo, hi = max(lo, 1), min(hi, n - 1)
     if lo > hi:
         raise ValueError(f"window {window} has no valid burst start for n={n}")
-    mod = 2 * P - 1
-    c = c % mod
-    d = d % 4
     ones, V = _suffix_ones(y)
-    seen = {}
-    for p in range(lo, hi + 1):
-        # replacing y_p by the pair b0 b1 takes p * y_p off the sum, adds
-        # p * b0 + (p + 1) * b1, and moves y[p:] up one coordinate
-        yp = y[p - 1] == "1"
-        base = V - p * yp + ones[p]
-        for b0, b1 in ((0, 0), (0, 1), (1, 0), (1, 1)):
-            # with b1 = y_p the word is that of the pair (y_{p-1}, b0) at p - 1
-            if p > lo and b1 == yp:
-                continue
-            if (base + p * b0 + (p + 1) * b1) % mod == c and (ones[0] - yp + b0 + b1) % 4 == d:
-                seen[y[: p - 1] + "01"[b0] + "01"[b1] + y[p:]] = p
+    # the weight change that gives weight d mod 4, read as -1..2
+    change = (d - ones[0] + 1) % 4 - 1
+    seen = _pair_splices(y, ones, V, 2 * P - 1, c, lo, hi, (change,))
     word, _ = _expect_one(seen, "svt21_decode")
     return word
 
@@ -613,7 +600,7 @@ def _family_rows(family: str, n: int, P: int | None, f: int | None):
         return (_weighted_row(2 * n - 1, cap),), ("a", "b"), {"f": cap}
     if family == "svt21":
         if P is None:
-            raise ValueError("svt21 search needs the window capacity P")
+            raise ValueError("svt21 needs the window capacity P")
         if P < 1:
             raise ValueError("window capacity P must be >= 1")
         return (_weighted_row(2 * P - 1),), ("c", "d"), {"P": P}

@@ -170,7 +170,7 @@ def column_window(outcome: DecodeOutcome, s: int, m: int) -> tuple[int, int]:
 @dataclass(frozen=True)
 class CtsTrace:
     """How a decode went: the row-1 outcome, the column window it
-    implied, and every decoded row in order."""
+    implied (None for a single row), and every decoded row in order."""
 
     row1: DecodeOutcome
     column_window: tuple[int, int] | None
@@ -188,20 +188,12 @@ def cts_decode(y: str, params: CtsParams, *, trace: bool = False):
         raise ValueError(
             f"received word must have length {params.n - k}, got {len(y)}"
         )
-    if k == 1:
-        # single row: the row-1 code does all the work
-        out = c21_decode(y, params.a, params.b, m)
-        if not rll_member(out.word, params.f):
-            raise DecodeFailure("decoded word violates the run cap")
-        if trace:
-            return out.word, CtsTrace(out, None, (out.word,))
-        return out.word
-
     rows_y = tuple(y[i::k] for i in range(k))
     out1 = c21_decode(rows_y[0], params.a, params.b, m)
     if not rll_member(out1.word, params.f):
         raise DecodeFailure("row 1 decoded outside the run cap")
-    window = column_window(out1, params.s, m)
+    # a single row has no other row to place
+    window = column_window(out1, params.s, m) if k > 1 else None
     rows_x = [out1.word]
     for row, (c, d) in zip(rows_y[1:], params.row_params):
         rows_x.append(svt21_decode(row, c, d, params.P, window, m))

@@ -31,7 +31,7 @@ class Family:
 
     params(vals, n, opts) builds the parameter object from the --params
     integers, the length and the parsed options; member(x, params, n)
-    tests membership; search(n, t, s, P, f, **guard) returns (params,
+    tests membership; search(n, t, s, P, f) returns (params,
     Codebook).  decode(y, params, n, opts) returns the JSON payload and
     the text lines of the decode subcommand, None for a family without
     a decoder.  roundtrip(y, params, n) returns the decoded codeword;
@@ -137,21 +137,21 @@ FAMILIES = {
         burst=(1, 0), needs=(),
         params=lambda vals, n, opts: _take(vals, "a"),
         member=lambda x, p, n: codes.vt_member(x, p["a"], n),
-        search=lambda n, t, s, P, f, **kw: codes.pigeonhole_search("vt", n, f=f, **kw),
+        search=lambda n, t, s, P, f: codes.pigeonhole_search("vt", n, f=f),
         decode=lambda y, p, n, opts: _word(codes.vt_decode(y, p["a"], n)),
     ),
     "lev2": Family(
         burst=(2, 0), needs=(),
         params=lambda vals, n, opts: _take(vals, "a"),
         member=lambda x, p, n: codes.lev2_member(x, p["a"], n),
-        search=lambda n, t, s, P, f, **kw: codes.pigeonhole_search("lev2", n, f=f, **kw),
+        search=lambda n, t, s, P, f: codes.pigeonhole_search("lev2", n, f=f),
         decode=lambda y, p, n, opts: _word(codes.lev2_decode(y, p["a"], n)),
     ),
     "c21": Family(
         burst=(2, 1), needs=(),
         params=lambda vals, n, opts: _take(vals, "a,b"),
         member=lambda x, p, n: codes.c21_member(x, p["a"], p["b"], n),
-        search=lambda n, t, s, P, f, **kw: codes.pigeonhole_search("c21", n, f=f, **kw),
+        search=lambda n, t, s, P, f: codes.pigeonhole_search("c21", n, f=f),
         decode=lambda y, p, n, opts: _outcome(codes.c21_decode(y, p["a"], p["b"], n)),
         roundtrip=lambda y, p, n: codes.c21_decode(y, p["a"], p["b"], n).word,
     ),
@@ -159,13 +159,13 @@ FAMILIES = {
         burst=(2, 1), needs=(),
         params=lambda vals, n, opts: _take(vals, "a,b") | {"f": opts.f},
         member=lambda x, p, n: codes.c21rll_member(x, p["a"], p["b"], n, p["f"]),
-        search=lambda n, t, s, P, f, **kw: codes.pigeonhole_search("c21rll", n, f=f, **kw),
+        search=lambda n, t, s, P, f: codes.pigeonhole_search("c21rll", n, f=f),
     ),
     "svt21": Family(
         burst=(2, 1), needs=("P", "window"),
         params=lambda vals, n, opts: _take(vals, "c,d") | {"P": opts.P},
         member=lambda x, p, n: codes.svt21_member(x, p["c"], p["d"], p["P"]),
-        search=lambda n, t, s, P, f, **kw: codes.pigeonhole_search("svt21", n, P=P, **kw),
+        search=lambda n, t, s, P, f: codes.pigeonhole_search("svt21", n, P=P),
         decode=lambda y, p, n, opts: _word(
             codes.svt21_decode(y, p["c"], p["d"], p["P"], opts.window, n)
         ),
@@ -174,7 +174,7 @@ FAMILIES = {
         burst=None, needs=("n", "t", "s", "params"),
         params=_cts_params,
         member=lambda x, p, n: cts.cts_member(x, p),
-        search=lambda n, t, s, P, f, **kw: cts.cts_param_search(n, t, s, **kw),
+        search=lambda n, t, s, P, f: cts.cts_param_search(n, t, s),
         decode=_decode_cts,
         roundtrip=lambda y, p, n: cts.cts_decode(y, p),
     ),
@@ -182,7 +182,7 @@ FAMILIES = {
         burst=(3, 1), needs=(),
         params=lambda vals, n, opts: c31.C31Params(n, **_take(vals, "a,b,c,d")),
         member=lambda x, p, n: c31.c31_member(x, p),
-        search=lambda n, t, s, P, f, **kw: c31.c31_param_search(n, **kw),
+        search=lambda n, t, s, P, f: c31.c31_param_search(n),
         decode=_decode_c31,
         roundtrip=lambda y, p, n: c31.c31_decode(y, p),
     ),

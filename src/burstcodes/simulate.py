@@ -84,7 +84,7 @@ class SimulationResult:
         }
 
 
-def family_setup(family: str, n: int, t: int | None = None, s: int | None = None, guard: int | None = None):
+def family_setup(family: str, n: int, t: int | None = None, s: int | None = None):
     """Search the best codebook for a family and build its decoder.
 
     Returns (t, s, params_dict, codebook, decode) where decode maps a
@@ -105,8 +105,7 @@ def family_setup(family: str, n: int, t: int | None = None, s: int | None = None
         raise ValueError(f"{family} corrects {burst}-bursts, not {asked}")
     t, s = burst
     _check_room(n, t, s)
-    kwargs = {} if guard is None else {"guard": guard}
-    params, book = fam.search(n, t, s, None, None, **kwargs)
+    params, book = fam.search(n, t, s, None, None)
     return t, s, book.params, book, lambda y: fam.roundtrip(y, params, n)
 
 
@@ -118,7 +117,6 @@ def simulate(
     *,
     t: int | None = None,
     s: int | None = None,
-    guard: int | None = None,
 ) -> SimulationResult:
     """Hit random codewords with random bursts and decode them back.
 
@@ -128,7 +126,7 @@ def simulate(
     """
     if trials < 0:
         raise ValueError("trials must be nonnegative")
-    t, s, params, book, decode = family_setup(family, n, t, s, guard)
+    t, s, params, book, decode = family_setup(family, n, t, s)
     rng = SplitMix64(seed)
     successes = 0
     witnesses: list[dict] = []

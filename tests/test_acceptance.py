@@ -11,6 +11,7 @@ import sys
 
 import pytest
 
+import burstcodes
 from burstcodes import (
     BurstSpec,
     apply_burst,
@@ -260,3 +261,10 @@ def test_11_simulator_byte_identical():
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
     assert b"success 10000/10000" in first.stdout
+
+
+# --------------------------------------------- 12 public names
+
+
+def test_12_every_public_name_resolves():
+    assert [name for name in burstcodes.__all__ if not hasattr(burstcodes, name)] == []

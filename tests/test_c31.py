@@ -49,6 +49,13 @@ def test_decode_two_burst_worked():
     assert c31_decode(y, p) == "0101"
 
 
+def test_decode_failure_message():
+    # the one 000->1 candidate, 0000, has one run where the params ask for 0 mod 5
+    with pytest.raises(DecodeFailure) as exc:
+        c31_decode("01", C31Params(4, 0, 0, 0, 0))
+    assert str(exc.value) == "c31_decode: no syndrome-consistent candidate"
+
+
 def test_params_reject_odd_length():
     with pytest.raises(ValueError):
         C31Params(7, 0, 0, 0, 0)

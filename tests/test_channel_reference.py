@@ -15,7 +15,6 @@ from burstcodes.channel import (
     refined_ball,
     refined_ball_size,
 )
-from burstcodes.errors import DivisibilityError
 from burstcodes.verify import _refined_parts, verify_ball_laws
 from burstcodes.words import all_words
 
@@ -75,10 +74,7 @@ def ref_ball_laws(n_values, t_max, s_max):
                     if seen & part.member_set():
                         union_ok = False
                     seen |= part.member_set()
-                    try:
-                        predicted = refined_ball_size(x, k, l)
-                    except DivisibilityError:
-                        continue
+                    predicted = refined_ball_size(x, k, l)
                     formula_checks += 1
                     if predicted != part.size:
                         fails["refined-size"] += 1

@@ -280,6 +280,13 @@ def test_pigeonhole_svt21_needs_p():
             pigeonhole_search("svt21", 6, P=P)
 
 
+def test_svt21_without_p_names_neither_search_nor_membership():
+    for call in (lambda: svt21_member("0101", 0, 0, None), lambda: pigeonhole_search("svt21", 4)):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == "svt21 needs the window capacity P"
+
+
 def test_pigeonhole_rejects_bad_caps_before_the_guard():
     for n in (6, 30):
         with pytest.raises(ValueError, match="run cap must be >= 1"):

@@ -1,4 +1,4 @@
-"""The VT-sum decoders against the string filters they replaced.
+"""The decoders against the string filters they replaced.
 
 `ref_vt_decode`, `ref_c21_decode` (with `ref_deletion_run`) and
 `ref_svt21_decode` build every candidate preimage as a string and rescan
@@ -6,7 +6,10 @@ it with `vt_syndrome`.  The package decoders check each candidate from
 one suffix-weight table instead; they must return the same word,
 classification and window, and raise the same exception type with the
 same message, candidate order, dedup rule and sorted survivor list
-included.
+included.  `ref_lev2_decode` rescans every candidate, duplicates
+included, where the package filters each distinct candidate once.
+C21(n) is SVT21 at P = n, so C21 must also decode as SVT21 does over
+the window of every start.
 """
 
 import pytest
@@ -20,11 +23,13 @@ from burstcodes.codes import (
     SINGLE_DELETION,
     DecodeOutcome,
     c21_decode,
+    lev2_decode,
+    lev2_member,
     svt21_decode,
     vt_decode,
 )
 from burstcodes.errors import DecodeAmbiguity, DecodeFailure, DecodingError
-from burstcodes.words import all_words, check_word, vt_syndrome
+from burstcodes.words import all_words, check_word, rsyn0, vt_syndrome
 
 # ---------------------------------------------------------------- reference
 
@@ -145,6 +150,35 @@ def ref_svt21_decode(
     return word
 
 
+def ref_lev2_decode(y: str, a: int, n: int) -> str:
+    """Recover from a burst of at most two deletions.
+
+    The received length says how many symbols went missing (0, 1, or 2);
+    the zero-prefixed run syndrome mod 2n then pins the unique preimage.
+    """
+    if n < 1:
+        raise ValueError("length must be >= 1")
+    check_word(y)
+    a = a % (2 * n)
+    if len(y) == n:
+        if lev2_member(y, a, n):
+            return y
+        raise DecodeFailure("lev2_decode: full-length word is not a codeword")
+    if len(y) == n - 1:
+        cands = ((i, y[:i] + bit + y[i:]) for i in range(n) for bit in "01")
+    elif len(y) == n - 2:
+        cands = (
+            (i, y[:i] + pair + y[i:])
+            for i in range(n - 1)
+            for pair in ("00", "01", "10", "11")
+        )
+    else:
+        raise ValueError(f"received length {len(y)} not in {{n, n-1, n-2}} for n={n}")
+    seen = ref_survivors(cands, lambda w: rsyn0(w) % (2 * n) == a)
+    word, _ = ref_expect_one(seen, "lev2_decode")
+    return word
+
+
 # ---------------------------------------------------------------- comparison
 
 
@@ -169,7 +203,7 @@ def kind(got):
     return getattr(got, "classification", "decoded")
 
 
-@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("n", range(1, 9))
 def test_vt_and_c21_match_reference_exhaustively(n):
     vt_kinds, c21_kinds = set(), set()
     for y in all_words(n - 1):
@@ -181,7 +215,43 @@ def test_vt_and_c21_match_reference_exhaustively(n):
     # VT(n; a) is a perfect single-deletion code: every y has exactly one
     # preimage.  C21 corrects its bursts, so no y has two.
     assert vt_kinds == {"decoded"}
+    if n == 1:
+        # no (2, 1)-burst fits in one symbol
+        assert c21_kinds == {ValueError}
+        return
     assert c21_kinds == {SINGLE_DELETION, MERGE_00_TO_1, MERGE_11_TO_0, DecodeFailure}
+
+
+def without_context(got):
+    """A compared outcome with the decoder's name dropped from a message."""
+    if isinstance(got, tuple):
+        return got[0], got[1].partition(": ")[2]
+    return getattr(got, "word", got)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_c21_is_svt21_over_the_full_window(n):
+    kinds = set()
+    for y in all_words(n - 1):
+        for a in range(2 * n - 1):
+            for b in range(4):
+                got = without_context(outcome(c21_decode, y, a, b, n))
+                want = without_context(outcome(svt21_decode, y, a, b, n, (1, n - 1), n))
+                assert got == want, (y, a, b, n)
+                kinds.add(kind(want))
+    assert kinds == {"decoded", DecodeFailure}
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_lev2_matches_reference_exhaustively(n):
+    kinds = set()
+    for length in range(max(n - 3, 0), n + 1):
+        for y in all_words(length):
+            for a in range(2 * n):
+                kinds.add(kind(assert_same(lev2_decode, ref_lev2_decode, y, a, n)))
+    # a full-length non-codeword fails, a length below n - 2 is refused, and
+    # LEV2(n; a) is a perfect code, so no y has two preimages
+    assert kinds == {"decoded", DecodeFailure} | ({ValueError} if n >= 3 else set())
 
 
 @pytest.mark.parametrize("P", [1, 2, 3])
