@@ -31,11 +31,26 @@ _rows(n) states these congruences once, as the row automaton that both
 c31_member and c31_param_search run.  The residue tuples number the
 product of its moduli, 4n * 4 * 4 * 5 = 320n, so the best choice keeps
 at least 2^n/(320n) codewords: redundancy below log2(n) + 9.
+
+The decoder never rescans a candidate.  Every preimage of y is
+y[:p] + block + y[p + r:]: a pair inserted at p (r = 0), or a pattern
+block replacing the mark y_{p+1} (r = 1).  Either way the suffix moves
+up two coordinates, so its odd and even weights stay put and each of
+its transitions' rsyn0 terms n + 1 - i falls by exactly 2.  The weight
+change thus depends on p only through its parity, which picks the
+blocks that can pass b and c before any position is looked at.  One
+pass over y gives the prefix sums of the rsyn0 terms and of the
+transition count (x_0 = 0), and the suffix sums are their differences.
+A candidate's rsyn0 and run count then come in O(1): prefix plus suffix
+plus the at most len(block) + 1 transitions at and inside the block.
+A string is built only for a word that passes a, b and c.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
+from itertools import accumulate
 
 from .codes import (
     PATTERN_000_TO_1,
@@ -50,7 +65,7 @@ from .codes import (
     _largest_bucket,
 )
 from .errors import DecodeFailure
-from .words import check_word, run_count, rsyn0, weights
+from .words import check_word, run_count, weights
 
 __all__ = ["C31Params", "C31Trace", "classify_31", "c31_member", "c31_decode", "c31_param_search"]
 
@@ -107,7 +122,11 @@ class C31Trace:
 
 
 def _rows(n: int) -> tuple:
-    """The one row automaton of the code, residues (a, odd, even, runs)."""
+    """The one row automaton of the code, residues (a, odd, even, runs).
+
+    The code needs n even and >= 4, so any other length is refused."""
+    if n < 4 or n % 2:
+        raise ValueError(f"length must be even and >= 4, got {n}")
 
     def step(st, i, bit):
         # rsyn0 adds n+1-i where x_i != x_{i-1} (x_0 = 0); the run count
@@ -134,8 +153,8 @@ def c31_member(x: str, params: C31Params) -> bool:
     return _in_bucket(x, _rows(params.n), (params.a, params.b, params.c, params.d))
 
 
-def classify_31(y: str, params: C31Params) -> str:
-    """Error shape of the received word, from the two weight deltas alone."""
+def _shape(y: str, params: C31Params) -> tuple[str, tuple[int, int]]:
+    """The error shape of y and the weight deltas (d_odd, d_even) that name it."""
     check_word(y)
     if len(y) != params.n - 2:
         raise ValueError(f"received word must have length {params.n - 2}, got {len(y)}")
@@ -144,7 +163,46 @@ def classify_31(y: str, params: C31Params) -> str:
     label = _DELTA_TABLE.get(key)
     if label is None:
         raise DecodeFailure(f"weight deltas {key} cannot come from a (3,1)-burst")
-    return label
+    return label, key
+
+
+def classify_31(y: str, params: C31Params) -> str:
+    """Error shape of the received word, from the two weight deltas alone."""
+    return _shape(y, params)[0]
+
+
+@cache
+def _window_flips(w: str) -> tuple[int, int]:
+    """How many adjacent pairs of w differ, and the sum of their offsets
+    (k for the pair w[k], w[k + 1])."""
+    ks = [k for k in range(len(w) - 1) if w[k] != w[k + 1]]
+    return len(ks), sum(ks)
+
+
+@cache
+def _fitting_blocks(label: str, deltas: tuple[int, int]) -> tuple[tuple, tuple]:
+    """The blocks of label's candidates whose (odd, even) weight change
+    mod 4 is deltas, for p + 1 even and for p + 1 odd.
+
+    A block replaces the removed symbol (the mark, or nothing for a
+    pair), its first symbol landing on x_{p+1}; the moved suffix keeps
+    its parities, so the change depends on p only through its parity.
+    """
+    if label == TWO_BURST_DELETION:
+        blocks, removed = ("00", "01", "10", "11"), 0
+    else:
+        mark, block = _PATTERN_OF[label]
+        blocks, removed = (block,), int(mark)
+
+    def gain(block: str, first_odd: bool) -> tuple[int, int]:
+        same = (block[0::2].count("1") - removed) % 4
+        other = block[1::2].count("1") % 4
+        return (same, other) if first_odd else (other, same)
+
+    return tuple(
+        tuple(bl for bl in blocks if gain(bl, first_odd) == deltas)
+        for first_odd in (False, True)
+    )
 
 
 def c31_decode(y: str, params: C31Params, *, trace: bool = False):
@@ -152,43 +210,51 @@ def c31_decode(y: str, params: C31Params, *, trace: bool = False):
 
     Returns the codeword, or (codeword, C31Trace) when trace=True.
     Exactly one candidate must survive all four congruences; anything
-    else aborts with DecodeFailure or DecodeAmbiguity.
+    else aborts with DecodeFailure or DecodeAmbiguity.  Candidates are
+    checked from prefix sums of y, as the module docstring describes.
     """
-    label = classify_31(y, params)
-    n = params.n
+    label, deltas = _shape(y, params)
+    n, m = params.n, len(y)
     if label == TWO_BURST_DELETION:
-        cands = {
-            y[: q - 1] + pair + y[q - 1 :]
-            for q in range(1, n)
-            for pair in ("00", "01", "10", "11")
-        }
+        r, starts = 0, range(m + 1)
     else:
-        mark, block = _PATTERN_OF[label]
-        cands = {
-            y[: j - 1] + block + y[j:]
-            for j in range(1, n - 1)
-            if y[j - 1] == mark
-        }
-
-    def passes_abc(w: str) -> bool:
-        ww = weights(w)
-        return (
-            rsyn0(w) % (4 * n) == params.a % (4 * n)
-            and ww.odd % 4 == params.b % 4
-            and ww.even % 4 == params.c % 4
-        )
-
-    partial = [w for w in cands if passes_abc(w)]
-    survivors = [w for w in partial if run_count(w) % 5 == params.d % 5]
-    word, _ = _expect_one(dict.fromkeys(survivors), "c31_decode")
+        mark = _PATTERN_OF[label][0]
+        r, starts = 1, [p for p in range(m) if y[p] == mark]
+    fits = _fitting_blocks(label, deltas)
+    flips = list(map(str.__ne__, "0" + y, y))  # flips[i - 1]: y_i != y_{i-1}
+    head_a = list(accumulate((f * (n + 1 - i) for i, f in enumerate(flips, 1)), initial=0))
+    head_t = list(accumulate(flips, initial=0))
+    mod_a, a, d = 4 * n, params.a % (4 * n), params.d % 5
+    partial = {}
+    for p in starts:
+        left = y[p - 1] if p else "0"
+        k = p + r
+        right = y[k] if k < m else ""
+        # the suffix's own transitions sit at y coordinates k + 2..m
+        j = min(k + 1, m)
+        tail_t = head_t[m] - head_t[j]
+        tail_a = head_a[m] - head_a[j] - 2 * tail_t
+        for bl in fits[p % 2 == 0]:
+            # the window's pair at offset o is the transition at x_{p+1+o}
+            cnt, offs = _window_flips(left + bl + right)
+            if (head_a[p] + cnt * (n - p) - offs + tail_a) % mod_a != a:
+                continue
+            x = y[:p] + bl + y[k:]
+            # runs of x: transitions of 0x, plus one if x starts with 0
+            partial[x] = (head_t[p] + cnt + tail_t + (x[0] == "0")) % 5 == d
+    survivors = dict.fromkeys(x for x, ok in partial.items() if ok)
+    word, _ = _expect_one(survivors, "c31_decode")
     if not trace:
         return word
     t = C31Trace(
-        d_odd=(params.b - weights(y).odd) % 4,
-        d_even=(params.c - weights(y).even) % 4,
+        d_odd=deltas[0],
+        d_even=deltas[1],
         d_run=(params.d - run_count(y)) % 5,
         classification=label,
-        candidates=len(cands),
+        # inserting a pair at p gives the word of p + 1 exactly when its
+        # first bit is y[p], so 2 per p < m and 4 at m are distinct: 2n;
+        # no pattern block starts with its mark, so no two marks collide
+        candidates=2 * n if r == 0 else len(starts),
         survivors=len(survivors),
         run_filter_decisive=len(partial) > 1,
     )
@@ -199,8 +265,6 @@ def c31_param_search(
     n: int, *, guard: int = DEFAULT_ENUM_GUARD
 ) -> tuple[C31Params, Codebook]:
     """Largest (a, b, c, d) bucket at even length n, ties lexicographic."""
-    if n < 4 or n % 2:
-        raise ValueError(f"length must be even and >= 4, got {n}")
     best, size, lister = _largest_bucket(n, _rows(n), guard)
     params = C31Params(n, *best)
     return params, Codebook._listed_later("c31", n, params.to_dict(), size, lister)

@@ -209,15 +209,15 @@ def cmd_verify(args) -> int:
 def _construction_buckets(n: int, t: int, s: int) -> int | None:
     """Syndrome-bucket count of the best construction at (n, t, s): the
     product of the moduli of its row automata, None where none exists."""
-    if (t, s) == (3, 1):
-        rows = c31._rows(n)
-    elif (t, s) == (2, 1):
-        rows, _, _ = codes._family_rows("c21", n, None, None)
-    else:
-        try:
+    try:
+        if (t, s) == (3, 1):
+            rows = c31._rows(n)
+        elif (t, s) == (2, 1):
+            rows, _, _ = codes._family_rows("c21", n, None, None)
+        else:
             rows = cts._rows(n, t, s)
-        except ValueError:
-            return None
+    except ValueError:
+        return None
     return math.prod(mod for _, _, mods in rows for mod in mods)
 
 

@@ -33,8 +33,9 @@ P = n, so C21 decodes as SVT21 over the window of every start 1..n-1.
 One O(n) pass over y gives its VT sum and a suffix-weight table, the
 number of 1s in each suffix; a splice at p shifts that suffix up one
 coordinate, so each candidate's sum is checked in O(1), and strings are
-built only for survivors.  The run-syndrome decoders (LEV2 here, and
-C31) still build and rescan every distinct candidate.
+built only for survivors.  C31 checks its run-syndrome candidates the
+same way, from prefix sums of y's transitions (see c31).  LEV2 still
+builds and rescans every distinct candidate.
 
 Each family's syndrome is written once, as row automata (init, step,
 mods) whose states start with their residues (see _largest_bucket); the

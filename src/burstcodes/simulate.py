@@ -126,6 +126,9 @@ def simulate(
     """
     if trials < 0:
         raise ValueError("trials must be nonnegative")
+    if trials == 0:
+        # zero trials would report a vacuous success 0/0
+        raise ValueError("trials must be >= 1, got 0")
     t, s, params, book, decode = family_setup(family, n, t, s)
     rng = SplitMix64(seed)
     successes = 0

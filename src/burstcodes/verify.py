@@ -13,8 +13,10 @@ import time
 from dataclasses import dataclass, field
 
 from .channel import (
+    BurstSpec,
     _burst_outputs,
     _check_room,
+    apply_burst,
     ball,
     ball_size_formula,
     refined_ball_size,
@@ -100,8 +102,6 @@ def verify_roundtrip(members, t: int, s: int, decode) -> VerificationReport:
     codeword shorter than t takes no burst, so it is refused rather than
     passed over.
     """
-    from .channel import BurstSpec, apply_burst
-
     start = time.perf_counter()
     members = tuple(members)
     corruptions = failures = 0
@@ -109,10 +109,14 @@ def verify_roundtrip(members, t: int, s: int, decode) -> VerificationReport:
     for x in members:
         n = len(x)
         _check_room(n, t, s)
+        inserts = tuple(all_words(s))
+        # the first burst goes through the checked channel, which refuses
+        # a bad x or t; every burst after it is a plain splice
+        apply_burst(x, BurstSpec(t, s, 1, inserts[0]))
         for pos in range(1, n - t + 2):
-            for ins in all_words(s):
+            for ins in inserts:
                 corruptions += 1
-                y = apply_burst(x, BurstSpec(t, s, pos, ins))
+                y = x[: pos - 1] + ins + x[pos - 1 + t :]
                 try:
                     got = decode(y)
                 except DecodingError as exc:

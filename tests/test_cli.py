@@ -327,6 +327,10 @@ def test_exit_2_on_domain_error(capsys):
     ):
         code, out, err = run(capsys, "verify", "ball-laws", "--n-max", "5", flag, value)
         assert (code, out, err) == (2, "", f"error: {msg}\n")
+    # zero trials would pass vacuously, with or without --json
+    for extra in ((), ("--json",)):
+        code, out, err = run(capsys, "simulate", "c31", "--n", "12", "--trials", "0", *extra)
+        assert (code, out, err) == (2, "", "error: trials must be >= 1, got 0\n")
 
 
 def test_exit_3_on_guard(capsys):

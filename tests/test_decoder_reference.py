@@ -9,18 +9,28 @@ same message, candidate order, dedup rule and sorted survivor list
 included.  `ref_lev2_decode` rescans every candidate, duplicates
 included, where the package filters each distinct candidate once.
 C21(n) is SVT21 at P = n, so C21 must also decode as SVT21 does over
-the window of every start.
+the window of every start.  `ref_c31_decode` builds every distinct
+candidate and rescans it with `rsyn0`, `weights` and `run_count`; the
+package checks each from prefix and suffix tables of y, and must match
+it in the word, every `C31Trace` field, and each exception's type and
+message.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from burstcodes.c31 import C31Params, C31Trace, c31_decode, classify_31
 from burstcodes.channel import BurstSpec, _check_room, apply_burst
 from burstcodes.codes import (
     MERGE_00_TO_1,
     MERGE_11_TO_0,
+    PATTERN_000_TO_1,
+    PATTERN_010_TO_1,
+    PATTERN_101_TO_0,
+    PATTERN_111_TO_0,
     SINGLE_DELETION,
+    TWO_BURST_DELETION,
     DecodeOutcome,
     c21_decode,
     lev2_decode,
@@ -29,7 +39,7 @@ from burstcodes.codes import (
     vt_decode,
 )
 from burstcodes.errors import DecodeAmbiguity, DecodeFailure, DecodingError
-from burstcodes.words import all_words, check_word, rsyn0, vt_syndrome
+from burstcodes.words import all_words, check_word, rsyn0, run_count, vt_syndrome, weights
 
 # ---------------------------------------------------------------- reference
 
@@ -179,6 +189,62 @@ def ref_lev2_decode(y: str, a: int, n: int) -> str:
     return word
 
 
+REF_PATTERN_OF = {
+    PATTERN_000_TO_1: ("1", "000"),
+    PATTERN_010_TO_1: ("1", "010"),
+    PATTERN_111_TO_0: ("0", "111"),
+    PATTERN_101_TO_0: ("0", "101"),
+}
+
+
+def ref_c31_candidates(y: str, label: str, n: int) -> set:
+    """Every preimage of y that a burst of shape label allows."""
+    if label == TWO_BURST_DELETION:
+        return {
+            y[: q - 1] + pair + y[q - 1 :]
+            for q in range(1, n)
+            for pair in ("00", "01", "10", "11")
+        }
+    mark, block = REF_PATTERN_OF[label]
+    return {y[: j - 1] + block + y[j:] for j in range(1, n - 1) if y[j - 1] == mark}
+
+
+def ref_c31_decode(y: str, params: C31Params, *, trace: bool = False):
+    """Recover the codeword one (3, 1)-burst of which produced y.
+
+    Returns the codeword, or (codeword, C31Trace) when trace=True.
+    Exactly one candidate must survive all four congruences; anything
+    else aborts with DecodeFailure or DecodeAmbiguity.
+    """
+    label = classify_31(y, params)
+    n = params.n
+    cands = ref_c31_candidates(y, label, n)
+
+    def passes_abc(w: str) -> bool:
+        ww = weights(w)
+        return (
+            rsyn0(w) % (4 * n) == params.a % (4 * n)
+            and ww.odd % 4 == params.b % 4
+            and ww.even % 4 == params.c % 4
+        )
+
+    partial = [w for w in cands if passes_abc(w)]
+    survivors = [w for w in partial if run_count(w) % 5 == params.d % 5]
+    word, _ = ref_expect_one(dict.fromkeys(survivors), "c31_decode")
+    if not trace:
+        return word
+    t = C31Trace(
+        d_odd=(params.b - weights(y).odd) % 4,
+        d_even=(params.c - weights(y).even) % 4,
+        d_run=(params.d - run_count(y)) % 5,
+        classification=label,
+        candidates=len(cands),
+        survivors=len(survivors),
+        run_filter_decisive=len(partial) > 1,
+    )
+    return word, t
+
+
 # ---------------------------------------------------------------- comparison
 
 
@@ -254,6 +320,48 @@ def test_lev2_matches_reference_exhaustively(n):
     assert kinds == {"decoded", DecodeFailure} | ({ValueError} if n >= 3 else set())
 
 
+def c31_residues(x: str, n: int) -> tuple[int, int, int, int]:
+    w = weights(x)
+    return rsyn0(x) % (4 * n), w.odd % 4, w.even % 4, run_count(x) % 5
+
+
+def c31_kind(got):
+    """A compared c31 outcome's classification and run_filter_decisive,
+    or its exception type."""
+    if isinstance(got[0], type):
+        return got[0], None
+    return got[1].classification, got[1].run_filter_decisive
+
+
+@pytest.mark.parametrize("n", range(4, 11, 2))
+def test_c31_matches_reference_exhaustively(n):
+    kinds = set()
+    labels = (TWO_BURST_DELETION, *REF_PATTERN_OF)
+    for y in all_words(n - 2):
+        # every candidate's own residues, which it passes, and for a
+        # pattern candidate a near miss that it passes in a, b and c but
+        # not in the run count (at these lengths the run count decides
+        # only between pattern candidates)
+        points = set()
+        for label in labels:
+            misses = (0,) if label == TWO_BURST_DELETION else (0, 1)
+            for x in ref_c31_candidates(y, label, n):
+                a, b, c, d = c31_residues(x, n)
+                points |= {(a, b, c, d + miss) for miss in misses}
+        for vals in points:
+            got = assert_same(
+                lambda *args: c31_decode(*args, trace=True),
+                lambda *args: ref_c31_decode(*args, trace=True),
+                y,
+                C31Params(n, *vals),
+            )
+            kinds.add(c31_kind(got))
+    # every shape decodes, some weight deltas are no (3, 1)-burst's, and
+    # from n = 8 the run count alone can pick between candidates
+    assert kinds >= {(label, False) for label in labels} | {(DecodeFailure, None)}
+    assert any(decisive for _, decisive in kinds) == (n >= 8)
+
+
 @pytest.mark.parametrize("P", [1, 2, 3])
 def test_svt21_matches_reference_on_every_window(P):
     kinds = set()
@@ -283,6 +391,8 @@ def test_bad_inputs_match_reference():
         ("01z1", 7, 2, 3, (1, 1), 5),
     ):
         assert_same(svt21_decode, ref_svt21_decode, *args)
+    for y, vals in (("0101", (6, 0, 0, 0, 0)), ("0a", (4, 0, 0, 0, 0)), ("1111", (6, 0, 0, 0, 0))):
+        assert_same(c31_decode, ref_c31_decode, y, C31Params(*vals))
 
 
 # ---------------------------------------------------------------- sampled
@@ -339,3 +449,25 @@ def test_svt21_sampled_bursts(args):
     window = (lo, lo + P - 1)
     c, d = vt_syndrome(x) % (2 * P - 1), x.count("1") % 4
     assert svt21_decode(y, c, d, P, window, n) == ref_svt21_decode(y, c, d, P, window, n) == x
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=9, max_value=32).flatmap(
+        lambda h: st.tuples(
+            st.integers(min_value=0, max_value=4**h - 1).map(lambda v: format(v, f"0{2 * h}b")),
+            st.integers(1, 2 * h - 2),
+            st.sampled_from("01"),
+        )
+    )
+)
+def test_c31_sampled_bursts(args):
+    # every (a, b, c, d) bucket is a (3, 1)-burst correcting code, so x's
+    # own residues decode its bursts back to x
+    x, start, ins = args
+    n = len(x)
+    y = apply_burst(x, BurstSpec(3, 1, start, ins))
+    params = C31Params(n, *c31_residues(x, n))
+    got = c31_decode(y, params, trace=True)
+    assert got == ref_c31_decode(y, params, trace=True)
+    assert got[0] == x

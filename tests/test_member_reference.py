@@ -110,7 +110,8 @@ def ref_cts_member(x: str, params: CtsParams) -> bool:
 def ref_construction_buckets(n: int, t: int, s: int) -> int | None:
     """Syndrome-bucket count of the best construction at (n, t, s)."""
     if (t, s) == (3, 1):
-        return 320 * n
+        # C31 needs n even and >= 4
+        return 320 * n if n >= 4 and n % 2 == 0 else None
     if (t, s) == (2, 1):
         return 4 * (2 * n - 1)
     if s >= 1 and t >= 2 * s:

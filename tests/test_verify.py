@@ -68,6 +68,19 @@ def test_roundtrip_refuses_words_no_burst_fits():
     assert verify_roundtrip([], 2, 1, lambda y: "0").counts["corruptions"] == 0
 
 
+@pytest.mark.parametrize(
+    "members, t, s, msg",
+    [
+        (["0110", "01a1"], 2, 1, "word contains non-binary symbol 'a'"),
+        (["0110"], -1, 1, "burst sizes must be >= 0"),
+        (["0110"], 2, -1, "length must be >= 0"),
+    ],
+)
+def test_roundtrip_refuses_bad_words_and_sizes(members, t, s, msg):
+    with pytest.raises(ValueError, match=f"^{msg}$"):
+        verify_roundtrip(members, t, s, lambda y: y)
+
+
 def test_equivalence_good_book(c21_book):
     rep = verify_equivalence(c21_book.members, 2, 1)
     assert rep.verdict
