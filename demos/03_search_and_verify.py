@@ -3,9 +3,10 @@ Finding codebooks and proving them right
 ========================================
 
 Syndrome codes exist for every parameter choice; the pigeonhole search
-enumerates all residue buckets and keeps the biggest.  Verification
-then replays every corruption exhaustively and emits JSON reports, and
-a seeded simulator replays random ones reproducibly.
+counts every residue bucket by dynamic programming over positions and
+keeps the biggest.  Verification then replays every corruption
+exhaustively and emits JSON reports, and a seeded simulator replays
+random ones reproducibly.
 """
 
 from burstcodes import (

@@ -27,8 +27,9 @@ Codeword space: n even, and for parameters (a, b, c, d)
     rsyn0(x) = a (mod 4n),  odd_weight(x) = b (mod 4),
     even_weight(x) = c (mod 4),  run_count(x) = d (mod 5).
 
-_rows(n) states these congruences once, as the row automaton that both
-c31_member and c31_param_search run.  The residue tuples number the
+_rows(n) states these congruences once, as the row automaton, built
+once per length, that c31_member and c31_param_search run and that
+C31Params checks its length against.  The residue tuples number the
 product of its moduli, 4n * 4 * 4 * 5 = 320n, so the best choice keeps
 at least 2^n/(320n) codewords: redundancy below log2(n) + 9.
 
@@ -59,13 +60,13 @@ from .codes import (
     PATTERN_111_TO_0,
     TWO_BURST_DELETION,
     Codebook,
-    DEFAULT_ENUM_GUARD,
+    _check_received,
     _expect_one,
     _in_bucket,
     _largest_bucket,
 )
 from .errors import DecodeFailure
-from .words import check_word, run_count, weights
+from .words import run_count, weights
 
 __all__ = ["C31Params", "C31Trace", "classify_31", "c31_member", "c31_decode", "c31_param_search"]
 
@@ -101,8 +102,7 @@ class C31Params:
     d: int
 
     def __post_init__(self):
-        if self.n < 4 or self.n % 2:
-            raise ValueError(f"length must be even and >= 4, got {self.n}")
+        _rows(self.n)
 
     def to_dict(self) -> dict:
         return {"n": self.n, "a": self.a, "b": self.b, "c": self.c, "d": self.d}
@@ -121,6 +121,7 @@ class C31Trace:
     run_filter_decisive: bool
 
 
+@cache
 def _rows(n: int) -> tuple:
     """The one row automaton of the code, residues (a, odd, even, runs).
 
@@ -147,17 +148,13 @@ def _rows(n: int) -> tuple:
 
 
 def c31_member(x: str, params: C31Params) -> bool:
-    check_word(x)
-    if len(x) != params.n:
-        return False
-    return _in_bucket(x, _rows(params.n), (params.a, params.b, params.c, params.d))
+    vals = (params.a, params.b, params.c, params.d)
+    return _in_bucket(x, params.n, _rows(params.n), vals)
 
 
 def _shape(y: str, params: C31Params) -> tuple[str, tuple[int, int]]:
     """The error shape of y and the weight deltas (d_odd, d_even) that name it."""
-    check_word(y)
-    if len(y) != params.n - 2:
-        raise ValueError(f"received word must have length {params.n - 2}, got {len(y)}")
+    _check_received(y, params.n - 2)
     w = weights(y)
     key = ((params.b - w.odd) % 4, (params.c - w.even) % 4)
     label = _DELTA_TABLE.get(key)
@@ -261,10 +258,8 @@ def c31_decode(y: str, params: C31Params, *, trace: bool = False):
     return word, t
 
 
-def c31_param_search(
-    n: int, *, guard: int = DEFAULT_ENUM_GUARD
-) -> tuple[C31Params, Codebook]:
+def c31_param_search(n: int) -> tuple[C31Params, Codebook]:
     """Largest (a, b, c, d) bucket at even length n, ties lexicographic."""
-    best, size, lister = _largest_bucket(n, _rows(n), guard)
+    best, size, lister = _largest_bucket(n, _rows(n))
     params = C31Params(n, *best)
     return params, Codebook._listed_later("c31", n, params.to_dict(), size, lister)

@@ -38,8 +38,9 @@ same way, from prefix sums of y's transitions (see c31).  LEV2 still
 builds and rescans every distinct candidate.
 
 Each family's syndrome is written once, as row automata (init, step,
-mods) whose states start with their residues (see _largest_bucket); the
-member tests run them over one word, and the searches count with them.
+mods) whose states start with their residues (see _largest_bucket),
+built once per shape; the member tests run them over one word, and the
+searches count with them.
 
 pigeonhole_search() finds, for any family, the syndrome values whose
 codebook is largest; averaging guarantees the winner is at least 2^n
@@ -196,6 +197,13 @@ def _expect_one(seen: dict, context: str) -> tuple[str, object]:
     return word, tag
 
 
+def _check_received(y: str, length: int) -> None:
+    """Refuse a received word that is not binary or not of length length."""
+    check_word(y)
+    if len(y) != length:
+        raise ValueError(f"received word must have length {length}, got {len(y)}")
+
+
 def _suffix_ones(y: str) -> tuple[list[int], int]:
     """ones[i], the number of 1s in y[i:] for i = 0..len(y), and y's VT sum.
 
@@ -253,18 +261,13 @@ def _pair_splices(
 
 
 def vt_member(x: str, a: int, n: int) -> bool:
-    check_word(x)
-    if len(x) != n:
-        return False
-    return _in_bucket(x, _family_rows("vt", n, None, None)[0], (a,))
+    return _in_bucket(x, n, _family_rows("vt", n, None, None)[0], (a,))
 
 
 def vt_decode(y: str, a: int, n: int) -> str:
     """Recover the VT(n; a) codeword a single deletion of which gave y."""
     _check_room(n, 1, 0)
-    check_word(y)
-    if len(y) != n - 1:
-        raise ValueError(f"received word must have length {n - 1}, got {len(y)}")
+    _check_received(y, n - 1)
     if not y:
         # no symbol to splice at: the one bit whose sum is a
         return "01"[a % 2]
@@ -282,10 +285,7 @@ def vt_decode(y: str, a: int, n: int) -> str:
 def lev2_member(x: str, a: int, n: int) -> bool:
     if n < 1:
         raise ValueError("length must be >= 1")
-    check_word(x)
-    if len(x) != n:
-        return False
-    return _in_bucket(x, _family_rows("lev2", n, None, None)[0], (a,))
+    return _in_bucket(x, n, _family_rows("lev2", n, None, None)[0], (a,))
 
 
 def lev2_decode(y: str, a: int, n: int) -> str:
@@ -317,10 +317,7 @@ def lev2_decode(y: str, a: int, n: int) -> str:
 
 
 def c21_member(x: str, a: int, b: int, n: int) -> bool:
-    check_word(x)
-    if len(x) != n:
-        return False
-    return _in_bucket(x, _family_rows("c21", n, None, None)[0], (a, b))
+    return _in_bucket(x, n, _family_rows("c21", n, None, None)[0], (a, b))
 
 
 def _deletion_run(x: str, y: str) -> tuple[int, int]:
@@ -345,9 +342,7 @@ def c21_decode(y: str, a: int, b: int, n: int) -> DecodeOutcome:
     syndrome picks the one preimage of that shape.
     """
     _check_room(n, 2, 1)
-    check_word(y)
-    if len(y) != n - 1:
-        raise ValueError(f"received word must have length {n - 1}, got {len(y)}")
+    _check_received(y, n - 1)
     # C21(n) is SVT21 at P = n over every start: a merge is a splice of
     # weight change -1 or 2, a single deletion one of 0 or 1
     ones, V = _suffix_ones(y)
@@ -363,8 +358,8 @@ def c21_decode(y: str, a: int, b: int, n: int) -> DecodeOutcome:
 
 
 def svt21_member(x: str, c: int, d: int, P: int) -> bool:
-    check_word(x)
-    return _in_bucket(x, _family_rows("svt21", len(x), P, None)[0], (c, d))
+    n = len(check_word(x))
+    return _in_bucket(x, n, _family_rows("svt21", n, P, None)[0], (c, d))
 
 
 def svt21_decode(
@@ -377,9 +372,7 @@ def svt21_decode(
     2P-1 and mod 4 are needed because candidate starts this close
     together can never collide on both.
     """
-    check_word(y)
-    if len(y) != n - 1:
-        raise ValueError(f"received word must have length {n - 1}, got {len(y)}")
+    _check_received(y, n - 1)
     if P < 1:
         raise ValueError("window capacity P must be >= 1")
     lo, hi = window
@@ -430,11 +423,7 @@ def rll_member(x: str, f: int) -> bool:
 
 def c21rll_member(x: str, a: int, b: int, n: int, f: int | None = None) -> bool:
     """C21 membership with the run cap added (default cap rll_max_run(n))."""
-    if f is None:
-        f = rll_max_run(n)
-    check_word(x)
-    rows = _family_rows("c21rll", n, None, f)[0]
-    return len(x) == n and _in_bucket(x, rows, (a, b))
+    return _in_bucket(x, n, _family_rows("c21rll", n, None, f)[0], (a, b))
 
 
 # ---------------------------------------------------------------- search
@@ -514,7 +503,7 @@ def _list_members(n: int, rows: tuple, counted: dict) -> tuple[str, ...]:
     return tuple(members)
 
 
-def _largest_bucket(n: int, rows: tuple, guard: int):
+def _largest_bucket(n: int, rows: tuple):
     """Key, size and member lister of the largest syndrome bucket of
     length-n words.
 
@@ -526,8 +515,8 @@ def _largest_bucket(n: int, rows: tuple, guard: int):
     mod mods[j]; they are the row's key, and a word's key is its rows'
     keys joined.  Rows share no coordinate, so bucket sizes multiply
     across rows and the best key is the rows' best keys joined; ties go
-    to the smallest key.  Lengths above guard are refused before any
-    counting.
+    to the smallest key.  Lengths above DEFAULT_ENUM_GUARD are refused
+    before any counting.
 
     Only the forward counts run here, once per distinct row automaton.
     The returned lister takes no argument and returns the members in
@@ -535,8 +524,8 @@ def _largest_bucket(n: int, rows: tuple, guard: int):
     it is called, and it may be called only once, since it frees the
     counts.
     """
-    if n > guard:
-        raise GuardLimit(f"search at n={n} exceeds the enumeration guard {guard}")
+    if n > DEFAULT_ENUM_GUARD:
+        raise GuardLimit(f"search at n={n} exceeds the enumeration guard {DEFAULT_ENUM_GUARD}")
     m = n // len(rows)
     counted = {row: _row_counts(*row, m) for row in dict.fromkeys(rows)}
     best = sum((counted[row][1] for row in rows), ())
@@ -544,11 +533,14 @@ def _largest_bucket(n: int, rows: tuple, guard: int):
     return best, size, lambda: _list_members(n, rows, counted)
 
 
-def _in_bucket(x: str, rows: tuple, vals: tuple) -> bool:
-    """Whether x ends in the bucket of key vals, the rows' keys joined,
-    each value taken mod its modulus.  Row r reads x[r::k], the
-    coordinates _largest_bucket gives it; rows share no state, so each
-    is run and checked in turn."""
+def _in_bucket(x: str, n: int, rows: tuple, vals: tuple) -> bool:
+    """Whether x is a word of length n in the bucket of key vals, the
+    rows' keys joined, each value taken mod its modulus.  Row r reads
+    x[r::k], the coordinates _largest_bucket gives it; rows share no
+    state, so each is run and checked in turn."""
+    check_word(x)
+    if len(x) != n:
+        return False
     k = len(rows)
     vals = iter(vals)
     for r, (state, step, mods) in enumerate(rows):
@@ -580,8 +572,10 @@ def _weighted_row(mod: int, cap: int | None = None):
     return (0, 0, None, 0), step, (mod, 4)
 
 
+@cache
 def _family_rows(family: str, n: int, P: int | None, f: int | None):
-    """Return (row automata, parameter names, fixed params) for a family."""
+    """Return (row automata, parameter names, fixed params) for a family,
+    built once per shape."""
     if family == "vt":
         row = ((0,), lambda st, i, b: ((st[0] + i * b) % (n + 1),), (n + 1,))
         return (row,), ("a",), {}
@@ -614,7 +608,6 @@ def pigeonhole_search(
     *,
     P: int | None = None,
     f: int | None = None,
-    guard: int = DEFAULT_ENUM_GUARD,
 ) -> tuple[dict, Codebook]:
     """Best syndrome values for a family at length n.
 
@@ -622,12 +615,12 @@ def pigeonhole_search(
     positions and returns the largest bucket; ties go to the
     lexicographically smallest tuple, so results are reproducible.  The
     search costs the count tables; the book lists its members, for
-    O(|C| n) more, on first access.  guard bounds the codebook that can
-    get built: lengths above it are refused.
+    O(|C| n) more, on first access.  Lengths above DEFAULT_ENUM_GUARD,
+    whose codebook would be too big to list, are refused.
     """
     if n < 1:
         raise ValueError("length must be >= 1")
     rows, names, fixed = _family_rows(family, n, P, f)
-    best_key, size, lister = _largest_bucket(n, rows, guard)
+    best_key, size, lister = _largest_bucket(n, rows)
     params = dict(zip(names, best_key)) | fixed
     return params, Codebook._listed_later(family, n, params, size, lister)

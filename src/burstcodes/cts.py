@@ -32,13 +32,14 @@ window always fits.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .codes import (
     MERGE_00_TO_1,
     MERGE_11_TO_0,
     Codebook,
     DecodeOutcome,
-    DEFAULT_ENUM_GUARD,
+    _check_received,
     _in_bucket,
     _largest_bucket,
     _weighted_row,
@@ -48,7 +49,6 @@ from .codes import (
     svt21_decode,
 )
 from .errors import DecodeFailure
-from .words import check_word
 
 __all__ = [
     "CtsParams",
@@ -79,10 +79,11 @@ def window_capacity(m: int, s: int) -> int:
     return rll_max_run(m) + (1 if s == 1 else 2)
 
 
+@cache
 def _rows(n: int, t: int, s: int) -> tuple:
-    """The row automata at (n, t, s): row 1's C21 sums with the run cap,
-    then k - 1 copies of the SVT21 sums; ValueError where no
-    construction exists."""
+    """The row automata at (n, t, s), built once per shape: row 1's C21
+    sums with the run cap, then k - 1 copies of the SVT21 sums;
+    ValueError where no construction exists."""
     k, m = _shape(n, t, s)
     first = _weighted_row(2 * m - 1, rll_max_run(m))
     return (first,) + (_weighted_row(2 * window_capacity(m, s) - 1),) * (k - 1)
@@ -93,8 +94,8 @@ class CtsParams:
     """Syndrome choices for one interleaved code.
 
     a, b are row 1's C21 values; row_params holds (c_i, d_i) for rows
-    2..k in order.  f and P are determined by n, t, s and are stored
-    for the record.
+    2..k in order.  The run cap f and the window capacity P follow
+    from n, t, s.
     """
 
     n: int
@@ -103,27 +104,17 @@ class CtsParams:
     a: int
     b: int
     row_params: tuple[tuple[int, int], ...]
-    f: int
-    P: int
 
     def __post_init__(self):
-        k, m = _shape(self.n, self.t, self.s)
+        k, _ = _shape(self.n, self.t, self.s)
         if len(self.row_params) != k - 1:
             raise ValueError(
                 f"expected {k - 1} row parameter pairs, got {len(self.row_params)}"
             )
-        if self.f != rll_max_run(m):
-            raise ValueError(f"run cap must be {rll_max_run(m)} at m={m}")
-        if self.P != window_capacity(m, self.s):
-            raise ValueError(f"window capacity must be {window_capacity(m, self.s)}")
 
     @classmethod
     def derive(cls, n, t, s, a, b, row_params=()):
-        _, m = _shape(n, t, s)
-        return cls(
-            n, t, s, a, b, tuple(tuple(rp) for rp in row_params),
-            rll_max_run(m), window_capacity(m, s),
-        )
+        return cls(n, t, s, a, b, tuple(tuple(rp) for rp in row_params))
 
     @property
     def k(self) -> int:
@@ -132,6 +123,14 @@ class CtsParams:
     @property
     def m(self) -> int:
         return self.n // self.k
+
+    @property
+    def f(self) -> int:
+        return rll_max_run(self.m)
+
+    @property
+    def P(self) -> int:
+        return window_capacity(self.m, self.s)
 
     def to_dict(self) -> dict:
         return {
@@ -147,11 +146,8 @@ class CtsParams:
 
 
 def cts_member(x: str, params: CtsParams) -> bool:
-    check_word(x)
-    if len(x) != params.n:
-        return False
     vals = (params.a, params.b) + sum(params.row_params, ())
-    return _in_bucket(x, _rows(params.n, params.t, params.s), vals)
+    return _in_bucket(x, params.n, _rows(params.n, params.t, params.s), vals)
 
 
 def column_window(outcome: DecodeOutcome, s: int, m: int) -> tuple[int, int]:
@@ -182,12 +178,8 @@ def cts_decode(y: str, params: CtsParams, *, trace: bool = False):
 
     Returns the codeword, or (codeword, CtsTrace) when trace=True.
     """
-    check_word(y)
-    k, m = params.k, params.m
-    if len(y) != params.n - k:
-        raise ValueError(
-            f"received word must have length {params.n - k}, got {len(y)}"
-        )
+    k, m, P = params.k, params.m, params.P
+    _check_received(y, params.n - k)
     rows_y = tuple(y[i::k] for i in range(k))
     out1 = c21_decode(rows_y[0], params.a, params.b, m)
     if not rll_member(out1.word, params.f):
@@ -196,23 +188,21 @@ def cts_decode(y: str, params: CtsParams, *, trace: bool = False):
     window = column_window(out1, params.s, m) if k > 1 else None
     rows_x = [out1.word]
     for row, (c, d) in zip(rows_y[1:], params.row_params):
-        rows_x.append(svt21_decode(row, c, d, params.P, window, m))
+        rows_x.append(svt21_decode(row, c, d, P, window, m))
     word = "".join(map("".join, zip(*rows_x)))
     if trace:
         return word, CtsTrace(out1, window, tuple(rows_x))
     return word
 
 
-def cts_param_search(
-    n: int, t: int, s: int, *, guard: int = DEFAULT_ENUM_GUARD
-) -> tuple[CtsParams, Codebook]:
+def cts_param_search(n: int, t: int, s: int) -> tuple[CtsParams, Codebook]:
     """Largest syndrome bucket for the construction at (n, t, s).
 
     Buckets the words whose first row respects the run cap by the full
     tuple of row syndromes; ties go to the lexicographically smallest
     tuple.  Rows share no coordinate, so each row is counted on its own.
     """
-    best, size, lister = _largest_bucket(n, _rows(n, t, s), guard)
+    best, size, lister = _largest_bucket(n, _rows(n, t, s))
     params = CtsParams.derive(
         n, t, s, best[0], best[1],
         tuple(zip(best[2::2], best[3::2])),

@@ -3,12 +3,14 @@
 Every check returns a VerificationReport: a verdict, the exact counts
 behind it, and on failure a concrete witness that can be replayed by
 hand.  Reports serialize to single JSON lines (schema_version 1) so
-runs can be diffed and archived.
+runs can be diffed and archived.  A check over a codebook refuses an
+empty one with ValueError, since a pass over no codewords shows nothing.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -22,7 +24,7 @@ from .channel import (
     refined_ball_size,
     sphere_packing_bound,
 )
-from .errors import DecodingError
+from .errors import DecodingError, GuardLimit
 from .words import all_words
 
 __all__ = [
@@ -63,6 +65,14 @@ class VerificationReport:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
+def _codewords(members) -> tuple:
+    """members as a tuple, refused when empty."""
+    members = tuple(members)
+    if not members:
+        raise ValueError("no codewords to check")
+    return members
+
+
 def verify_disjoint(members, t: int, s: int) -> VerificationReport:
     """Check that no channel output is reachable from two codewords.
 
@@ -73,7 +83,7 @@ def verify_disjoint(members, t: int, s: int) -> VerificationReport:
     owner: dict[str, str] = {}
     outputs = 0
     witness = None
-    members = tuple(members)
+    members = _codewords(members)
     for x in members:
         if witness:
             break
@@ -103,7 +113,7 @@ def verify_roundtrip(members, t: int, s: int, decode) -> VerificationReport:
     passed over.
     """
     start = time.perf_counter()
-    members = tuple(members)
+    members = _codewords(members)
     corruptions = failures = 0
     witness = None
     for x in members:
@@ -158,7 +168,7 @@ def verify_equivalence(members, t: int, s: int) -> VerificationReport:
     the equivalence; the report carries both verdicts.
     """
     start = time.perf_counter()
-    members = tuple(members)
+    members = _codewords(members)
     fwd = verify_disjoint(members, t, s)
     rev = verify_disjoint(members, s, t)
     agree = fwd.verdict == rev.verdict
@@ -188,9 +198,7 @@ def _refined_parts(t: int, s: int):
     return [(k, s - t + k) for k in range(t + 1)]
 
 
-def verify_ball_laws(
-    n_values, t_max: int = 4, s_max: int = 4, *, guard: int = BALL_LAW_GUARD
-) -> dict[str, VerificationReport]:
+def verify_ball_laws(n_values, t_max: int = 4, s_max: int = 4) -> dict[str, VerificationReport]:
     """One sweep over all words and burst sizes, three laws checked.
 
     * size: |ball| equals the closed form for every center
@@ -203,17 +211,16 @@ def verify_ball_laws(
     once and shared by every (t, s) that uses it; the full ball is
     enumerated on its own from all starts and inserts, never assembled
     from the parts.  Counts are per (t, s) and part.  Raises ValueError
-    unless t_max, s_max >= 1, which any combination needs.
+    unless t_max, s_max >= 1, which any combination needs, and
+    GuardLimit for a length above BALL_LAW_GUARD.
 
     Returns reports keyed 'size', 'partition', 'refined-size'.
     """
     if t_max < 1 or s_max < 1:
         raise ValueError(f"ball-law sweep needs t_max, s_max >= 1, got {t_max}, {s_max}")
     n_values = sorted(set(n_values))
-    if n_values and n_values[-1] > guard:
-        from .errors import GuardLimit
-
-        raise GuardLimit(f"ball-law sweep at n={n_values[-1]} exceeds guard {guard}")
+    if n_values and n_values[-1] > BALL_LAW_GUARD:
+        raise GuardLimit(f"ball-law sweep at n={n_values[-1]} exceeds guard {BALL_LAW_GUARD}")
     start = time.perf_counter()
     fails = {"size": 0, "partition": 0, "refined-size": 0}
     wit: dict[str, dict | None] = {"size": None, "partition": None, "refined-size": None}
@@ -295,10 +302,8 @@ def verify_ball_laws(
 
 def bound_report(members, n: int, t: int, s: int) -> VerificationReport:
     """Compare a codebook's size against the packing ceiling."""
-    import math
-
     start = time.perf_counter()
-    members = tuple(members)
+    members = _codewords(members)
     size = len(members)
     cap = sphere_packing_bound(n, t, s)
     raw = sphere_packing_bound(n, t, s, raw=True)
@@ -306,7 +311,7 @@ def bound_report(members, n: int, t: int, s: int) -> VerificationReport:
         "size": size,
         "bound": cap,
         "bound_raw_t": raw,
-        "redundancy": round(n - math.log2(size), 4) if size else None,
+        "redundancy": round(n - math.log2(size), 4),
     }
     return VerificationReport(
         check="bound",

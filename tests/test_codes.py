@@ -2,6 +2,7 @@
 
 import pytest
 
+from burstcodes import c31, codes, cts
 from burstcodes.c31 import c31_param_search
 from burstcodes.channel import BurstSpec, apply_burst
 from burstcodes.codes import (
@@ -251,17 +252,22 @@ def test_pigeonhole_tie_break_is_lexicographic():
 
 
 def test_pigeonhole_guard():
-    assert pigeonhole_search("vt", 8, guard=8)[1].n == 8
-    with pytest.raises(GuardLimit):
-        pigeonhole_search("vt", 9, guard=8)
+    # searches count without listing, so the limit itself is cheap to reach
+    assert pigeonhole_search("vt", 24)[1].n == 24
     with pytest.raises(GuardLimit):
         pigeonhole_search("vt", 25)
-    assert c31_param_search(8, guard=8)[1].n == 8
+    assert c31_param_search(24)[1].n == 24
     with pytest.raises(GuardLimit):
-        c31_param_search(10, guard=8)
-    assert cts_param_search(8, 4, 2, guard=8)[1].n == 8
+        c31_param_search(26)
+    assert cts_param_search(24, 4, 2)[1].n == 24
     with pytest.raises(GuardLimit):
-        cts_param_search(10, 4, 2, guard=8)
+        cts_param_search(26, 4, 2)
+
+
+def test_rows_are_built_once_per_shape():
+    assert codes._family_rows("c21", 16, None, None) is codes._family_rows("c21", 16, None, None)
+    assert c31._rows(16) is c31._rows(16)
+    assert cts._rows(16, 4, 2) is cts._rows(16, 4, 2)
 
 
 def test_pigeonhole_c21_at_the_guard_limit():

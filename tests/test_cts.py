@@ -1,6 +1,8 @@
 """Interleaved (t, s)-burst construction: worked decode, alignment, roundtrips."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from burstcodes.channel import BurstSpec, apply_burst
 from burstcodes.codes import rll_max_run
@@ -12,7 +14,7 @@ from burstcodes.cts import (
     cts_param_search,
     window_capacity,
 )
-from burstcodes.words import all_words, interleave
+from burstcodes.words import all_words, deinterleave, interleave, vt_syndrome
 
 
 def consistent_starts(row_x, row_y):
@@ -52,8 +54,6 @@ def test_params_validation():
         CtsParams.derive(13, 4, 1, 0, 0, ((0, 0), (0, 0)))  # 3 does not divide 13
     with pytest.raises(ValueError):
         CtsParams.derive(12, 4, 1, 0, 0, ((0, 0),))  # needs 2 row pairs
-    with pytest.raises(ValueError):
-        CtsParams(12, 4, 1, 0, 0, ((0, 0), (0, 0)), f=5, P=5)  # wrong caps
 
 
 def test_window_capacity_rule():
@@ -86,6 +86,48 @@ def test_roundtrip_degenerate_single_row():
     # t - s = 1: the whole word is row 1
     params, book = _roundtrip_all_bursts(6, 2, 1)
     assert params.k == 1 and params.row_params == ()
+
+
+def test_directed_window_edge():
+    # row 1's burst imitates a deletion at the front of a run, and the rows
+    # below need the s >= 2 widening of its window to column 2
+    x = "00000010"
+    params = CtsParams.derive(8, 4, 2, 4, 1, ((0, 0),))
+    assert cts_member(x, params)
+    y = apply_burst(x, BurstSpec(4, 2, 4, "10"))
+    word, trace = cts_decode(y, params, trace=True)
+    assert word == x
+    assert trace.column_window == (2, 4)
+
+
+@st.composite
+def long_cts_bursts(draw):
+    """A burst on a word of length 60..256 whose row 1 respects the run cap."""
+    t, s = draw(st.sampled_from(((3, 1), (4, 2), (5, 1), (6, 2))))
+    k = t - s
+    m = draw(st.integers(-(-60 // k), 256 // k))
+    runs = draw(st.lists(st.integers(1, rll_max_run(m)), min_size=m, max_size=m))
+    first = draw(st.integers(0, 1))
+    row1 = "".join("01"[(first + i) % 2] * r for i, r in enumerate(runs))[:m]
+    rows = [row1] + [draw(st.text("01", min_size=m, max_size=m)) for _ in range(k - 1)]
+    start = draw(st.integers(1, k * m - t + 1))
+    return t, s, rows, start, draw(st.text("01", min_size=s, max_size=s))
+
+
+@settings(max_examples=150, deadline=None)
+@given(long_cts_bursts())
+def test_sampled_long_roundtrips(args):
+    # every bucket is a code, so each row's own syndromes decode x back
+    t, s, rows, start, ins = args
+    x = deinterleave(rows)
+    n, m = len(x), len(rows[0])
+    mod = 2 * window_capacity(m, s) - 1
+    row_params = tuple((vt_syndrome(r) % mod, r.count("1") % 4) for r in rows[1:])
+    a, b = vt_syndrome(rows[0]) % (2 * m - 1), rows[0].count("1") % 4
+    params = CtsParams.derive(n, t, s, a, b, row_params)
+    assert cts_member(x, params)
+    y = apply_burst(x, BurstSpec(t, s, start, ins))
+    assert cts_decode(y, params) == x, (x, t, s, start, ins)
 
 
 def test_search_meets_pigeonhole_average():

@@ -419,6 +419,22 @@ def test_vt_sampled_deletions(args):
 
 
 @settings(max_examples=100, deadline=None)
+@given(
+    word_and(
+        lambda n: st.integers(1, 2).flatmap(
+            lambda t: st.tuples(st.just(t), st.integers(1, n - t + 1))
+        )
+    )
+)
+def test_lev2_sampled_bursts(args):
+    x, (t, start) = args
+    n = len(x)
+    y = apply_burst(x, BurstSpec(t, 0, start, ""))
+    a = rsyn0(x) % (2 * n)
+    assert lev2_decode(y, a, n) == ref_lev2_decode(y, a, n) == x
+
+
+@settings(max_examples=100, deadline=None)
 @given(word_and(lambda n: st.tuples(st.integers(1, n - 1), st.sampled_from("01"))))
 def test_c21_sampled_bursts(args):
     x, (start, ins) = args

@@ -64,8 +64,23 @@ def test_roundtrip_fail_records_first_witness(c21_book):
 def test_roundtrip_refuses_words_no_burst_fits():
     with pytest.raises(ValueError, match=r"^no \(2, 1\)-burst fits in length n=1$"):
         verify_roundtrip(["0"], 2, 1, lambda y: "0")
-    # an empty book has no word to be short, and checks nothing
-    assert verify_roundtrip([], 2, 1, lambda y: "0").counts["corruptions"] == 0
+    # an empty book has no word to be short, and would check nothing
+    with pytest.raises(ValueError, match="^no codewords to check$"):
+        verify_roundtrip([], 2, 1, lambda y: "0")
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda: verify_disjoint([], 2, 1),
+        lambda: verify_equivalence(iter(()), 2, 1),
+        lambda: bound_report([], 8, 2, 1),
+    ],
+    ids=["disjoint", "equivalence", "bound"],
+)
+def test_checks_refuse_an_empty_book(check):
+    with pytest.raises(ValueError, match="^no codewords to check$"):
+        check()
 
 
 @pytest.mark.parametrize(
