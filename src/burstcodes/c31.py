@@ -31,7 +31,11 @@ _rows(n) states these congruences once, as the row automaton, built
 once per length, that c31_member and c31_param_search run and that
 C31Params checks its length against.  The residue tuples number the
 product of its moduli, 4n * 4 * 4 * 5 = 320n, so the best choice keeps
-at least 2^n/(320n) codewords: redundancy below log2(n) + 9.
+at least 2^n/(320n) codewords: redundancy below log2(n) + 9.  A state
+is (a, odd, even, runs, last bit), up to 4n * 160 of them a position
+(about 10k at n = 16); the search keys only the 4 * 4 * 5 * 2 = 160
+rests after a and packs the 4n counts of a into one int per rest, so it
+calls step at most 320 times a position, whatever n is.
 
 The decoder never rescans a candidate.  Every preimage of y is
 y[:p] + block + y[p + r:]: a pair inserted at p (r = 0), or a pattern

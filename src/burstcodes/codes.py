@@ -46,9 +46,14 @@ pigeonhole_search() finds, for any family, the syndrome values whose
 codebook is largest; averaging guarantees the winner is at least 2^n
 over the number of residue classes, the product of the rows' mods.
 Every residue is a sum of per-position terms, so bucket sizes come from
-a dynamic program over positions.  The codebook it returns takes its
-size from those counts; the winning bucket's members are built on first
-use, and no other bucket's ever are.
+a dynamic program over positions.  The leading residue never keys it:
+per position, each rest of a state (its entries after the first) holds
+one int packing the word counts of every leading residue, and a step
+adds to that residue by rotating the int.  So step runs 2 m times per
+distinct rest, m the row length, not per state: for c31 at n = 16,
+about 160 rests a level instead of about 10k states.  The codebook it
+returns takes its size from those counts; the winning bucket's members
+are built on first use, and no other bucket's ever are.
 """
 
 from __future__ import annotations
@@ -56,7 +61,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
-from itertools import accumulate
+from itertools import accumulate, product
 
 from .channel import _check_room
 from .errors import DecodeAmbiguity, DecodeFailure, GuardLimit
@@ -124,10 +129,11 @@ class Codebook:
     """All words of one length satisfying one family's syndrome equations.
 
     A book built from its members holds them from the start.  A book a
-    search returns knows its size from the bucket counts and lists its
-    members on first access, once; the lister and the count tables it
-    needs are dropped then, so a book that is never listed costs no
-    more than the counts.
+    search returns knows its size from the packed bucket counts and
+    lists its members on first access, once, from the moves the count
+    pass recorded (one step result per rest, position and bit); the
+    lister and those moves are dropped then, so a book that is never
+    listed costs no more than the counts.
     """
 
     def __init__(self, family: str, n: int, params: dict, members: tuple[str, ...]):
@@ -432,74 +438,123 @@ def c21rll_member(x: str, a: int, b: int, n: int, f: int | None = None) -> bool:
 def _row_counts(init, step, mods: tuple, m: int):
     """Forward pass of one row automaton over m positions.
 
-    Counts the words reaching each state at each position and picks the
-    best key by the (-count, key) rule.  Returns the per-position state
-    counts, the best key and the number of row words ending on it.
+    A level maps each rest of a state, state[1:], to one int that packs
+    the number of words reaching (r,) + rest for every residue r mod
+    mods[0]: field r is bits r*W .. r*W + W - 1, W whole bytes of at least
+    m + 1 bits, so no count (at most 2^m) spills.  step runs once per
+    (rest, pos, bit), at residue 0; the residue d it returns moves every
+    r to r + d, which is one cyclic rotation of the packed int.  Picks
+    the best key by the (-count, key) rule.  Returns the moves, per
+    position a dict from rest to its (d, next rest) on 0 and on 1, None
+    for a word left out; the best key; and the number of row words
+    ending on it.
     """
-    levels = [{init: 1}]
+    mod = mods[0]
+    width = 8 * (m // 8 + 1)
+    span = mod * width
+    full = (1 << span) - 1
+    level = {init[1:]: 1 << (init[0] * width)}
+    moves = []
     for pos in range(1, m + 1):
-        nxt: dict = {}
-        for state, count in levels[-1].items():
+        here, nxt = {}, {}
+        for rest, packed in level.items():
+            out = here[rest] = []
             for bit in (0, 1):
-                t = step(state, pos, bit)
-                if t is not None:
-                    nxt[t] = nxt.get(t, 0) + count
-        levels.append(nxt)
-    sizes: dict[tuple, int] = {}
-    for state, count in levels[m].items():
-        bucket = state[: len(mods)]
-        sizes[bucket] = sizes.get(bucket, 0) + count
-    best = min(sizes, key=lambda k: (-sizes[k], k))
-    return levels, best, sizes[best]
+                t = step((0,) + rest, pos, bit)
+                if t is None:
+                    out.append(None)
+                    continue
+                shift, rest2 = t[0] * width, t[1:]
+                out.append((t[0], rest2))
+                turned = (packed << shift | packed >> (span - shift)) & full
+                nxt[rest2] = nxt.get(rest2, 0) + turned
+        moves.append(here)
+        level = nxt
+    # rests that agree on the key's other entries share its buckets; no
+    # field of their sum exceeds the 2^m words
+    k = len(mods) - 1
+    groups: dict[tuple, int] = {}
+    for rest, packed in level.items():
+        groups[rest[:k]] = groups.get(rest[:k], 0) + packed
+    field = width // 8
+    counts = {}
+    for key, packed in groups.items():
+        raw = packed.to_bytes(span // 8, "little")
+        counts[key] = [
+            int.from_bytes(raw[i : i + field], "little") for i in range(0, len(raw), field)
+        ]
+    # the smallest residue of each key list holding the top count
+    size = max(map(max, counts.values()))
+    best = min((c.index(size),) + key for key, c in counts.items() if size in c)
+    return moves, best, size
 
 
-def _row_edges(step, levels: list, best: tuple) -> list:
-    """Backward pass over a row's forward levels: per position, the
-    states that can still end on the best key, each with its (symbol,
-    next state) edges in symbol order."""
-    m = len(levels) - 1
-    live: dict = {state: () for state in levels[m] if state[: len(best)] == best}
-    edges: list = [None] * m
-    for pos in range(m, 0, -1):
-        here = {}
-        for state in levels[pos - 1]:
-            out = tuple(
-                (ch, t) for ch, t in (("0", step(state, pos, 0)), ("1", step(state, pos, 1)))
-                if t in live
-            )
-            if out:
-                here[state] = out
-        edges[pos - 1] = live = here
-    return edges
+def _row_words(init, mods: tuple, moves: list, best: tuple) -> list[str]:
+    """The row words ending on the best key, in lexicographic order.
+
+    The backward pass gives each rest a live mask, bit r set when
+    (r,) + rest can still end on best, and keeps per position the moves
+    into a live rest.  The walk then goes depth first, 0 before 1, from
+    state (residue, rest), testing one mask bit per move, so it enters
+    only prefixes of row words and costs O(m) per word.
+    """
+    mod = mods[0]
+    full = (1 << mod) - 1
+    tail = best[1:]
+    live = {
+        move[1]: 1 << best[0]
+        for out in moves[-1].values()
+        for move in out
+        if move is not None and move[1][: len(tail)] == tail
+    }
+    edges: list = [None] * len(moves)
+    for pos in range(len(moves) - 1, -1, -1):
+        here, above = {}, {}
+        for rest, out in moves[pos].items():
+            kept, mask = [], 0
+            for ch, move in zip("01", out):
+                if move is not None and (ahead := live.get(move[1])):
+                    d = move[0]
+                    kept.append((ch, d, move[1], ahead))
+                    # r is live when r + d is
+                    mask |= (ahead >> d | ahead << (mod - d)) & full
+            if kept:
+                # stored 1 before 0, so the stack pops 0 first
+                here[rest] = tuple(reversed(kept))
+                above[rest] = mask
+        edges[pos] = here
+        live = above
+    words = []
+    stack = [(0, "", init[0], init[1:])]
+    while stack:
+        pos, word, res, rest = stack.pop()
+        if pos == len(edges):
+            words.append(word)
+            continue
+        for ch, d, rest2, ahead in edges[pos][rest]:
+            res2 = (res + d) % mod
+            if ahead >> res2 & 1:
+                stack.append((pos + 1, word + ch, res2, rest2))
+    return words
 
 
 def _list_members(n: int, rows: tuple, counted: dict) -> tuple[str, ...]:
-    """The best bucket's words in lexicographic order.
+    """The best bucket's words in lexicographic order, from the forward
+    moves and best keys in counted.
 
-    Runs the backward pass of each distinct row over its forward levels
-    in counted, then walks depth first, 0 before 1, entering only
-    prefixes that can still end in the best bucket, so the walk costs
-    O(|C| n).  counted is emptied before the walk: the walk needs only
-    the edges, and members built while the count tables are still held
-    would leave the heap larger once the tables go.
+    Each distinct row lists its own words once.  A word's coordinates
+    cycle over its rows, so the bucket is every choice of one word per
+    row interleaved; with more than one row those words are sorted.  The
+    cost is O(|C| n) plus the sort.
     """
-    k = len(rows)
-    edges = {
-        row: _row_edges(row[1], levels, best)
-        for row, (levels, best, _) in counted.items()
+    words = {
+        row: _row_words(row[0], row[2], moves, best)
+        for row, (moves, best, _) in counted.items()
     }
-    counted.clear()
-    tables = [edges[row] for row in rows]
-    members = []
-    stack = [(0, "", tuple(init for init, _, _ in rows))]
-    while stack:
-        i, word, states = stack.pop()
-        if i == n:
-            members.append(word)
-            continue
-        r = i % k
-        for ch, t in reversed(tables[r][i // k][states[r]]):
-            stack.append((i + 1, word + ch, states[:r] + (t,) + states[r + 1 :]))
+    if len(rows) == 1:
+        return tuple(words[rows[0]])
+    members = ["".join(map("".join, zip(*ws))) for ws in product(*(words[row] for row in rows))]
+    members.sort()
     return tuple(members)
 
 
@@ -518,11 +573,25 @@ def _largest_bucket(n: int, rows: tuple):
     to the smallest key.  Lengths above DEFAULT_ENUM_GUARD are refused
     before any counting.
 
+    Every row keeps one contract: the leading residue is a sum of
+    per-position terms, and neither the rest of the next state nor a
+    None return depends on it.  That is, for every reachable state st,
+
+        step(st, pos, bit)[0] == (st[0] + step((0,) + st[1:], pos, bit)[0]) % mods[0]
+
+    with the same rest and the same None, where step((0,) + st[1:], ...)[0]
+    is itself a residue in 0..mods[0]-1.  So no pass keys on the leading
+    residue.  The forward pass steps each rest once per position and bit,
+    at residue 0, and carries the counts of all mods[0] residues packed
+    in one int: 2 m step calls per rest and row of length m = n / k, up
+    to mods[0] times fewer than one per state.  The backward pass and
+    the member walk reuse the moves it recorded and carry liveness as
+    one bitmask over the leading residue per rest.
+
     Only the forward counts run here, once per distinct row automaton.
     The returned lister takes no argument and returns the members in
-    lexicographic order from those same counts; nothing is listed until
-    it is called, and it may be called only once, since it frees the
-    counts.
+    lexicographic order from the moves those counts recorded; nothing is
+    listed until it is called.
     """
     if n > DEFAULT_ENUM_GUARD:
         raise GuardLimit(f"search at n={n} exceeds the enumeration guard {DEFAULT_ENUM_GUARD}")

@@ -219,7 +219,9 @@ def verify_ball_laws(n_values, t_max: int = 4, s_max: int = 4) -> dict[str, Veri
     if t_max < 1 or s_max < 1:
         raise ValueError(f"ball-law sweep needs t_max, s_max >= 1, got {t_max}, {s_max}")
     n_values = sorted(set(n_values))
-    if n_values and n_values[-1] > BALL_LAW_GUARD:
+    if not n_values or n_values[-1] < 1:
+        raise ValueError(f"ball-law sweep needs a length >= 1, got {n_values}")
+    if n_values[-1] > BALL_LAW_GUARD:
         raise GuardLimit(f"ball-law sweep at n={n_values[-1]} exceeds guard {BALL_LAW_GUARD}")
     start = time.perf_counter()
     fails = {"size": 0, "partition": 0, "refined-size": 0}

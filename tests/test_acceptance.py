@@ -6,8 +6,10 @@ fast worked examples.
 """
 
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -256,8 +258,10 @@ def test_11_simulator_byte_identical():
         sys.executable, "-m", "burstcodes.cli",
         "simulate", "c31", "--n", "12", "--trials", "10000", "--seed", "7",
     ]
-    first = subprocess.run(cmd, capture_output=True, timeout=600)
-    second = subprocess.run(cmd, capture_output=True, timeout=600)
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    first = subprocess.run(cmd, cwd=root, env=env, capture_output=True, timeout=600)
+    second = subprocess.run(cmd, cwd=root, env=env, capture_output=True, timeout=600)
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
     assert b"success 10000/10000" in first.stdout

@@ -5,10 +5,14 @@ functions from words.py, keeps the largest bucket (ties to the smallest
 key) and lists its members in word order.  The searches must agree on
 the key, the size and the members tuple, byte for byte; the size comes
 from the bucket counts, the members from a later listing pass.
+
+Brute force stops at n = 12.  Past it, the packed count pass is checked
+against the plain one it replaced, which keys a dict by full states.
 """
 
 import pytest
 
+from burstcodes import c31, codes, cts
 from burstcodes.c31 import c31_param_search
 from burstcodes.codes import pigeonhole_search, rll_max_run, rll_member
 from burstcodes.cts import cts_param_search, window_capacity
@@ -98,3 +102,64 @@ def test_search_matches_brute_force(case, args):
     assert book.size == len(book.members)
     # members are listed once; later accesses return the same tuple
     assert book.members is book.members
+
+
+def ref_row_counts(init, step, mods, m):
+    """Best key and size of one row by the dict-of-states forward pass:
+    every state, residues and all, is a key of its level."""
+    level = {init: 1}
+    for pos in range(1, m + 1):
+        nxt = {}
+        for state, count in level.items():
+            for bit in (0, 1):
+                t = step(state, pos, bit)
+                if t is not None:
+                    nxt[t] = nxt.get(t, 0) + count
+        level = nxt
+    sizes = {}
+    for state, count in level.items():
+        bucket = state[: len(mods)]
+        sizes[bucket] = sizes.get(bucket, 0) + count
+    best = min(sizes, key=lambda k: (-sizes[k], k))
+    return best, sizes[best]
+
+
+LONG_ROWS = (
+    [(fam, n, None, None) for fam in ("vt", "lev2", "c21", "c21rll") for n in range(13, 41)]
+    + [("c21rll", n, None, f) for f in (1, 2) for n in range(13, 41)]
+    + [("svt21", n, P, None) for P in (1, 3, 6) for n in range(13, 41)]
+    + [("c31", n, None, None) for n in range(14, 33, 2)]
+)
+
+
+@pytest.mark.parametrize("family, n, P, f", LONG_ROWS, ids=map(str, LONG_ROWS))
+def test_packed_counts_match_the_state_dict_pass(family, n, P, f):
+    if family == "c31":
+        [row] = c31._rows(n)
+    else:
+        [row] = codes._family_rows(family, n, P, f)[0]
+    assert codes._row_counts(*row, n)[1:] == ref_row_counts(*row, n)
+
+
+@pytest.mark.parametrize(
+    "search, args, rows",
+    [
+        (pigeonhole_search, ("c21", 16), codes._family_rows("c21", 16, None, None)[0]),
+        (pigeonhole_search, ("lev2", 15), codes._family_rows("lev2", 15, None, None)[0]),
+        (c31_param_search, (16,), c31._rows(16)),
+        (cts_param_search, (15, 4, 1), cts._rows(15, 4, 1)),
+        (cts_param_search, (16, 4, 2), cts._rows(16, 4, 2)),
+    ],
+    ids=["c21-16", "lev2-15", "c31-16", "cts-15-4-1", "cts-16-4-2"],
+)
+def test_members_past_brute_force_are_the_bucket(search, args, rows):
+    # strictly increasing, each in the bucket, as many as counted: the bucket in order
+    params, book = search(*args)
+    members = book.members
+    assert all(x < y for x, y in zip(members, members[1:]))
+    vals = {
+        c31_param_search: lambda p: (p.a, p.b, p.c, p.d),
+        cts_param_search: lambda p: (p.a, p.b) + sum(p.row_params, ()),
+    }.get(search, lambda p: tuple(p.values()))(params)
+    assert all(codes._in_bucket(x, book.n, rows, vals) for x in members)
+    assert len(members) == book.size

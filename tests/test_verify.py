@@ -133,6 +133,13 @@ def test_ball_laws_reject_a_sweep_with_no_bursts(t_max, s_max):
         verify_ball_laws([4, 5], t_max, s_max)
 
 
+@pytest.mark.parametrize("n_values", [[], [0], [0, -3], range(0)])
+def test_ball_laws_refuse_a_sweep_with_no_length(n_values):
+    # no word of length >= 1, so no burst combination to check
+    with pytest.raises(ValueError, match="a length >= 1"):
+        verify_ball_laws(n_values)
+
+
 def test_ball_laws_cap_burst_sizes_at_n():
     # sizes above n have no start; a huge bound must cost nothing
     big = verify_ball_laws([3, 4], 10**9, 10**9)
