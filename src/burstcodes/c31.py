@@ -31,11 +31,13 @@ _rows(n) states these congruences once, as the row automaton, built
 once per length, that c31_member and c31_param_search run and that
 C31Params checks its length against.  The residue tuples number the
 product of its moduli, 4n * 4 * 4 * 5 = 320n, so the best choice keeps
-at least 2^n/(320n) codewords: redundancy below log2(n) + 9.  A state
-is (a, odd, even, runs, last bit), up to 4n * 160 of them a position
-(about 10k at n = 16); the search keys only the 4 * 4 * 5 * 2 = 160
-rests after a and packs the 4n counts of a into one int per rest, so it
-calls step at most 320 times a position, whatever n is.
+at least 2^n/(320n) codewords: redundancy below log2(n) + 9.  Its step
+reads a rest (odd, even, runs, last bit) and returns the increment of
+a, the leading residue, with the next rest; it never sees a.  Full
+states (a plus a rest) number up to 4n * 160 a position (about 10k at
+n = 16); the search keys only the 4 * 4 * 5 * 2 = 160 rests and packs
+the 4n counts of a into one int per rest, so it calls step at most 320
+times a position, whatever n is.
 
 The decoder never rescans a candidate.  Every preimage of y is
 y[:p] + block + y[p + r:]: a pair inserted at p (r = 0), or a pattern
@@ -74,27 +76,37 @@ from .words import run_count, weights
 
 __all__ = ["C31Params", "C31Trace", "classify_31", "c31_member", "c31_decode", "c31_param_search"]
 
-_DELTA_TABLE = {
-    (3, 0): PATTERN_000_TO_1,
-    (0, 3): PATTERN_000_TO_1,
-    (3, 1): PATTERN_010_TO_1,
-    (1, 3): PATTERN_010_TO_1,
-    (2, 1): PATTERN_111_TO_0,
-    (1, 2): PATTERN_111_TO_0,
-    (2, 0): PATTERN_101_TO_0,
-    (0, 2): PATTERN_101_TO_0,
-    (0, 0): TWO_BURST_DELETION,
-    (0, 1): TWO_BURST_DELETION,
-    (1, 0): TWO_BURST_DELETION,
-    (1, 1): TWO_BURST_DELETION,
-}
+# (shape, replaced symbol, blocks): every preimage of y replaces one
+# symbol of y, or nothing for a pair, by one of the blocks
+_PREIMAGES = (
+    (TWO_BURST_DELETION, "", ("00", "01", "10", "11")),
+    (PATTERN_000_TO_1, "1", ("000",)),
+    (PATTERN_010_TO_1, "1", ("010",)),
+    (PATTERN_111_TO_0, "0", ("111",)),
+    (PATTERN_101_TO_0, "0", ("101",)),
+)
 
-_PATTERN_OF = {
-    PATTERN_000_TO_1: ("1", "000"),
-    PATTERN_010_TO_1: ("1", "010"),
-    PATTERN_111_TO_0: ("0", "111"),
-    PATTERN_101_TO_0: ("0", "101"),
-}
+
+def _shape_table(preimages: tuple) -> dict:
+    """Weight deltas -> (shape, replaced symbol, blocks for p + 1 even,
+    blocks for p + 1 odd), for the deltas some preimage gives.
+
+    A block's first symbol lands on x_{p+1}, and the moved suffix keeps
+    its parities, so the (odd, even) weight change mod 4 depends on p
+    only through its parity.
+    """
+    table = {}
+    for shape, mark, blocks in preimages:
+        for bl in blocks:
+            same = (bl[0::2].count("1") - mark.count("1")) % 4
+            other = bl[1::2].count("1") % 4
+            for first_odd, deltas in ((False, (other, same)), (True, (same, other))):
+                entry = table.setdefault(deltas, [shape, mark, (), ()])
+                entry[2 + first_odd] += (bl,)
+    return {deltas: tuple(entry) for deltas, entry in table.items()}
+
+
+_SHAPES = _shape_table(_PREIMAGES)
 
 
 @dataclass(frozen=True)
@@ -127,18 +139,20 @@ class C31Trace:
 
 @cache
 def _rows(n: int) -> tuple:
-    """The one row automaton of the code, residues (a, odd, even, runs).
+    """The one row automaton of the code: residues (a, odd, even, runs),
+    the rest (odd, even, runs, last bit).
 
     The code needs n even and >= 4, so any other length is refused."""
     if n < 4 or n % 2:
         raise ValueError(f"length must be even and >= 4, got {n}")
 
-    def step(st, i, bit):
+    def step(rest, i, bit):
         # rsyn0 adds n+1-i where x_i != x_{i-1} (x_0 = 0); the run count
         # starts at 1 and counts only the changes inside x
-        a, odd, even, runs, last = st
+        odd, even, runs, last = rest
+        d = 0
         if bit != last:
-            a = (a + n + 1 - i) % (4 * n)
+            d = n + 1 - i
             if i > 1:
                 runs = (runs + 1) % 5
         if bit:
@@ -146,9 +160,9 @@ def _rows(n: int) -> tuple:
                 odd = (odd + 1) % 4
             else:
                 even = (even + 1) % 4
-        return a, odd, even, runs, bit
+        return d, (odd, even, runs, bit)
 
-    return (((0, 0, 0, 1, 0), step, (4 * n, 4, 4, 5)),)
+    return (((0, 0, 1, 0), step, (4 * n, 4, 4, 5)),)
 
 
 def c31_member(x: str, params: C31Params) -> bool:
@@ -156,20 +170,21 @@ def c31_member(x: str, params: C31Params) -> bool:
     return _in_bucket(x, params.n, _rows(params.n), vals)
 
 
-def _shape(y: str, params: C31Params) -> tuple[str, tuple[int, int]]:
-    """The error shape of y and the weight deltas (d_odd, d_even) that name it."""
+def _shape(y: str, params: C31Params) -> tuple[tuple, tuple[int, int]]:
+    """The _SHAPES entry of y and the weight deltas (d_odd, d_even) that
+    name it."""
     _check_received(y, params.n - 2)
     w = weights(y)
     key = ((params.b - w.odd) % 4, (params.c - w.even) % 4)
-    label = _DELTA_TABLE.get(key)
-    if label is None:
+    entry = _SHAPES.get(key)
+    if entry is None:
         raise DecodeFailure(f"weight deltas {key} cannot come from a (3,1)-burst")
-    return label, key
+    return entry, key
 
 
 def classify_31(y: str, params: C31Params) -> str:
     """Error shape of the received word, from the two weight deltas alone."""
-    return _shape(y, params)[0]
+    return _shape(y, params)[0][0]
 
 
 @cache
@@ -180,32 +195,6 @@ def _window_flips(w: str) -> tuple[int, int]:
     return len(ks), sum(ks)
 
 
-@cache
-def _fitting_blocks(label: str, deltas: tuple[int, int]) -> tuple[tuple, tuple]:
-    """The blocks of label's candidates whose (odd, even) weight change
-    mod 4 is deltas, for p + 1 even and for p + 1 odd.
-
-    A block replaces the removed symbol (the mark, or nothing for a
-    pair), its first symbol landing on x_{p+1}; the moved suffix keeps
-    its parities, so the change depends on p only through its parity.
-    """
-    if label == TWO_BURST_DELETION:
-        blocks, removed = ("00", "01", "10", "11"), 0
-    else:
-        mark, block = _PATTERN_OF[label]
-        blocks, removed = (block,), int(mark)
-
-    def gain(block: str, first_odd: bool) -> tuple[int, int]:
-        same = (block[0::2].count("1") - removed) % 4
-        other = block[1::2].count("1") % 4
-        return (same, other) if first_odd else (other, same)
-
-    return tuple(
-        tuple(bl for bl in blocks if gain(bl, first_odd) == deltas)
-        for first_odd in (False, True)
-    )
-
-
 def c31_decode(y: str, params: C31Params, *, trace: bool = False):
     """Recover the codeword one (3, 1)-burst of which produced y.
 
@@ -214,14 +203,10 @@ def c31_decode(y: str, params: C31Params, *, trace: bool = False):
     else aborts with DecodeFailure or DecodeAmbiguity.  Candidates are
     checked from prefix sums of y, as the module docstring describes.
     """
-    label, deltas = _shape(y, params)
-    n, m = params.n, len(y)
-    if label == TWO_BURST_DELETION:
-        r, starts = 0, range(m + 1)
-    else:
-        mark = _PATTERN_OF[label][0]
-        r, starts = 1, [p for p in range(m) if y[p] == mark]
-    fits = _fitting_blocks(label, deltas)
+    (label, mark, *fits), deltas = _shape(y, params)
+    n, m, r = params.n, len(y), len(mark)
+    # a pair goes in at any p, a pattern block replaces a mark y_{p+1}
+    starts = [p for p, ch in enumerate(y) if ch == mark] if mark else range(m + 1)
     flips = list(map(str.__ne__, "0" + y, y))  # flips[i - 1]: y_i != y_{i-1}
     head_a = list(accumulate((f * (n + 1 - i) for i, f in enumerate(flips, 1)), initial=0))
     head_t = list(accumulate(flips, initial=0))

@@ -38,22 +38,24 @@ same way, from prefix sums of y's transitions (see c31).  LEV2 still
 builds and rescans every distinct candidate.
 
 Each family's syndrome is written once, as row automata (init, step,
-mods) whose states start with their residues (see _largest_bucket),
-built once per shape; the member tests run them over one word, and the
-searches count with them.
+mods), built once per shape; the member tests run them over one word,
+and the searches count with them.  step(rest, pos, bit) returns the
+increment d of the row's leading residue and the next rest, or None to
+leave the word out; it never sees the leading residue, which starts at
+0 and which the engine adds up and reduces mod mods[0] itself.
 
 pigeonhole_search() finds, for any family, the syndrome values whose
 codebook is largest; averaging guarantees the winner is at least 2^n
 over the number of residue classes, the product of the rows' mods.
 Every residue is a sum of per-position terms, so bucket sizes come from
 a dynamic program over positions.  The leading residue never keys it:
-per position, each rest of a state (its entries after the first) holds
-one int packing the word counts of every leading residue, and a step
-adds to that residue by rotating the int.  So step runs 2 m times per
-distinct rest, m the row length, not per state: for c31 at n = 16,
-about 160 rests a level instead of about 10k states.  The codebook it
-returns takes its size from those counts; the winning bucket's members
-are built on first use, and no other bucket's ever are.
+per position, each rest holds one int packing the word counts of every
+leading residue, and a step adds d to that residue by rotating the int.
+So step runs 2 m times per distinct rest, m the row length, not per
+state: for c31 at n = 16, about 160 rests a level instead of about 10k
+states.  The codebook it returns takes its size from those counts; the
+winning bucket's members are built on first use, and no other bucket's
+ever are.
 """
 
 from __future__ import annotations
@@ -438,34 +440,36 @@ def c21rll_member(x: str, a: int, b: int, n: int, f: int | None = None) -> bool:
 def _row_counts(init, step, mods: tuple, m: int):
     """Forward pass of one row automaton over m positions.
 
-    A level maps each rest of a state, state[1:], to one int that packs
-    the number of words reaching (r,) + rest for every residue r mod
-    mods[0]: field r is bits r*W .. r*W + W - 1, W whole bytes of at least
-    m + 1 bits, so no count (at most 2^m) spills.  step runs once per
-    (rest, pos, bit), at residue 0; the residue d it returns moves every
-    r to r + d, which is one cyclic rotation of the packed int.  Picks
-    the best key by the (-count, key) rule.  Returns the moves, per
-    position a dict from rest to its (d, next rest) on 0 and on 1, None
-    for a word left out; the best key; and the number of row words
+    A level maps each rest to one int that packs the number of words
+    reaching it with leading residue r, for every r mod mods[0]: field r
+    is bits r*W .. r*W + W - 1, W whole bytes of at least m + 1 bits, so
+    no count (at most 2^m) spills.  step(rest, pos, bit) runs once per
+    (rest, pos, bit); its increment d, taken mod mods[0], moves every r
+    to r + d, which is one cyclic rotation of the packed int.  Picks the
+    best key by the (-count, key) rule.  Returns the moves, per position
+    a dict from rest to its (d mod mods[0], next rest) on 0 and on 1,
+    None for a word left out; the best key; and the number of row words
     ending on it.
     """
     mod = mods[0]
     width = 8 * (m // 8 + 1)
     span = mod * width
     full = (1 << span) - 1
-    level = {init[1:]: 1 << (init[0] * width)}
+    level = {init: 1}
     moves = []
     for pos in range(1, m + 1):
         here, nxt = {}, {}
         for rest, packed in level.items():
             out = here[rest] = []
             for bit in (0, 1):
-                t = step((0,) + rest, pos, bit)
+                t = step(rest, pos, bit)
                 if t is None:
                     out.append(None)
                     continue
-                shift, rest2 = t[0] * width, t[1:]
-                out.append((t[0], rest2))
+                d, rest2 = t
+                d %= mod
+                out.append((d, rest2))
+                shift = d * width
                 turned = (packed << shift | packed >> (span - shift)) & full
                 nxt[rest2] = nxt.get(rest2, 0) + turned
         moves.append(here)
@@ -492,11 +496,11 @@ def _row_counts(init, step, mods: tuple, m: int):
 def _row_words(init, mods: tuple, moves: list, best: tuple) -> list[str]:
     """The row words ending on the best key, in lexicographic order.
 
-    The backward pass gives each rest a live mask, bit r set when
-    (r,) + rest can still end on best, and keeps per position the moves
-    into a live rest.  The walk then goes depth first, 0 before 1, from
-    state (residue, rest), testing one mask bit per move, so it enters
-    only prefixes of row words and costs O(m) per word.
+    The backward pass gives each rest a live mask, bit r set when the
+    rest with leading residue r can still end on best, and keeps per
+    position the moves into a live rest.  The walk then goes depth first,
+    0 before 1, from state (residue, rest), testing one mask bit per move,
+    so it enters only prefixes of row words and costs O(m) per word.
     """
     mod = mods[0]
     full = (1 << mod) - 1
@@ -525,7 +529,7 @@ def _row_words(init, mods: tuple, moves: list, best: tuple) -> list[str]:
         edges[pos] = here
         live = above
     words = []
-    stack = [(0, "", init[0], init[1:])]
+    stack = [(0, "", 0, init)]
     while stack:
         pos, word, res, rest = stack.pop()
         if pos == len(edges):
@@ -564,29 +568,25 @@ def _largest_bucket(n: int, rows: tuple):
 
     rows holds one automaton (init, step, mods) per row of the word read
     as an array of k = len(rows) rows: row r has coordinates r+1, r+1+k,
-    ...  step(state, pos, bit) reads the bit at 1-based row position pos
-    and returns the next state, or None to leave the word out.  The first
-    len(mods) entries of a state are the row's residues, the j-th taken
-    mod mods[j]; they are the row's key, and a word's key is its rows'
-    keys joined.  Rows share no coordinate, so bucket sizes multiply
-    across rows and the best key is the rows' best keys joined; ties go
-    to the smallest key.  Lengths above DEFAULT_ENUM_GUARD are refused
-    before any counting.
+    ...  A row's state is its leading residue, mod mods[0], and a rest,
+    which starts at init.  step(rest, pos, bit) reads the bit at 1-based
+    row position pos and returns (d, next rest), d the increment of the
+    leading residue (any int), or None to leave the word out; the
+    leading residue starts at 0, and the passes add d and reduce it
+    themselves.  The leading residue and the first len(mods) - 1 entries
+    of the final rest, the j-th taken mod mods[j], are the row's key,
+    and a word's key is its rows' keys joined.  Rows share no
+    coordinate, so bucket sizes multiply across rows and the best key
+    is the rows' best keys joined; ties go to the smallest key.  Lengths
+    above DEFAULT_ENUM_GUARD are refused before any counting.
 
-    Every row keeps one contract: the leading residue is a sum of
-    per-position terms, and neither the rest of the next state nor a
-    None return depends on it.  That is, for every reachable state st,
-
-        step(st, pos, bit)[0] == (st[0] + step((0,) + st[1:], pos, bit)[0]) % mods[0]
-
-    with the same rest and the same None, where step((0,) + st[1:], ...)[0]
-    is itself a residue in 0..mods[0]-1.  So no pass keys on the leading
-    residue.  The forward pass steps each rest once per position and bit,
-    at residue 0, and carries the counts of all mods[0] residues packed
-    in one int: 2 m step calls per rest and row of length m = n / k, up
-    to mods[0] times fewer than one per state.  The backward pass and
-    the member walk reuse the moves it recorded and carry liveness as
-    one bitmask over the leading residue per rest.
+    step never sees the leading residue, so no pass keys on it.  The
+    forward pass steps each rest once per position and bit and carries
+    the counts of all mods[0] residues packed in one int: 2 m step calls
+    per rest and row of length m = n / k, up to mods[0] times fewer than
+    one per state.  The backward pass and the member walk reuse the
+    moves it recorded and carry liveness as one bitmask over the leading
+    residue per rest.
 
     Only the forward counts run here, once per distinct row automaton.
     The returned lister takes no argument and returns the members in
@@ -605,19 +605,24 @@ def _largest_bucket(n: int, rows: tuple):
 def _in_bucket(x: str, n: int, rows: tuple, vals: tuple) -> bool:
     """Whether x is a word of length n in the bucket of key vals, the
     rows' keys joined, each value taken mod its modulus.  Row r reads
-    x[r::k], the coordinates _largest_bucket gives it; rows share no
-    state, so each is run and checked in turn."""
+    x[r::k], the coordinates _largest_bucket gives it, and adds up the
+    increments of its leading residue; rows share no state, so each is
+    run and checked in turn."""
     check_word(x)
     if len(x) != n:
         return False
     k = len(rows)
     vals = iter(vals)
-    for r, (state, step, mods) in enumerate(rows):
+    for r, (rest, step, mods) in enumerate(rows):
+        res = 0
         for pos, bit in enumerate(map("1".__eq__, x[r::k]), 1):
-            state = step(state, pos, bit)
-            if state is None:
+            t = step(rest, pos, bit)
+            if t is None:
                 return False
-        if any(res != next(vals) % mod for res, mod in zip(state, mods)):
+            d, rest = t
+            res += d
+        key = (res,) + rest[: len(mods) - 1]
+        if any(v % mod != next(vals) % mod for v, mod in zip(key, mods)):
             return False
     return True
 
@@ -625,20 +630,21 @@ def _in_bucket(x: str, n: int, rows: tuple, vals: tuple) -> bool:
 def _weighted_row(mod: int, cap: int | None = None):
     """Row automaton with residues (sum of i * x_i mod mod, weight mod 4).
 
-    With a run cap the state also carries the last bit and the length of
-    the current run, and a run longer than cap leaves the word out.
+    The rest holds the weight; with a run cap it also carries the last
+    bit and the length of the current run, and a run longer than cap
+    leaves the word out.
     """
     if cap is None:
-        return (0, 0), lambda st, i, b: ((st[0] + i * b) % mod, (st[1] + b) % 4), (mod, 4)
+        return (0,), lambda rest, i, b: (i * b, ((rest[0] + b) % 4,)), (mod, 4)
 
-    def step(st, i, b):
-        s, w, last, run = st
+    def step(rest, i, b):
+        w, last, run = rest
         run = run + 1 if b == last else 1
         if run > cap:
             return None
-        return (s + i * b) % mod, (w + b) % 4, b, run
+        return i * b, ((w + b) % 4, b, run)
 
-    return (0, 0, None, 0), step, (mod, 4)
+    return (0, None, 0), step, (mod, 4)
 
 
 @cache
@@ -646,15 +652,15 @@ def _family_rows(family: str, n: int, P: int | None, f: int | None):
     """Return (row automata, parameter names, fixed params) for a family,
     built once per shape."""
     if family == "vt":
-        row = ((0,), lambda st, i, b: ((st[0] + i * b) % (n + 1),), (n + 1,))
+        row = ((), lambda rest, i, b: (i * b, ()), (n + 1,))
         return (row,), ("a",), {}
     if family == "lev2":
-        # rsyn0(x) sums n+1-i over the i where x_i != x_{i-1}, with x_0 = 0
-        def step(st, i, b):
-            s, last = st
-            return ((s + n + 1 - i) % (2 * n) if b != last else s), b
+        # rsyn0(x) sums n+1-i over the i where x_i != x_{i-1}, with x_0 = 0;
+        # the rest is the last bit
+        def step(rest, i, b):
+            return (n + 1 - i if b != rest[0] else 0), (b,)
 
-        return (((0, 0), step, (2 * n,)),), ("a",), {}
+        return (((0,), step, (2 * n,)),), ("a",), {}
     if family == "c21":
         return (_weighted_row(2 * n - 1),), ("a", "b"), {}
     if family == "c21rll":

@@ -124,11 +124,9 @@ def simulate(
     burst start, inserted word.  Up to 10 failing trials are kept as
     replayable witnesses.
     """
-    if trials < 0:
-        raise ValueError("trials must be nonnegative")
-    if trials == 0:
+    if trials < 1:
         # zero trials would report a vacuous success 0/0
-        raise ValueError("trials must be >= 1, got 0")
+        raise ValueError(f"trials must be >= 1, got {trials}")
     t, s, params, book, decode = family_setup(family, n, t, s)
     rng = SplitMix64(seed)
     successes = 0

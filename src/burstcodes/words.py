@@ -5,6 +5,10 @@ Words are ASCII strings over {'0', '1'}.  All public coordinates are
 symbols; runs are indexed from 0 left to right, so the word 1101110000
 has run sequence 0012223333, run count 4, and run syndrome 19 (the sum
 of the sequence).
+
+These whole-word forms are the independent reference the brute-force
+search tests key on, which is why they are kept alongside the row automata
+that restate the same syndromes for the searches.
 """
 
 from __future__ import annotations

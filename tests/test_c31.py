@@ -9,7 +9,7 @@ from burstcodes.c31 import (
     c31_param_search,
     classify_31,
 )
-from burstcodes.channel import BurstSpec, apply_burst
+from burstcodes.channel import BurstSpec, _burst_outputs, apply_burst
 from burstcodes.codes import (
     PATTERN_000_TO_1,
     PATTERN_010_TO_1,
@@ -18,7 +18,7 @@ from burstcodes.codes import (
     TWO_BURST_DELETION,
 )
 from burstcodes.errors import DecodeFailure
-from burstcodes.words import run_count
+from burstcodes.words import all_words, rsyn0, run_count, weights
 
 
 def ground_truth(x, start, ins):
@@ -127,3 +127,54 @@ def test_search_rejects_odd_or_tiny():
         c31_param_search(9)
     with pytest.raises(ValueError):
         c31_param_search(2)
+
+
+def overlapping_buckets(n, a_mod, with_d):
+    """Buckets of length-n words keyed by rsyn0 mod a_mod, the odd and even
+    weights mod 4 and, with_d, the run count mod 5: how many of them hold
+    two words whose (3, 1)-balls meet, how many there are, and the
+    smallest such pair x < y of any bucket (None when there is none).
+
+    Keys come from words.*, not from the search's rows, so the test
+    stands apart from the automata it audits."""
+    buckets = {}
+    for x in all_words(n):
+        w = weights(x)
+        key = (rsyn0(x) % a_mod, w.odd % 4, w.even % 4)
+        if with_d:
+            key += (run_count(x) % 5,)
+        buckets.setdefault(key, []).append(x)
+    bad, pairs = 0, []
+    for xs in buckets.values():
+        # each output's owner is the smallest word reaching it, so the
+        # smallest overlapping pair is among the (owner, x) recorded
+        owner, hit = {}, False
+        for x in xs:
+            for out in _burst_outputs(int(x, 2), n, 3, 1):
+                if owner.setdefault(out, x) != x:
+                    pairs.append((owner[out], x))
+                    hit = True
+        bad += hit
+    return bad, len(buckets), min(pairs, default=None)
+
+
+@pytest.mark.parametrize(
+    "n, a_mod, with_d, expected",
+    [
+        # the code's congruences: every bucket disjoint
+        (8, 32, True, (0, 226, None)),
+        (10, 40, True, (0, 638, None)),
+        (12, 48, True, (0, 1338, None)),
+        # without the run count d, broken from n = 8 on
+        (8, 32, False, (1, 151, ("01011111", "11110101"))),
+        (10, 40, False, (32, 286, ("0000100100", "0110000000"))),
+        (12, 48, False, (149, 384, ("000000100100", "000110000000"))),
+        # rsyn0 mod 2n instead of 4n, broken from n = 12 on
+        (8, 16, True, (0, 216, None)),
+        (10, 20, True, (0, 544, None)),
+        (12, 24, True, (16, 880, ("000000001010", "001010000000"))),
+    ],
+    ids=[f"{kind}-n{n}" for kind in ("code", "no-d", "a-mod-2n") for n in (8, 10, 12)],
+)
+def test_weakened_constants_break_disjointness(n, a_mod, with_d, expected):
+    assert overlapping_buckets(n, a_mod, with_d) == expected

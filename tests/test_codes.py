@@ -270,66 +270,6 @@ def test_rows_are_built_once_per_shape():
     assert cts._rows(16, 4, 2) is cts._rows(16, 4, 2)
 
 
-def contract_breaks(init, step, mods, m):
-    """Reachable (state, pos, bit) at which step breaks the contract the
-    packed search relies on: the leading residue moves by the residue
-    step gives at 0, and the rest and a None do not depend on it."""
-    breaks = []
-    level = {init}
-    for pos in range(1, m + 1):
-        nxt = set()
-        for st in level:
-            for bit in (0, 1):
-                got, at0 = step(st, pos, bit), step((0,) + st[1:], pos, bit)
-                if got is None or at0 is None:
-                    same = got is at0
-                else:
-                    same = (
-                        0 <= at0[0] < mods[0]
-                        and got[0] == (st[0] + at0[0]) % mods[0]
-                        and got[1:] == at0[1:]
-                    )
-                if not same:
-                    breaks.append((st, pos, bit))
-                if got is not None:
-                    nxt.add(got)
-        level = nxt
-    return breaks
-
-
-CONTRACT_SHAPES = (
-    [(fam, n, None, None) for fam in ("vt", "lev2", "c21", "c21rll") for n in range(1, 11)]
-    + [("c21rll", n, None, f) for f in (1, 2) for n in range(1, 11)]
-    + [("svt21", n, P, None) for P in range(1, 7) for n in range(1, 11)]
-    + [("c31", n) for n in range(4, 11, 2)]
-    + [
-        ("cts", *shape)
-        for shape in ((6, 2, 1), (8, 3, 1), (9, 4, 1), (12, 4, 2), (12, 6, 3), (14, 2, 1))
-    ]
-)
-
-
-@pytest.mark.parametrize("shape", CONTRACT_SHAPES, ids=map(str, CONTRACT_SHAPES))
-def test_rows_keep_the_leading_residue_contract(shape):
-    kind, n, *extra = shape
-    if kind == "c31":
-        rows = c31._rows(n)
-    elif kind == "cts":
-        rows = cts._rows(n, *extra)
-    else:
-        rows = codes._family_rows(kind, n, *extra)[0]
-    for row in dict.fromkeys(rows):
-        assert contract_breaks(*row, n // len(rows)) == []
-
-
-def test_contract_check_catches_a_residue_read_by_the_rest():
-    # a row whose weight counts only while the VT sum is even breaks it
-    def step(st, i, b):
-        return (st[0] + i * b) % 5, (st[1] + b * (st[0] % 2 == 0)) % 4
-
-    assert contract_breaks((0, 0), step, (5, 4), 4)
-
-
 def test_pigeonhole_c21_at_the_guard_limit():
     n = 24
     params, book = pigeonhole_search("c21", n)

@@ -106,15 +106,17 @@ def test_search_matches_brute_force(case, args):
 
 def ref_row_counts(init, step, mods, m):
     """Best key and size of one row by the dict-of-states forward pass:
-    every state, residues and all, is a key of its level."""
-    level = {init: 1}
+    every state, the leading residue and the rest, is a key of its level."""
+    level = {(0,) + init: 1}
     for pos in range(1, m + 1):
         nxt = {}
         for state, count in level.items():
             for bit in (0, 1):
-                t = step(state, pos, bit)
+                t = step(state[1:], pos, bit)
                 if t is not None:
-                    nxt[t] = nxt.get(t, 0) + count
+                    d, rest = t
+                    key = ((state[0] + d) % mods[0],) + rest
+                    nxt[key] = nxt.get(key, 0) + count
         level = nxt
     sizes = {}
     for state, count in level.items():
