@@ -26,7 +26,7 @@ from burstcodes.codes import (
 )
 from burstcodes.cts import cts_param_search
 from burstcodes.errors import DecodeFailure, GuardLimit
-from burstcodes.words import all_words, vt_syndrome
+from burstcodes.words import all_words, rsyn0, vt_syndrome
 
 
 # ---------------------------------------------------------------- VT
@@ -268,6 +268,78 @@ def test_rows_are_built_once_per_shape():
     assert codes._family_rows("c21", 16, None, None) is codes._family_rows("c21", 16, None, None)
     assert c31._rows(16) is c31._rows(16)
     assert cts._rows(16, 4, 2) is cts._rows(16, 4, 2)
+
+
+def contract_breaks(init, step, mods, m, lead, accepts):
+    """Words of length m on which a row breaks what the packed search
+    relies on: each step gives None or (int increment, rest as long as
+    init), the increments add up to lead(x) mod mods[0], and the row
+    leaves out exactly the words that accepts refuses."""
+    breaks = []
+    for x in all_words(m):
+        res, rest = 0, init
+        for pos, ch in enumerate(x, 1):
+            t = step(rest, pos, int(ch))
+            if t is None:
+                break
+            d, rest = t
+            if not isinstance(d, int) or len(rest) != len(init):
+                breaks.append(x)
+                break
+            res += d
+        else:
+            if not accepts(x) or (res - lead(x)) % mods[0]:
+                breaks.append(x)
+            continue
+        if t is None and accepts(x):
+            breaks.append(x)
+    return breaks
+
+
+CONTRACT_SHAPES = (
+    [(fam, n, None, None) for fam in ("vt", "lev2", "c21", "c21rll") for n in range(1, 11)]
+    + [("c21rll", n, None, f) for f in (1, 2) for n in range(1, 11)]
+    + [("svt21", n, P, None) for P in range(1, 7) for n in range(1, 11)]
+    + [("c31", n) for n in range(4, 11, 2)]
+    + [
+        ("cts", *shape)
+        for shape in ((6, 2, 1), (8, 3, 1), (9, 4, 1), (12, 4, 2), (12, 6, 3), (14, 2, 1))
+    ]
+)
+
+
+@pytest.mark.parametrize("shape", CONTRACT_SHAPES, ids=map(str, CONTRACT_SHAPES))
+def test_rows_keep_the_leading_residue_contract(shape):
+    kind, n, *extra = shape
+    if kind == "c31":
+        rows = c31._rows(n)
+    elif kind == "cts":
+        rows = cts._rows(n, *extra)
+    else:
+        rows = codes._family_rows(kind, n, *extra)[0]
+    m = n // len(rows)
+    lead = rsyn0 if kind in ("lev2", "c31") else vt_syndrome
+    cap = None
+    if kind == "c21rll":
+        cap = rll_max_run(n) if extra[1] is None else extra[1]
+    for r, row in enumerate(dict.fromkeys(rows)):
+        if kind == "cts":
+            # row 1 alone carries the run cap
+            cap = rll_max_run(m) if r == 0 else None
+        accepts = (lambda x: True) if cap is None else (lambda x: rll_member(x, cap))
+        assert contract_breaks(*row, m, lead, accepts) == []
+
+
+def test_contract_check_catches_a_residue_read_by_the_rest():
+    # a row that carries the VT sum in its rest and reads it back, giving
+    # the running sum where the increment belongs
+    def step(rest, i, b):
+        vt = (rest[0] + i * b) % 5
+        return vt, (vt, (rest[1] + b) % 4)
+
+    assert contract_breaks((0, 0), step, (5, 4), 4, vt_syndrome, lambda x: True)
+    # a row that leaves out a word the whole-word filter keeps
+    assert contract_breaks(*codes._weighted_row(5, 1), 4, vt_syndrome, lambda x: True)
 
 
 def test_pigeonhole_c21_at_the_guard_limit():
