@@ -10,7 +10,9 @@ partition device behind the closed-form ball size.
 Both run on one integer kernel, _burst_outputs(): a word of length n is
 the int whose binary digits it spells (x_1 most significant), and each
 output is spliced together with shifts and masks, so no string is built
-until the members are listed.
+until the members are listed.  The exhaustive ball-law sweep uses its
+bitmask form, _burst_mask(), which sets bit u for each output u, so a
+ball's size is a bit count and a union is one OR.
 
 Ball size and the resulting sphere-packing ceiling are exact:
 
@@ -24,6 +26,7 @@ when it corrects (s, t)-bursts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .words import check_word
 
@@ -127,6 +130,49 @@ def _burst_outputs(v: int, n: int, t: int, s: int, refined: bool = False) -> set
     return out
 
 
+@lru_cache(maxsize=None)
+def _mask_plan(n: int, t: int, s: int, refined: bool) -> tuple[tuple, ...]:
+    """Per-start constants of _burst_mask(): (n - i, s + r, (1 << r) - 1, r, comb).
+
+    comb has a bit at every offset the start's inserts reach above the
+    kept bits: 2^s bits spaced 2^r apart for a full ball, and for a
+    refined one 2^(s-2) bits spaced 2^(r+1) apart (one bit for s = 1).
+    comb is 2^(s+r) bits wide, so the plan is only for sweep lengths,
+    n <= verify.BALL_LAW_GUARD, where masks stay at most 2^17 bits;
+    ball() at large n keeps the set kernel.
+    """
+    split = refined and t > 0 and s > 0
+    plan = []
+    for i in range(n - t + 1):
+        r = n - i - t
+        comb = sum(1 << (j << (r + split)) for j in range(1 << max(s - 2 * split, 0)))
+        plan.append((n - i, s + r, (1 << r) - 1, r, comb))
+    return tuple(plan)
+
+
+def _burst_mask(v: int, n: int, t: int, s: int, refined: bool = False) -> int:
+    """_burst_outputs(v, n, t, s, refined) as one int with bit u set for
+    each output u.
+
+    Each start ORs in its comb shifted to the lowest output it reaches;
+    a refined start shifts it past the end bits the insert must take.
+    Callers check that 0 <= t <= n and s >= 0.
+    """
+    plan = _mask_plan(n, t, s, refined)
+    mask = 0
+    if not (refined and t > 0 and s > 0):
+        for hi, sr, low, _, comb in plan:
+            mask |= comb << (((v >> hi) << sr) | (v & low))
+        return mask
+    for hi, sr, low, r, comb in plan:
+        first, last = (v >> (r + t - 1)) & 1, (v >> r) & 1
+        if s == 1 and first != last:
+            continue
+        base = ((v >> hi) << sr) | (v & low) | ((1 - first) << (sr - 1)) | ((1 - last) << r)
+        mask |= comb << base
+    return mask
+
+
 def _members(out: set[int], m: int) -> tuple[str, ...]:
     """The length-m words of out, sorted.
 
@@ -205,12 +251,15 @@ def refined_ball_size(x: str, k: int, l: int) -> int:
     output, exactly when x_i = x_{i+k-1}.
     """
     _check_burst(x, k, l)
-    n = len(x)
+    return _refined_size(int(x or "0", 2), len(x), k, l)
+
+
+def _refined_size(v: int, n: int, k: int, l: int) -> int:
+    """refined_ball_size() for the length-n word whose bits are v."""
     if k == 0:
         if l == 0:
             return 1
         return n * 2 ** (l - 1) + 2**l
-    v = int(x or "0", 2)
     if l == 0:
         return 1 + _shift_changes(v, n, k)
     if l == 1:

@@ -16,12 +16,14 @@ from dataclasses import dataclass, field
 
 from .channel import (
     BurstSpec,
+    _burst_mask,
     _burst_outputs,
+    _check_burst,
     _check_room,
+    _members,
+    _refined_size,
     apply_burst,
-    ball,
     ball_size_formula,
-    refined_ball_size,
     sphere_packing_bound,
 )
 from .errors import DecodingError, GuardLimit
@@ -76,24 +78,31 @@ def _codewords(members) -> tuple:
 def verify_disjoint(members, t: int, s: int) -> VerificationReport:
     """Check that no channel output is reachable from two codewords.
 
-    Hashes every ball member back to its center; the first collision
-    becomes the witness.
+    Outputs are ints, pooled per word length, since words of different
+    lengths never meet.  A codeword whose ball misses its pool only adds
+    to it.  On an overlap its outputs are replayed in sorted order and
+    each shared one is traced to its first earlier owner; the first
+    owner other than the codeword itself becomes the witness, and the
+    count stops there.  A repeated codeword shares only with itself.
     """
     start = time.perf_counter()
-    owner: dict[str, str] = {}
+    pools: dict[int, set[int]] = {}
     outputs = 0
     witness = None
     members = _codewords(members)
-    for x in members:
-        if witness:
-            break
-        for y in ball(x, t, s).members:
-            outputs += 1
-            prev = owner.get(y)
-            if prev is not None and prev != x:
-                witness = {"center_a": prev, "center_b": x, "shared": y}
+    for idx, x in enumerate(members):
+        _check_burst(x, t, s)
+        n = len(x)
+        out = _burst_outputs(int(x or "0", 2), n, t, s)
+        pool = pools.setdefault(n, set())
+        if not pool.isdisjoint(out):
+            witness, seen = _first_clash(members[:idx], x, out, pool, t, s)
+            outputs += seen
+            if witness:
                 break
-            owner[y] = x
+        else:
+            outputs += len(out)
+        pool |= out
     return VerificationReport(
         check="disjoint",
         params={"t": t, "s": s, "codewords": len(members)},
@@ -102,6 +111,25 @@ def verify_disjoint(members, t: int, s: int) -> VerificationReport:
         witness=witness,
         elapsed_s=time.perf_counter() - start,
     )
+
+
+def _first_clash(earlier, x: str, out: set[int], pool: set[int], t: int, s: int):
+    """(witness or None, outputs checked) for x's outputs, in sorted
+    order, against the pool of the earlier codewords of its length."""
+    n = len(x)
+    shared = pool.intersection(out)
+    owner: dict[int, str] = {}
+    for w in earlier:
+        if len(owner) == len(shared):
+            break
+        if len(w) == n:
+            for y in shared.intersection(_burst_outputs(int(w or "0", 2), n, t, s)):
+                owner.setdefault(y, w)
+    for seen, y in enumerate(sorted(out), 1):
+        if owner.get(y, x) != x:
+            (word,) = _members({y}, n - t + s)
+            return {"center_a": owner[y], "center_b": x, "shared": word}, seen
+    return None, len(out)
 
 
 def verify_roundtrip(members, t: int, s: int, decode) -> VerificationReport:
@@ -116,10 +144,10 @@ def verify_roundtrip(members, t: int, s: int, decode) -> VerificationReport:
     members = _codewords(members)
     corruptions = failures = 0
     witness = None
+    inserts = tuple(all_words(s))
     for x in members:
         n = len(x)
         _check_room(n, t, s)
-        inserts = tuple(all_words(s))
         # the first burst goes through the checked channel, which refuses
         # a bad x or t; every burst after it is a plain splice
         apply_burst(x, BurstSpec(t, s, 1, inserts[0]))
@@ -206,26 +234,41 @@ def verify_ball_laws(n_values, t_max: int = 4, s_max: int = 4) -> dict[str, Veri
     * refined-size: each refined part's closed-form size matches
       enumeration; the closed forms hold at every length
 
-    Words and balls are ints on the channel's bitmask kernel.  Per word,
-    each distinct refined (k, l) part and its closed form are computed
-    once and shared by every (t, s) that uses it; the full ball is
-    enumerated on its own from all starts and inserts, never assembled
-    from the parts.  Counts are per (t, s) and part.  Raises ValueError
-    unless t_max, s_max >= 1, which any combination needs, and
-    GuardLimit for a length above BALL_LAW_GUARD.
+    Words are ints and balls are bitmasks from channel._burst_mask(),
+    bit u set for each output u: a size is a bit count, a union an OR,
+    and a word is formatted only for a witness.  Per word, each distinct
+    refined (k, l) part and its closed form are computed once and shared
+    by every (t, s) that uses it; the full ball is enumerated on its own
+    from all starts and inserts, never assembled from the parts.  Counts
+    are per (t, s) and part.  Raises ValueError unless t_max, s_max >= 1,
+    which any combination needs, for a sweep with no length >= 1, and
+    for a length that is not an int >= 0; GuardLimit for a length above
+    BALL_LAW_GUARD.
 
     Returns reports keyed 'size', 'partition', 'refined-size'.
     """
     if t_max < 1 or s_max < 1:
         raise ValueError(f"ball-law sweep needs t_max, s_max >= 1, got {t_max}, {s_max}")
+    n_values = list(n_values)
+    for n in n_values:
+        if type(n) is not int:
+            raise ValueError(f"ball-law sweep lengths must be ints, got {n!r}")
     n_values = sorted(set(n_values))
     if not n_values or n_values[-1] < 1:
         raise ValueError(f"ball-law sweep needs a length >= 1, got {n_values}")
+    if n_values[0] < 0:
+        raise ValueError(f"ball-law sweep lengths must be >= 0, got {n_values[0]}")
     if n_values[-1] > BALL_LAW_GUARD:
         raise GuardLimit(f"ball-law sweep at n={n_values[-1]} exceeds guard {BALL_LAW_GUARD}")
     start = time.perf_counter()
     fails = {"size": 0, "partition": 0, "refined-size": 0}
     wit: dict[str, dict | None] = {"size": None, "partition": None, "refined-size": None}
+
+    def fail(law: str, v: int, n: int, **fields) -> None:
+        fails[law] += 1
+        if wit[law] is None:
+            wit[law] = {"x": format(v, f"0{n}b"), **fields}
+
     words = 0
     combos = 0
     formula_checks = 0
@@ -237,47 +280,28 @@ def verify_ball_laws(n_values, t_max: int = 4, s_max: int = 4) -> dict[str, Veri
         ]
         kls = sorted({kl for *_, parts in pairs for kl in parts})
         words += 1 << n
-        if not pairs:
-            continue
-        fmt = f"0{n}b"
         for v in range(1 << n):
-            x = format(v, fmt)
-            known = {
-                (k, l): (_burst_outputs(v, n, k, l, True), refined_ball_size(x, k, l))
-                for k, l in kls
-            }
+            known = {}
+            for k, l in kls:
+                part = _burst_mask(v, n, k, l, True)
+                known[k, l] = part, part.bit_count(), _refined_size(v, n, k, l)
             for t, s, formula, parts in pairs:
                 combos += 1
-                full = _burst_outputs(v, n, t, s)
-                if len(full) != formula:
-                    fails["size"] += 1
-                    wit["size"] = wit["size"] or {
-                        "x": x, "t": t, "s": s,
-                        "enumerated": len(full),
-                        "formula": formula,
-                    }
-                union: set[int] = set()
-                total = 0
+                full = _burst_mask(v, n, t, s)
+                size = full.bit_count()
+                if size != formula:
+                    fail("size", v, n, t=t, s=s, enumerated=size, formula=formula)
+                union = total = 0
                 for k, l in parts:
-                    part, predicted = known[k, l]
-                    total += len(part)
+                    part, got, predicted = known[k, l]
+                    total += got
                     union |= part
                     formula_checks += 1
-                    if predicted != len(part):
-                        fails["refined-size"] += 1
-                        wit["refined-size"] = wit["refined-size"] or {
-                            "x": x, "k": k, "l": l,
-                            "enumerated": len(part),
-                            "formula": predicted,
-                        }
-                if not (union == full and total == len(union)):
-                    fails["partition"] += 1
-                    wit["partition"] = wit["partition"] or {
-                        "x": x, "t": t, "s": s,
-                        "parts_total": total,
-                        "union": len(union),
-                        "ball": len(full),
-                    }
+                    if predicted != got:
+                        fail("refined-size", v, n, k=k, l=l, enumerated=got, formula=predicted)
+                if not (union == full and total == union.bit_count()):
+                    fail("partition", v, n, t=t, s=s, parts_total=total,
+                         union=union.bit_count(), ball=size)
     elapsed = time.perf_counter() - start
     base_params = {
         "n_values": list(n_values),

@@ -1,11 +1,15 @@
 """Channel geometry: frozen ball examples, size laws, partition smoke tests."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from burstcodes.channel import (
     BurstSpec,
+    _burst_mask,
+    _burst_outputs,
     apply_burst,
     ball,
     ball_size_formula,
@@ -131,6 +135,27 @@ def test_refined_size_matches_enumeration_small():
                 for l in range(0, 4):
                     predicted = refined_ball_size(x, k, l)
                     assert predicted == refined_ball(x, k, l).size, (x, k, l)
+
+
+def _as_mask(out):
+    """sum(1 << u for u in out), built bytewise so long masks stay cheap."""
+    b = bytearray(max(out, default=0) // 8 + 1)
+    for u in out:
+        b[u >> 3] |= 1 << (u & 7)
+    return int.from_bytes(b, "little")
+
+
+@pytest.mark.parametrize("n", range(15))
+def test_burst_mask_agrees_with_the_set_kernel(n):
+    # every word up to n = 9, then 200 seeded words per length
+    rng = random.Random(n)
+    words = range(1 << n) if n <= 9 else [rng.getrandbits(n) for _ in range(200)]
+    for v in words:
+        for t in range(min(4, n) + 1):
+            for s in range(5):
+                for refined in (False, True):
+                    want = _as_mask(_burst_outputs(v, n, t, s, refined))
+                    assert _burst_mask(v, n, t, s, refined) == want, (v, n, t, s, refined)
 
 
 def test_ball_size_law_smoke():

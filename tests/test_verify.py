@@ -2,6 +2,8 @@
 
 import json
 import math
+import random
+import re
 
 import pytest
 
@@ -171,15 +173,15 @@ def test_ball_laws_catch_a_wrong_size_formula(monkeypatch):
 
 
 def test_ball_laws_catch_a_wrong_refined_size(monkeypatch):
-    real = verify.refined_ball_size
-    monkeypatch.setattr(verify, "refined_ball_size", lambda x, k, l: real(x, k, l) + 1)
+    real = verify._refined_size
+    monkeypatch.setattr(verify, "_refined_size", lambda v, n, k, l: real(v, n, k, l) + 1)
     w = _only_failure(verify_ball_laws([4, 5], 3, 3), "refined-size")
     assert w["formula"] == w["enumerated"] + 1
     assert w["x"] == "0000"
 
 
 def test_ball_laws_catch_a_part_that_drops_an_output(monkeypatch):
-    real = verify._burst_outputs
+    real = verify._burst_mask
 
     def drop_one(v, n, t, s, refined=False):
         out = real(v, n, t, s, refined)
@@ -187,13 +189,71 @@ def test_ball_laws_catch_a_part_that_drops_an_output(monkeypatch):
         # an output for a word outside that ball; its size stays right,
         # so only the partition law can see the loss
         if refined and (v, n, t, s) == (0b10110, 5, 2, 0):
-            out.discard(max(out))
-            out.add(min(set(range(1 << 3)) - real(v, n, 3, 1)))
+            out ^= 1 << (out.bit_length() - 1)
+            outside = real(v, n, 3, 1)
+            out |= 1 << min(u for u in range(1 << 3) if not outside >> u & 1)
         return out
 
-    monkeypatch.setattr(verify, "_burst_outputs", drop_one)
+    monkeypatch.setattr(verify, "_burst_mask", drop_one)
     w = _only_failure(verify_ball_laws([4, 5], 3, 3), "partition")
     assert w == {"x": "10110", "t": 3, "s": 1, "parts_total": 4, "union": 4, "ball": 4}
+
+
+@pytest.mark.parametrize(
+    "n_values, bad",
+    [([-3, 4], "-3"), ([4.0], "4.0"), ([True, 4], "True")],
+)
+def test_ball_laws_refuse_a_bad_length(n_values, bad):
+    with pytest.raises(ValueError, match=f"lengths must be .*, got {bad}$"):
+        verify_ball_laws(n_values)
+
+
+def ref_verify_disjoint(members, t, s):
+    """The owner-dict loop: every ball member hashed back to its center;
+    the first collision becomes the witness."""
+    owner = {}
+    outputs = 0
+    witness = None
+    members = tuple(members)
+    for x in members:
+        if witness:
+            break
+        for y in ball(x, t, s).members:
+            outputs += 1
+            prev = owner.get(y)
+            if prev is not None and prev != x:
+                witness = {"center_a": prev, "center_b": x, "shared": y}
+                break
+            owner[y] = x
+    return witness is None, {"codewords": len(members), "outputs_checked": outputs}, witness
+
+
+@pytest.mark.parametrize("t,s", [(2, 1), (1, 2), (3, 1), (0, 1), (1, 0)])
+def test_disjoint_matches_the_owner_dict_reference(t, s):
+    rng = random.Random(1400 + 10 * t + s)
+    verdicts = set()
+    for _ in range(300):
+        lengths = [rng.randint(max(t, 2), 9)] if rng.random() < 0.5 else range(max(t, 2), 10)
+        book = [format(rng.getrandbits(n), f"0{n}b") for n in rng.choices(lengths, k=rng.randint(1, 12))]
+        if rng.random() < 0.3:
+            book.insert(rng.randrange(len(book) + 1), rng.choice(book))
+        rep = verify_disjoint(book, t, s)
+        assert (rep.verdict, rep.counts, rep.witness) == ref_verify_disjoint(book, t, s), book
+        verdicts.add(rep.verdict)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize(
+    "members, msg",
+    [
+        (["0110", 110], "word must be a str of '0'/'1', got int"),
+        (["0110", "01a1"], "word contains non-binary symbol 'a'"),
+        (["0"], "word of length 1 cannot lose a burst of 2"),
+    ],
+)
+def test_disjoint_refuses_bad_members(members, msg):
+    with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+        verify_disjoint(members, 2, 1)
 
 
 def test_bound_report(c21_book):
