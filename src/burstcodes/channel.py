@@ -52,6 +52,7 @@ class BurstSpec:
     inserted: str
 
     def __post_init__(self):
+        _check_sizes(self.t, self.s)
         if self.t < 0 or self.s < 0:
             raise ValueError("burst sizes must be >= 0")
         check_word(self.inserted, what="inserted word")
@@ -190,8 +191,16 @@ def _check_room(n: int, t: int, s: int) -> None:
         raise ValueError(f"no ({t}, {s})-burst fits in length n={n}")
 
 
+def _check_sizes(*sizes) -> None:
+    """Refuse a burst size whose type is not int; a bool is not a size."""
+    for size in sizes:
+        if type(size) is not int:
+            raise ValueError(f"burst sizes must be ints, got {size!r}")
+
+
 def _check_burst(x: str, t: int, s: int) -> None:
     check_word(x)
+    _check_sizes(t, s)
     if t < 0 or s < 0:
         raise ValueError("burst sizes must be >= 0")
     if len(x) < t:

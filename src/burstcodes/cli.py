@@ -82,9 +82,11 @@ def _need(args, *names):
 
 
 def _family(args, *names):
-    """The family the command names, once it has every option it needs."""
+    """The family the command names, once it has every option it needs
+    and --t/--s ask for the burst it corrects."""
     fam = FAMILIES[args.family]
     _need(args, *names, *fam.needs)
+    fam.burst_for(args.family, args.t, args.s)
     return fam
 
 

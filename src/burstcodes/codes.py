@@ -53,9 +53,10 @@ per position, each rest holds one int packing the word counts of every
 leading residue, and a step adds d to that residue by rotating the int.
 So step runs 2 m times per distinct rest, m the row length, not per
 state: for c31 at n = 16, about 160 rests a level instead of about 10k
-states.  The codebook it returns takes its size from those counts; the
-winning bucket's members are built on first use, and no other bucket's
-ever are.
+states.  That pass only counts, keeping the rests each position
+reached.  The codebook it returns takes its size from those counts; the
+winning bucket's members are built on first use, by stepping those
+rests again, and no other bucket's ever are.
 """
 
 from __future__ import annotations
@@ -132,10 +133,10 @@ class Codebook:
 
     A book built from its members holds them from the start.  A book a
     search returns knows its size from the packed bucket counts and
-    lists its members on first access, once, from the moves the count
-    pass recorded (one step result per rest, position and bit); the
-    lister and those moves are dropped then, so a book that is never
-    listed costs no more than the counts.
+    lists its members on first access, once, by stepping the rows again
+    from the rests the count pass reached, as many step calls as the
+    count took; the lister and those rests are dropped then, so a book
+    that is never listed costs no more than the counts.
     """
 
     def __init__(self, family: str, n: int, params: dict, members: tuple[str, ...]):
@@ -438,7 +439,7 @@ def c21rll_member(x: str, a: int, b: int, n: int, f: int | None = None) -> bool:
 
 
 def _row_counts(init, step, mods: tuple, m: int):
-    """Forward pass of one row automaton over m positions.
+    """Forward pass of one row automaton over m positions; it only counts.
 
     A level maps each rest to one int that packs the number of words
     reaching it with leading residue r, for every r mod mods[0]: field r
@@ -446,34 +447,29 @@ def _row_counts(init, step, mods: tuple, m: int):
     no count (at most 2^m) spills.  step(rest, pos, bit) runs once per
     (rest, pos, bit); its increment d, taken mod mods[0], moves every r
     to r + d, which is one cyclic rotation of the packed int.  Picks the
-    best key by the (-count, key) rule.  Returns the moves, per position
-    a dict from rest to its (d mod mods[0], next rest) on 0 and on 1,
-    None for a word left out; the best key; and the number of row words
-    ending on it.
+    best key by the (-count, key) rule.  Returns the levels, per
+    position 0..m a tuple of the rests reached after that many
+    positions; the best key; and the number of row words ending on it.
     """
     mod = mods[0]
     width = 8 * (m // 8 + 1)
     span = mod * width
     full = (1 << span) - 1
     level = {init: 1}
-    moves = []
+    levels = [(init,)]
     for pos in range(1, m + 1):
-        here, nxt = {}, {}
+        nxt = {}
         for rest, packed in level.items():
-            out = here[rest] = []
             for bit in (0, 1):
                 t = step(rest, pos, bit)
                 if t is None:
-                    out.append(None)
                     continue
                 d, rest2 = t
-                d %= mod
-                out.append((d, rest2))
-                shift = d * width
+                shift = d % mod * width
                 turned = (packed << shift | packed >> (span - shift)) & full
                 nxt[rest2] = nxt.get(rest2, 0) + turned
-        moves.append(here)
         level = nxt
+        levels.append(tuple(level))
     # rests that agree on the key's other entries share its buckets; no
     # field of their sum exceeds the 2^m words
     k = len(mods) - 1
@@ -490,36 +486,34 @@ def _row_counts(init, step, mods: tuple, m: int):
     # the smallest residue of each key list holding the top count
     size = max(map(max, counts.values()))
     best = min((c.index(size),) + key for key, c in counts.items() if size in c)
-    return moves, best, size
+    return levels, best, size
 
 
-def _row_words(init, mods: tuple, moves: list, best: tuple) -> list[str]:
+def _row_words(init, step, mods: tuple, levels: list, best: tuple) -> list[str]:
     """The row words ending on the best key, in lexicographic order.
 
     The backward pass gives each rest a live mask, bit r set when the
-    rest with leading residue r can still end on best, and keeps per
-    position the moves into a live rest.  The walk then goes depth first,
-    0 before 1, from state (residue, rest), testing one mask bit per move,
-    so it enters only prefixes of row words and costs O(m) per word.
+    rest with leading residue r can still end on best, seeded from the
+    last level's rests.  It steps each rest of each earlier level once
+    per bit, as the count pass did, and keeps per position the moves
+    into a live rest.  The walk then goes depth first, 0 before 1, from
+    state (residue, rest), testing one mask bit per move, so it enters
+    only prefixes of row words and costs O(m) per word.
     """
     mod = mods[0]
     full = (1 << mod) - 1
     tail = best[1:]
-    live = {
-        move[1]: 1 << best[0]
-        for out in moves[-1].values()
-        for move in out
-        if move is not None and move[1][: len(tail)] == tail
-    }
-    edges: list = [None] * len(moves)
-    for pos in range(len(moves) - 1, -1, -1):
+    live = {rest: 1 << best[0] for rest in levels[-1] if rest[: len(tail)] == tail}
+    edges: list = [None] * (len(levels) - 1)
+    for pos in range(len(edges) - 1, -1, -1):
         here, above = {}, {}
-        for rest, out in moves[pos].items():
+        for rest in levels[pos]:
             kept, mask = [], 0
-            for ch, move in zip("01", out):
-                if move is not None and (ahead := live.get(move[1])):
-                    d = move[0]
-                    kept.append((ch, d, move[1], ahead))
+            for bit, ch in enumerate("01"):
+                t = step(rest, pos + 1, bit)
+                if t is not None and (ahead := live.get(t[1])):
+                    d = t[0] % mod
+                    kept.append((ch, d, t[1], ahead))
                     # r is live when r + d is
                     mask |= (ahead >> d | ahead << (mod - d)) & full
             if kept:
@@ -543,8 +537,8 @@ def _row_words(init, mods: tuple, moves: list, best: tuple) -> list[str]:
 
 
 def _list_members(n: int, rows: tuple, counted: dict) -> tuple[str, ...]:
-    """The best bucket's words in lexicographic order, from the forward
-    moves and best keys in counted.
+    """The best bucket's words in lexicographic order, from the levels
+    and best keys in counted.
 
     Each distinct row lists its own words once.  A word's coordinates
     cycle over its rows, so the bucket is every choice of one word per
@@ -552,8 +546,7 @@ def _list_members(n: int, rows: tuple, counted: dict) -> tuple[str, ...]:
     cost is O(|C| n) plus the sort.
     """
     words = {
-        row: _row_words(row[0], row[2], moves, best)
-        for row, (moves, best, _) in counted.items()
+        row: _row_words(*row, levels, best) for row, (levels, best, _) in counted.items()
     }
     if len(rows) == 1:
         return tuple(words[rows[0]])
@@ -584,14 +577,15 @@ def _largest_bucket(n: int, rows: tuple):
     forward pass steps each rest once per position and bit and carries
     the counts of all mods[0] residues packed in one int: 2 m step calls
     per rest and row of length m = n / k, up to mods[0] times fewer than
-    one per state.  The backward pass and the member walk reuse the
-    moves it recorded and carry liveness as one bitmask over the leading
-    residue per rest.
+    one per state.  It keeps only the rests each level reached.  The
+    backward pass steps those rests again, the same number of calls,
+    and it and the member walk carry liveness as one bitmask over the
+    leading residue per rest.
 
     Only the forward counts run here, once per distinct row automaton.
     The returned lister takes no argument and returns the members in
-    lexicographic order from the moves those counts recorded; nothing is
-    listed until it is called.
+    lexicographic order, stepping the rows again; nothing is listed
+    until it is called.
     """
     if n > DEFAULT_ENUM_GUARD:
         raise GuardLimit(f"search at n={n} exceeds the enumeration guard {DEFAULT_ENUM_GUARD}")

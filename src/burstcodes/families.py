@@ -25,9 +25,11 @@ class Family:
     """How to reach one code family.
 
     burst is the (t, s) the family corrects, None where --t and --s
-    choose it.  needs names the options the family cannot work without,
-    checked wherever a subcommand offers them; apart from member, every
-    subcommand also needs --n.
+    choose it; burst_for holds the rule every family subcommand and
+    simulate.family_setup apply to the asked t and s.  needs names the
+    options the family cannot work without, checked wherever a
+    subcommand offers them; apart from member, every subcommand also
+    needs --n.
 
     params(vals, n, opts) builds the parameter object from the --params
     integers, the length and the parsed options; member(x, params, n)
@@ -45,6 +47,21 @@ class Family:
     search: Callable
     decode: Callable | None = None
     roundtrip: Callable | None = None
+
+    def burst_for(self, name: str, t: int | None, s: int | None) -> tuple[int, int]:
+        """The (t, s) the family named name corrects, asked for as t, s.
+
+        A family that corrects one fixed burst takes its own value for
+        an omitted t or s and refuses any other; one whose burst t and s
+        choose needs both.
+        """
+        burst = self.burst or (t, s)
+        asked = (burst[0] if t is None else t, burst[1] if s is None else s)
+        if None in asked:
+            raise ValueError(f"{name} needs t and s")
+        if asked != burst:
+            raise ValueError(f"{name} corrects {burst}-bursts, not {asked}")
+        return burst
 
 
 def _take(vals: list[int], names: str) -> dict:
@@ -137,21 +154,21 @@ FAMILIES = {
         burst=(1, 0), needs=(),
         params=lambda vals, n, opts: _take(vals, "a"),
         member=lambda x, p, n: codes.vt_member(x, p["a"], n),
-        search=lambda n, t, s, P, f: codes.pigeonhole_search("vt", n, f=f),
+        search=lambda n, t, s, P, f: codes.pigeonhole_search("vt", n),
         decode=lambda y, p, n, opts: _word(codes.vt_decode(y, p["a"], n)),
     ),
     "lev2": Family(
         burst=(2, 0), needs=(),
         params=lambda vals, n, opts: _take(vals, "a"),
         member=lambda x, p, n: codes.lev2_member(x, p["a"], n),
-        search=lambda n, t, s, P, f: codes.pigeonhole_search("lev2", n, f=f),
+        search=lambda n, t, s, P, f: codes.pigeonhole_search("lev2", n),
         decode=lambda y, p, n, opts: _word(codes.lev2_decode(y, p["a"], n)),
     ),
     "c21": Family(
         burst=(2, 1), needs=(),
         params=lambda vals, n, opts: _take(vals, "a,b"),
         member=lambda x, p, n: codes.c21_member(x, p["a"], p["b"], n),
-        search=lambda n, t, s, P, f: codes.pigeonhole_search("c21", n, f=f),
+        search=lambda n, t, s, P, f: codes.pigeonhole_search("c21", n),
         decode=lambda y, p, n, opts: _outcome(codes.c21_decode(y, p["a"], p["b"], n)),
         roundtrip=lambda y, p, n: codes.c21_decode(y, p["a"], p["b"], n).word,
     ),

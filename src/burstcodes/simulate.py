@@ -90,20 +90,13 @@ def family_setup(family: str, n: int, t: int | None = None, s: int | None = None
     Returns (t, s, params_dict, codebook, decode) where decode maps a
     received word back to the codeword.  Families: those with a
     roundtrip decoder in FAMILIES (c21, c31, cts; the last needs t and s).
-    A family that corrects one fixed burst takes its own value for an
-    omitted t or s and refuses any other.  A length n < t, which no
+    t and s go through Family.burst_for, and a length n < t, which no
     (t, s)-burst fits in, is refused.
     """
     fam = FAMILIES.get(family)
     if fam is None or fam.roundtrip is None:
         raise ValueError(f"unknown family {family!r}")
-    burst = fam.burst or (t, s)
-    asked = (burst[0] if t is None else t, burst[1] if s is None else s)
-    if None in asked:
-        raise ValueError(f"{family} simulation needs t and s")
-    if asked != burst:
-        raise ValueError(f"{family} corrects {burst}-bursts, not {asked}")
-    t, s = burst
+    t, s = fam.burst_for(family, t, s)
     _check_room(n, t, s)
     params, book = fam.search(n, t, s, None, None)
     return t, s, book.params, book, lambda y: fam.roundtrip(y, params, n)

@@ -20,6 +20,7 @@ from .channel import (
     _burst_outputs,
     _check_burst,
     _check_room,
+    _check_sizes,
     _members,
     _refined_size,
     apply_burst,
@@ -142,6 +143,7 @@ def verify_roundtrip(members, t: int, s: int, decode) -> VerificationReport:
     """
     start = time.perf_counter()
     members = _codewords(members)
+    _check_sizes(t, s)
     corruptions = failures = 0
     witness = None
     inserts = tuple(all_words(s))
@@ -327,9 +329,16 @@ def verify_ball_laws(n_values, t_max: int = 4, s_max: int = 4) -> dict[str, Veri
 
 
 def bound_report(members, n: int, t: int, s: int) -> VerificationReport:
-    """Compare a codebook's size against the packing ceiling."""
+    """Compare a codebook's size against the packing ceiling at length n.
+
+    Every codeword must have length n, since the ceiling is for that
+    length only; the first one that does not is refused.
+    """
     start = time.perf_counter()
     members = _codewords(members)
+    for x in members:
+        if len(x) != n:
+            raise ValueError(f"codeword {x!r} has length {len(x)}, not n={n}")
     size = len(members)
     cap = sphere_packing_bound(n, t, s)
     raw = sphere_packing_bound(n, t, s, raw=True)

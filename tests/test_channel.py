@@ -17,7 +17,7 @@ from burstcodes.channel import (
     refined_ball_size,
     sphere_packing_bound,
 )
-from burstcodes.verify import _refined_parts
+from burstcodes.verify import _refined_parts, verify_disjoint, verify_roundtrip
 from burstcodes.words import all_words
 
 # worked (4,1)-ball around 101000111
@@ -196,6 +196,29 @@ def test_ball_rejects_bad_sizes():
         ball("0101", 5, 1)
     with pytest.raises(ValueError):
         ball_size_formula(4, 2, 0)
+
+
+@pytest.mark.parametrize(
+    "call, bad",
+    [
+        (lambda: ball("0101", 1.5, 1), "1.5"),
+        (lambda: refined_ball("0101", 1, 1.0), "1.0"),
+        (lambda: refined_ball_size("0101", 1.0, 1), "1.0"),
+        (lambda: verify_disjoint(["0101"], 2.0, 1), "2.0"),
+        (lambda: verify_disjoint(["0101"], 1, True), "True"),
+        (lambda: apply_burst("0101", BurstSpec(1.5, 1, 1, "0")), "1.5"),
+        (lambda: BurstSpec(1, False, 1, ""), "False"),
+        (lambda: verify_roundtrip(["0101"], 1.0, 1, lambda y: y), "1.0"),
+        (lambda: verify_roundtrip(["0101"], 1, 1.0, lambda y: y), "1.0"),
+    ],
+    ids=[
+        "ball", "refined_ball", "refined_ball_size", "disjoint", "disjoint-bool",
+        "apply_burst", "spec-bool", "roundtrip-t", "roundtrip-s",
+    ],
+)
+def test_burst_sizes_must_be_ints(call, bad):
+    with pytest.raises(ValueError, match=f"^burst sizes must be ints, got {bad}$"):
+        call()
 
 
 @given(

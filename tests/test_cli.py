@@ -189,6 +189,24 @@ def test_search_lists_members_only_when_asked(capsys, monkeypatch):
         main(["search", "c21", "--n", "8", "--members"])
 
 
+@pytest.mark.parametrize(
+    "argv, burst, asked",
+    [
+        ("decode c31 --n 8 --t 2 --s 1 --params 10,2,2,4 011001", "(3, 1)", "(2, 1)"),
+        ("decode c21 --n 8 --t 1 --s 2 --params 0,0 0110010", "(2, 1)", "(1, 2)"),
+        ("search c21 --n 7 --t 3 --s 1", "(2, 1)", "(3, 1)"),
+        ("search vt --n 7 --s 1", "(1, 0)", "(1, 1)"),
+        ("member c31 --t 4 --s 1 --params 33,3,0,1 000101101111", "(3, 1)", "(4, 1)"),
+        ("member svt21 --P 4 --t 2 --s 2 --params 0,0 0101", "(2, 1)", "(2, 2)"),
+    ],
+)
+def test_every_family_subcommand_refuses_another_burst(capsys, argv, burst, asked):
+    family = argv.split()[1]
+    code, out, err = run(capsys, *argv.split())
+    assert (code, out) == (2, "")
+    assert err == f"error: {family} corrects {burst}-bursts, not {asked}\n"
+
+
 def test_python_dash_m_runs_the_cli(capsys):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(

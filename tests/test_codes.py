@@ -308,15 +308,18 @@ CONTRACT_SHAPES = (
 )
 
 
+def shape_rows(kind, n, *extra):
+    if kind == "c31":
+        return c31._rows(n)
+    if kind == "cts":
+        return cts._rows(n, *extra)
+    return codes._family_rows(kind, n, *extra)[0]
+
+
 @pytest.mark.parametrize("shape", CONTRACT_SHAPES, ids=map(str, CONTRACT_SHAPES))
 def test_rows_keep_the_leading_residue_contract(shape):
     kind, n, *extra = shape
-    if kind == "c31":
-        rows = c31._rows(n)
-    elif kind == "cts":
-        rows = cts._rows(n, *extra)
-    else:
-        rows = codes._family_rows(kind, n, *extra)[0]
+    rows = shape_rows(kind, n, *extra)
     m = n // len(rows)
     lead = rsyn0 if kind in ("lev2", "c31") else vt_syndrome
     cap = None
@@ -340,6 +343,42 @@ def test_contract_check_catches_a_residue_read_by_the_rest():
     assert contract_breaks((0, 0), step, (5, 4), 4, vt_syndrome, lambda x: True)
     # a row that leaves out a word the whole-word filter keeps
     assert contract_breaks(*codes._weighted_row(5, 1), 4, vt_syndrome, lambda x: True)
+
+
+COST_SHAPES = (("vt", 12, None, None), ("c21rll", 12, None, None), ("c31", 12), ("cts", 12, 4, 2))
+
+
+@pytest.mark.parametrize("shape", COST_SHAPES, ids=map(str, COST_SHAPES))
+def test_count_and_listing_each_step_every_reached_rest_once_per_bit(shape):
+    kind, n, *extra = shape
+    rows = shape_rows(kind, n, *extra)
+    m = n // len(rows)
+    # 2 step calls per rest reached before each position, found here by
+    # stepping the rests alone, per distinct row
+    want = 0
+    for init, step, _ in dict.fromkeys(rows):
+        level = {init}
+        for pos in range(1, m + 1):
+            want += 2 * len(level)
+            level = {t[1] for rest in level for b in (0, 1) if (t := step(rest, pos, b))}
+    calls = [0]
+
+    def counted(row):
+        init, step, mods = row
+
+        def tally(rest, pos, bit):
+            calls[0] += 1
+            return step(rest, pos, bit)
+
+        return init, tally, mods
+
+    wrapped = {row: counted(row) for row in dict.fromkeys(rows)}
+    best, size, lister = codes._largest_bucket(n, tuple(wrapped[row] for row in rows))
+    assert calls[0] == want
+    members = lister()
+    assert calls[0] == 2 * want
+    assert len(members) == size
+    assert all(codes._in_bucket(x, n, rows, best) for x in members)
 
 
 def test_pigeonhole_c21_at_the_guard_limit():

@@ -264,6 +264,18 @@ def test_bound_report(c21_book):
     assert rep.counts["redundancy"] == pytest.approx(8 - math.log2(c21_book.size), abs=1e-3)
 
 
+@pytest.mark.parametrize(
+    "members, n, msg",
+    [
+        (["0101"], 9, "codeword '0101' has length 4, not n=9"),
+        (["0101", "011", "01"], 4, "codeword '011' has length 3, not n=4"),
+    ],
+)
+def test_bound_report_refuses_words_of_another_length(members, n, msg):
+    with pytest.raises(ValueError, match=f"^{msg}$"):
+        bound_report(members, n, 1, 1)
+
+
 def test_report_json_line(c21_book):
     rep = verify_disjoint(c21_book.members, 2, 1)
     line = rep.to_json()
