@@ -55,7 +55,7 @@ A string is built only for a word that passes a, b and c.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cache
 from itertools import accumulate
 
@@ -72,7 +72,7 @@ from .codes import (
     _largest_bucket,
 )
 from .errors import DecodeFailure
-from .words import run_count, weights
+from .words import _check_int, run_count, weights
 
 __all__ = ["C31Params", "C31Trace", "classify_31", "c31_member", "c31_decode", "c31_param_search"]
 
@@ -121,7 +121,7 @@ class C31Params:
         _rows(self.n)
 
     def to_dict(self) -> dict:
-        return {"n": self.n, "a": self.a, "b": self.b, "c": self.c, "d": self.d}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -137,14 +137,23 @@ class C31Trace:
     run_filter_decisive: bool
 
 
-@cache
+_LENGTH = "length must be even and >= 4, got {}"
+
+
 def _rows(n: int) -> tuple:
     """The one row automaton of the code: residues (a, odd, even, runs),
     the rest (odd, even, runs, last bit).
 
-    The code needs n even and >= 4, so any other length is refused."""
-    if n < 4 or n % 2:
-        raise ValueError(f"length must be even and >= 4, got {n}")
+    The code needs n even and >= 4; any other length is refused before
+    the cache, which would take 8.0 for 8."""
+    if _check_int(n, 4, _LENGTH, n) % 2:
+        raise ValueError(_LENGTH.format(n))
+    return _automaton(n)
+
+
+@cache
+def _automaton(n: int) -> tuple:
+    """_rows() for a checked length."""
 
     def step(rest, i, bit):
         # rsyn0 adds n+1-i where x_i != x_{i-1} (x_0 = 0); the run count

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .words import check_word
+from .words import _check_int, check_word
 
 __all__ = [
     "BurstSpec",
@@ -53,8 +53,6 @@ class BurstSpec:
 
     def __post_init__(self):
         _check_sizes(self.t, self.s)
-        if self.t < 0 or self.s < 0:
-            raise ValueError("burst sizes must be >= 0")
         check_word(self.inserted, what="inserted word")
         if len(self.inserted) != self.s:
             raise ValueError(
@@ -62,14 +60,17 @@ class BurstSpec:
             )
 
 
+_START = "burst start {} out of range 1..{} for n={}, t={}"
+
+
 def apply_burst(x: str, spec: BurstSpec) -> str:
     """Delete t symbols of x starting at spec.start, splice in spec.inserted."""
     check_word(x)
     n = len(x)
-    if not 1 <= spec.start <= n - spec.t + 1:
-        raise ValueError(
-            f"burst start {spec.start} out of range 1..{n - spec.t + 1} for n={n}, t={spec.t}"
-        )
+    last = n - spec.t + 1
+    fields = (spec.start, last, n, spec.t)
+    _check_int(spec.start, 1, _START, *fields)
+    _check_int(last, spec.start, _START, *fields)
     i = spec.start - 1
     return x[:i] + spec.inserted + x[i + spec.t :]
 
@@ -186,25 +187,25 @@ def _members(out: set[int], m: int) -> tuple[str, ...]:
 
 
 def _check_room(n: int, t: int, s: int) -> None:
-    """Refuse a length that no (t, s)-burst fits in."""
-    if n < t:
-        raise ValueError(f"no ({t}, {s})-burst fits in length n={n}")
+    """Refuse a length that is not an int or that no (t, s)-burst fits in."""
+    _check_int(n, t, "no ({}, {})-burst fits in length n={}", t, s, n)
 
 
 def _check_sizes(*sizes) -> None:
-    """Refuse a burst size whose type is not int; a bool is not a size."""
+    """Refuse burst sizes unless each is an int >= 0; a bool is not a size.
+
+    Every type is checked before any sign."""
     for size in sizes:
         if type(size) is not int:
             raise ValueError(f"burst sizes must be ints, got {size!r}")
+    if min(sizes) < 0:
+        raise ValueError("burst sizes must be >= 0")
 
 
 def _check_burst(x: str, t: int, s: int) -> None:
     check_word(x)
     _check_sizes(t, s)
-    if t < 0 or s < 0:
-        raise ValueError("burst sizes must be >= 0")
-    if len(x) < t:
-        raise ValueError(f"word of length {len(x)} cannot lose a burst of {t}")
+    _check_int(len(x), t, "word of length {} cannot lose a burst of {}", len(x), t)
 
 
 def ball(x: str, t: int, s: int) -> Ball:
@@ -223,12 +224,9 @@ def ball(x: str, t: int, s: int) -> Ball:
 
 def ball_size_formula(n: int, t: int, s: int) -> int:
     """Closed-form |B_{t,s}| = (n - t + 2) * 2^(s-1); center-independent."""
-    if s < 1:
-        raise ValueError("closed form needs s >= 1")
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    if n < max(t, s):
-        raise ValueError(f"need n >= max(t, s), got n={n}, t={t}, s={s}")
+    _check_sizes(t, s)
+    _check_int(s, 1, "closed form needs s >= 1")
+    _check_int(n, max(t, s), "need n >= max(t, s), got n={}, t={}, s={}", n, t, s)
     return (n - t + 2) * 2 ** (s - 1)
 
 
@@ -283,9 +281,8 @@ def sphere_packing_bound(n: int, t: int, s: int, *, raw: bool = False) -> int:
     the same property, so the stronger of the two ceilings applies);
     raw=True keeps m = t.
     """
-    if t < 1 or s < 1:
-        raise ValueError("bound needs t >= 1 and s >= 1")
+    _check_sizes(t, s)
+    _check_int(min(t, s), 1, "bound needs t >= 1 and s >= 1")
     m = t if raw else max(t, s)
-    if n < m:
-        raise ValueError(f"need n >= {m}")
+    _check_int(n, m, "need n >= {}", m)
     return (1 << (n - m + 1)) // (n - m + 2)

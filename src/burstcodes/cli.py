@@ -30,7 +30,7 @@ from .verify import (
     verify_equivalence,
     verify_roundtrip,
 )
-from .words import check_word
+from .words import _check_int, check_word
 
 __all__ = ["main"]
 
@@ -56,8 +56,7 @@ def _parse_n_range(text: str) -> list[int]:
     if ".." in text:
         lo, hi = text.split("..", 1)
         lo, hi = int(lo), int(hi)
-        if hi < lo:
-            raise ValueError(f"empty range {text!r}")
+        _check_int(hi, lo, "empty range {!r}", text)
         return list(range(lo, hi + 1))
     return [int(text)]
 
@@ -82,9 +81,11 @@ def _need(args, *names):
 
 
 def _family(args, *names):
-    """The family the command names, once it has every option it needs
-    and --t/--s ask for the burst it corrects."""
+    """The family the command names, once it is given no option it does
+    not read and every option it needs, and --t/--s ask for the burst it
+    corrects."""
     fam = FAMILIES[args.family]
+    fam.check_reads(args.family, "--", **{o: getattr(args, o, None) for o in ("P", "f", "window")})
     _need(args, *names, *fam.needs)
     fam.burst_for(args.family, args.t, args.s)
     return fam
@@ -180,8 +181,7 @@ def _print_report(rep) -> bool:
 
 def cmd_verify(args) -> int:
     if args.check == "ball-laws":
-        if args.n_max < 2:
-            raise ValueError(f"--n-max must be >= 2, got {args.n_max}")
+        _check_int(args.n_max, 2, "--n-max must be >= 2, got {}", args.n_max)
         ns = list(range(2, args.n_max + 1))
         reports = verify_ball_laws(ns, args.t_max, args.s_max)
         ok = True

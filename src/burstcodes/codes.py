@@ -68,7 +68,7 @@ from itertools import accumulate, product
 
 from .channel import _check_room
 from .errors import DecodeAmbiguity, DecodeFailure, GuardLimit
-from .words import check_word, rsyn0
+from .words import _check_int, check_word, rsyn0
 
 __all__ = [
     "NO_ERROR",
@@ -292,8 +292,6 @@ def vt_decode(y: str, a: int, n: int) -> str:
 
 
 def lev2_member(x: str, a: int, n: int) -> bool:
-    if n < 1:
-        raise ValueError("length must be >= 1")
     return _in_bucket(x, n, _family_rows("lev2", n, None, None)[0], (a,))
 
 
@@ -303,8 +301,7 @@ def lev2_decode(y: str, a: int, n: int) -> str:
     The received length says how many symbols went missing (0, 1, or 2);
     the zero-prefixed run syndrome mod 2n then pins the unique preimage.
     """
-    if n < 1:
-        raise ValueError("length must be >= 1")
+    _check_int(n, 1, "length must be >= 1")
     check_word(y)
     a = a % (2 * n)
     if len(y) == n:
@@ -381,17 +378,15 @@ def svt21_decode(
     2P-1 and mod 4 are needed because candidate starts this close
     together can never collide on both.
     """
+    _check_room(n, 2, 1)
     _check_received(y, n - 1)
-    if P < 1:
-        raise ValueError("window capacity P must be >= 1")
+    _check_int(P, 1, "window capacity P must be >= 1")
     lo, hi = window
-    if lo > hi:
-        raise ValueError(f"empty window {window}")
-    if hi - lo + 1 > P:
-        raise ValueError(f"window {window} longer than P={P}")
+    _check_int(lo, None, "empty window {}", window)
+    _check_int(hi, lo, "empty window {}", window)
+    _check_int(P, hi - lo + 1, "window {} longer than P={}", window, P)
     lo, hi = max(lo, 1), min(hi, n - 1)
-    if lo > hi:
-        raise ValueError(f"window {window} has no valid burst start for n={n}")
+    _check_int(hi, lo, "window {} has no valid burst start for n={}", window, n)
     ones, V = _suffix_ones(y)
     # the weight change that gives weight d mod 4, read as -1..2
     change = (d - ones[0] + 1) % 4 - 1
@@ -405,8 +400,7 @@ def svt21_decode(
 
 def rll_max_run(n: int) -> int:
     """Run cap ceil(log2 n) + 3 used by the interleaved construction."""
-    if n < 1:
-        raise ValueError("length must be >= 1")
+    _check_int(n, 1, "length must be >= 1")
     return (n - 1).bit_length() + 3
 
 
@@ -425,8 +419,7 @@ def max_run_length(x: str) -> int:
 
 def rll_member(x: str, f: int) -> bool:
     """True when every run of x has length at most f."""
-    if f < 1:
-        raise ValueError("run cap must be >= 1")
+    _check_int(f, 1, "run cap must be >= 1")
     return max_run_length(x) <= f
 
 
@@ -536,7 +529,7 @@ def _row_words(init, step, mods: tuple, levels: list, best: tuple) -> list[str]:
     return words
 
 
-def _list_members(n: int, rows: tuple, counted: dict) -> tuple[str, ...]:
+def _list_members(rows: tuple, counted: dict) -> tuple[str, ...]:
     """The best bucket's words in lexicographic order, from the levels
     and best keys in counted.
 
@@ -593,7 +586,7 @@ def _largest_bucket(n: int, rows: tuple):
     counted = {row: _row_counts(*row, m) for row in dict.fromkeys(rows)}
     best = sum((counted[row][1] for row in rows), ())
     size = math.prod(counted[row][2] for row in rows)
-    return best, size, lambda: _list_members(n, rows, counted)
+    return best, size, lambda: _list_members(rows, counted)
 
 
 def _in_bucket(x: str, n: int, rows: tuple, vals: tuple) -> bool:
@@ -641,10 +634,35 @@ def _weighted_row(mod: int, cap: int | None = None):
     return (0, None, 0), step, (mod, 4)
 
 
-@cache
+_ROW_FAMILIES = ("vt", "lev2", "c21", "c21rll", "svt21")
+
+
 def _family_rows(family: str, n: int, P: int | None, f: int | None):
     """Return (row automata, parameter names, fixed params) for a family,
-    built once per shape."""
+    built once per shape.  The arguments are checked before the cache,
+    where 8.0 would hit 8's key: any int length (a member test answers
+    False at another), n >= 1 for lev2's 2n, and only the options FAMILIES
+    says the family reads."""
+    from .families import FAMILIES  # it imports this module
+
+    if family not in _ROW_FAMILIES:
+        raise ValueError(f"unknown family {family!r}; choose from {', '.join(_ROW_FAMILIES)}")
+    FAMILIES[family].check_reads(family, P=P, f=f)
+    _check_int(n, None, "length must be an int")
+    if family == "lev2":
+        _check_int(n, 1, "length must be >= 1")
+    if f is not None:
+        _check_int(f, 1, "run cap must be >= 1")
+    if family == "svt21":
+        if P is None:
+            raise ValueError("svt21 needs the window capacity P")
+        _check_int(P, 1, "window capacity P must be >= 1")
+    return _build_rows(family, n, P, f)
+
+
+@cache
+def _build_rows(family: str, n: int, P: int | None, f: int | None):
+    """_family_rows() for checked arguments."""
     if family == "vt":
         row = ((), lambda rest, i, b: (i * b, ()), (n + 1,))
         return (row,), ("a",), {}
@@ -659,16 +677,8 @@ def _family_rows(family: str, n: int, P: int | None, f: int | None):
         return (_weighted_row(2 * n - 1),), ("a", "b"), {}
     if family == "c21rll":
         cap = rll_max_run(n) if f is None else f
-        if cap < 1:
-            raise ValueError("run cap must be >= 1")
         return (_weighted_row(2 * n - 1, cap),), ("a", "b"), {"f": cap}
-    if family == "svt21":
-        if P is None:
-            raise ValueError("svt21 needs the window capacity P")
-        if P < 1:
-            raise ValueError("window capacity P must be >= 1")
-        return (_weighted_row(2 * P - 1),), ("c", "d"), {"P": P}
-    raise ValueError(f"unknown family {family!r}; choose from vt, lev2, c21, c21rll, svt21")
+    return (_weighted_row(2 * P - 1),), ("c", "d"), {"P": P}
 
 
 def pigeonhole_search(
@@ -687,8 +697,7 @@ def pigeonhole_search(
     O(|C| n) more, on first access.  Lengths above DEFAULT_ENUM_GUARD,
     whose codebook would be too big to list, are refused.
     """
-    if n < 1:
-        raise ValueError("length must be >= 1")
+    _check_int(n, 1, "length must be >= 1")
     rows, names, fixed = _family_rows(family, n, P, f)
     best_key, size, lister = _largest_bucket(n, rows)
     params = dict(zip(names, best_key)) | fixed

@@ -34,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
+from .channel import _check_sizes
 from .codes import (
     MERGE_00_TO_1,
     MERGE_11_TO_0,
@@ -49,6 +50,7 @@ from .codes import (
     svt21_decode,
 )
 from .errors import DecodeFailure
+from .words import _check_int
 
 __all__ = [
     "CtsParams",
@@ -63,15 +65,14 @@ __all__ = [
 
 def _shape(n: int, t: int, s: int) -> tuple[int, int]:
     """Row count k and row length m of the construction at (n, t, s)."""
+    _check_sizes(t, s)
     if s < 1 or t < 2 * s:
         raise ValueError(f"construction needs t >= 2s >= 2, got t={t}, s={s}")
     k = t - s
     if n % k != 0:
         raise ValueError(f"row count {k} must divide n={n}")
-    m = n // k
-    if m < 2:
-        raise ValueError("rows must have length >= 2")
-    return k, m
+    # a float n that k divides gives a float m, refused here
+    return k, _check_int(n // k, 2, "rows must have length >= 2")
 
 
 def window_capacity(m: int, s: int) -> int:
@@ -79,12 +80,16 @@ def window_capacity(m: int, s: int) -> int:
     return rll_max_run(m) + (1 if s == 1 else 2)
 
 
-@cache
 def _rows(n: int, t: int, s: int) -> tuple:
     """The row automata at (n, t, s), built once per shape: row 1's C21
     sums with the run cap, then k - 1 copies of the SVT21 sums;
-    ValueError where no construction exists."""
-    k, m = _shape(n, t, s)
+    ValueError where no construction exists.  The cache keys on the
+    checked shape, so no float n that equals an int reaches it."""
+    return _shaped_rows(*_shape(n, t, s), s)
+
+
+@cache
+def _shaped_rows(k: int, m: int, s: int) -> tuple:
     first = _weighted_row(2 * m - 1, rll_max_run(m))
     return (first,) + (_weighted_row(2 * window_capacity(m, s) - 1),) * (k - 1)
 

@@ -12,7 +12,7 @@ that replaces a module attribute, such as a tracer, sees these calls.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 from . import c31, codes, cts
@@ -29,7 +29,8 @@ class Family:
     simulate.family_setup apply to the asked t and s.  needs names the
     options the family cannot work without, checked wherever a
     subcommand offers them; apart from member, every subcommand also
-    needs --n.
+    needs --n.  reads names the family options, of P, f and window,
+    that the family reads at all; check_reads refuses any other.
 
     params(vals, n, opts) builds the parameter object from the --params
     integers, the length and the parsed options; member(x, params, n)
@@ -47,6 +48,7 @@ class Family:
     search: Callable
     decode: Callable | None = None
     roundtrip: Callable | None = None
+    reads: tuple[str, ...] = ()
 
     def burst_for(self, name: str, t: int | None, s: int | None) -> tuple[int, int]:
         """The (t, s) the family named name corrects, asked for as t, s.
@@ -62,6 +64,13 @@ class Family:
         if asked != burst:
             raise ValueError(f"{name} corrects {burst}-bursts, not {asked}")
         return burst
+
+    def check_reads(self, name: str, flag: str = "", **options) -> None:
+        """Refuse each of options, by its name as flag + key, that is set
+        although the family named name does not read it."""
+        for key, value in options.items():
+            if value is not None and key not in self.reads:
+                raise ValueError(f"{name} does not read {flag}{key}")
 
 
 def _take(vals: list[int], names: str) -> dict:
@@ -105,11 +114,7 @@ def _decode_cts(y: str, params: cts.CtsParams, n: int, opts):
     word, trace = cts.cts_decode(y, params, trace=True)
     payload = {
         "decoded": word,
-        "row1": {
-            "decoded": trace.row1.word,
-            "classification": trace.row1.classification,
-            "window": list(trace.row1.window),
-        },
+        "row1": _outcome(trace.row1)[0],
         "column_window": list(trace.column_window) if trace.column_window else None,
         "rows": list(trace.rows),
     }
@@ -133,14 +138,8 @@ def _decode_c31(y: str, params: c31.C31Params, n: int, opts):
     payload = {"decoded": word, "classification": trace.classification}
     lines = [f"decoded {word}", f"classification {trace.classification}"]
     if opts.verbose:
-        payload["trace"] = {
-            "d_odd": trace.d_odd,
-            "d_even": trace.d_even,
-            "d_run": trace.d_run,
-            "candidates": trace.candidates,
-            "survivors": trace.survivors,
-            "run_filter_decisive": trace.run_filter_decisive,
-        }
+        # the classification is already at the top level
+        payload["trace"] = {k: v for k, v in asdict(trace).items() if k != "classification"}
         lines.append(f"deltas odd={trace.d_odd} even={trace.d_even} run={trace.d_run}")
         lines.append(
             f"candidates {trace.candidates}, survivors {trace.survivors}, "
@@ -177,6 +176,7 @@ FAMILIES = {
         params=lambda vals, n, opts: _take(vals, "a,b") | {"f": opts.f},
         member=lambda x, p, n: codes.c21rll_member(x, p["a"], p["b"], n, p["f"]),
         search=lambda n, t, s, P, f: codes.pigeonhole_search("c21rll", n, f=f),
+        reads=("f",),
     ),
     "svt21": Family(
         burst=(2, 1), needs=("P", "window"),
@@ -186,6 +186,7 @@ FAMILIES = {
         decode=lambda y, p, n, opts: _word(
             codes.svt21_decode(y, p["c"], p["d"], p["P"], opts.window, n)
         ),
+        reads=("P", "window"),
     ),
     "cts": Family(
         burst=None, needs=("n", "t", "s", "params"),

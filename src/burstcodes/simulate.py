@@ -9,11 +9,12 @@ draws use rejection sampling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .channel import BurstSpec, _check_room, apply_burst
 from .errors import DecodingError
 from .families import FAMILIES
+from .words import _check_int
 
 __all__ = ["SplitMix64", "SimulationResult", "simulate", "family_setup"]
 
@@ -36,8 +37,7 @@ class SplitMix64:
 
     def below(self, bound: int) -> int:
         """Uniform integer in [0, bound) without modulo bias."""
-        if bound <= 0:
-            raise ValueError("bound must be positive")
+        _check_int(bound, 1, "bound must be positive")
         limit = (1 << 64) - ((1 << 64) % bound)
         while True:
             draw = self.next64()
@@ -69,19 +69,7 @@ class SimulationResult:
         return self.trials - self.successes
 
     def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "n": self.n,
-            "t": self.t,
-            "s": self.s,
-            "seed": self.seed,
-            "trials": self.trials,
-            "successes": self.successes,
-            "failures": self.failures,
-            "params": self.params,
-            "codebook_size": self.codebook_size,
-            "witnesses": self.witnesses,
-        }
+        return asdict(self) | {"failures": self.failures}
 
 
 def family_setup(family: str, n: int, t: int | None = None, s: int | None = None):
@@ -117,9 +105,8 @@ def simulate(
     burst start, inserted word.  Up to 10 failing trials are kept as
     replayable witnesses.
     """
-    if trials < 1:
-        # zero trials would report a vacuous success 0/0
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    # zero trials would report a vacuous success 0/0
+    _check_int(trials, 1, "trials must be >= 1, got {}", trials)
     t, s, params, book, decode = family_setup(family, n, t, s)
     rng = SplitMix64(seed)
     successes = 0

@@ -12,10 +12,9 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .channel import (
-    BurstSpec,
     _burst_mask,
     _burst_outputs,
     _check_burst,
@@ -23,12 +22,11 @@ from .channel import (
     _check_sizes,
     _members,
     _refined_size,
-    apply_burst,
     ball_size_formula,
     sphere_packing_bound,
 )
 from .errors import DecodingError, GuardLimit
-from .words import all_words
+from .words import _check_int, all_words, check_word
 
 __all__ = [
     "VerificationReport",
@@ -54,13 +52,9 @@ class VerificationReport:
     elapsed_s: float = 0.0
 
     def to_dict(self) -> dict:
-        return {
+        return asdict(self) | {
             "schema_version": SCHEMA_VERSION,
-            "check": self.check,
-            "params": self.params,
             "verdict": "pass" if self.verdict else "fail",
-            "counts": self.counts,
-            "witness": self.witness,
             "elapsed_s": round(self.elapsed_s, 3),
         }
 
@@ -69,8 +63,8 @@ class VerificationReport:
 
 
 def _codewords(members) -> tuple:
-    """members as a tuple, refused when empty."""
-    members = tuple(members)
+    """members as a tuple of checked words, refused when empty."""
+    members = tuple(map(check_word, members))
     if not members:
         raise ValueError("no codewords to check")
     return members
@@ -150,9 +144,6 @@ def verify_roundtrip(members, t: int, s: int, decode) -> VerificationReport:
     for x in members:
         n = len(x)
         _check_room(n, t, s)
-        # the first burst goes through the checked channel, which refuses
-        # a bad x or t; every burst after it is a plain splice
-        apply_burst(x, BurstSpec(t, s, 1, inserts[0]))
         for pos in range(1, n - t + 2):
             for ins in inserts:
                 corruptions += 1
@@ -228,6 +219,14 @@ def _refined_parts(t: int, s: int):
     return [(k, s - t + k) for k in range(t + 1)]
 
 
+# each law of the ball-law sweep, with the check name its report carries
+_BALL_LAWS = {
+    "size": "ball-size-law",
+    "partition": "refined-partition",
+    "refined-size": "refined-size-formulas",
+}
+
+
 def verify_ball_laws(n_values, t_max: int = 4, s_max: int = 4) -> dict[str, VerificationReport]:
     """One sweep over all words and burst sizes, three laws checked.
 
@@ -242,29 +241,27 @@ def verify_ball_laws(n_values, t_max: int = 4, s_max: int = 4) -> dict[str, Veri
     refined (k, l) part and its closed form are computed once and shared
     by every (t, s) that uses it; the full ball is enumerated on its own
     from all starts and inserts, never assembled from the parts.  Counts
-    are per (t, s) and part.  Raises ValueError unless t_max, s_max >= 1,
-    which any combination needs, for a sweep with no length >= 1, and
-    for a length that is not an int >= 0; GuardLimit for a length above
-    BALL_LAW_GUARD.
+    are per (t, s) and part.  Raises ValueError unless t_max and s_max
+    are ints >= 1, which any combination needs, for a sweep with no
+    length >= 1, and for a length that is not an int >= 0; GuardLimit
+    for a length above BALL_LAW_GUARD.
 
     Returns reports keyed 'size', 'partition', 'refined-size'.
     """
-    if t_max < 1 or s_max < 1:
-        raise ValueError(f"ball-law sweep needs t_max, s_max >= 1, got {t_max}, {s_max}")
+    _check_int(min(t_max, s_max), 1, "ball-law sweep needs t_max, s_max >= 1, got {}, {}",
+               t_max, s_max)
+    _check_sizes(t_max, s_max)
     n_values = list(n_values)
     for n in n_values:
-        if type(n) is not int:
-            raise ValueError(f"ball-law sweep lengths must be ints, got {n!r}")
+        _check_int(n, None, "ball-law sweep lengths must be ints, got {!r}", n)
     n_values = sorted(set(n_values))
-    if not n_values or n_values[-1] < 1:
-        raise ValueError(f"ball-law sweep needs a length >= 1, got {n_values}")
-    if n_values[0] < 0:
-        raise ValueError(f"ball-law sweep lengths must be >= 0, got {n_values[0]}")
+    _check_int(max(n_values, default=0), 1, "ball-law sweep needs a length >= 1, got {}", n_values)
+    _check_int(n_values[0], 0, "ball-law sweep lengths must be >= 0, got {}", n_values[0])
     if n_values[-1] > BALL_LAW_GUARD:
         raise GuardLimit(f"ball-law sweep at n={n_values[-1]} exceeds guard {BALL_LAW_GUARD}")
     start = time.perf_counter()
-    fails = {"size": 0, "partition": 0, "refined-size": 0}
-    wit: dict[str, dict | None] = {"size": None, "partition": None, "refined-size": None}
+    fails = dict.fromkeys(_BALL_LAWS, 0)
+    wit: dict[str, dict | None] = dict.fromkeys(_BALL_LAWS)
 
     def fail(law: str, v: int, n: int, **fields) -> None:
         fails[law] += 1
@@ -305,26 +302,15 @@ def verify_ball_laws(n_values, t_max: int = 4, s_max: int = 4) -> dict[str, Veri
                     fail("partition", v, n, t=t, s=s, parts_total=total,
                          union=union.bit_count(), ball=size)
     elapsed = time.perf_counter() - start
-    base_params = {
-        "n_values": list(n_values),
-        "t_max": t_max,
-        "s_max": s_max,
-    }
-    base_counts = {"words": words, "burst_combinations": combos}
+    params = {"n_values": list(n_values), "t_max": t_max, "s_max": s_max}
+    counts = {"words": words, "burst_combinations": combos}
+    extra = {"refined-size": {"formula_checks": formula_checks}}
     return {
-        "size": VerificationReport(
-            "ball-size-law", base_params, fails["size"] == 0,
-            base_counts | {"failures": fails["size"]}, wit["size"], elapsed,
-        ),
-        "partition": VerificationReport(
-            "refined-partition", base_params, fails["partition"] == 0,
-            base_counts | {"failures": fails["partition"]}, wit["partition"], elapsed,
-        ),
-        "refined-size": VerificationReport(
-            "refined-size-formulas", base_params, fails["refined-size"] == 0,
-            base_counts | {"formula_checks": formula_checks, "failures": fails["refined-size"]},
-            wit["refined-size"], elapsed,
-        ),
+        law: VerificationReport(
+            check, params, fails[law] == 0,
+            counts | extra.get(law, {}) | {"failures": fails[law]}, wit[law], elapsed,
+        )
+        for law, check in _BALL_LAWS.items()
     }
 
 

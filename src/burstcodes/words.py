@@ -42,6 +42,14 @@ def check_word(x: str, *, what: str = "word") -> str:
     return x
 
 
+def _check_int(x, least: int | None, message: str, *fields) -> int:
+    """x if it is an int, not a bool, and least is None or x >= least;
+    else ValueError(message.format(*fields)), formatted only then."""
+    if type(x) is not int or least is not None and x < least:
+        raise ValueError(message.format(*fields))
+    return x
+
+
 @dataclass(frozen=True)
 class RunProfile:
     """Per-coordinate run indices plus the two derived run statistics."""
@@ -112,8 +120,7 @@ def interleave(x: str, k: int) -> tuple[str, ...]:
     is the identity (one row).
     """
     check_word(x)
-    if k < 1:
-        raise ValueError(f"row count must be >= 1, got {k}")
+    _check_int(k, 1, "row count must be >= 1, got {}", k)
     if not x:
         raise ValueError("cannot interleave an empty word")
     if len(x) % k != 0:
@@ -140,9 +147,7 @@ def deinterleave(rows) -> str:
 
 def all_words(n: int):
     """Yield every word of length n in lexicographic (= numeric) order."""
-    if n < 0:
-        raise ValueError("length must be >= 0")
-    if n == 0:
+    if _check_int(n, 0, "length must be >= 0") == 0:
         yield ""
         return
     for v in range(1 << n):

@@ -210,10 +210,15 @@ def test_ball_rejects_bad_sizes():
         (lambda: BurstSpec(1, False, 1, ""), "False"),
         (lambda: verify_roundtrip(["0101"], 1.0, 1, lambda y: y), "1.0"),
         (lambda: verify_roundtrip(["0101"], 1, 1.0, lambda y: y), "1.0"),
+        (lambda: ball_size_formula(4, 1.5, 1), "1.5"),
+        (lambda: ball_size_formula(4, 1, True), "True"),
+        (lambda: sphere_packing_bound(9, 1.5, 1), "1.5"),
+        (lambda: sphere_packing_bound(9, True, 1), "True"),
     ],
     ids=[
         "ball", "refined_ball", "refined_ball_size", "disjoint", "disjoint-bool",
         "apply_burst", "spec-bool", "roundtrip-t", "roundtrip-s",
+        "formula", "formula-bool", "bound", "bound-bool",
     ],
 )
 def test_burst_sizes_must_be_ints(call, bad):

@@ -314,6 +314,16 @@ def test_exit_2_on_domain_error(capsys):
     code, _, err = run(capsys, "search", "c21rll", "--n", "6", "--f", "0")
     assert code == 2
     assert err == "error: run cap must be >= 1\n"
+    # an option the family does not read is refused, not dropped
+    for option, argv in (
+        ("--f", ("member", "vt", "--f", "0", "--params", "0", "0110")),
+        ("--f", ("search", "vt", "--n", "8", "--f", "0")),
+        ("--P", ("search", "c21", "--n", "8", "--P", "0")),
+        ("--P", ("decode", "c21", "--n", "5", "--params", "0,0", "--P", "3", "--window", "1,2",
+                 "0110")),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {argv[1]} does not read {option}\n")
     # a fixed-burst family refuses any other burst, an omitted size taking its own
     for argv in (
         ("simulate", "c21", "--n", "8", "--t", "5"),

@@ -410,6 +410,10 @@ def test_pigeonhole_rejects_bad_caps_before_the_guard():
             pigeonhole_search("c21rll", n, f=0)
         with pytest.raises(ValueError, match="window capacity P must be >= 1"):
             pigeonhole_search("svt21", n, P=0)
+        with pytest.raises(ValueError, match="^vt does not read P$"):
+            pigeonhole_search("vt", n, P=3)
+        with pytest.raises(ValueError, match="^svt21 does not read f$"):
+            pigeonhole_search("svt21", n, P=3, f=2)
 
 
 def test_pigeonhole_unknown_family():

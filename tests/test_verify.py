@@ -90,7 +90,7 @@ def test_checks_refuse_an_empty_book(check):
     [
         (["0110", "01a1"], 2, 1, "word contains non-binary symbol 'a'"),
         (["0110"], -1, 1, "burst sizes must be >= 0"),
-        (["0110"], 2, -1, "length must be >= 0"),
+        (["0110"], 2, -1, "burst sizes must be >= 0"),
     ],
 )
 def test_roundtrip_refuses_bad_words_and_sizes(members, t, s, msg):
