@@ -10,9 +10,13 @@ partition device behind the closed-form ball size.
 Both run on one integer kernel, _burst_outputs(): a word of length n is
 the int whose binary digits it spells (x_1 most significant), and each
 output is spliced together with shifts and masks, so no string is built
-until the members are listed.  The exhaustive ball-law sweep uses its
-bitmask form, _burst_mask(), which sets bit u for each output u, so a
-ball's size is a bit count and a union is one OR.
+until the members are listed; both refuse with GuardLimit a center whose
+n - t + 1 starts times 2^s inserts exceed OUTPUT_GUARD.  The ball-law
+sweep sets bit u of a mask for each output u, so a size is a bit count
+and a union one OR.  Its mask step, _mask_step(), uses that the bursts
+at starts >= 1 on b.v' are b followed by those on v': a word's mask is
+its suffix's shifted up by b << (m - 1), m = n - t + s, ORed with the
+first start's outputs.  _burst_mask() folds the step over suffixes.
 
 Ball size and the resulting sphere-packing ceiling are exact:
 
@@ -28,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
+from .errors import GuardLimit
 from .words import _check_int, check_word
 
 __all__ = [
@@ -39,7 +44,10 @@ __all__ = [
     "refined_ball",
     "refined_ball_size",
     "sphere_packing_bound",
+    "OUTPUT_GUARD",
 ]
+
+OUTPUT_GUARD = 1 << 20  # n - t + 1 starts times 2^s inserts, per center
 
 
 @dataclass(frozen=True)
@@ -133,45 +141,37 @@ def _burst_outputs(v: int, n: int, t: int, s: int, refined: bool = False) -> set
 
 
 @lru_cache(maxsize=None)
-def _mask_plan(n: int, t: int, s: int, refined: bool) -> tuple[tuple, ...]:
-    """Per-start constants of _burst_mask(): (n - i, s + r, (1 << r) - 1, r, comb).
+def _comb(s: int, r: int, split: bool) -> int:
+    """A bit at each offset a start's inserts reach above its lowest output:
+    2^s bits 2^r apart, or refined 2^(s-2) bits 2^(r+1) apart (one for
+    s = 1).  2^(s+r) bits wide, so masks are for sweep lengths only."""
+    return sum(1 << (j << (r + split)) for j in range(1 << max(s - 2 * split, 0)))
 
-    comb has a bit at every offset the start's inserts reach above the
-    kept bits: 2^s bits spaced 2^r apart for a full ball, and for a
-    refined one 2^(s-2) bits spaced 2^(r+1) apart (one bit for s = 1).
-    comb is 2^(s+r) bits wide, so the plan is only for sweep lengths,
-    n <= verify.BALL_LAW_GUARD, where masks stay at most 2^17 bits;
-    ball() at large n keeps the set kernel.
-    """
+
+def _mask_step(v: int, n: int, t: int, s: int, refined: bool, suffix_mask: int) -> int:
+    """_burst_mask(v, n, t, s, refined) from suffix_mask, the mask of v's
+    length-(n - 1) suffix (0 when n - 1 < t), shifted as the module says.
+    The first start's comb lands on its lowest output, past the end bits
+    a refined insert must take.  Callers check 0 <= t <= n, s >= 0."""
+    r = n - t
+    keep = v & ((1 << r) - 1)
+    mask = suffix_mask << ((v >> (n - 1)) << (r + s - 1)) if r else 0
     split = refined and t > 0 and s > 0
-    plan = []
-    for i in range(n - t + 1):
-        r = n - i - t
-        comb = sum(1 << (j << (r + split)) for j in range(1 << max(s - 2 * split, 0)))
-        plan.append((n - i, s + r, (1 << r) - 1, r, comb))
-    return tuple(plan)
+    if split:
+        first, last = v >> (n - 1), (v >> r) & 1
+        if s == 1 and first != last:
+            return mask
+        keep |= ((1 - first) << (s - 1 + r)) | ((1 - last) << r)
+    return mask | (_comb(s, r, split) << keep)
 
 
 def _burst_mask(v: int, n: int, t: int, s: int, refined: bool = False) -> int:
     """_burst_outputs(v, n, t, s, refined) as one int with bit u set for
-    each output u.
-
-    Each start ORs in its comb shifted to the lowest output it reaches;
-    a refined start shifts it past the end bits the insert must take.
-    Callers check that 0 <= t <= n and s >= 0.
-    """
-    plan = _mask_plan(n, t, s, refined)
+    each output u: _mask_step() folded over the suffixes of v from length
+    t up.  Callers check that 0 <= t <= n and s >= 0."""
     mask = 0
-    if not (refined and t > 0 and s > 0):
-        for hi, sr, low, _, comb in plan:
-            mask |= comb << (((v >> hi) << sr) | (v & low))
-        return mask
-    for hi, sr, low, r, comb in plan:
-        first, last = (v >> (r + t - 1)) & 1, (v >> r) & 1
-        if s == 1 and first != last:
-            continue
-        base = ((v >> hi) << sr) | (v & low) | ((1 - first) << (sr - 1)) | ((1 - last) << r)
-        mask |= comb << base
+    for k in range(t, n + 1):
+        mask = _mask_step(v & ((1 << k) - 1), k, t, s, refined, mask)
     return mask
 
 
@@ -186,9 +186,19 @@ def _members(out: set[int], m: int) -> tuple[str, ...]:
     return tuple([format(u, fmt) for u in sorted(out)])
 
 
-def _check_room(n: int, t: int, s: int) -> None:
+_CENTER_ROOM = "word of length {2} cannot lose a burst of {0}"
+
+
+def _check_room(n: int, t: int, s: int,
+                message: str = "no ({}, {})-burst fits in length n={}") -> None:
     """Refuse a length that is not an int or that no (t, s)-burst fits in."""
-    _check_int(n, t, "no ({}, {})-burst fits in length n={}", t, s, n)
+    _check_int(n, t, message, t, s, n)
+
+
+def _check_outputs(n: int, t: int, s: int) -> None:
+    """Refuse (n - t + 1) * 2^s outputs over OUTPUT_GUARD, before any is built."""
+    if s >= OUTPUT_GUARD.bit_length() or (n - t + 1) << s > OUTPUT_GUARD:
+        raise GuardLimit(f"({t}, {s})-bursts at n={n} exceed the output guard {OUTPUT_GUARD}")
 
 
 def _check_sizes(*sizes) -> None:
@@ -205,7 +215,16 @@ def _check_sizes(*sizes) -> None:
 def _check_burst(x: str, t: int, s: int) -> None:
     check_word(x)
     _check_sizes(t, s)
-    _check_int(len(x), t, "word of length {} cannot lose a burst of {}", len(x), t)
+    _check_room(len(x), t, s, _CENTER_ROOM)
+
+
+def _ball(x: str, t: int, s: int, refined: bool) -> Ball:
+    """ball() or refined_ball(), checked and guarded first."""
+    _check_burst(x, t, s)
+    n = len(x)
+    _check_outputs(n, t, s)
+    out = _burst_outputs(int(x or "0", 2), n, t, s, refined)
+    return Ball(x, t, s, _members(out, n - t + s), refined=refined)
 
 
 def ball(x: str, t: int, s: int) -> Ball:
@@ -214,12 +233,9 @@ def ball(x: str, t: int, s: int) -> Ball:
     Tries all n - t + 1 starts and all 2^s inserted words and keeps each
     distinct output once; members are sorted, which for words of one
     length is numeric order.  Requires n >= t so at least one start
-    exists.
+    exists, and raises GuardLimit past OUTPUT_GUARD.
     """
-    _check_burst(x, t, s)
-    n = len(x)
-    out = _burst_outputs(int(x or "0", 2), n, t, s)
-    return Ball(x, t, s, _members(out, n - t + s))
+    return _ball(x, t, s, False)
 
 
 def ball_size_formula(n: int, t: int, s: int) -> int:
@@ -236,13 +252,11 @@ def refined_ball(x: str, k: int, l: int) -> Ball:
 
     For k = 0 or l = 0 there is no boundary to disagree with and this is
     the plain burst-insertion or burst-deletion ball.  Over all l (or all
-    k) these refined balls partition the full ball.  Members are sorted
-    as in ball(); the tuple is empty when no insert meets the condition.
+    k) these refined balls partition the full ball.  Members are sorted,
+    and guarded, as in ball(); the tuple is empty when no insert meets
+    the condition.
     """
-    _check_burst(x, k, l)
-    n = len(x)
-    out = _burst_outputs(int(x or "0", 2), n, k, l, refined=True)
-    return Ball(x, k, l, _members(out, n - k + l), refined=True)
+    return _ball(x, k, l, True)
 
 
 def _shift_changes(v: int, n: int, d: int) -> int:

@@ -381,7 +381,10 @@ def svt21_decode(
     _check_room(n, 2, 1)
     _check_received(y, n - 1)
     _check_int(P, 1, "window capacity P must be >= 1")
-    lo, hi = window
+    try:
+        lo, hi = window
+    except (TypeError, ValueError):
+        raise ValueError(f"window must be a pair (lo, hi), got {window!r}") from None
     _check_int(lo, None, "empty window {}", window)
     _check_int(hi, lo, "empty window {}", window)
     _check_int(P, hi - lo + 1, "window {} longer than P={}", window, P)

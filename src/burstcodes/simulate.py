@@ -26,6 +26,7 @@ class SplitMix64:
     """Deterministic 64-bit generator; same seed, same stream, anywhere."""
 
     def __init__(self, seed: int):
+        _check_int(seed, None, "seed must be an int, got {!r}", seed)
         self.state = seed & _MASK
 
     def next64(self) -> int:
@@ -107,8 +108,8 @@ def simulate(
     """
     # zero trials would report a vacuous success 0/0
     _check_int(trials, 1, "trials must be >= 1, got {}", trials)
-    t, s, params, book, decode = family_setup(family, n, t, s)
     rng = SplitMix64(seed)
+    t, s, params, book, decode = family_setup(family, n, t, s)
     successes = 0
     witnesses: list[dict] = []
     for _ in range(trials):

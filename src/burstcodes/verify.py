@@ -15,11 +15,12 @@ import time
 from dataclasses import asdict, dataclass, field
 
 from .channel import (
-    _burst_mask,
     _burst_outputs,
-    _check_burst,
+    _CENTER_ROOM,
+    _check_outputs,
     _check_room,
     _check_sizes,
+    _mask_step,
     _members,
     _refined_size,
     ball_size_formula,
@@ -70,6 +71,14 @@ def _codewords(members) -> tuple:
     return members
 
 
+def _check_lengths(members, t: int, s: int, *message) -> None:
+    """Check the sizes once, then room and output guard per distinct length."""
+    _check_sizes(t, s)
+    for n in dict.fromkeys(map(len, members)):
+        _check_room(n, t, s, *message)
+        _check_outputs(n, t, s)
+
+
 def verify_disjoint(members, t: int, s: int) -> VerificationReport:
     """Check that no channel output is reachable from two codewords.
 
@@ -81,23 +90,8 @@ def verify_disjoint(members, t: int, s: int) -> VerificationReport:
     count stops there.  A repeated codeword shares only with itself.
     """
     start = time.perf_counter()
-    pools: dict[int, set[int]] = {}
-    outputs = 0
-    witness = None
     members = _codewords(members)
-    for idx, x in enumerate(members):
-        _check_burst(x, t, s)
-        n = len(x)
-        out = _burst_outputs(int(x or "0", 2), n, t, s)
-        pool = pools.setdefault(n, set())
-        if not pool.isdisjoint(out):
-            witness, seen = _first_clash(members[:idx], x, out, pool, t, s)
-            outputs += seen
-            if witness:
-                break
-        else:
-            outputs += len(out)
-        pool |= out
+    witness, outputs = _disjoint(members, t, s)
     return VerificationReport(
         check="disjoint",
         params={"t": t, "s": s, "codewords": len(members)},
@@ -106,6 +100,26 @@ def verify_disjoint(members, t: int, s: int) -> VerificationReport:
         witness=witness,
         elapsed_s=time.perf_counter() - start,
     )
+
+
+def _disjoint(members: tuple, t: int, s: int):
+    """(witness or None, outputs checked) of verify_disjoint() on checked words."""
+    _check_lengths(members, t, s, _CENTER_ROOM)
+    pools: dict[int, set[int]] = {}
+    outputs = 0
+    for idx, x in enumerate(members):
+        n = len(x)
+        out = _burst_outputs(int(x or "0", 2), n, t, s)
+        pool = pools.setdefault(n, set())
+        if not pool.isdisjoint(out):
+            witness, seen = _first_clash(members[:idx], x, out, pool, t, s)
+            outputs += seen
+            if witness:
+                return witness, outputs
+        else:
+            outputs += len(out)
+        pool |= out
+    return None, outputs
 
 
 def _first_clash(earlier, x: str, out: set[int], pool: set[int], t: int, s: int):
@@ -130,43 +144,38 @@ def _first_clash(earlier, x: str, out: set[int], pool: set[int], t: int, s: int)
 def verify_roundtrip(members, t: int, s: int, decode) -> VerificationReport:
     """Apply every (t, s)-burst to every codeword and decode it back.
 
-    decode is a callable from received word to codeword; raising a
-    DecodingError counts as a failure with the exception recorded.  A
-    codeword shorter than t takes no burst, so it is refused rather than
-    passed over.
+    decode is a function of the received word y alone; raising a
+    DecodingError counts as a failure with the exception recorded.  It
+    is called once per distinct y per codeword, and its outcome counts
+    for every burst that gives y; the witness is the first failing
+    (codeword, start, insert).  A codeword shorter than t takes no
+    burst, so it is refused; GuardLimit past channel.OUTPUT_GUARD.
     """
     start = time.perf_counter()
     members = _codewords(members)
-    _check_sizes(t, s)
+    _check_lengths(members, t, s)
     corruptions = failures = 0
     witness = None
     inserts = tuple(all_words(s))
     for x in members:
-        n = len(x)
-        _check_room(n, t, s)
-        for pos in range(1, n - t + 2):
+        outcomes: dict[str, dict] = {}
+        starts = len(x) - t + 1
+        corruptions += starts * len(inserts)
+        for i in range(starts):
+            head, tail = x[:i], x[i + t :]
             for ins in inserts:
-                corruptions += 1
-                y = x[: pos - 1] + ins + x[pos - 1 + t :]
-                try:
-                    got = decode(y)
-                except DecodingError as exc:
+                y = head + ins + tail
+                bad = outcomes.get(y)
+                if bad is None:
+                    try:
+                        got = decode(y)
+                        bad = {} if got == x else {"decoded": got}
+                    except DecodingError as exc:
+                        bad = {"error": f"{type(exc).__name__}: {exc}"}
+                    outcomes[y] = bad
+                if bad:
                     failures += 1
-                    witness = witness or {
-                        "codeword": x,
-                        "start": pos,
-                        "inserted": ins,
-                        "error": f"{type(exc).__name__}: {exc}",
-                    }
-                    continue
-                if got != x:
-                    failures += 1
-                    witness = witness or {
-                        "codeword": x,
-                        "start": pos,
-                        "inserted": ins,
-                        "decoded": got,
-                    }
+                    witness = witness or {"codeword": x, "start": i + 1, "inserted": ins, **bad}
     return VerificationReport(
         check="roundtrip",
         params={"t": t, "s": s, "codewords": len(members)},
@@ -186,26 +195,27 @@ def verify_equivalence(members, t: int, s: int) -> VerificationReport:
 
     Correcting one channel is the same property as correcting the
     other, so a codebook passing one and failing the other would break
-    the equivalence; the report carries both verdicts.
+    the equivalence; the report carries both verdicts.  Each member is
+    checked once, for both directions.
     """
     start = time.perf_counter()
     members = _codewords(members)
-    fwd = verify_disjoint(members, t, s)
-    rev = verify_disjoint(members, s, t)
-    agree = fwd.verdict == rev.verdict
+    fwd, _ = _disjoint(members, t, s)
+    rev, _ = _disjoint(members, s, t)
+    agree = (fwd is None) == (rev is None)
     witness = None
     if not agree:
         witness = {
-            "forward": {"t": t, "s": s, "verdict": fwd.verdict, "witness": fwd.witness},
-            "swapped": {"t": s, "s": t, "verdict": rev.verdict, "witness": rev.witness},
+            "forward": {"t": t, "s": s, "verdict": fwd is None, "witness": fwd},
+            "swapped": {"t": s, "s": t, "verdict": rev is None, "witness": rev},
         }
     return VerificationReport(
         check="equivalence",
         params={"t": t, "s": s, "codewords": len(members)},
         verdict=agree,
         counts={
-            "forward_pass": int(fwd.verdict),
-            "swapped_pass": int(rev.verdict),
+            "forward_pass": int(fwd is None),
+            "swapped_pass": int(rev is None),
         },
         witness=witness,
         elapsed_s=time.perf_counter() - start,
@@ -235,16 +245,22 @@ def verify_ball_laws(n_values, t_max: int = 4, s_max: int = 4) -> dict[str, Veri
     * refined-size: each refined part's closed-form size matches
       enumeration; the closed forms hold at every length
 
-    Words are ints and balls are bitmasks from channel._burst_mask(),
-    bit u set for each output u: a size is a bit count, a union an OR,
-    and a word is formatted only for a witness.  Per word, each distinct
-    refined (k, l) part and its closed form are computed once and shared
-    by every (t, s) that uses it; the full ball is enumerated on its own
-    from all starts and inserts, never assembled from the parts.  Counts
-    are per (t, s) and part.  Raises ValueError unless t_max and s_max
-    are ints >= 1, which any combination needs, for a sweep with no
-    length >= 1, and for a length that is not an int >= 0; GuardLimit
-    for a length above BALL_LAW_GUARD.
+    Words are ints and balls are bitmasks, bit u set for each output u:
+    a size is a bit count, a union an OR.  Each ball is built from its
+    suffix's ball: the sweep walks the words depth-first from the empty
+    word, prepending a bit per level, and channel._mask_step() turns
+    the masks of v' into those of b.v' with one start term and one
+    shift per kind (each full (t, s)-ball and refined (k, l)-part, t
+    and s capped at the largest length).  One list of masks per depth
+    is kept, so memory is O(depth x kinds).  The full ball is built on
+    its own, never from the parts; a part's closed form is computed
+    once per word.  Counts are per (t, s) and part.  The walk meets
+    words out of numeric order, so each witness is its law's failure
+    with the smallest (n, x), the one an ascending sweep meets first.
+    Raises ValueError unless t_max and s_max are ints >= 1, which any
+    combination needs, for a sweep with no length >= 1, and for a
+    length that is not an int >= 0; GuardLimit for a length above
+    BALL_LAW_GUARD.
 
     Returns reports keyed 'size', 'partition', 'refined-size'.
     """
@@ -257,50 +273,58 @@ def verify_ball_laws(n_values, t_max: int = 4, s_max: int = 4) -> dict[str, Veri
     n_values = sorted(set(n_values))
     _check_int(max(n_values, default=0), 1, "ball-law sweep needs a length >= 1, got {}", n_values)
     _check_int(n_values[0], 0, "ball-law sweep lengths must be >= 0, got {}", n_values[0])
-    if n_values[-1] > BALL_LAW_GUARD:
-        raise GuardLimit(f"ball-law sweep at n={n_values[-1]} exceeds guard {BALL_LAW_GUARD}")
+    top = n_values[-1]
+    if top > BALL_LAW_GUARD:
+        raise GuardLimit(f"ball-law sweep at n={top} exceeds guard {BALL_LAW_GUARD}")
     start = time.perf_counter()
     fails = dict.fromkeys(_BALL_LAWS, 0)
-    wit: dict[str, dict | None] = dict.fromkeys(_BALL_LAWS)
+    wit: dict[str, tuple | None] = dict.fromkeys(_BALL_LAWS)
 
     def fail(law: str, v: int, n: int, **fields) -> None:
         fails[law] += 1
-        if wit[law] is None:
-            wit[law] = {"x": format(v, f"0{n}b"), **fields}
+        if wit[law] is None or (n, v) < wit[law][:2]:
+            wit[law] = n, v, fields
 
-    words = 0
-    combos = 0
-    formula_checks = 0
+    sizes = [(t, s) for t in range(1, min(t_max, top) + 1) for s in range(1, min(s_max, top) + 1)]
+    kinds = [(t, s, False) for t, s in sizes]
+    kinds += sorted({(k, l, True) for t, s in sizes for k, l in _refined_parts(t, s)})
+    plans = {}
+    words = combos = formula_checks = 0
     for n in n_values:
         pairs = [
-            (t, s, ball_size_formula(n, t, s), _refined_parts(t, s))
-            for t in range(1, min(t_max, n) + 1)
-            for s in range(1, min(s_max, n) + 1)
+            (t, s, ball_size_formula(n, t, s), kinds.index((t, s, False)),
+             [(k, l, kinds.index((k, l, True))) for k, l in _refined_parts(t, s)])
+            for t, s in sizes if max(t, s) <= n
         ]
-        kls = sorted({kl for *_, parts in pairs for kl in parts})
+        plans[n] = pairs, {kl for *_, used in pairs for kl in used}
         words += 1 << n
-        for v in range(1 << n):
-            known = {}
-            for k, l in kls:
-                part = _burst_mask(v, n, k, l, True)
-                known[k, l] = part, part.bit_count(), _refined_size(v, n, k, l)
-            for t, s, formula, parts in pairs:
-                combos += 1
-                full = _burst_mask(v, n, t, s)
-                size = full.bit_count()
-                if size != formula:
-                    fail("size", v, n, t=t, s=s, enumerated=size, formula=formula)
-                union = total = 0
-                for k, l in parts:
-                    part, got, predicted = known[k, l]
-                    total += got
-                    union |= part
-                    formula_checks += 1
-                    if predicted != got:
-                        fail("refined-size", v, n, k=k, l=l, enumerated=got, formula=predicted)
-                if not (union == full and total == union.bit_count()):
-                    fail("partition", v, n, t=t, s=s, parts_total=total,
-                         union=union.bit_count(), ball=size)
+        combos += len(pairs) << n
+        formula_checks += sum(len(used) for *_, used in pairs) << n
+
+    def walk(v: int, n: int, suffix: list) -> None:
+        masks = [_mask_step(v, n, t, s, refined, m) if t <= n else 0
+                 for (t, s, refined), m in zip(kinds, suffix)]
+        pairs, kls = plans.get(n, ((), ()))
+        known = {i: (masks[i].bit_count(), _refined_size(v, n, k, l)) for k, l, i in kls}
+        for t, s, formula, i, used in pairs:
+            size = masks[i].bit_count()
+            if size != formula:
+                fail("size", v, n, t=t, s=s, enumerated=size, formula=formula)
+            union = total = 0
+            for k, l, j in used:
+                got, predicted = known[j]
+                total += got
+                union |= masks[j]
+                if predicted != got:
+                    fail("refined-size", v, n, k=k, l=l, enumerated=got, formula=predicted)
+            if not (union == masks[i] and total == union.bit_count()):
+                fail("partition", v, n, t=t, s=s, parts_total=total,
+                     union=union.bit_count(), ball=size)
+        if n < top:
+            walk(v, n + 1, masks)
+            walk(v | 1 << n, n + 1, masks)
+
+    walk(0, 0, [0] * len(kinds))
     elapsed = time.perf_counter() - start
     params = {"n_values": list(n_values), "t_max": t_max, "s_max": s_max}
     counts = {"words": words, "burst_combinations": combos}
@@ -308,7 +332,9 @@ def verify_ball_laws(n_values, t_max: int = 4, s_max: int = 4) -> dict[str, Veri
     return {
         law: VerificationReport(
             check, params, fails[law] == 0,
-            counts | extra.get(law, {}) | {"failures": fails[law]}, wit[law], elapsed,
+            counts | extra.get(law, {}) | {"failures": fails[law]},
+            wit[law] and {"x": format(wit[law][1], f"0{wit[law][0]}b"), **wit[law][2]},
+            elapsed,
         )
         for law, check in _BALL_LAWS.items()
     }

@@ -13,6 +13,7 @@ rules closed is pinned after the property tests.
 
 import contextlib
 import io
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -31,7 +32,7 @@ from burstcodes.channel import (
 from burstcodes.cli import main
 from burstcodes.errors import DecodingError, GuardLimit
 from burstcodes.families import FAMILIES
-from burstcodes.simulate import simulate
+from burstcodes.simulate import SplitMix64, simulate
 from burstcodes.verify import verify_ball_laws, verify_roundtrip
 from burstcodes.words import all_words, interleave, vt_syndrome
 
@@ -162,3 +163,20 @@ def test_a_float_that_equals_an_int_leaves_every_cache_clean():
         assert codes.pigeonhole_search("c21rll", 8, f=2)[1].params == {"a": 3, "b": 0, "f": 2}
         assert c31.c31_param_search(8)[1].size == 2
         assert cts.cts_param_search(12, 4, 1)[1].size == 8
+
+
+@pytest.mark.parametrize(
+    "call, msg",
+    [
+        (lambda: simulate("c21", 8, 10, 1.5), "seed must be an int, got 1.5"),
+        (lambda: SplitMix64(True), "seed must be an int, got True"),
+        (lambda: codes.svt21_decode("0" * 7, 0, 0, 3, None, 8),
+         "window must be a pair (lo, hi), got None"),
+        (lambda: codes.svt21_decode("0" * 7, 0, 0, 3, (1, 2, 3), 8),
+         "window must be a pair (lo, hi), got (1, 2, 3)"),
+    ],
+    ids=["simulate-float-seed", "bool-seed", "no-window", "three-bound-window"],
+)
+def test_a_seed_or_window_of_the_wrong_kind_is_refused(call, msg):
+    with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+        call()

@@ -4,13 +4,15 @@ import json
 import math
 import random
 import re
+from collections import Counter
 
 import pytest
 
 from burstcodes import verify
-from burstcodes.channel import ball
+from burstcodes.channel import _burst_mask, ball, refined_ball
 from burstcodes.codes import c21_decode, pigeonhole_search
-from burstcodes.errors import GuardLimit
+from burstcodes.errors import DecodeFailure, DecodingError, GuardLimit
+from burstcodes.words import all_words
 from burstcodes.verify import (
     bound_report,
     verify_ball_laws,
@@ -61,6 +63,82 @@ def test_roundtrip_fail_records_first_witness(c21_book):
     assert not rep.verdict
     assert rep.witness["decoded"] == "0" * 8
     assert rep.counts["failures"] > 0
+
+
+def test_roundtrip_decodes_each_received_word_once_per_codeword(c21_book):
+    a, b = c21_book.params["a"], c21_book.params["b"]
+    seen = Counter()
+
+    def counted(y):
+        seen[y] += 1
+        return c21_decode(y, a, b, 8).word
+
+    rep = verify_roundtrip(c21_book.members, 2, 1, counted)
+    assert rep.verdict and rep.counts["corruptions"] == c21_book.size * 7 * 2
+    # a (2, 1)-ball of length 8 has 8 members, and one ball's words are
+    # never shared with another codeword's in a code that corrects it
+    assert sum(seen.values()) == c21_book.size * 8
+    assert set(seen.values()) == {1}
+
+
+def ref_verify_roundtrip(members, t, s, decode):
+    """The loop without memo: one decode per (codeword, start, insert)."""
+    corruptions = failures = 0
+    witness = None
+    for x in members:
+        for pos in range(1, len(x) - t + 2):
+            for ins in all_words(s):
+                corruptions += 1
+                y = x[: pos - 1] + ins + x[pos - 1 + t :]
+                try:
+                    got = decode(y)
+                    why = None if got == x else {"decoded": got}
+                except DecodingError as exc:
+                    why = {"error": f"{type(exc).__name__}: {exc}"}
+                if why:
+                    failures += 1
+                    witness = witness or {"codeword": x, "start": pos, "inserted": ins, **why}
+    return corruptions, failures, witness
+
+
+@pytest.mark.parametrize("t,s", [(2, 1), (1, 2), (3, 1), (2, 2)])
+def test_roundtrip_matches_the_unmemoized_loop(t, s):
+    # a decoder that inverts nothing: it keeps the received word and pads
+    # or cuts it back, and is broken on chosen words both ways
+    rng = random.Random(1700 + 10 * t + s)
+    for _ in range(40):
+        n = rng.randint(max(t, 2), 8)
+        book = sorted({format(rng.getrandbits(n), f"0{n}b") for _ in range(rng.randint(1, 6))})
+        m = n - t + s
+        raising = {format(rng.getrandbits(m), f"0{m}b") for _ in range(3)}
+        wrong = {format(rng.getrandbits(m), f"0{m}b") for _ in range(3)}
+
+        def decode(y):
+            if y in raising:
+                raise DecodeFailure(f"no candidate for {y}")
+            if y in wrong:
+                return "1" * n
+            return min(book, key=lambda x: sum(a != b for a, b in zip(x, y)))
+
+        rep = verify_roundtrip(book, t, s, decode)
+        got = rep.counts["corruptions"], rep.counts["failures"], rep.witness
+        assert got == ref_verify_roundtrip(book, t, s, decode), book
+        assert rep.verdict == (got[1] == 0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: ball("0101", 1, 40),
+        lambda: refined_ball("0101", 1, 40),
+        lambda: verify_disjoint(["0101", "1010"], 1, 40),
+        lambda: verify_roundtrip(["0101"], 1, 40, lambda y: y),
+    ],
+    ids=["ball", "refined_ball", "disjoint", "roundtrip"],
+)
+def test_a_huge_insert_meets_the_output_guard(call):
+    with pytest.raises(GuardLimit, match="output guard"):
+        call()
 
 
 def test_roundtrip_refuses_words_no_burst_fits():
@@ -181,22 +259,53 @@ def test_ball_laws_catch_a_wrong_refined_size(monkeypatch):
 
 
 def test_ball_laws_catch_a_part_that_drops_an_output(monkeypatch):
-    real = verify._burst_mask
+    real = verify._mask_step
 
-    def drop_one(v, n, t, s, refined=False):
-        out = real(v, n, t, s, refined)
+    def drop_one(v, n, t, s, refined, suffix_mask):
+        out = real(v, n, t, s, refined, suffix_mask)
         # the (2, 0) part, which tiles the (3, 1)-ball with (3, 1), swaps
         # an output for a word outside that ball; its size stays right,
         # so only the partition law can see the loss
         if refined and (v, n, t, s) == (0b10110, 5, 2, 0):
             out ^= 1 << (out.bit_length() - 1)
-            outside = real(v, n, 3, 1)
+            outside = _burst_mask(v, n, 3, 1)
             out |= 1 << min(u for u in range(1 << 3) if not outside >> u & 1)
         return out
 
-    monkeypatch.setattr(verify, "_burst_mask", drop_one)
+    monkeypatch.setattr(verify, "_mask_step", drop_one)
     w = _only_failure(verify_ball_laws([4, 5], 3, 3), "partition")
     assert w == {"x": "10110", "t": 3, "s": 1, "parts_total": 4, "union": 4, "ball": 4}
+
+
+def test_ball_law_witness_is_the_smallest_failing_word(monkeypatch):
+    # the walk meets (5, 00000) before (4, 1000); an ascending sweep
+    # meets 1000 first, and so must the witness
+    real = verify._refined_size
+    bad = {(4, 0b1000), (5, 0)}
+    monkeypatch.setattr(
+        verify, "_refined_size", lambda v, n, k, l: real(v, n, k, l) + ((n, v) in bad)
+    )
+    w = _only_failure(verify_ball_laws([4, 5], 3, 3), "refined-size")
+    assert w["x"] == "1000"
+
+
+def test_ball_law_sweep_takes_one_start_term_per_word_and_kind(monkeypatch):
+    real = verify._mask_step
+    calls = Counter()
+
+    def counted(v, n, t, s, refined, suffix_mask):
+        calls[v, n, t, s, refined] += 1
+        return real(v, n, t, s, refined, suffix_mask)
+
+    monkeypatch.setattr(verify, "_mask_step", counted)
+    verify_ball_laws([3, 6], 4, 2)
+    sizes = [(t, s) for t in range(1, 5) for s in range(1, 3)]
+    kinds = {(t, s, False) for t, s in sizes}
+    kinds |= {(k, l, True) for t, s in sizes for k, l in verify._refined_parts(t, s)}
+    want = {(v, n, t, s, refined)
+            for n in range(7) for v in range(1 << n) for t, s, refined in kinds if t <= n}
+    assert set(calls) == want
+    assert set(calls.values()) == {1}
 
 
 @pytest.mark.parametrize(
