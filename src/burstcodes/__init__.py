@@ -9,138 +9,20 @@ exhaustive verification with JSON reports, and a seeded simulator.
 All words are ASCII '0'/'1' strings; coordinates are 1-based.
 """
 
-from .c31 import (
-    C31Params,
-    C31Trace,
-    c31_decode,
-    c31_member,
-    c31_param_search,
-    classify_31,
-)
-from .channel import (
-    Ball,
-    BurstSpec,
-    apply_burst,
-    ball,
-    ball_size_formula,
-    refined_ball,
-    refined_ball_size,
-    sphere_packing_bound,
-)
-from .codes import (
-    Codebook,
-    DecodeOutcome,
-    c21_decode,
-    c21_member,
-    c21rll_member,
-    lev2_decode,
-    lev2_member,
-    max_run_length,
-    pigeonhole_search,
-    rll_max_run,
-    rll_member,
-    svt21_decode,
-    svt21_member,
-    vt_decode,
-    vt_member,
-)
-from .cts import (
-    CtsParams,
-    CtsTrace,
-    column_window,
-    cts_decode,
-    cts_member,
-    cts_param_search,
-    window_capacity,
-)
-from .errors import (
-    DecodeAmbiguity,
-    DecodeFailure,
-    DecodingError,
-    DivisibilityError,
-    GuardLimit,
-)
-from .simulate import SimulationResult, SplitMix64, family_setup, simulate
-from .verify import (
-    VerificationReport,
-    bound_report,
-    verify_ball_laws,
-    verify_disjoint,
-    verify_equivalence,
-    verify_roundtrip,
-)
-from .words import (
-    all_words,
-    deinterleave,
-    interleave,
-    run_count,
-    run_profile,
-    rsyn0,
-    vt_syndrome,
-    weights,
-)
+from . import c31, channel, codes, cts, errors, simulate, verify, words
+
+_MODULES = (c31, channel, codes, cts, errors, simulate, verify, words)
+
+# each module's __all__ is the one list of its public names; coming
+# after the module imports, these make burstcodes.simulate the function
+from .c31 import *
+from .channel import *
+from .codes import *
+from .cts import *
+from .errors import *
+from .simulate import *
+from .verify import *
+from .words import *
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "C31Params",
-    "C31Trace",
-    "c31_decode",
-    "c31_member",
-    "c31_param_search",
-    "classify_31",
-    "Ball",
-    "BurstSpec",
-    "apply_burst",
-    "ball",
-    "ball_size_formula",
-    "refined_ball",
-    "refined_ball_size",
-    "sphere_packing_bound",
-    "Codebook",
-    "DecodeOutcome",
-    "c21_decode",
-    "c21_member",
-    "c21rll_member",
-    "lev2_decode",
-    "lev2_member",
-    "max_run_length",
-    "pigeonhole_search",
-    "rll_max_run",
-    "rll_member",
-    "svt21_decode",
-    "svt21_member",
-    "vt_decode",
-    "vt_member",
-    "CtsParams",
-    "CtsTrace",
-    "column_window",
-    "cts_decode",
-    "cts_member",
-    "cts_param_search",
-    "window_capacity",
-    "DecodeAmbiguity",
-    "DecodeFailure",
-    "DecodingError",
-    "DivisibilityError",
-    "GuardLimit",
-    "SimulationResult",
-    "SplitMix64",
-    "family_setup",
-    "simulate",
-    "VerificationReport",
-    "bound_report",
-    "verify_ball_laws",
-    "verify_disjoint",
-    "verify_equivalence",
-    "verify_roundtrip",
-    "all_words",
-    "deinterleave",
-    "interleave",
-    "run_count",
-    "run_profile",
-    "rsyn0",
-    "vt_syndrome",
-    "weights",
-    "__version__",
-]
+__all__ = [name for module in _MODULES for name in module.__all__] + ["__version__"]

@@ -67,6 +67,7 @@ from .codes import (
     TWO_BURST_DELETION,
     Codebook,
     _check_received,
+    _check_syndromes,
     _expect_one,
     _in_bucket,
     _largest_bucket,
@@ -119,6 +120,7 @@ class C31Params:
 
     def __post_init__(self):
         _rows(self.n)
+        _check_syndromes(self.a, self.b, self.c, self.d)
 
     def to_dict(self) -> dict:
         return asdict(self)

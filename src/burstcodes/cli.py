@@ -179,29 +179,26 @@ def _print_report(rep) -> bool:
     return rep.verdict
 
 
+# each family check of verify: its call on the searched book's members
+_BOOK_CHECKS = {
+    "disjoint": lambda members, n, t, s, decode: verify_disjoint(members, t, s),
+    "roundtrip": lambda members, n, t, s, decode: verify_roundtrip(members, t, s, decode),
+    "equivalence": lambda members, n, t, s, decode: verify_equivalence(members, t, s),
+    "bound": lambda members, n, t, s, decode: bound_report(members, n, t, s),
+}
+
+
 def cmd_verify(args) -> int:
     if args.check == "ball-laws":
         _check_int(args.n_max, 2, "--n-max must be >= 2, got {}", args.n_max)
-        ns = list(range(2, args.n_max + 1))
-        reports = verify_ball_laws(ns, args.t_max, args.s_max)
-        ok = True
-        for key in ("size", "partition", "refined-size"):
-            ok &= _print_report(reports[key])
-        return 0 if ok else 1
+        reports = verify_ball_laws(range(2, args.n_max + 1), args.t_max, args.s_max)
+        # a list, so every report prints when one fails
+        return 0 if all([_print_report(rep) for rep in reports.values()]) else 1
     if args.family is None:
         raise ValueError(f"verify {args.check} needs a family")
     _family(args, "n")
     t, s, _, book, decode = family_setup(args.family, args.n, args.t, args.s)
-    if args.check == "disjoint":
-        rep = verify_disjoint(book.members, t, s)
-    elif args.check == "roundtrip":
-        rep = verify_roundtrip(book.members, t, s, decode)
-    elif args.check == "equivalence":
-        rep = verify_equivalence(book.members, t, s)
-    elif args.check == "bound":
-        rep = bound_report(book.members, args.n, t, s)
-    else:
-        raise ValueError(f"unknown check {args.check!r}")
+    rep = _BOOK_CHECKS[args.check](book.members, args.n, t, s, decode)
     return 0 if _print_report(rep) else 1
 
 
@@ -352,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("verify", help="exhaustive checks, JSON report per line")
-    p.add_argument("check", choices=("ball-laws", "disjoint", "roundtrip", "equivalence", "bound"))
+    p.add_argument("check", choices=("ball-laws", *_BOOK_CHECKS))
     p.add_argument("family", nargs="?", choices=roundtrip, default=None)
     _add_common(p, t=True, s=True, n=True, json_flag=False)
     p.add_argument("--n-max", type=int, default=8, dest="n_max")

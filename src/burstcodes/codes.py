@@ -206,6 +206,12 @@ def _expect_one(seen: dict, context: str) -> tuple[str, object]:
     return word, tag
 
 
+def _check_syndromes(*vals) -> None:
+    """Refuse syndrome values unless each is an int; a bool is not one."""
+    for v in vals:
+        _check_int(v, None, "syndrome values must be ints, got {!r}", v)
+
+
 def _check_received(y: str, length: int) -> None:
     """Refuse a received word that is not binary or not of length length."""
     check_word(y)
@@ -275,6 +281,7 @@ def vt_member(x: str, a: int, n: int) -> bool:
 
 def vt_decode(y: str, a: int, n: int) -> str:
     """Recover the VT(n; a) codeword a single deletion of which gave y."""
+    _check_syndromes(a)
     _check_room(n, 1, 0)
     _check_received(y, n - 1)
     if not y:
@@ -301,6 +308,7 @@ def lev2_decode(y: str, a: int, n: int) -> str:
     The received length says how many symbols went missing (0, 1, or 2);
     the zero-prefixed run syndrome mod 2n then pins the unique preimage.
     """
+    _check_syndromes(a)
     _check_int(n, 1, "length must be >= 1")
     check_word(y)
     a = a % (2 * n)
@@ -347,6 +355,7 @@ def c21_decode(y: str, a: int, b: int, n: int) -> DecodeOutcome:
     The weight delta picks the error shape, and the position-weighted
     syndrome picks the one preimage of that shape.
     """
+    _check_syndromes(a, b)
     _check_room(n, 2, 1)
     _check_received(y, n - 1)
     # C21(n) is SVT21 at P = n over every start: a merge is a splice of
@@ -378,6 +387,7 @@ def svt21_decode(
     2P-1 and mod 4 are needed because candidate starts this close
     together can never collide on both.
     """
+    _check_syndromes(c, d)
     _check_room(n, 2, 1)
     _check_received(y, n - 1)
     _check_int(P, 1, "window capacity P must be >= 1")
@@ -599,6 +609,7 @@ def _in_bucket(x: str, n: int, rows: tuple, vals: tuple) -> bool:
     increments of its leading residue; rows share no state, so each is
     run and checked in turn."""
     check_word(x)
+    _check_syndromes(*vals)
     if len(x) != n:
         return False
     k = len(rows)

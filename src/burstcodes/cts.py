@@ -41,6 +41,7 @@ from .codes import (
     Codebook,
     DecodeOutcome,
     _check_received,
+    _check_syndromes,
     _in_bucket,
     _largest_bucket,
     _weighted_row,
@@ -69,9 +70,8 @@ def _shape(n: int, t: int, s: int) -> tuple[int, int]:
     if s < 1 or t < 2 * s:
         raise ValueError(f"construction needs t >= 2s >= 2, got t={t}, s={s}")
     k = t - s
-    if n % k != 0:
+    if _check_int(n, None, "length must be an int") % k != 0:
         raise ValueError(f"row count {k} must divide n={n}")
-    # a float n that k divides gives a float m, refused here
     return k, _check_int(n // k, 2, "rows must have length >= 2")
 
 
@@ -112,6 +112,7 @@ class CtsParams:
 
     def __post_init__(self):
         k, _ = _shape(self.n, self.t, self.s)
+        _check_syndromes(self.a, self.b, *(v for rp in self.row_params for v in rp))
         if len(self.row_params) != k - 1:
             raise ValueError(
                 f"expected {k - 1} row parameter pairs, got {len(self.row_params)}"

@@ -5,6 +5,8 @@ or an impossible parameter raises ValueError, while a received word that
 cannot be explained (or is explained twice) raises a DecodingError subclass.
 """
 
+__all__ = ["DecodingError", "DecodeFailure", "DecodeAmbiguity", "DivisibilityError", "GuardLimit"]
+
 
 class DecodingError(Exception):
     """Base class for decode-time failures."""

@@ -237,6 +237,30 @@ _BALL_LAWS = {
 }
 
 
+def _ball_law_kinds(t_max: int, s_max: int, top: int) -> tuple[list, list]:
+    """The sweep's (t, s) sizes, capped at the top length, and the kinds
+    it builds a mask for: each full (t, s)-ball, then each refined
+    (k, l)-part of one, as (t, s, refined) or (k, l, refined)."""
+    sizes = [(t, s) for t in range(1, min(t_max, top) + 1) for s in range(1, min(s_max, top) + 1)]
+    kinds = [(t, s, False) for t, s in sizes]
+    kinds += sorted({(k, l, True) for t, s in sizes for k, l in _refined_parts(t, s)})
+    return sizes, kinds
+
+
+def _ball_law_work(top: int, kinds: list) -> int:
+    """Estimated 64-bit mask words the sweep up to length top touches:
+    each of the 2^n words of each length n builds a mask of 2^(n - t + s)
+    bits for each kind with t <= n."""
+    return sum(
+        sum(-(-(1 << (n - t + s)) // 64) for t, s, _ in kinds if t <= n) << n
+        for n in range(top + 1)
+    )
+
+
+# the work of the default sweep at the length guard
+_BALL_LAW_WORK = _ball_law_work(BALL_LAW_GUARD, _ball_law_kinds(4, 4, BALL_LAW_GUARD)[1])
+
+
 def verify_ball_laws(n_values, t_max: int = 4, s_max: int = 4) -> dict[str, VerificationReport]:
     """One sweep over all words and burst sizes, three laws checked.
 
@@ -260,7 +284,9 @@ def verify_ball_laws(n_values, t_max: int = 4, s_max: int = 4) -> dict[str, Veri
     Raises ValueError unless t_max and s_max are ints >= 1, which any
     combination needs, for a sweep with no length >= 1, and for a
     length that is not an int >= 0; GuardLimit for a length above
-    BALL_LAW_GUARD.
+    BALL_LAW_GUARD, and, before any mask is built, for a sweep whose
+    estimated mask work (_ball_law_work) exceeds that of the default
+    sizes t_max = s_max = 4 up to BALL_LAW_GUARD.
 
     Returns reports keyed 'size', 'partition', 'refined-size'.
     """
@@ -276,6 +302,13 @@ def verify_ball_laws(n_values, t_max: int = 4, s_max: int = 4) -> dict[str, Veri
     top = n_values[-1]
     if top > BALL_LAW_GUARD:
         raise GuardLimit(f"ball-law sweep at n={top} exceeds guard {BALL_LAW_GUARD}")
+    sizes, kinds = _ball_law_kinds(t_max, s_max, top)
+    work = _ball_law_work(top, kinds)
+    if work > _BALL_LAW_WORK:
+        raise GuardLimit(
+            f"ball-law sweep up to n={top} with t_max={t_max}, s_max={s_max} would touch "
+            f"{work} mask words, over the work guard {_BALL_LAW_WORK}"
+        )
     start = time.perf_counter()
     fails = dict.fromkeys(_BALL_LAWS, 0)
     wit: dict[str, tuple | None] = dict.fromkeys(_BALL_LAWS)
@@ -285,9 +318,6 @@ def verify_ball_laws(n_values, t_max: int = 4, s_max: int = 4) -> dict[str, Veri
         if wit[law] is None or (n, v) < wit[law][:2]:
             wit[law] = n, v, fields
 
-    sizes = [(t, s) for t in range(1, min(t_max, top) + 1) for s in range(1, min(s_max, top) + 1)]
-    kinds = [(t, s, False) for t, s in sizes]
-    kinds += sorted({(k, l, True) for t, s in sizes for k, l in _refined_parts(t, s)})
     plans = {}
     words = combos = formula_checks = 0
     for n in n_values:

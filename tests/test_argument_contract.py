@@ -3,7 +3,9 @@
 Burst sizes, lengths, capacities, run caps, counts and window bounds
 are drawn from ints in -3..24, whole and fractional floats, and bools,
 and fed to each public entry point that checks them and to the member,
-search and decode subcommands.  A call must return, or raise
+search and decode subcommands; syndrome values also take None and
+strs.  A seeded fuzz runs random flags and words through every
+subcommand, family and check.  A call must return, or raise
 ValueError, DecodingError or GuardLimit (exit 0-3 through the command
 line); any other exception is a rule that is missing.  Sizes that
 enumerate 2^s inserts, ball-law sweeps and simulated books stay small,
@@ -11,8 +13,10 @@ since a valid large one only costs time.  The cache sequence these
 rules closed is pinned after the property tests.
 """
 
+import argparse
 import contextlib
 import io
+import random
 import re
 
 import pytest
@@ -29,7 +33,7 @@ from burstcodes.channel import (
     refined_ball_size,
     sphere_packing_bound,
 )
-from burstcodes.cli import main
+from burstcodes.cli import build_parser, main
 from burstcodes.errors import DecodingError, GuardLimit
 from burstcodes.families import FAMILIES
 from burstcodes.simulate import SplitMix64, simulate
@@ -108,6 +112,59 @@ def test_construction_and_word_rules(x, n, t, s, k):
     ends_well(next, all_words(n))
 
 
+# a syndrome value: any int, or a float, bool, None or str, each refused
+SYNDROME = numbers() | st.none() | st.text("0123z", max_size=2)
+
+
+@QUICK
+@given(x=WORD, n=st.integers(1, 12), a=SYNDROME, b=SYNDROME, c=SYNDROME, d=SYNDROME,
+       lo=st.integers(-3, 12), hi=st.integers(-3, 12))
+def test_syndrome_rules(x, n, a, b, c, d, lo, hi):
+    for call, *args in (
+        (codes.vt_member, x, a, n),
+        (codes.lev2_member, x, a, n),
+        (codes.c21_member, x, a, b, n),
+        (codes.c21rll_member, x, a, b, n),
+        (codes.svt21_member, x, c, d, n),
+        (codes.vt_decode, x, a, n),
+        (codes.lev2_decode, x, a, n),
+        (codes.c21_decode, x, a, b, n),
+        (codes.svt21_decode, x, c, d, 3, (lo, hi), n),
+        (lambda: c31.c31_member(x, c31.C31Params(8, a, b, c, d)),),
+        (lambda: cts.cts_member(x, cts.CtsParams.derive(12, 4, 1, a, b, ((c, d), (0, 0)))),),
+    ):
+        ends_well(call, *args)
+
+
+SYNDROME_CALLS = {
+    "vt_member": lambda v: codes.vt_member("0110", v, 4),
+    "lev2_member": lambda v: codes.lev2_member("0110", v, 4),
+    "c21_member": lambda v: codes.c21_member("0110", 0, v, 4),
+    "c21rll_member": lambda v: codes.c21rll_member("101", v, 7, 3),
+    "svt21_member": lambda v: codes.svt21_member("0110", v, 0, 3),
+    "vt_decode": lambda v: codes.vt_decode("011", v, 4),
+    "lev2_decode": lambda v: codes.lev2_decode("11010", v, 6),
+    "c21_decode": lambda v: codes.c21_decode("011001", 3, v, 7),
+    "svt21_decode": lambda v: codes.svt21_decode("010111", 0, v, 3, (2, 4), 7),
+    "C31Params": lambda v: c31.C31Params(8, v, 2, 2, 4),
+    "CtsParams": lambda v: cts.CtsParams.derive(15, 4, 1, v, 3, ((7, 2), (10, 0))),
+    "CtsParams-row": lambda v: cts.CtsParams.derive(15, 4, 1, 1, 3, ((7, 2), (10, v))),
+}
+
+
+@pytest.mark.parametrize("value", [1.5, 1.0, True, False, None, "3", "zz"], ids=repr)
+@pytest.mark.parametrize("call", SYNDROME_CALLS.values(), ids=list(SYNDROME_CALLS))
+def test_syndrome_values_must_be_ints(call, value):
+    msg = f"syndrome values must be ints, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+        call(value)
+
+
+def test_a_construction_length_must_be_an_int():
+    with pytest.raises(ValueError, match="^length must be an int$"):
+        cts.cts_param_search("8", 4, 2)
+
+
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(
     family=st.sampled_from(("c21", "c31", "cts")),
@@ -140,6 +197,77 @@ def test_cli_rules(command, family, word, params, options, window):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
     assert code in (0, 1, 2, 3), argv
+
+
+# every subcommand, each family and check it takes, and its flags, read
+# from the parser; values stay small, since a valid large one only costs
+# time, and one in twenty is malformed; most runs set --n, which every
+# family subcommand but member needs
+MALFORMED = ["1.5", "x", "", "2..6", "0,0"]
+
+
+def _subcommands():
+    """(subcommand, leading positionals, {flag: nargs}, takes words) per
+    family and check."""
+    top = build_parser()
+    sub = next(a for a in top._actions if isinstance(a, argparse._SubParsersAction))
+    for name, parser in sub.choices.items():
+        choices, flags = [[]], {}
+        for action in parser._actions:
+            if action.option_strings:
+                if "--help" not in action.option_strings:
+                    flags[action.option_strings[0]] = action.nargs
+            elif action.choices:
+                # an optional positional may also be left out
+                values = [*action.choices, *[None] * (action.nargs == "?")]
+                choices = [head + [c] * (c is not None) for head in choices for c in values]
+        takes_words = any(action.dest == "words" for action in parser._actions)
+        for head in choices:
+            yield name, head, flags, takes_words
+
+
+def _value(rng, flag):
+    if rng.random() < 0.05:
+        return rng.choice(MALFORMED)
+    if flag in ("--params", "--window"):
+        count = rng.randint(1, 6) if flag == "--params" else 2
+        return ",".join(str(rng.randint(-1, 8)) for _ in range(count))
+    return str(rng.randint(-1, 8))
+
+
+def _random_argv(rng, name, head, flags, takes_words, missing):
+    argv = [name, *head]
+    for flag, nargs in flags.items():
+        if rng.random() >= {"--file": 0.05, "--n": 0.9}.get(flag, 0.3):
+            continue
+        if flag == "--file":
+            argv += [flag, str(missing)]
+        elif nargs == 0:
+            argv.append(flag)
+        elif nargs == 2:
+            argv += [flag, _value(rng, flag), _value(rng, flag)]
+        else:
+            # joined, so that a value such as -1,5 is not read as a flag
+            argv.append(f"{flag}={_value(rng, flag)}")
+    for _ in range(rng.randint(0, 2) if takes_words else 0):
+        word = "".join(rng.choice("01") for _ in range(rng.randint(0, 10)))
+        argv.append(word if rng.random() < 0.9 else word + "2")
+    return argv
+
+
+def test_cli_fuzz_ends_in_an_exit_code(tmp_path):
+    rng = random.Random(2022)
+    combos = list(_subcommands())
+    for i in range(20 * len(combos)):
+        argv = _random_argv(rng, *combos[i % len(combos)], tmp_path / "missing.txt")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except Exception as exc:  # any escape is the finding
+                pytest.fail(f"{argv}: {type(exc).__name__}: {exc}")
+        assert code in (0, 1, 2, 3), argv
+        assert "Traceback" not in err.getvalue(), argv
 
 
 # ------------------------------------------------------------------ pinned

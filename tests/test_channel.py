@@ -82,6 +82,15 @@ def test_ball_41_frozen_members():
     assert b.size == 7 == ball_size_formula(9, 4, 1)
 
 
+def test_ball_to_dict():
+    b = ball("0110", 1, 1)
+    assert b.to_dict() == {"center": "0110", "t": 1, "s": 1, "size": b.size,
+                           "members": list(b.members)}
+    r = refined_ball("0110", 1, 1)
+    assert r.to_dict(include_members=False) == {
+        "center": "0110", "t": 1, "s": 1, "size": r.size, "refined": True}
+
+
 def test_refined_split_frozen():
     b30 = refined_ball(REFINED_CENTER, 3, 0)
     b41 = refined_ball(REFINED_CENTER, 4, 1)

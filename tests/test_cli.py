@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from burstcodes import BurstSpec, apply_burst, ball, c31_param_search, codes
+from burstcodes import BurstSpec, apply_burst, ball, c31_param_search, codes, verify
 from burstcodes.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -262,6 +262,35 @@ def test_verify_book_checks(capsys):
         code, out, _ = run(capsys, "verify", check, "c21", "--n", "8")
         assert code == 0, check
         assert json.loads(out)["verdict"] == "pass"
+
+
+def test_verify_ball_laws_over_the_work_guard_exits_3(capsys):
+    code, out, err = run(
+        capsys, "verify", "ball-laws", "--n-max", "12", "--t-max", "12", "--s-max", "12"
+    )
+    assert (code, out) == (3, "")
+    assert err.startswith("guard: ") and "work guard" in err
+
+
+def test_a_failing_verify_prints_its_witness(capsys, monkeypatch):
+    # no searched book fails, so the disjointness pass is patched to clash
+    clash = {"center_a": "00000000", "center_b": "11111111", "shared": "0000000"}
+    monkeypatch.setattr(verify, "_disjoint", lambda members, t, s: (clash, 7))
+    code, out, err = run(capsys, "verify", "disjoint", "c21", "--n", "8")
+    assert code == 1
+    assert json.loads(out)["verdict"] == "fail"
+    assert err == f"witness: {json.dumps(clash, sort_keys=True)}\n"
+
+
+def test_a_failing_simulate_exits_1_with_its_witnesses(capsys, monkeypatch):
+    # every decode gives 00000000, which is not in the c21 book at n = 8
+    wrong = codes.DecodeOutcome("0" * 8, codes.NO_ERROR, (1, 1))
+    monkeypatch.setattr(codes, "c21_decode", lambda y, a, b, n: wrong)
+    code, out, err = run(capsys, "simulate", "c21", "--n", "8", "--trials", "12", "--seed", "3")
+    assert code == 1
+    assert "success 0/12" in out
+    lines = err.splitlines()
+    assert len(lines) == 10 and all(line.startswith("witness: ") for line in lines)
 
 
 def test_verify_cts_needs_ts(capsys):

@@ -427,3 +427,14 @@ def test_codebook_redundancy():
     assert "1001" in book
     d = book.to_dict()
     assert d["size"] == 2 and "members" not in d
+
+
+def test_codebook_equality_and_repr():
+    book = Codebook("vt", 4, {"a": 0}, ("0000", "1001"))
+    assert book == Codebook("vt", 4, {"a": 0}, ("0000", "1001"))
+    assert book != Codebook("vt", 4, {"a": 1}, ("0000", "1001"))
+    assert book != ("0000", "1001")
+    # a searched book lists its members before it compares them
+    vt4 = ("0000", "0110", "1001", "1111")
+    assert pigeonhole_search("vt", 4)[1] == Codebook("vt", 4, {"a": 0}, vt4)
+    assert repr(book) == "Codebook(family='vt', n=4, params={'a': 0}, size=2)"

@@ -14,6 +14,7 @@ from burstcodes.cts import (
     cts_param_search,
     window_capacity,
 )
+from burstcodes.errors import DecodeFailure
 from burstcodes.words import all_words, deinterleave, interleave, vt_syndrome
 
 
@@ -40,6 +41,14 @@ def test_worked_decode():
     y = apply_burst(x, BurstSpec(4, 1, 6, "0"))
     assert y == "101010101110"
     assert cts_decode(y, WORKED) == x
+
+
+def test_decode_refuses_a_row_1_outside_the_run_cap():
+    # row 1 of 0000000 decodes to 00000000, a run of 8 over the cap f = 6
+    params = CtsParams.derive(8, 2, 1, 0, 0)
+    assert params.f == 6
+    with pytest.raises(DecodeFailure, match="^row 1 decoded outside the run cap$"):
+        cts_decode("0000000", params)
 
 
 def test_decode_rejects_wrong_length():

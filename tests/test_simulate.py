@@ -2,6 +2,8 @@
 
 import pytest
 
+from burstcodes import codes
+from burstcodes.errors import DecodeFailure
 from burstcodes.simulate import SimulationResult, SplitMix64, simulate
 
 # Reference stream for seed 1234567, as published with the original
@@ -92,3 +94,19 @@ def test_result_dict_shape():
     assert d["trials"] == 10
     assert "elapsed" not in " ".join(d)
     assert isinstance(res, SimulationResult)
+
+
+def test_failures_keep_at_most_ten_replayable_witnesses(monkeypatch):
+    # every searched code decodes its bursts, so the decoder is made to fail
+    def fail(y, a, b, n):
+        raise DecodeFailure("no candidate")
+
+    monkeypatch.setattr(codes, "c21_decode", fail)
+    res = simulate("c21", 8, 25, seed=3)
+    assert (res.successes, res.failures) == (0, 25)
+    assert len(res.witnesses) == 10
+    for w in res.witnesses:
+        assert set(w) == {"codeword", "start", "inserted", "decoded"}
+        assert w["decoded"] == "DecodeFailure: no candidate"
+        assert len(w["inserted"]) == 1 and 1 <= w["start"] <= 7
+    assert res.to_dict()["failures"] == 25

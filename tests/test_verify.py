@@ -4,6 +4,7 @@ import json
 import math
 import random
 import re
+import time
 from collections import Counter
 
 import pytest
@@ -193,6 +194,24 @@ def test_equivalence_bad_pair_fails_both_ways():
     assert rep.counts == {"forward_pass": 0, "swapped_pass": 0}
 
 
+def test_equivalence_disagreement_carries_both_verdicts(monkeypatch, c21_book):
+    # no real book passes one direction and fails the other, so the
+    # swapped check is made to find a clash
+    real = verify._disjoint
+    clash = {"center_a": "a", "center_b": "b", "shared": "c"}
+    monkeypatch.setattr(
+        verify, "_disjoint",
+        lambda members, t, s: real(members, t, s) if (t, s) == (2, 1) else (clash, 1),
+    )
+    rep = verify_equivalence(c21_book.members, 2, 1)
+    assert not rep.verdict
+    assert rep.counts == {"forward_pass": 1, "swapped_pass": 0}
+    assert rep.witness == {
+        "forward": {"t": 2, "s": 1, "verdict": True, "witness": None},
+        "swapped": {"t": 1, "s": 2, "verdict": False, "witness": clash},
+    }
+
+
 def test_ball_laws_small_sweep():
     reports = verify_ball_laws([4, 5, 6], t_max=3, s_max=3)
     assert set(reports) == {"size", "partition", "refined-size"}
@@ -205,6 +224,33 @@ def test_ball_laws_small_sweep():
 def test_ball_laws_guard():
     with pytest.raises(GuardLimit):
         verify_ball_laws([20])
+
+
+def _work(top, t_max, s_max):
+    return verify._ball_law_work(top, verify._ball_law_kinds(t_max, s_max, top)[1])
+
+
+def test_ball_law_work_guard_is_the_default_sweep_at_the_length_guard():
+    # the rule: sum over n <= top of 2^n times, per kind with t <= n, the
+    # 64-bit words of a 2^(n - t + s)-bit mask
+    kinds = verify._ball_law_kinds(4, 4, 5)[1]
+    assert verify._ball_law_work(5, kinds) == sum(
+        sum(-(-(2 ** (n - t + s)) // 64) for t, s, _ in kinds if t <= n) * 2**n
+        for n in range(6)
+    )
+    guard = verify.BALL_LAW_GUARD
+    assert verify._BALL_LAW_WORK == _work(guard, 4, 4)
+    # the default sweep at the length guard is admitted, not run here
+    assert _work(guard, 4, 4) <= verify._BALL_LAW_WORK
+    assert _work(11, 10, 10) > verify._BALL_LAW_WORK > _work(10, 10, 10)
+
+
+@pytest.mark.parametrize("n_values,t_max,s_max", [([12], 12, 12), ([11], 10, 10), ([14], 14, 4)])
+def test_ball_laws_refuse_a_sweep_over_the_work_guard_at_once(n_values, t_max, s_max):
+    start = time.perf_counter()
+    with pytest.raises(GuardLimit, match="work guard"):
+        verify_ball_laws(n_values, t_max, s_max)
+    assert time.perf_counter() - start < 0.1
 
 
 @pytest.mark.parametrize("t_max,s_max", [(0, 4), (4, 0), (-1, -1)])

@@ -86,6 +86,12 @@ def test_deinterleave_rejects_ragged_rows():
         deinterleave(("10", "011"))
 
 
+def test_empty_inputs():
+    assert run_count("") == 0
+    with pytest.raises(ValueError, match="^need at least one row$"):
+        deinterleave([])
+
+
 def test_roundtrip_exhaustive_small():
     # every word of length <= 12, every divisor row count
     for n in range(1, 13):
