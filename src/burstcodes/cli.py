@@ -263,15 +263,11 @@ def cmd_simulate(args) -> int:
     res = simulate(
         args.family, args.n, args.trials, args.seed, t=args.t, s=args.s
     )
-    if args.json:
-        print(json.dumps(res.to_dict(), sort_keys=True))
-    else:
-        print(f"simulate {res.family} n={res.n} t={res.t} s={res.s} seed={res.seed}")
-        print(
-            f"codebook size {res.codebook_size} params "
-            + json.dumps(res.params, sort_keys=True)
-        )
-        print(f"success {res.successes}/{res.trials}")
+    _emit(res.to_dict(), args.json, [
+        f"simulate {res.family} n={res.n} t={res.t} s={res.s} seed={res.seed}",
+        f"codebook size {res.codebook_size} params {json.dumps(res.params, sort_keys=True)}",
+        f"success {res.successes}/{res.trials}",
+    ])
     if res.failures:
         for w in res.witnesses:
             print(f"witness: {json.dumps(w, sort_keys=True)}", file=sys.stderr)
@@ -282,31 +278,28 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------- main
 
 
-def _add_word_args(p):
-    p.add_argument("words", nargs="*", help="ASCII bitstrings")
-    p.add_argument("--file", help="read words from a file, one per line")
+# the arguments several subcommands share, with their keywords, in the
+# order _add_shared adds them
+_SHARED = {
+    "words": {"nargs": "*", "help": "ASCII bitstrings"},
+    "--file": {"help": "read words from a file, one per line"},
+    "--t": {"type": int},
+    "--s": {"type": int},
+    "--n": {"type": int},
+    "--params": {"help": "comma-separated integers"},
+    "--P": {"type": int},
+    "--window": {"type": _parse_window, "help": "lo,hi"},
+    "--f": {"type": int, "help": "run cap override"},
+    "--json": {"action": "store_true"},
+    "--verbose": {"action": "store_true"},
+}
 
 
-def _add_common(p, *, t=False, s=False, n=False, params=False, P=False,
-                window=False, f=False, json_flag=True, verbose=False):
-    if t:
-        p.add_argument("--t", type=int, default=None)
-    if s:
-        p.add_argument("--s", type=int, default=None)
-    if n:
-        p.add_argument("--n", type=int, default=None)
-    if params:
-        p.add_argument("--params", default=None, help="comma-separated integers")
-    if P:
-        p.add_argument("--P", type=int, default=None)
-    if window:
-        p.add_argument("--window", type=_parse_window, default=None, help="lo,hi")
-    if f:
-        p.add_argument("--f", type=int, default=None, help="run cap override")
-    if json_flag:
-        p.add_argument("--json", action="store_true")
-    if verbose:
-        p.add_argument("--verbose", action="store_true")
+def _add_shared(p, *names):
+    """Add the named shared arguments to p, in _SHARED's order."""
+    for name, keywords in _SHARED.items():
+        if name in names:
+            p.add_argument(name, **keywords)
 
 
 @functools.cache
@@ -325,33 +318,31 @@ def build_parser() -> argparse.ArgumentParser:
     roundtrip = [name for name, fam in FAMILIES.items() if fam.roundtrip]
 
     p = sub.add_parser("ball", help="enumerate a burst ball around a word")
-    _add_word_args(p)
-    _add_common(p, t=True, s=True)
+    _add_shared(p, "words", "--file", "--t", "--s", "--json")
     p.add_argument("--refined", nargs=2, type=int, metavar=("K", "L"), default=None)
     p.set_defaults(func=cmd_ball)
 
     p = sub.add_parser("member", help="test codebook membership")
     p.add_argument("family", choices=list(FAMILIES))
-    _add_word_args(p)
-    _add_common(p, t=True, s=True, n=True, params=True, P=True, f=True)
+    _add_shared(p, "words", "--file", "--t", "--s", "--n", "--params", "--P", "--f", "--json")
     p.set_defaults(func=cmd_member)
 
     p = sub.add_parser("decode", help="decode a received word")
     p.add_argument("family", choices=decodable)
-    _add_word_args(p)
-    _add_common(p, t=True, s=True, n=True, params=True, P=True, window=True, verbose=True)
+    _add_shared(p, "words", "--file", "--t", "--s", "--n", "--params", "--P", "--window",
+                "--json", "--verbose")
     p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("search", help="find the best parameters by pigeonhole")
     p.add_argument("family", choices=list(FAMILIES))
-    _add_common(p, t=True, s=True, n=True, P=True, f=True, json_flag=False)
+    _add_shared(p, "--t", "--s", "--n", "--P", "--f")
     p.add_argument("--members", action="store_true", help="include the codeword list")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("verify", help="exhaustive checks, JSON report per line")
     p.add_argument("check", choices=("ball-laws", *_BOOK_CHECKS))
     p.add_argument("family", nargs="?", choices=roundtrip, default=None)
-    _add_common(p, t=True, s=True, n=True, json_flag=False)
+    _add_shared(p, "--t", "--s", "--n")
     p.add_argument("--n-max", type=int, default=8, dest="n_max")
     p.add_argument("--t-max", type=int, default=4, dest="t_max")
     p.add_argument("--s-max", type=int, default=4, dest="s_max")
@@ -361,12 +352,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--n", required=True, help="single value or inclusive range a..b")
-    p.add_argument("--json", action="store_true")
+    _add_shared(p, "--json")
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("simulate", help="seeded random bursts through a decoder")
     p.add_argument("family", choices=roundtrip)
-    _add_common(p, t=True, s=True, n=True)
+    _add_shared(p, "--t", "--s", "--n", "--json")
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_simulate)

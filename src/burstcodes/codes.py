@@ -272,6 +272,16 @@ def _pair_splices(
     return seen
 
 
+def _weight_splice(y: str, mod: int, a: int, b: int, lo: int, hi: int, context: str):
+    """C21's and SVT21's tail: the one splice at lo <= p <= hi whose word
+    has VT sum a mod mod and weight b mod 4, as (word, p, weight change)."""
+    ones, V = _suffix_ones(y)
+    # the weight change that gives weight b mod 4, read as -1..2
+    change = (b - ones[0] + 1) % 4 - 1
+    word, p = _expect_one(_pair_splices(y, ones, V, mod, a, lo, hi, (change,)), context)
+    return word, p, change
+
+
 # ---------------------------------------------------------------- VT
 
 
@@ -338,11 +348,10 @@ def _deletion_run(x: str, y: str) -> tuple[int, int]:
     """The run of x whose one-symbol deletion yields y, as 1-based bounds.
 
     Deleting any symbol of a run gives the same word, and y first differs
-    from x at the run's last symbol, so one scan finds the run.
+    from x at the run's last symbol, so one scan finds the run.  x is y
+    with one bit inserted, so that deletion always gives y back.
     """
     q = next((i for i, (u, v) in enumerate(zip(x, y)) if u != v), len(y))
-    if x[q + 1 :] != y[q:]:
-        raise DecodeFailure("decoded word does not reduce to the received word")
     lo = q
     while lo and x[lo - 1] == x[q]:
         lo -= 1
@@ -360,10 +369,7 @@ def c21_decode(y: str, a: int, b: int, n: int) -> DecodeOutcome:
     _check_received(y, n - 1)
     # C21(n) is SVT21 at P = n over every start: a merge is a splice of
     # weight change -1 or 2, a single deletion one of 0 or 1
-    ones, V = _suffix_ones(y)
-    change = (b - ones[0] + 1) % 4 - 1
-    seen = _pair_splices(y, ones, V, 2 * n - 1, a, 1, n - 1, (change,))
-    word, p = _expect_one(seen, "c21_decode")
+    word, p, change = _weight_splice(y, 2 * n - 1, a, b, 1, n - 1, "c21_decode")
     if change in (0, 1):
         return DecodeOutcome(word, SINGLE_DELETION, _deletion_run(word, y))
     return DecodeOutcome(word, MERGE_00_TO_1 if change < 0 else MERGE_11_TO_0, (p, p))
@@ -400,12 +406,7 @@ def svt21_decode(
     _check_int(P, hi - lo + 1, "window {} longer than P={}", window, P)
     lo, hi = max(lo, 1), min(hi, n - 1)
     _check_int(hi, lo, "window {} has no valid burst start for n={}", window, n)
-    ones, V = _suffix_ones(y)
-    # the weight change that gives weight d mod 4, read as -1..2
-    change = (d - ones[0] + 1) % 4 - 1
-    seen = _pair_splices(y, ones, V, 2 * P - 1, c, lo, hi, (change,))
-    word, _ = _expect_one(seen, "svt21_decode")
-    return word
+    return _weight_splice(y, 2 * P - 1, c, d, lo, hi, "svt21_decode")[0]
 
 
 # ---------------------------------------------------------------- RLL

@@ -31,6 +31,7 @@ window always fits.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cache
 
@@ -42,9 +43,9 @@ from .codes import (
     DecodeOutcome,
     _check_received,
     _check_syndromes,
+    _family_rows,
     _in_bucket,
     _largest_bucket,
-    _weighted_row,
     c21_decode,
     rll_max_run,
     rll_member,
@@ -90,8 +91,9 @@ def _rows(n: int, t: int, s: int) -> tuple:
 
 @cache
 def _shaped_rows(k: int, m: int, s: int) -> tuple:
-    first = _weighted_row(2 * m - 1, rll_max_run(m))
-    return (first,) + (_weighted_row(2 * window_capacity(m, s) - 1),) * (k - 1)
+    first, _, _ = _family_rows("c21rll", m, None, None)
+    rest, _, _ = _family_rows("svt21", m, window_capacity(m, s), None)
+    return first + rest * (k - 1)
 
 
 @dataclass(frozen=True)
@@ -112,15 +114,22 @@ class CtsParams:
 
     def __post_init__(self):
         k, _ = _shape(self.n, self.t, self.s)
-        _check_syndromes(self.a, self.b, *(v for rp in self.row_params for v in rp))
-        if len(self.row_params) != k - 1:
+        rps = self.row_params
+        if not isinstance(rps, tuple) or any(
+            not isinstance(rp, tuple) or len(rp) != 2 for rp in rps
+        ):
+            raise ValueError(f"row_params must be a tuple of (c, d) pairs, got {rps!r}")
+        _check_syndromes(self.a, self.b, *(v for rp in rps for v in rp))
+        if len(rps) != k - 1:
             raise ValueError(
-                f"expected {k - 1} row parameter pairs, got {len(self.row_params)}"
+                f"expected {k - 1} row parameter pairs, got {len(rps)}"
             )
 
     @classmethod
     def derive(cls, n, t, s, a, b, row_params=()):
-        return cls(n, t, s, a, b, tuple(tuple(rp) for rp in row_params))
+        # an entry that is no sequence goes on as it is, for __post_init__ to refuse
+        rows = tuple(tuple(rp) if isinstance(rp, Sequence) else rp for rp in row_params)
+        return cls(n, t, s, a, b, rows)
 
     @property
     def k(self) -> int:

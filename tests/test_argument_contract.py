@@ -5,9 +5,10 @@ are drawn from ints in -3..24, whole and fractional floats, and bools,
 and fed to each public entry point that checks them and to the member,
 search and decode subcommands; syndrome values also take None and
 strs.  A seeded fuzz runs random flags and words through every
-subcommand, family and check.  A call must return, or raise
-ValueError, DecodingError or GuardLimit (exit 0-3 through the command
-line); any other exception is a rule that is missing.  Sizes that
+subcommand, family and check, and a second one sets only options in
+range, so that each of those reaches its verdict.  A call must return,
+or raise ValueError, DecodingError or GuardLimit (exit 0-3 through the
+command line); any other exception is a rule that is missing.  Sizes that
 enumerate 2^s inserts, ball-law sweeps and simulated books stay small,
 since a valid large one only costs time.  The cache sequence these
 rules closed is pinned after the property tests.
@@ -160,6 +161,22 @@ def test_syndrome_values_must_be_ints(call, value):
         call(value)
 
 
+@pytest.mark.parametrize(
+    "call, shown",
+    [
+        (lambda: cts.CtsParams.derive(15, 4, 1, 0, 3, ((0, 0, 5), (0, 0))), "((0, 0, 5), (0, 0))"),
+        (lambda: cts.CtsParams.derive(15, 4, 1, 0, 3, ((0,), (0, 0))), "((0,), (0, 0))"),
+        (lambda: cts.CtsParams.derive(15, 4, 1, 1, 3, (7, 2)), "(7, 2)"),
+        (lambda: cts.CtsParams(15, 4, 1, 1, 3, [(0, 0), (0, 0)]), "[(0, 0), (0, 0)]"),
+    ],
+    ids=["a-triple", "a-single", "ints", "a-list"],
+)
+def test_cts_row_params_must_be_a_tuple_of_pairs(call, shown):
+    msg = f"row_params must be a tuple of (c, d) pairs, got {shown}"
+    with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+        call()
+
+
 def test_a_construction_length_must_be_an_int():
     with pytest.raises(ValueError, match="^length must be an int$"):
         cts.cts_param_search("8", 4, 2)
@@ -268,6 +285,80 @@ def test_cli_fuzz_ends_in_an_exit_code(tmp_path):
                 pytest.fail(f"{argv}: {type(exc).__name__}: {exc}")
         assert code in (0, 1, 2, 3), argv
         assert "Traceback" not in err.getvalue(), argv
+
+
+# the --params count of a family at burst (t, s)
+def _param_count(family, t, s):
+    return {"vt": 1, "lev2": 1, "c31": 4, "cts": 2 * (t - s)}.get(family, 2)
+
+
+def _valid_argv(rng, name, head, flags, takes_words):
+    """An argv for one combination that sets, of the family options,
+    only those its family reads or needs, plus --n and --params; each
+    value is in range and the words have the length the subcommand
+    takes.  Each of the subcommand's own options is set half the time."""
+    family = next((h for h in head if h in FAMILIES), None)
+    if family == "cts":
+        t, s = rng.choice([(3, 1), (4, 1), (4, 2), (5, 2)])
+        n = (t - s) * rng.randint(2, 12 // (t - s))
+    else:
+        t, s = FAMILIES[family].burst if family else (rng.randint(1, 3), rng.randint(1, 3))
+        n = 2 * rng.randint(2, 6) if family == "c31" else rng.randint(4, 10)
+    P, lo = rng.randint(1, n), rng.randint(1, n - 1)
+    params = [rng.randint(0, 2 * n) for _ in range(_param_count(family, t, s))]
+    values = {
+        "--t": t, "--s": s, "--n": n, "--P": P, "--f": rng.randint(1, n),
+        "--window": f"{lo},{min(lo + rng.randint(0, P - 1), n - 1)}",
+        "--params": ",".join(map(str, params)),
+        "--refined": (rng.randint(0, 3), rng.randint(0, 3)),
+        "--trials": rng.randint(1, 20), "--seed": rng.randint(0, 99),
+        "--n-max": rng.randint(2, 6), "--t-max": rng.randint(1, 3), "--s-max": rng.randint(1, 3),
+    }
+    family_options = {"--t", "--s", "--n", "--P", "--f", "--window", "--params"}
+    if family is None:
+        chosen = {"--t", "--s", "--n"}
+    else:
+        fam = FAMILIES[family]
+        chosen = {"--n", "--params", *(f"--{o}" for o in fam.reads + fam.needs)}
+    argv = [name, *head]
+    for flag, nargs in flags.items():
+        if flag in family_options and flag not in chosen:
+            continue
+        if flag == "--file" or flag not in family_options and rng.random() < 0.5:
+            continue
+        if nargs == 0:
+            argv.append(flag)
+        elif nargs == 2:
+            argv += [flag, *map(str, values[flag])]
+        else:
+            argv.append(f"{flag}={values[flag]}")
+    length = {"member": n, "decode": n - t + s}.get(name, rng.randint(4, 10))
+    for _ in range(rng.randint(1, 2) if takes_words else 0):
+        argv.append("".join(rng.choice("01") for _ in range(length)))
+    return argv
+
+
+def test_cli_fuzz_with_valid_options_reaches_every_command():
+    """Every family, check and subcommand gets past its argument checks
+    to a verdict: each combination exits 0 or 1 at least once.  A
+    verify check other than ball-laws without a family always exits 2,
+    so those four combinations are left to the fuzz above."""
+    rng = random.Random(2022)
+    combos = [c for c in _subcommands() if c[0] != "verify" or c[1][0] == "ball-laws" or c[1][1:]]
+    verdict = set()
+    for i in range(8 * len(combos)):
+        argv = _valid_argv(rng, *combos[i % len(combos)])
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except Exception as exc:  # any escape is the finding
+                pytest.fail(f"{argv}: {type(exc).__name__}: {exc}")
+        assert code in (0, 1, 2, 3), argv
+        assert "Traceback" not in err.getvalue(), argv
+        if code in (0, 1):
+            verdict.add(i % len(combos))
+    assert [combos[i][:2] for i in range(len(combos)) if i not in verdict] == []
 
 
 # ------------------------------------------------------------------ pinned
