@@ -7,16 +7,27 @@ center word; refined_ball() restricts to outputs whose inserted block
 disagrees with the deleted block at both boundary symbols, which is the
 partition device behind the closed-form ball size.
 
-Both run on one integer kernel, _burst_outputs(): a word of length n is
+Both run on one integer kernel, _start_outputs(): a word of length n is
 the int whose binary digits it spells (x_1 most significant), and each
 output is spliced together with shifts and masks, so no string is built
-until the members are listed; both refuse with GuardLimit a center whose
-n - t + 1 starts times 2^s inserts exceed OUTPUT_GUARD.  The ball-law
-sweep sets bit u of a mask for each output u, so a size is a bit count
-and a union one OR.  Its mask step, _mask_step(), uses that the bursts
-at starts >= 1 on b.v' are b followed by those on v': a word's mask is
-its suffix's shifted up by b << (m - 1), m = n - t + s, ORed with the
-first start's outputs.  _burst_mask() folds the step over suffixes.
+until the members are listed.  The kernel runs one start at a time over
+a list of centers and makes each output of a center once: a burst at
+start i whose insert begins with x_i, the symbol at the start (for
+t = 0, the one after the insertion point), gives an output of start
+i + 1, so every start but the last takes only the inserts whose first
+bit differs from x_i, and no later start can give such an output, since
+it keeps x_i.  With s = 0, every start but the last is kept only where
+x_i != x_{i+t}.  That makes (n - t) * 2^(s-1) + 2^s outputs, the ball
+size below, while ball() and refined_ball() still refuse with GuardLimit
+a center whose n - t + 1 starts times 2^s inserts exceed OUTPUT_GUARD.
+_burst_outputs() is the kernel on one center.  The ball-law sweep sets
+bit u of a mask for each output u, so a size is a bit count and a union
+one OR.  Its mask step, _mask_step(), uses that the bursts at starts
+>= 1 on b.v' are b followed by those on v': a word's mask is its
+suffix's shifted up by b << (m - 1), m = n - t + s, ORed with the first
+start's outputs; one call steps every kind of a word from a per-length
+plan of constants, _step_plan().  _burst_mask() folds the step over
+suffixes with a one-kind plan.
 
 Ball size and the resulting sphere-packing ceiling are exact:
 
@@ -31,6 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import zip_longest
 
 from .errors import GuardLimit
 from .words import _check_int, check_word
@@ -109,73 +121,112 @@ class Ball:
         return d
 
 
-def _burst_outputs(v: int, n: int, t: int, s: int, refined: bool = False) -> set[int]:
-    """Every output of a (t, s)-burst on the length-n word whose bits are v.
+def _start_outputs(vs: list[int], n: int, t: int, s: int, refined: bool = False):
+    """Yield, for each 0-based start i = 0 .. n - t, one list of the
+    outputs a (t, s)-burst at i gives on every length-n center in vs.
 
-    The burst at 0-based start i keeps the i leading and r = n - i - t
-    trailing bits of v and puts an s-bit value ins between them:
-    ((v >> (n - i)) << (s + r)) | (ins << r) | (v & ((1 << r) - 1)).
-    Since those s bits of the kept part are 0, the outputs of one start
-    are an arithmetic progression in ins, added as one range.  With
-    refined set and t, s >= 1, ins must differ from the deleted block in
-    its first and in its last bit, which fixes both end bits of ins and
-    leaves the middle s - 2 free (for s = 1, one bit that must differ
-    from both).  Callers check that 0 <= t <= n and s >= 0.
+    The burst at i keeps the i leading and r = n - i - t trailing bits of
+    a center v and puts an s-bit insert between them.  An insert whose
+    first bit equals x_{i+1}, the symbol at the start (for t = 0, the one
+    after the insertion point), gives the same output as the burst at
+    i + 1 whose insert is the rest of it followed by x_{i+t+1}.  So each
+    start but the last takes only the 2^(s-1) inserts whose first bit
+    differs from x_{i+1}; such an output has y_{i+1} != x_{i+1}, which no
+    later start can give, while the outputs of a start all differ in the
+    insert.  With s = 0 there is no insert: start i gives the output of
+    i + 1 exactly when x_{i+1} = x_{i+t+1}, so only starts where they
+    differ are kept.  The last start keeps everything, and each center's
+    outputs appear once each: (n - t) * 2^(s-1) + 2^s of them, |B|.
+    With refined set and t, s >= 1, the insert must also differ from the
+    deleted block in its last bit, which fixes both end bits and leaves
+    the middle s - 2 free (for s = 1, one bit that must differ from
+    both).  Callers check that 0 <= t <= n and s >= 0.
     """
     split = refined and t > 0 and s > 0
-    out: set[int] = set()
     for i in range(n - t + 1):
         r = n - i - t
-        keep = ((v >> (n - i)) << (s + r)) | (v & ((1 << r) - 1))
-        if not split:
-            out.update(range(keep, keep + (1 << (s + r)), 1 << r))
-            continue
-        first, last = (v >> (r + t - 1)) & 1, (v >> r) & 1
-        if s == 1:
-            if first == last:
-                out.add(keep | ((1 - first) << r))
-            continue
-        low = keep | ((1 - first) << (s - 1 + r)) | ((1 - last) << r)
-        out.update(range(low, low + (1 << (s - 1 + r)), 2 << r))
-    return out
+        low, p, q = (1 << r) - 1, r + t - 1, s - 1 + r  # x_{i+1} is bit p of v
+        if split:
+            # x_{i+t}, the deleted block's last bit, is bit r of v
+            if s == 1:
+                yield [((v >> p ^ 1) << q) | (v & low) for v in vs if (v >> p ^ v >> r) & 1 == 0]
+            else:
+                bases = [((v >> p ^ 1) << q) | (v & low) | ((~v >> r & 1) << r) for v in vs]
+                yield _spread(bases, 2 << r, 1 << (s - 2))
+        elif not r:
+            yield _spread([v >> t << s for v in vs], 1, 1 << s)
+        elif s == 0:
+            yield [(v >> (p + 1) << r) | (v & low) for v in vs if (v >> p ^ v >> (r - 1)) & 1]
+        else:
+            yield _spread([((v >> p ^ 1) << q) | (v & low) for v in vs], 1 << r, 1 << (s - 1))
+
+
+def _spread(bases: list[int], step: int, count: int) -> list[int]:
+    """base + j * step for j < count, for each base."""
+    if count == 1:
+        return bases
+    offsets = range(0, count * step, step)
+    return [b + o for o in offsets for b in bases]
+
+
+def _burst_outputs(v: int, n: int, t: int, s: int, refined: bool = False) -> list[int]:
+    """Every output of a (t, s)-burst on the length-n word whose bits are
+    v, each once: _start_outputs() on the one center v."""
+    return [u for out in _start_outputs([v], n, t, s, refined) for u in out]
 
 
 @lru_cache(maxsize=None)
-def _comb(s: int, r: int, split: bool) -> int:
-    """A bit at each offset a start's inserts reach above its lowest output:
-    2^s bits 2^r apart, or refined 2^(s-2) bits 2^(r+1) apart (one for
-    s = 1).  2^(s+r) bits wide, so masks are for sweep lengths only."""
-    return sum(1 << (j << (r + split)) for j in range(1 << max(s - 2 * split, 0)))
-
-
-def _mask_step(v: int, n: int, t: int, s: int, refined: bool, suffix_mask: int) -> int:
-    """_burst_mask(v, n, t, s, refined) from suffix_mask, the mask of v's
-    length-(n - 1) suffix (0 when n - 1 < t), shifted as the module says.
-    The first start's comb lands on its lowest output, past the end bits
-    a refined insert must take.  Callers check 0 <= t <= n, s >= 0."""
+def _step_plan(n: int, t: int, s: int, refined: bool) -> tuple:
+    """The constants of _mask_step() for one kind at length n, r = n - t:
+    the shift 2^(r+s-1) that a leading 1 adds to every later start's
+    output, the comb (a bit at each offset a start's inserts reach above
+    its lowest output: 2^s bits 2^r apart, or refined 2^(s-2) bits
+    2^(r+1) apart, one for s = 1; 2^(s+r) bits wide, so for sweep lengths
+    only), the low mask 2^r - 1, and the refined split: for a refined
+    kind with t, s >= 1, whether s = 1 and the offsets 2^(s-1+r) and 2^r
+    of the insert's first and last bit, else None."""
     r = n - t
-    keep = v & ((1 << r) - 1)
-    mask = suffix_mask << ((v >> (n - 1)) << (r + s - 1)) if r else 0
     split = refined and t > 0 and s > 0
-    if split:
-        first, last = v >> (n - 1), (v >> r) & 1
-        if s == 1 and first != last:
-            return mask
-        keep |= ((1 - first) << (s - 1 + r)) | ((1 - last) << r)
-    return mask | (_comb(s, r, split) << keep)
+    comb = sum(1 << (j << (r + split)) for j in range(1 << max(s - 2 * split, 0)))
+    shift = 1 << (r + s - 1) if r else 0
+    return shift, comb, (1 << r) - 1, (s == 1, 1 << (s - 1 + r), 1 << r) if split else None
+
+
+def _mask_step(v: int, n: int, plan: list, suffix_masks: list) -> list[int]:
+    """The mask of each kind in plan for the length-n word v, from
+    suffix_masks, the masks of v's length-(n - 1) suffix in plan order (0
+    for a kind that does not fit in it, or past the list's end), shifted
+    as the module says.  plan holds _step_plan(n, t, s, refined) for
+    kinds with t <= n.  The first start's comb lands on its lowest
+    output, past the end bits a refined insert must take."""
+    top = v >> (n - 1) if n else 0
+    masks = []
+    for (shift, comb, low, split), mask in zip_longest(plan, suffix_masks, fillvalue=0):
+        if top:
+            mask <<= shift
+        keep = v & low
+        if split:
+            single, first, last = split
+            if single and top != (v & last > 0):
+                masks.append(mask)
+                continue
+            keep |= (0 if top else first) | (0 if v & last else last)
+        masks.append(mask | comb << keep)
+    return masks
 
 
 def _burst_mask(v: int, n: int, t: int, s: int, refined: bool = False) -> int:
     """_burst_outputs(v, n, t, s, refined) as one int with bit u set for
-    each output u: _mask_step() folded over the suffixes of v from length
-    t up.  Callers check that 0 <= t <= n and s >= 0."""
-    mask = 0
+    each output u: _mask_step() folded with a one-kind plan over the
+    suffixes of v from length t up.  Callers check that 0 <= t <= n and
+    s >= 0."""
+    masks = [0]
     for k in range(t, n + 1):
-        mask = _mask_step(v & ((1 << k) - 1), k, t, s, refined, mask)
-    return mask
+        masks = _mask_step(v & ((1 << k) - 1), k, [_step_plan(k, t, s, refined)], masks)
+    return masks[0]
 
 
-def _members(out: set[int], m: int) -> tuple[str, ...]:
+def _members(out: list[int], m: int) -> tuple[str, ...]:
     """The length-m words of out, sorted.
 
     Words of one length sort the same as strings and as ints.
@@ -230,10 +281,13 @@ def _ball(x: str, t: int, s: int, refined: bool) -> Ball:
 def ball(x: str, t: int, s: int) -> Ball:
     """Every word reachable from x by one (t, s)-burst.
 
-    Tries all n - t + 1 starts and all 2^s inserted words and keeps each
-    distinct output once; members are sorted, which for words of one
-    length is numeric order.  Requires n >= t so at least one start
-    exists, and raises GuardLimit past OUTPUT_GUARD.
+    Covers all n - t + 1 starts and all 2^s inserted words but makes
+    each distinct output once: at every start but the last, only the
+    inserts whose first bit differs from x_i, since the others give an
+    output of the next start (for s = 0, only the starts where
+    x_i != x_{i+t}).  Members are sorted, which for words of one length
+    is numeric order.  Requires n >= t so at least one start exists,
+    and raises GuardLimit when (n - t + 1) * 2^s exceeds OUTPUT_GUARD.
     """
     return _ball(x, t, s, False)
 

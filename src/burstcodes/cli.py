@@ -190,6 +190,8 @@ _BOOK_CHECKS = {
 
 def cmd_verify(args) -> int:
     if args.check == "ball-laws":
+        if any(v is not None for v in (args.family, args.n, args.t, args.s)):
+            raise ValueError("verify ball-laws reads no family, --n, --t or --s")
         _check_int(args.n_max, 2, "--n-max must be >= 2, got {}", args.n_max)
         reports = verify_ball_laws(range(2, args.n_max + 1), args.t_max, args.s_max)
         # a list, so every report prints when one fails

@@ -23,6 +23,8 @@ from .channel import (
     _mask_step,
     _members,
     _refined_size,
+    _start_outputs,
+    _step_plan,
     ball_size_formula,
     sphere_packing_bound,
 )
@@ -83,11 +85,16 @@ def verify_disjoint(members, t: int, s: int) -> VerificationReport:
     """Check that no channel output is reachable from two codewords.
 
     Outputs are ints, pooled per word length, since words of different
-    lengths never meet.  A codeword whose ball misses its pool only adds
-    to it.  On an overlap its outputs are replayed in sorted order and
-    each shared one is traced to its first earlier owner; the first
-    owner other than the codeword itself becomes the witness, and the
-    count stops there.  A repeated codeword shares only with itself.
+    lengths never meet.  Each pool is filled one start at a time over
+    all codewords of its length, from channel._start_outputs(), which
+    gives every codeword's outputs once each; the book passes when every
+    pool holds as many ints as were made.  When one holds fewer, the
+    book is walked again codeword by codeword: a codeword whose ball
+    misses its pool only adds to it, and on an overlap its outputs are
+    replayed in sorted order and each shared one is traced to its first
+    earlier owner; the first owner other than the codeword itself
+    becomes the witness, and the count stops there.  A repeated codeword
+    shares only with itself, so a book with one can still pass.
     """
     start = time.perf_counter()
     members = _codewords(members)
@@ -105,6 +112,24 @@ def verify_disjoint(members, t: int, s: int) -> VerificationReport:
 def _disjoint(members: tuple, t: int, s: int):
     """(witness or None, outputs checked) of verify_disjoint() on checked words."""
     _check_lengths(members, t, s, _CENTER_ROOM)
+    by_length: dict[int, list[int]] = {}
+    for x in members:
+        by_length.setdefault(len(x), []).append(int(x or "0", 2))
+    outputs = 0
+    for n, vs in by_length.items():
+        pool: set[int] = set()
+        made = 0
+        for out in _start_outputs(vs, n, t, s):
+            pool.update(out)
+            made += len(out)
+            if len(pool) < made:
+                return _clash_walk(members, t, s)
+        outputs += made
+    return None, outputs
+
+
+def _clash_walk(members: tuple, t: int, s: int):
+    """_disjoint() codeword by codeword, for a book whose pools came up short."""
     pools: dict[int, set[int]] = {}
     outputs = 0
     for idx, x in enumerate(members):
@@ -118,11 +143,11 @@ def _disjoint(members: tuple, t: int, s: int):
                 return witness, outputs
         else:
             outputs += len(out)
-        pool |= out
+        pool.update(out)
     return None, outputs
 
 
-def _first_clash(earlier, x: str, out: set[int], pool: set[int], t: int, s: int):
+def _first_clash(earlier, x: str, out: list[int], pool: set[int], t: int, s: int):
     """(witness or None, outputs checked) for x's outputs, in sorted
     order, against the pool of the earlier codewords of its length."""
     n = len(x)
@@ -136,7 +161,7 @@ def _first_clash(earlier, x: str, out: set[int], pool: set[int], t: int, s: int)
                 owner.setdefault(y, w)
     for seen, y in enumerate(sorted(out), 1):
         if owner.get(y, x) != x:
-            (word,) = _members({y}, n - t + s)
+            (word,) = _members([y], n - t + s)
             return {"center_a": owner[y], "center_b": x, "shared": word}, seen
     return None, len(out)
 
@@ -239,12 +264,13 @@ _BALL_LAWS = {
 
 def _ball_law_kinds(t_max: int, s_max: int, top: int) -> tuple[list, list]:
     """The sweep's (t, s) sizes, capped at the top length, and the kinds
-    it builds a mask for: each full (t, s)-ball, then each refined
-    (k, l)-part of one, as (t, s, refined) or (k, l, refined)."""
+    it builds a mask for: each full (t, s)-ball and each refined
+    (k, l)-part of one, as (t, s, refined) or (k, l, refined), sorted, so
+    the kinds that fit in a length come first."""
     sizes = [(t, s) for t in range(1, min(t_max, top) + 1) for s in range(1, min(s_max, top) + 1)]
-    kinds = [(t, s, False) for t, s in sizes]
-    kinds += sorted({(k, l, True) for t, s in sizes for k, l in _refined_parts(t, s)})
-    return sizes, kinds
+    kinds = {(t, s, False) for t, s in sizes}
+    kinds |= {(k, l, True) for t, s in sizes for k, l in _refined_parts(t, s)}
+    return sizes, sorted(kinds)
 
 
 def _ball_law_work(top: int, kinds: list) -> int:
@@ -272,10 +298,11 @@ def verify_ball_laws(n_values, t_max: int = 4, s_max: int = 4) -> dict[str, Veri
     Words are ints and balls are bitmasks, bit u set for each output u:
     a size is a bit count, a union an OR.  Each ball is built from its
     suffix's ball: the sweep walks the words depth-first from the empty
-    word, prepending a bit per level, and channel._mask_step() turns
-    the masks of v' into those of b.v' with one start term and one
-    shift per kind (each full (t, s)-ball and refined (k, l)-part, t
-    and s capped at the largest length).  One list of masks per depth
+    word, prepending a bit per level, and one channel._mask_step() call
+    per word turns the masks of v' into those of b.v' with one start
+    term and one shift per kind (each full (t, s)-ball and refined
+    (k, l)-part, t and s capped at the largest length), from a plan of
+    constants per length built once per sweep.  One list of masks per depth
     is kept, so memory is O(depth x kinds).  The full ball is built on
     its own, never from the parts; a part's closed form is computed
     once per word.  Counts are per (t, s) and part.  The walk meets
@@ -318,6 +345,7 @@ def verify_ball_laws(n_values, t_max: int = 4, s_max: int = 4) -> dict[str, Veri
         if wit[law] is None or (n, v) < wit[law][:2]:
             wit[law] = n, v, fields
 
+    steps = [[_step_plan(n, *kind) for kind in kinds if kind[0] <= n] for n in range(top + 1)]
     plans = {}
     words = combos = formula_checks = 0
     for n in n_values:
@@ -332,8 +360,7 @@ def verify_ball_laws(n_values, t_max: int = 4, s_max: int = 4) -> dict[str, Veri
         formula_checks += sum(len(used) for *_, used in pairs) << n
 
     def walk(v: int, n: int, suffix: list) -> None:
-        masks = [_mask_step(v, n, t, s, refined, m) if t <= n else 0
-                 for (t, s, refined), m in zip(kinds, suffix)]
+        masks = _mask_step(v, n, steps[n], suffix)
         pairs, kls = plans.get(n, ((), ()))
         known = {i: (masks[i].bit_count(), _refined_size(v, n, k, l)) for k, l, i in kls}
         for t, s, formula, i, used in pairs:
@@ -354,7 +381,7 @@ def verify_ball_laws(n_values, t_max: int = 4, s_max: int = 4) -> dict[str, Veri
             walk(v, n + 1, masks)
             walk(v | 1 << n, n + 1, masks)
 
-    walk(0, 0, [0] * len(kinds))
+    walk(0, 0, [])
     elapsed = time.perf_counter() - start
     params = {"n_values": list(n_values), "t_max": t_max, "s_max": s_max}
     counts = {"words": words, "burst_combinations": combos}

@@ -294,7 +294,8 @@ def _param_count(family, t, s):
 
 def _valid_argv(rng, name, head, flags, takes_words):
     """An argv for one combination that sets, of the family options,
-    only those its family reads or needs, plus --n and --params; each
+    only those its family reads or needs, plus --n and --params (none
+    for verify ball-laws, which reads none); each
     value is in range and the words have the length the subcommand
     takes.  Each of the subcommand's own options is set half the time."""
     family = next((h for h in head if h in FAMILIES), None)
@@ -315,7 +316,9 @@ def _valid_argv(rng, name, head, flags, takes_words):
         "--n-max": rng.randint(2, 6), "--t-max": rng.randint(1, 3), "--s-max": rng.randint(1, 3),
     }
     family_options = {"--t", "--s", "--n", "--P", "--f", "--window", "--params"}
-    if family is None:
+    if head[:1] == ["ball-laws"]:
+        chosen = set()
+    elif family is None:
         chosen = {"--t", "--s", "--n"}
     else:
         fam = FAMILIES[family]
@@ -341,10 +344,12 @@ def _valid_argv(rng, name, head, flags, takes_words):
 def test_cli_fuzz_with_valid_options_reaches_every_command():
     """Every family, check and subcommand gets past its argument checks
     to a verdict: each combination exits 0 or 1 at least once.  A
-    verify check other than ball-laws without a family always exits 2,
-    so those four combinations are left to the fuzz above."""
+    verify check other than ball-laws without a family, and ball-laws
+    with one, always exits 2, so those combinations are left to the fuzz
+    above."""
     rng = random.Random(2022)
-    combos = [c for c in _subcommands() if c[0] != "verify" or c[1][0] == "ball-laws" or c[1][1:]]
+    combos = [c for c in _subcommands()
+              if c[0] != "verify" or (c[1][0] == "ball-laws") != bool(c[1][1:])]
     verdict = set()
     for i in range(8 * len(combos)):
         argv = _valid_argv(rng, *combos[i % len(combos)])

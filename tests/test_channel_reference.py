@@ -3,13 +3,18 @@
 `ref_ball`, `ref_refined_ball` and `ref_ball_laws` are the string code:
 every start times every word of `all_words(s)`, spliced by slicing,
 deduplicated in a set and sorted.  The package must give equal `Ball`s
-and equal ball-law reports (timings aside).
+and equal ball-law reports (timings aside), and its per-start output
+lists must hold each output of a center once.
 """
+
+import random
 
 import pytest
 
 from burstcodes.channel import (
     Ball,
+    _members,
+    _start_outputs,
     ball,
     ball_size_formula,
     refined_ball,
@@ -114,6 +119,34 @@ def test_balls_match_string_reference(n):
                 assert got == want, (x, t, s)
                 got, want = refined_ball(x, t, s), ref_refined_ball(x, t, s)
                 assert got == want and got.refined, (x, t, s)
+
+
+def _kernel_centers(n):
+    """Every word up to n = 7, then 24 seeded words per length."""
+    if n <= 7:
+        return list(range(1 << n))
+    rng = random.Random(n)
+    return [rng.getrandbits(n) for _ in range(24)]
+
+
+@pytest.mark.parametrize("n", range(0, 11))
+def test_start_lists_give_each_ball_output_once(n):
+    # verify_disjoint's pass path counts on this: a center's per-start
+    # lists repeat no output, so a pool that holds fewer ints than were
+    # made has met two codewords
+    vs = _kernel_centers(n)
+    for t in range(n + 1):
+        for s in range(5):
+            for refined, ref in ((False, ref_ball), (True, ref_refined_ball)):
+                per_center = [list(_start_outputs([v], n, t, s, refined)) for v in vs]
+                for v, lists in zip(vs, per_center):
+                    flat = [u for out in lists for u in out]
+                    assert len(flat) == len(set(flat)), (v, n, t, s, refined)
+                    x = format(v, f"0{n}b") if n else ""
+                    assert _members(flat, n - t + s) == ref(x, t, s).members, (x, t, s, refined)
+                # many centers at once: start i lists every center's start-i outputs
+                for i, out in enumerate(_start_outputs(vs, n, t, s, refined)):
+                    assert sorted(out) == sorted(u for lists in per_center for u in lists[i])
 
 
 def test_reference_covers_empty_outputs():

@@ -384,6 +384,12 @@ def test_exit_2_on_domain_error(capsys):
     ):
         code, out, err = run(capsys, "verify", "ball-laws", "--n-max", "5", flag, value)
         assert (code, out, err) == (2, "", f"error: {msg}\n")
+    # the sweep reads no family, --n, --t or --s, so it refuses them
+    unread = "error: verify ball-laws reads no family, --n, --t or --s\n"
+    for extra in (("cts", "--n", "9", "--t", "4", "--s", "1"), ("c21",), ("--n", "9"),
+                  ("--t", "2"), ("--s", "0")):
+        code, out, err = run(capsys, "verify", "ball-laws", *extra, "--n-max", "3")
+        assert (code, out, err) == (2, "", unread)
     # zero trials would pass vacuously, with or without --json
     for extra in ((), ("--json",)):
         code, out, err = run(capsys, "simulate", "c31", "--n", "12", "--trials", "0", *extra)

@@ -10,8 +10,10 @@ from collections import Counter
 import pytest
 
 from burstcodes import verify
-from burstcodes.channel import _burst_mask, ball, refined_ball
+from burstcodes.channel import _burst_mask, _step_plan, ball, refined_ball
+from burstcodes.c31 import c31_param_search
 from burstcodes.codes import c21_decode, pigeonhole_search
+from burstcodes.cts import cts_param_search
 from burstcodes.errors import DecodeFailure, DecodingError, GuardLimit
 from burstcodes.words import all_words
 from burstcodes.verify import (
@@ -306,17 +308,18 @@ def test_ball_laws_catch_a_wrong_refined_size(monkeypatch):
 
 def test_ball_laws_catch_a_part_that_drops_an_output(monkeypatch):
     real = verify._mask_step
+    part = verify._ball_law_kinds(3, 3, 5)[1].index((2, 0, True))
 
-    def drop_one(v, n, t, s, refined, suffix_mask):
-        out = real(v, n, t, s, refined, suffix_mask)
+    def drop_one(v, n, plan, suffix_masks):
+        masks = real(v, n, plan, suffix_masks)
         # the (2, 0) part, which tiles the (3, 1)-ball with (3, 1), swaps
         # an output for a word outside that ball; its size stays right,
         # so only the partition law can see the loss
-        if refined and (v, n, t, s) == (0b10110, 5, 2, 0):
-            out ^= 1 << (out.bit_length() - 1)
+        if (v, n) == (0b10110, 5):
+            out = masks[part] ^ 1 << (masks[part].bit_length() - 1)
             outside = _burst_mask(v, n, 3, 1)
-            out |= 1 << min(u for u in range(1 << 3) if not outside >> u & 1)
-        return out
+            masks[part] = out | 1 << min(u for u in range(1 << 3) if not outside >> u & 1)
+        return masks
 
     monkeypatch.setattr(verify, "_mask_step", drop_one)
     w = _only_failure(verify_ball_laws([4, 5], 3, 3), "partition")
@@ -337,21 +340,27 @@ def test_ball_law_witness_is_the_smallest_failing_word(monkeypatch):
 
 def test_ball_law_sweep_takes_one_start_term_per_word_and_kind(monkeypatch):
     real = verify._mask_step
-    calls = Counter()
+    kinds = verify._ball_law_kinds(4, 2, 6)[1]
+    calls, terms = Counter(), Counter()
 
-    def counted(v, n, t, s, refined, suffix_mask):
-        calls[v, n, t, s, refined] += 1
-        return real(v, n, t, s, refined, suffix_mask)
+    def counted(v, n, plan, suffix_masks):
+        # one step per word, whose plan holds one start term per kind
+        # that fits in n
+        calls[v, n] += 1
+        assert plan == [_step_plan(n, *kind) for kind in kinds[: len(plan)]]
+        terms.update((v, n, *kind) for kind in kinds[: len(plan)])
+        return real(v, n, plan, suffix_masks)
 
     monkeypatch.setattr(verify, "_mask_step", counted)
     verify_ball_laws([3, 6], 4, 2)
     sizes = [(t, s) for t in range(1, 5) for s in range(1, 3)]
-    kinds = {(t, s, False) for t, s in sizes}
-    kinds |= {(k, l, True) for t, s in sizes for k, l in verify._refined_parts(t, s)}
+    named = {(t, s, False) for t, s in sizes}
+    named |= {(k, l, True) for t, s in sizes for k, l in verify._refined_parts(t, s)}
     want = {(v, n, t, s, refined)
-            for n in range(7) for v in range(1 << n) for t, s, refined in kinds if t <= n}
-    assert set(calls) == want
-    assert set(calls.values()) == {1}
+            for n in range(7) for v in range(1 << n) for t, s, refined in named if t <= n}
+    assert set(terms) == want
+    assert set(terms.values()) == set(calls.values()) == {1}
+    assert len(calls) == 2**7 - 1
 
 
 @pytest.mark.parametrize(
@@ -383,7 +392,18 @@ def ref_verify_disjoint(members, t, s):
     return witness is None, {"codewords": len(members), "outputs_checked": outputs}, witness
 
 
-@pytest.mark.parametrize("t,s", [(2, 1), (1, 2), (3, 1), (0, 1), (1, 0)])
+def _passing_books(t, s):
+    """The syndrome books that correct (t, s)-bursts, by the equivalence
+    also (s, t): c21 at n = 8..12, c31 at its even lengths n = 8, 10, 12,
+    and cts (12, 4, 2)."""
+    return {
+        frozenset((2, 1)): [pigeonhole_search("c21", n)[1].members for n in range(8, 13)],
+        frozenset((3, 1)): [c31_param_search(n)[1].members for n in (8, 10, 12)],
+        frozenset((4, 2)): [cts_param_search(12, 4, 2)[1].members],
+    }.get(frozenset((t, s)), [])
+
+
+@pytest.mark.parametrize("t,s", [(2, 1), (1, 2), (3, 1), (0, 1), (1, 0), (1, 3), (4, 2), (2, 4)])
 def test_disjoint_matches_the_owner_dict_reference(t, s):
     rng = random.Random(1400 + 10 * t + s)
     verdicts = set()
@@ -396,6 +416,31 @@ def test_disjoint_matches_the_owner_dict_reference(t, s):
         assert (rep.verdict, rep.counts, rep.witness) == ref_verify_disjoint(book, t, s), book
         verdicts.add(rep.verdict)
     assert verdicts == {True, False}
+    # the random books nearly all fail; these pass whole, and with a
+    # codeword repeated, which only the codeword-by-codeword walk forgives
+    for book in _passing_books(t, s):
+        for members in (book, book + book[-1:]):
+            rep = verify_disjoint(members, t, s)
+            assert rep.verdict
+            assert (rep.verdict, rep.counts, rep.witness) == ref_verify_disjoint(members, t, s)
+
+
+def test_a_passing_book_is_never_walked_codeword_by_codeword(monkeypatch):
+    real, walks = verify._clash_walk, []
+
+    def walk(members, t, s):
+        walks.append((members, t, s))
+        return real(members, t, s)
+
+    monkeypatch.setattr(verify, "_clash_walk", walk)
+    for t, s in ((2, 1), (1, 2), (3, 1), (1, 3), (4, 2), (2, 4)):
+        for book in _passing_books(t, s):
+            assert verify_disjoint(book, t, s).verdict
+            assert verify_equivalence(book, t, s).counts == {"forward_pass": 1, "swapped_pass": 1}
+    assert walks == []
+    # a pool that comes up short is walked once, for its witness
+    assert not verify_disjoint(CLASH, 2, 2).verdict
+    assert walks == [(CLASH, 2, 2)]
 
 
 @pytest.mark.parametrize(
