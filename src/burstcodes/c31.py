@@ -176,7 +176,15 @@ def _automaton(n: int) -> tuple:
     return (((0, 0, 1, 0), step, (4 * n, 4, 4, 5)),)
 
 
+def _check_params(params) -> C31Params:
+    """Refuse params unless it is a C31Params."""
+    if not isinstance(params, C31Params):
+        raise ValueError(f"params must be a C31Params, got {params!r}")
+    return params
+
+
 def c31_member(x: str, params: C31Params) -> bool:
+    _check_params(params)
     vals = (params.a, params.b, params.c, params.d)
     return _in_bucket(x, params.n, _rows(params.n), vals)
 
@@ -184,7 +192,7 @@ def c31_member(x: str, params: C31Params) -> bool:
 def _shape(y: str, params: C31Params) -> tuple[tuple, tuple[int, int]]:
     """The _SHAPES entry of y and the weight deltas (d_odd, d_even) that
     name it."""
-    _check_received(y, params.n - 2)
+    _check_received(y, _check_params(params).n - 2)
     w = weights(y)
     key = ((params.b - w.odd) % 4, (params.c - w.even) % 4)
     entry = _SHAPES.get(key)

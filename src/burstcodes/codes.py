@@ -50,18 +50,23 @@ over the number of residue classes, the product of the rows' mods.
 Every residue is a sum of per-position terms, so bucket sizes come from
 a dynamic program over positions.  The leading residue never keys it:
 per position, each rest holds one int packing the word counts of every
-leading residue, and a step adds d to that residue by rotating the int.
-So step runs 2 m times per distinct rest, m the row length, not per
-state: for c31 at n = 16, about 160 rests a level instead of about 10k
-states.  That pass only counts, keeping the rests each position
-reached.  The codebook it returns takes its size from those counts; the
-winning bucket's members are built on first use, by stepping those
-rests again, and no other bucket's ever are.
+leading residue in fields of 8, 16, 32 or 64 bits, the smallest that
+holds m + 1 bits, m the row length; so rows stay under 64 positions.  A
+step adds d to that residue by rotating the int one field per unit of
+d, and passes it on untouched when d is 0 mod the residue's modulus.
+So step runs 2 m times per distinct rest, not per state: for c31 at
+n = 16, about 160 rests a level instead of about 10k states.  At the
+end one struct call per key reads its fields from the int's bytes.  That
+pass only counts, keeping the rests each position reached.  The
+codebook it returns takes its size from those counts; the winning
+bucket's members are built on first use, by stepping those rests again,
+and no other bucket's ever are.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate, product
@@ -109,6 +114,9 @@ PATTERN_111_TO_0 = "pattern-111->0"
 PATTERN_101_TO_0 = "pattern-101->0"
 
 DEFAULT_ENUM_GUARD = 24
+
+# the struct code of the unsigned field of each width in bits
+_FIELD_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}
 
 
 @dataclass(frozen=True)
@@ -432,9 +440,11 @@ def max_run_length(x: str) -> int:
 
 
 def rll_member(x: str, f: int) -> bool:
-    """True when every run of x has length at most f."""
+    """True when every run of x has length at most f: when no f + 1 equal
+    symbols stand in a row, two substring searches in C."""
     _check_int(f, 1, "run cap must be >= 1")
-    return max_run_length(x) <= f
+    check_word(x)
+    return "0" * (f + 1) not in x and "1" * (f + 1) not in x
 
 
 def c21rll_member(x: str, a: int, b: int, n: int, f: int | None = None) -> bool:
@@ -450,16 +460,20 @@ def _row_counts(init, step, mods: tuple, m: int):
 
     A level maps each rest to one int that packs the number of words
     reaching it with leading residue r, for every r mod mods[0]: field r
-    is bits r*W .. r*W + W - 1, W whole bytes of at least m + 1 bits, so
-    no count (at most 2^m) spills.  step(rest, pos, bit) runs once per
-    (rest, pos, bit); its increment d, taken mod mods[0], moves every r
-    to r + d, which is one cyclic rotation of the packed int.  Picks the
+    is bits r*W .. r*W + W - 1, W the smallest of 8, 16, 32 or 64 bits
+    that holds m + 1 bits, so no count (at most 2^m) spills; rows are
+    therefore under 64 positions, which the search guard keeps.
+    step(rest, pos, bit) runs once per (rest, pos, bit); its increment d,
+    taken mod mods[0], moves every r to r + d, which is one cyclic
+    rotation of the packed int, and no work at all when d is 0 mod
+    mods[0].  At the end one struct call reads each key's fields from the
+    int's little-endian bytes, as W-bit unsigned ints.  Picks the
     best key by the (-count, key) rule.  Returns the levels, per
     position 0..m a tuple of the rests reached after that many
     positions; the best key; and the number of row words ending on it.
     """
     mod = mods[0]
-    width = 8 * (m // 8 + 1)
+    width = max(8, 1 << m.bit_length())
     span = mod * width
     full = (1 << span) - 1
     level = {init: 1}
@@ -473,7 +487,7 @@ def _row_counts(init, step, mods: tuple, m: int):
                     continue
                 d, rest2 = t
                 shift = d % mod * width
-                turned = (packed << shift | packed >> (span - shift)) & full
+                turned = (packed << shift | packed >> (span - shift)) & full if shift else packed
                 nxt[rest2] = nxt.get(rest2, 0) + turned
         level = nxt
         levels.append(tuple(level))
@@ -483,13 +497,8 @@ def _row_counts(init, step, mods: tuple, m: int):
     groups: dict[tuple, int] = {}
     for rest, packed in level.items():
         groups[rest[:k]] = groups.get(rest[:k], 0) + packed
-    field = width // 8
-    counts = {}
-    for key, packed in groups.items():
-        raw = packed.to_bytes(span // 8, "little")
-        counts[key] = [
-            int.from_bytes(raw[i : i + field], "little") for i in range(0, len(raw), field)
-        ]
+    read = struct.Struct(f"<{mod}{_FIELD_CODES[width]}").unpack
+    counts = {key: read(packed.to_bytes(span // 8, "little")) for key, packed in groups.items()}
     # the smallest residue of each key list holding the top count
     size = max(map(max, counts.values()))
     best = min((c.index(size),) + key for key, c in counts.items() if size in c)
@@ -522,7 +531,7 @@ def _row_words(init, step, mods: tuple, levels: list, best: tuple) -> list[str]:
                     d = t[0] % mod
                     kept.append((ch, d, t[1], ahead))
                     # r is live when r + d is
-                    mask |= (ahead >> d | ahead << (mod - d)) & full
+                    mask |= (ahead >> d | ahead << (mod - d)) & full if d else ahead
             if kept:
                 # stored 1 before 0, so the stack pops 0 first
                 here[rest] = tuple(reversed(kept))
@@ -582,12 +591,15 @@ def _largest_bucket(n: int, rows: tuple):
 
     step never sees the leading residue, so no pass keys on it.  The
     forward pass steps each rest once per position and bit and carries
-    the counts of all mods[0] residues packed in one int: 2 m step calls
-    per rest and row of length m = n / k, up to mods[0] times fewer than
-    one per state.  It keeps only the rests each level reached.  The
-    backward pass steps those rests again, the same number of calls,
-    and it and the member walk carry liveness as one bitmask over the
-    leading residue per rest.
+    the counts of all mods[0] residues packed in one int, a field of 8,
+    16, 32 or 64 bits per residue: 2 m step calls per rest and row of
+    length m = n / k, up to mods[0] times fewer than one per state, and
+    one rotation per call whose increment is not 0 mod mods[0].  The
+    guard keeps m under the 64 positions those fields can count.  It
+    keeps only the rests each level reached.  The backward pass steps
+    those rests again, the same number of calls, and it and the member
+    walk carry liveness as one bitmask over the leading residue per
+    rest.
 
     Only the forward counts run here, once per distinct row automaton.
     The returned lister takes no argument and returns the members in

@@ -160,7 +160,15 @@ class CtsParams:
         }
 
 
+def _check_params(params) -> CtsParams:
+    """Refuse params unless it is a CtsParams."""
+    if not isinstance(params, CtsParams):
+        raise ValueError(f"params must be a CtsParams, got {params!r}")
+    return params
+
+
 def cts_member(x: str, params: CtsParams) -> bool:
+    _check_params(params)
     vals = (params.a, params.b) + sum(params.row_params, ())
     return _in_bucket(x, params.n, _rows(params.n, params.t, params.s), vals)
 
@@ -188,12 +196,33 @@ class CtsTrace:
     rows: tuple[str, ...]
 
 
+def _in_ball(x: str, y: str, t: int) -> bool:
+    """Whether one burst of t deletions, followed by len(y) - len(x) + t
+    insertions at the same spot, takes x to y, a nonempty word.
+
+    It does exactly when the common prefix and the common suffix of x and
+    y together cover len(x) - t symbols.  Read as ints, x shifted down to
+    y's length and xored with y has its highest 1 at the first difference,
+    and x xored with y has its lowest 1 at the last: O(n), all in C.
+    """
+    size = len(y)
+    v, w = int(x, 2), int(y, 2)
+    head = v >> (len(x) - size) ^ w
+    tail = (v ^ w) & ((1 << size) - 1)
+    suffix = (tail & -tail).bit_length() - 1 if tail else size
+    return size - head.bit_length() + suffix >= len(x) - t
+
+
 def cts_decode(y: str, params: CtsParams, *, trace: bool = False):
     """Recover the codeword one (t, s)-burst of which produced y.
 
-    Returns the codeword, or (codeword, CtsTrace) when trace=True.
+    Returns the codeword, or (codeword, CtsTrace) when trace=True.  The
+    row decoders give at most one codeword; it is returned only when one
+    (t, s)-burst of it gives y, that is when it and y share a prefix and
+    a suffix of n - t symbols together, and DecodeFailure is raised
+    otherwise.  So a y in no codeword's ball is refused, never decoded.
     """
-    k, m, P = params.k, params.m, params.P
+    k, m, P = _check_params(params).k, params.m, params.P
     _check_received(y, params.n - k)
     rows_y = tuple(y[i::k] for i in range(k))
     out1 = c21_decode(rows_y[0], params.a, params.b, m)
@@ -205,6 +234,8 @@ def cts_decode(y: str, params: CtsParams, *, trace: bool = False):
     for row, (c, d) in zip(rows_y[1:], params.row_params):
         rows_x.append(svt21_decode(row, c, d, P, window, m))
     word = "".join(map("".join, zip(*rows_x)))
+    if not _in_ball(word, y, params.t):
+        raise DecodeFailure("cts_decode: no (t, s)-burst of the decoded word gives y")
     if trace:
         return word, CtsTrace(out1, window, tuple(rows_x))
     return word

@@ -177,6 +177,25 @@ def test_cts_row_params_must_be_a_tuple_of_pairs(call, shown):
         call()
 
 
+@pytest.mark.parametrize(
+    "call, shown",
+    [
+        (lambda: cts.cts_decode("0" * 9, None), "a CtsParams, got None"),
+        (lambda: cts.cts_member("0" * 6, {"n": 6}), "a CtsParams, got {'n': 6}"),
+        (lambda: c31.c31_decode("0" * 6, None), "a C31Params, got None"),
+        (lambda: c31.c31_member("0" * 8, (8, 0, 0, 0, 0)), "a C31Params, got (8, 0, 0, 0, 0)"),
+        (lambda: c31.classify_31("0" * 6, (4, 1, 1, 1, 1)), "a C31Params, got (4, 1, 1, 1, 1)"),
+        (lambda: c31.c31_decode("0" * 10, cts.CtsParams.derive(12, 4, 2, 0, 0, ((0, 0),))),
+         "a C31Params, got CtsParams(n=12, t=4, s=2, a=0, b=0, row_params=((0, 0),))"),
+    ],
+    ids=["cts_decode-None", "cts_member-dict", "c31_decode-None", "c31_member-tuple",
+         "classify_31-tuple", "c31_decode-CtsParams"],
+)
+def test_params_of_the_wrong_kind_are_refused(call, shown):
+    with pytest.raises(ValueError, match=f"^{re.escape('params must be ' + shown)}$"):
+        call()
+
+
 def test_a_construction_length_must_be_an_int():
     with pytest.raises(ValueError, match="^length must be an int$"):
         cts.cts_param_search("8", 4, 2)

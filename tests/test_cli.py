@@ -101,6 +101,17 @@ def test_decode_cts_json(capsys):
     assert d["column_window"] == [1, 3]
 
 
+def test_decode_cts_refuses_a_word_in_no_ball_exit_1(capsys):
+    # the rows decode to 001010000010, but no (4, 2)-burst of it gives y
+    code, out, err = run(
+        capsys, "decode", "cts", "--n", "12", "--t", "4", "--s", "2",
+        "--params", "0,3,0,0", "0000010010",
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "DecodeFailure: cts_decode: no (t, s)-burst of the decoded word gives y\n"
+
+
 def test_decode_c21_merge(capsys):
     code, out, _ = run(capsys, "decode", "c21", "--n", "5", "--params", "1,3", "1111")
     assert code == 0

@@ -4,17 +4,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from burstcodes.channel import BurstSpec, apply_burst
+from burstcodes.channel import BurstSpec, apply_burst, ball
 from burstcodes.codes import rll_max_run
 from burstcodes.cts import (
     CtsParams,
+    _in_ball,
     column_window,
     cts_decode,
     cts_member,
     cts_param_search,
     window_capacity,
 )
-from burstcodes.errors import DecodeFailure
+from burstcodes.errors import DecodeFailure, DecodingError
 from burstcodes.words import all_words, deinterleave, interleave, vt_syndrome
 
 
@@ -137,6 +138,36 @@ def test_sampled_long_roundtrips(args):
     assert cts_member(x, params)
     y = apply_burst(x, BurstSpec(t, s, start, ins))
     assert cts_decode(y, params) == x, (x, t, s, start, ins)
+
+
+def test_the_ball_check_matches_the_burst_definition():
+    # y is one (t, s)-burst of x exactly when some start i keeps x's
+    # symbols before i and after the t deleted ones; a received word of
+    # the construction is never empty
+    for n in range(1, 7):
+        for t in range(n + 1):
+            for s in range(t == n, t + 1):
+                for x in all_words(n):
+                    for y in all_words(n - t + s):
+                        found = any(
+                            x[:i] == y[:i] and x[i + t :] == y[i + s :] for i in range(n - t + 1)
+                        )
+                        assert _in_ball(x, y, t) == found, (x, y, t, s)
+
+
+@pytest.mark.parametrize("t, s", [(4, 2), (3, 1)])
+def test_every_received_word_decodes_to_its_ball_or_is_refused(t, s):
+    # each y of length n - t + s in a codeword's ball decodes to that
+    # codeword, and each y in no ball raises, never returning a codeword
+    n = 12
+    params, book = cts_param_search(n, t, s)
+    owner = {y: x for x in book.members for y in ball(x, t, s).members}
+    for y in all_words(n - t + s):
+        if y in owner:
+            assert cts_decode(y, params) == owner[y], y
+        else:
+            with pytest.raises(DecodingError):
+                cts_decode(y, params)
 
 
 def test_search_meets_pigeonhole_average():

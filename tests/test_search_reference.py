@@ -105,9 +105,11 @@ def test_search_matches_brute_force(case, args):
 
 
 def ref_row_counts(init, step, mods, m):
-    """Best key and size of one row by the dict-of-states forward pass:
-    every state, the leading residue and the rest, is a key of its level."""
+    """Rests reached at each level, best key and size of one row by the
+    dict-of-states forward pass: every state, the leading residue and the
+    rest, is a key of its level."""
     level = {(0,) + init: 1}
+    rests = [{init}]
     for pos in range(1, m + 1):
         nxt = {}
         for state, count in level.items():
@@ -118,29 +120,46 @@ def ref_row_counts(init, step, mods, m):
                     key = ((state[0] + d) % mods[0],) + rest
                     nxt[key] = nxt.get(key, 0) + count
         level = nxt
+        rests.append({state[1:] for state in level})
     sizes = {}
     for state, count in level.items():
         bucket = state[: len(mods)]
         sizes[bucket] = sizes.get(bucket, 0) + count
     best = min(sizes, key=lambda k: (-sizes[k], k))
-    return best, sizes[best]
+    return rests, best, sizes[best]
 
 
+def search_rows(family, n, *shape):
+    """The distinct row automata a search at length n counts, and their length."""
+    if family == "c31":
+        rows = c31._rows(n)
+    elif family == "cts":
+        rows = cts._rows(n, *shape)
+    else:
+        rows = codes._family_rows(family, n, *shape)[0]
+    return tuple(dict.fromkeys(rows)), n // len(rows)
+
+
+# counts are packed in fields of 8, 16, 32 or 64 bits, the smallest that
+# holds m + 1 bits; the cts rows take m just below and at each change of
+# width, 7 and 8, 15 and 16, 31 and 32, for both of their row automata
 LONG_ROWS = (
     [(fam, n, None, None) for fam in ("vt", "lev2", "c21", "c21rll") for n in range(13, 41)]
     + [("c21rll", n, None, f) for f in (1, 2) for n in range(13, 41)]
     + [("svt21", n, P, None) for P in (1, 3, 6) for n in range(13, 41)]
     + [("c31", n, None, None) for n in range(14, 33, 2)]
+    + [("cts", k * m, t, s) for t, s, k in ((4, 2, 2), (4, 1, 3)) for m in (7, 8, 15, 16, 31, 32)]
 )
 
 
-@pytest.mark.parametrize("family, n, P, f", LONG_ROWS, ids=map(str, LONG_ROWS))
-def test_packed_counts_match_the_state_dict_pass(family, n, P, f):
-    if family == "c31":
-        [row] = c31._rows(n)
-    else:
-        [row] = codes._family_rows(family, n, P, f)[0]
-    assert codes._row_counts(*row, n)[1:] == ref_row_counts(*row, n)
+@pytest.mark.parametrize("case", LONG_ROWS, ids=map(str, LONG_ROWS))
+def test_packed_counts_match_the_state_dict_pass(case):
+    rows, m = search_rows(*case)
+    assert len(rows) == (2 if case[0] == "cts" else 1)
+    for row in rows:
+        levels, best, size = codes._row_counts(*row, m)
+        # the lister steps these rests again, so each level must be exact
+        assert ([set(level) for level in levels], best, size) == ref_row_counts(*row, m)
 
 
 @pytest.mark.parametrize(
