@@ -30,12 +30,17 @@ and the weight change b0 + b1 - y_p names the error:
 VT takes changes 0 and 1; C21 and SVT21 read their one change from the
 weight residue, (b - weight(y)) mod 4 as -1..2.  C21(n) is SVT21 at
 P = n, so C21 decodes as SVT21 over the window of every start 1..n-1.
-One O(n) pass over y gives its VT sum and a suffix-weight table, the
-number of 1s in each suffix; a splice at p shifts that suffix up one
-coordinate, so each candidate's sum is checked in O(1), and strings are
-built only for survivors.  C31 checks its run-syndrome candidates the
-same way, from prefix sums of y's transitions (see c31).  LEV2 still
-builds and rescans every distinct candidate.
+The core solves the VT-sum congruence in closed form, as Levenshtein's
+VT decoder does.  Past the window's first position each change splices
+at the positions of one symbol only, and the candidate's sum is a
+strictly monotone function of the position's index among them, so each
+value of the right residue class names at most one position, found by
+one split or count of y in C.  y's VT sum takes one popcount of
+int(y, 2) per bit of the length.  So a decode takes O(1) Python steps
+per candidate and O(n) work in C, and strings are built only for
+survivors.  C31 checks its run-syndrome candidates from prefix sums of
+y's transitions (see c31).  LEV2 still builds and rescans every
+distinct candidate.
 
 Each family's syndrome is written once, as row automata (init, step,
 mods), built once per shape; the member tests run them over one word,
@@ -69,7 +74,7 @@ import math
 import struct
 from dataclasses import dataclass
 from functools import cache
-from itertools import accumulate, product
+from itertools import product
 
 from .channel import _check_room
 from .errors import DecodeAmbiguity, DecodeFailure, GuardLimit
@@ -227,66 +232,94 @@ def _check_received(y: str, length: int) -> None:
         raise ValueError(f"received word must have length {length}, got {len(y)}")
 
 
-def _suffix_ones(y: str) -> tuple[list[int], int]:
-    """ones[i], the number of 1s in y[i:] for i = 0..len(y), and y's VT sum.
-
-    ones[0] is the weight.  A 1 at coordinate j is counted in ones[0..j-1],
-    j times, so the VT sum is the sum of the table.
-    """
-    ones = list(accumulate(map("1".__eq__, reversed(y)), initial=0))[::-1]
-    return ones, sum(ones)
-
-
 @cache
-def _splice_pairs(changes: tuple) -> tuple:
-    """Per symbol y_p, the pairs b0 b1 of a weight change in changes, as
-    (change, b1, pair): all of them at the first position, and after it
-    those with b1 != y_p."""
-    first = {
-        yp: tuple(
-            (b0 + b1 - int(yp), b1, "01"[b0] + "01"[b1])
-            for b0 in (0, 1)
-            for b1 in (0, 1)
-            if b0 + b1 - int(yp) in changes
-        )
-        for yp in "01"
-    }
-    later = {yp: tuple(pr for pr in first[yp] if pr[1] != int(yp)) for yp in "01"}
-    return first, later
+def _bit_masks(bits: int) -> tuple[tuple[int, int], ...]:
+    """Per k < bits, (mask, k): the mask of the bit positions below 2^bits
+    that have bit k set.  It repeats one block of 2^k set bits every
+    2^(k+1) positions, so it is that block times a repunit in base
+    2^(k+1)."""
+    whole = (1 << (1 << bits)) - 1
+    masks = []
+    for k in range(bits):
+        half = 1 << k
+        block = (1 << half) - 1 << half
+        masks.append((block * whole // ((1 << 2 * half) - 1), k))
+    return tuple(masks)
 
 
-def _pair_splices(
-    y: str, ones: list[int], V: int, mod: int, target: int, lo: int, hi: int, changes
-) -> dict:
+# each weight change's pair with b1 != y_p, as (y_p, pair, whether the
+# key is j + p rather than j)
+_SPLICE_PAIRS = {
+    -1: ("1", "00", True),
+    0: ("1", "10", False),
+    1: ("0", "01", False),
+    2: ("0", "11", True),
+}
+
+
+def _pair_splices(y: str, mod: int, target: int, lo: int, hi: int, changes) -> dict:
     """The words that replace one y_p, lo <= p <= hi, by a pair b0 b1 whose
     weight change b0 + b1 - y_p is in changes and whose VT sum is target
     mod mod, each with the last p that gives it.
 
-    The splice takes p * y_p off the sum, adds p * b0 + (p + 1) * b1 and
-    moves y[p:] up one coordinate, so the sum is V + ones[p] + p * change
-    + b1: O(1) per candidate, and a string is built only for a survivor.
-    With b1 = y_p the word is that of the pair (y_{p-1}, b0) at p - 1, so
-    after lo only b1 != y_p is tried: at most one pair per change.
+    The splice takes p * y_p off y's sum V, adds p * b0 + (p + 1) * b1 and
+    moves y[p:] up one coordinate, so its sum is V + ones + p * change +
+    b1, ones the number of 1s in y[p:].  A pair with b1 = y_p gives the
+    word of the pair (y_{p-1}, b0) at p - 1, so it is tried only at p = lo;
+    only changes 0 and 1 have one, b0 = change.  The pair with b1 != y_p
+    is one per change, at the positions of one symbol: the 1s for changes
+    0 and -1, the 0s for 1 and 2.  With j the index of p among them and w
+    the weight, the sum less V is w - 1 - j (change 0), w - 1 - (j + p)
+    (-1), w + 2 + j (1) or w + 2 + (j + p) (2).  Each key, j or j + p,
+    rises with p, so each key of the right residue in the window's range
+    gives at most one p: the j-th symbol is found by one split, and j + p
+    is the index of p's first copy in y with that symbol doubled.  V
+    itself takes one popcount of int(y, 2) per bit of the length.  So the
+    work is O(1) Python steps per key and O(n) in C, and a string is built
+    only for a survivor.
     """
-    first, later = _splice_pairs(changes)
+    # coordinate i is bit b = len(y) - i of v, so V is len(y) w less the
+    # sum of b over the 1s, and bit k of b adds 2^k for each 1 that has it
+    v = int(y, 2)
+    w = v.bit_count()
+    V = len(y) * w
+    for mask, k in _bit_masks(len(y).bit_length()):
+        V -= (v & mask).bit_count() << k
     target = (target - V) % mod
     seen = {}
-    table = first
-    for p, yp in enumerate(y[lo - 1 : hi], lo):
-        for change, b1, pair in table[yp]:
-            if (ones[p] + p * change + b1) % mod == target:
-                seen[y[: p - 1] + pair + y[p:]] = p
-        table = later
+    for change in changes:
+        sym, pair, merge = _SPLICE_PAIRS[change]
+        if not merge:
+            b1 = y[lo - 1]
+            if (y.count("1", lo) + lo * change + int(b1)) % mod == target:
+                seen[y[: lo - 1] + "01"[change] + b1 + y[lo:]] = lo
+        # the indices j0 .. j1 - 1 of the symbols at lo <= p <= hi
+        j0, j1 = y.count(sym, 0, lo - 1), y.count(sym, 0, hi)
+        if merge:
+            doubled = y.replace(sym, sym + sym)
+            first, last = lo + j0, hi + j1 - 1
+        else:
+            first, last = j0, j1 - 1
+        want = (w - 1 - target if sym == "1" else target - w - 2) % mod
+        for key in range(first + (want - first) % mod, last + 1, mod):
+            if merge:
+                # p's first copy is the (2j + 1)-th symbol of doubled
+                copies = doubled.count(sym, 0, key)
+                if doubled[key - 1] != sym or not copies % 2:
+                    continue
+                p = key - copies // 2
+            else:
+                p = len(y) - len(y.split(sym, key + 1)[-1])
+            seen[y[: p - 1] + pair + y[p:]] = p
     return seen
 
 
 def _weight_splice(y: str, mod: int, a: int, b: int, lo: int, hi: int, context: str):
     """C21's and SVT21's tail: the one splice at lo <= p <= hi whose word
     has VT sum a mod mod and weight b mod 4, as (word, p, weight change)."""
-    ones, V = _suffix_ones(y)
     # the weight change that gives weight b mod 4, read as -1..2
-    change = (b - ones[0] + 1) % 4 - 1
-    word, p = _expect_one(_pair_splices(y, ones, V, mod, a, lo, hi, (change,)), context)
+    change = (b - y.count("1") + 1) % 4 - 1
+    word, p = _expect_one(_pair_splices(y, mod, a, lo, hi, (change,)), context)
     return word, p, change
 
 
@@ -307,8 +340,7 @@ def vt_decode(y: str, a: int, n: int) -> str:
         return "01"[a % 2]
     # inserting a bit next to y_p replaces y_p by a pair that keeps it at
     # one end, a weight change of 0 or 1
-    ones, V = _suffix_ones(y)
-    seen = _pair_splices(y, ones, V, n + 1, a, 1, n - 1, (0, 1))
+    seen = _pair_splices(y, n + 1, a, 1, n - 1, (0, 1))
     word, _ = _expect_one(seen, "vt_decode")
     return word
 
@@ -357,13 +389,13 @@ def _deletion_run(x: str, y: str) -> tuple[int, int]:
 
     Deleting any symbol of a run gives the same word, and y first differs
     from x at the run's last symbol, so one scan finds the run.  x is y
-    with one bit inserted, so that deletion always gives y back.
+    with one bit inserted, so that deletion always gives y back.  Read as
+    ints, x less its last bit xored with y has its highest 1 at the first
+    difference, and the run's start is where x's prefix stops ending in
+    that symbol: O(n), all in C.
     """
-    q = next((i for i, (u, v) in enumerate(zip(x, y)) if u != v), len(y))
-    lo = q
-    while lo and x[lo - 1] == x[q]:
-        lo -= 1
-    return lo + 1, q + 1
+    q = len(y) - ((int(x, 2) >> 1) ^ int(y, 2)).bit_length()
+    return len(x[:q].rstrip(x[q])) + 1, q + 1
 
 
 def c21_decode(y: str, a: int, b: int, n: int) -> DecodeOutcome:
@@ -375,6 +407,11 @@ def c21_decode(y: str, a: int, b: int, n: int) -> DecodeOutcome:
     _check_syndromes(a, b)
     _check_room(n, 2, 1)
     _check_received(y, n - 1)
+    return _c21_core(y, a, b, n)
+
+
+def _c21_core(y: str, a: int, b: int, n: int) -> DecodeOutcome:
+    """c21_decode() for checked arguments."""
     # C21(n) is SVT21 at P = n over every start: a merge is a splice of
     # weight change -1 or 2, a single deletion one of 0 or 1
     word, p, change = _weight_splice(y, 2 * n - 1, a, b, 1, n - 1, "c21_decode")
@@ -412,9 +449,15 @@ def svt21_decode(
     _check_int(lo, None, "empty window {}", window)
     _check_int(hi, lo, "empty window {}", window)
     _check_int(P, hi - lo + 1, "window {} longer than P={}", window, P)
-    lo, hi = max(lo, 1), min(hi, n - 1)
-    _check_int(hi, lo, "window {} has no valid burst start for n={}", window, n)
-    return _weight_splice(y, 2 * P - 1, c, d, lo, hi, "svt21_decode")[0]
+    _check_int(min(hi, n - 1), max(lo, 1), "window {} has no valid burst start for n={}", window, n)
+    return _svt21_core(y, c, d, P, window, n)
+
+
+def _svt21_core(y: str, c: int, d: int, P: int, window: tuple[int, int], n: int) -> str:
+    """svt21_decode() for checked arguments: a window of at most P
+    coordinates that keeps a start in 1..n-1 once clamped to them."""
+    lo, hi = window
+    return _weight_splice(y, 2 * P - 1, c, d, max(lo, 1), min(hi, n - 1), "svt21_decode")[0]
 
 
 # ---------------------------------------------------------------- RLL
@@ -440,10 +483,14 @@ def max_run_length(x: str) -> int:
 
 
 def rll_member(x: str, f: int) -> bool:
-    """True when every run of x has length at most f: when no f + 1 equal
-    symbols stand in a row, two substring searches in C."""
+    """True when every run of x has length at most f."""
     _check_int(f, 1, "run cap must be >= 1")
-    check_word(x)
+    return _within_run_cap(check_word(x), f)
+
+
+def _within_run_cap(x: str, f: int) -> bool:
+    """rll_member() for checked arguments: no f + 1 equal symbols stand in
+    a row, two substring searches in C."""
     return "0" * (f + 1) not in x and "1" * (f + 1) not in x
 
 

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 
 from .channel import _check_sizes
 from .codes import (
@@ -41,15 +41,15 @@ from .codes import (
     MERGE_11_TO_0,
     Codebook,
     DecodeOutcome,
+    _c21_core,
     _check_received,
     _check_syndromes,
     _family_rows,
     _in_bucket,
     _largest_bucket,
-    c21_decode,
+    _svt21_core,
+    _within_run_cap,
     rll_max_run,
-    rll_member,
-    svt21_decode,
 )
 from .errors import DecodeFailure
 from .words import _check_int
@@ -139,11 +139,11 @@ class CtsParams:
     def m(self) -> int:
         return self.n // self.k
 
-    @property
+    @cached_property
     def f(self) -> int:
         return rll_max_run(self.m)
 
-    @property
+    @cached_property
     def P(self) -> int:
         return window_capacity(self.m, self.s)
 
@@ -224,15 +224,19 @@ def cts_decode(y: str, params: CtsParams, *, trace: bool = False):
     """
     k, m, P = _check_params(params).k, params.m, params.P
     _check_received(y, params.n - k)
+    # params checked its syndromes and shape, and y its length, so each
+    # row is a word of length m - 1 >= 1 and skips the public checks
     rows_y = tuple(y[i::k] for i in range(k))
-    out1 = c21_decode(rows_y[0], params.a, params.b, m)
-    if not rll_member(out1.word, params.f):
+    out1 = _c21_core(rows_y[0], params.a, params.b, m)
+    if not _within_run_cap(out1.word, params.f):
         raise DecodeFailure("row 1 decoded outside the run cap")
-    # a single row has no other row to place
+    # a single row has no other row to place; row 1's runs are at most f
+    # long, so the window spans at most P columns and keeps a start in
+    # 1..m-1, as the SVT21 rows need
     window = column_window(out1, params.s, m) if k > 1 else None
     rows_x = [out1.word]
     for row, (c, d) in zip(rows_y[1:], params.row_params):
-        rows_x.append(svt21_decode(row, c, d, P, window, m))
+        rows_x.append(_svt21_core(row, c, d, P, window, m))
     word = "".join(map("".join, zip(*rows_x)))
     if not _in_ball(word, y, params.t):
         raise DecodeFailure("cts_decode: no (t, s)-burst of the decoded word gives y")

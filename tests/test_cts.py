@@ -1,5 +1,7 @@
 """Interleaved (t, s)-burst construction: worked decode, alignment, roundtrips."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -138,6 +140,28 @@ def test_sampled_long_roundtrips(args):
     assert cts_member(x, params)
     y = apply_burst(x, BurstSpec(t, s, start, ins))
     assert cts_decode(y, params) == x, (x, t, s, start, ins)
+
+
+def test_seeded_roundtrips_at_256_4_2():
+    # two rows of 128; row 1 is redrawn until it respects the run cap
+    n, t, s = 256, 4, 2
+    m = n // (t - s)
+    f, mod = rll_max_run(m), 2 * window_capacity(m, s) - 1
+    rng = random.Random(2561)
+    for _ in range(10):
+        row1 = format(rng.getrandbits(m), f"0{m}b")
+        while "0" * (f + 1) in row1 or "1" * (f + 1) in row1:
+            row1 = format(rng.getrandbits(m), f"0{m}b")
+        row2 = format(rng.getrandbits(m), f"0{m}b")
+        x = deinterleave([row1, row2])
+        params = CtsParams.derive(
+            n, t, s, vt_syndrome(row1) % (2 * m - 1), row1.count("1") % 4,
+            ((vt_syndrome(row2) % mod, row2.count("1") % 4),),
+        )
+        for _ in range(5):
+            start, ins = rng.randint(1, n - t + 1), format(rng.getrandbits(s), f"0{s}b")
+            y = apply_burst(x, BurstSpec(t, s, start, ins))
+            assert cts_decode(y, params) == x, (x, start, ins)
 
 
 def test_the_ball_check_matches_the_burst_definition():

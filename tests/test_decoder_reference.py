@@ -1,20 +1,30 @@
-"""The decoders against the string filters they replaced.
+"""The decoders against the string filters and loops they replaced.
 
 `ref_vt_decode`, `ref_c21_decode` (with `ref_deletion_run`) and
 `ref_svt21_decode` build every candidate preimage as a string and rescan
-it with `vt_syndrome`.  The package decoders check each candidate from
-one suffix-weight table instead; they must return the same word,
-classification and window, and raise the same exception type with the
-same message, candidate order, dedup rule and sorted survivor list
-included.  `ref_lev2_decode` rescans every candidate, duplicates
-included, where the package filters each distinct candidate once.
-C21(n) is SVT21 at P = n, so C21 must also decode as SVT21 does over
-the window of every start.  `ref_c31_decode` builds every distinct
-candidate and rescans it with `rsyn0`, `weights` and `run_count`; the
-package checks each from prefix and suffix tables of y, and must match
-it in the word, every `C31Trace` field, and each exception's type and
-message.
+it with `vt_syndrome`.  The package decoders find their candidates in
+closed form instead: after the window's first position, a splice's VT
+sum less y's is a strictly monotone function of the index of its
+position among y's 1s or 0s, so each residue of the right class gives
+at most one position, found by one split or count of y.  They must
+return the same word, classification and window, and raise the same
+exception type with the same message, candidate order, dedup rule and
+sorted survivor list included.  `ref_pair_splices` is the O(n) loop the
+closed form replaced, one suffix-weight table per call and one step per
+symbol; the core must return the same dict of words and last positions
+for every y up to n = 10, and at n = 256 and 1024 on seeded draws.
+`ref_lev2_decode` rescans every candidate, duplicates included, where
+the package filters each distinct candidate once.  C21(n) is SVT21 at
+P = n, so C21 must also decode as SVT21 does over the window of every
+start.  `ref_c31_decode` builds every distinct candidate and rescans it
+with `rsyn0`, `weights` and `run_count`; the package checks each from
+prefix and suffix tables of y, and must match it in the word, every
+`C31Trace` field, and each exception's type and message.
 """
+
+import random
+from functools import cache
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -32,6 +42,7 @@ from burstcodes.codes import (
     SINGLE_DELETION,
     TWO_BURST_DELETION,
     DecodeOutcome,
+    _pair_splices,
     c21_decode,
     lev2_decode,
     lev2_member,
@@ -189,6 +200,53 @@ def ref_lev2_decode(y: str, a: int, n: int) -> str:
     return word
 
 
+def ref_suffix_ones(y: str) -> tuple[list[int], int]:
+    """ones[i], the number of 1s in y[i:] for i = 0..len(y), and y's VT sum."""
+    ones = list(accumulate(map("1".__eq__, reversed(y)), initial=0))[::-1]
+    return ones, sum(ones)
+
+
+@cache
+def ref_splice_pairs(changes: tuple) -> tuple:
+    """Per symbol y_p, the pairs b0 b1 of a weight change in changes, as
+    (change, b1, pair): all of them at the first position, and after it
+    those with b1 != y_p."""
+    first = {
+        yp: tuple(
+            (b0 + b1 - int(yp), b1, "01"[b0] + "01"[b1])
+            for b0 in (0, 1)
+            for b1 in (0, 1)
+            if b0 + b1 - int(yp) in changes
+        )
+        for yp in "01"
+    }
+    later = {yp: tuple(pr for pr in first[yp] if pr[1] != int(yp)) for yp in "01"}
+    return first, later
+
+
+def ref_pair_splices(
+    y: str, ones: list[int], V: int, mod: int, target: int, lo: int, hi: int, changes
+) -> dict:
+    """The words that replace one y_p, lo <= p <= hi, by a pair b0 b1 whose
+    weight change b0 + b1 - y_p is in changes and whose VT sum is target
+    mod mod, each with the last p that gives it.
+
+    ones and V are ref_suffix_ones(y).  One step per symbol: the splice's
+    sum is V + ones[p] + p * change + b1, and after lo only b1 != y_p is
+    tried, since with b1 = y_p the word is that of (y_{p-1}, b0) at p - 1.
+    """
+    first, later = ref_splice_pairs(changes)
+    target = (target - V) % mod
+    seen = {}
+    table = first
+    for p, yp in enumerate(y[lo - 1 : hi], lo):
+        for change, b1, pair in table[yp]:
+            if (ones[p] + p * change + b1) % mod == target:
+                seen[y[: p - 1] + pair + y[p:]] = p
+        table = later
+    return seen
+
+
 REF_PATTERN_OF = {
     PATTERN_000_TO_1: ("1", "000"),
     PATTERN_010_TO_1: ("1", "010"),
@@ -267,6 +325,31 @@ def kind(got):
     if isinstance(got, tuple):
         return got[0]
     return getattr(got, "classification", "decoded")
+
+
+SPLICE_CHANGES = ((-1,), (0,), (1,), (2,), (0, 1))
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_pair_splices_match_the_reference_loop(n):
+    size = n - 1
+    # the full window, a window from the middle, where the first position
+    # is not 1, and the last position alone, lo = hi = n - 1
+    windows = {(1, size), ((size + 1) // 2, size), (size, size)}
+    most = 0
+    for y in all_words(size):
+        ones, V = ref_suffix_ones(y)
+        for mod in {2 * n - 1, n + 1, 3, 5}:
+            for changes in SPLICE_CHANGES:
+                for lo, hi in windows:
+                    for target in range(mod):
+                        want = ref_pair_splices(y, ones, V, mod, target, lo, hi, changes)
+                        assert _pair_splices(y, mod, target, lo, hi, changes) == want, (
+                            y, mod, target, lo, hi, changes,
+                        )
+                        most = max(most, len(want))
+    # a small modulus over a long window leaves several words
+    assert most >= min(n - 1, 2)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -362,7 +445,7 @@ def test_c31_matches_reference_exhaustively(n):
     assert any(decisive for _, decisive in kinds) == (n >= 8)
 
 
-@pytest.mark.parametrize("P", [1, 2, 3])
+@pytest.mark.parametrize("P", [1, 2, 3, 4, 5])
 def test_svt21_matches_reference_on_every_window(P):
     kinds = set()
     for n in range(2, 7):
@@ -487,3 +570,56 @@ def test_c31_sampled_bursts(args):
     got = c31_decode(y, params, trace=True)
     assert got == ref_c31_decode(y, params, trace=True)
     assert got[0] == x
+
+
+# ---------------------------------------------------------------- long, seeded
+
+
+def random_word(rng: random.Random, n: int) -> str:
+    return format(rng.getrandbits(n), f"0{n}b")
+
+
+@pytest.mark.parametrize("n", [256, 1024])
+def test_pair_splices_match_the_reference_loop_on_long_words(n):
+    # small moduli put many residues of the right class in one window, so
+    # the core walks several keys per change
+    rng = random.Random(n)
+    for _ in range(40):
+        y = random_word(rng, n - 1)
+        lo = rng.randint(1, n - 1)
+        hi = rng.choice((lo, rng.randint(lo, n - 1), n - 1))
+        mod = rng.choice((3, 5, n + 1, 2 * n - 1))
+        changes = rng.choice(SPLICE_CHANGES)
+        target = rng.randrange(mod)
+        ones, V = ref_suffix_ones(y)
+        assert _pair_splices(y, mod, target, lo, hi, changes) == ref_pair_splices(
+            y, ones, V, mod, target, lo, hi, changes
+        ), (y, mod, target, lo, hi, changes)
+
+
+@pytest.mark.parametrize("n, draws", [(256, 12), (1024, 3)])
+def test_long_bursts_match_reference(n, draws):
+    # each draw decodes its word's bursts with the word's own syndromes,
+    # which must give it back, and with random syndromes, which mostly fail
+    rng = random.Random(2200 + n)
+    kinds = set()
+    for _ in range(draws):
+        x = random_word(rng, n)
+        start = rng.randint(1, n - 1)
+        y = apply_burst(x, BurstSpec(1, 0, start, ""))
+        a = vt_syndrome(x) % (n + 1)
+        assert assert_same(vt_decode, ref_vt_decode, y, a, n) == x
+        y = apply_burst(x, BurstSpec(2, 1, start, rng.choice("01")))
+        a, b = vt_syndrome(x) % (2 * n - 1), x.count("1") % 4
+        assert assert_same(c21_decode, ref_c21_decode, y, a, b, n).word == x
+        a, b = rng.randrange(2 * n - 1), rng.randrange(4)
+        kinds.add(kind(assert_same(c21_decode, ref_c21_decode, y, a, b, n)))
+        for P in (2, 3, 8):
+            lo = start - rng.randint(0, P - 1)
+            window = (lo, lo + P - 1)
+            c, d = vt_syndrome(x) % (2 * P - 1), x.count("1") % 4
+            got = assert_same(svt21_decode, ref_svt21_decode, y, c, d, P, window, n)
+            assert got == x
+            c, d = rng.randrange(2 * P - 1), rng.randrange(4)
+            kinds.add(kind(assert_same(svt21_decode, ref_svt21_decode, y, c, d, P, window, n)))
+    assert DecodeFailure in kinds
