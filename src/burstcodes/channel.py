@@ -26,8 +26,7 @@ one OR.  Its mask step, _mask_step(), uses that the bursts at starts
 >= 1 on b.v' are b followed by those on v': a word's mask is its
 suffix's shifted up by b << (m - 1), m = n - t + s, ORed with the first
 start's outputs; one call steps every kind of a word from a per-length
-plan of constants, _step_plan().  _burst_mask() folds the step over
-suffixes with a one-kind plan.
+plan of constants, _step_plan().
 
 Ball size and the resulting sphere-packing ceiling are exact:
 
@@ -213,17 +212,6 @@ def _mask_step(v: int, n: int, plan: list, suffix_masks: list) -> list[int]:
             keep |= (0 if top else first) | (0 if v & last else last)
         masks.append(mask | comb << keep)
     return masks
-
-
-def _burst_mask(v: int, n: int, t: int, s: int, refined: bool = False) -> int:
-    """_burst_outputs(v, n, t, s, refined) as one int with bit u set for
-    each output u: _mask_step() folded with a one-kind plan over the
-    suffixes of v from length t up.  Callers check that 0 <= t <= n and
-    s >= 0."""
-    masks = [0]
-    for k in range(t, n + 1):
-        masks = _mask_step(v & ((1 << k) - 1), k, [_step_plan(k, t, s, refined)], masks)
-    return masks[0]
 
 
 def _members(out: list[int], m: int) -> tuple[str, ...]:

@@ -17,11 +17,12 @@ import functools
 import json
 import math
 import sys
+from dataclasses import asdict
 
 from . import c31, codes, cts
 from .channel import ball, ball_size_formula, refined_ball, refined_ball_size, sphere_packing_bound
 from .errors import DecodingError, GuardLimit
-from .families import FAMILIES
+from .families import FAMILIES, _outcome
 from .simulate import family_setup, simulate
 from .verify import (
     bound_report,
@@ -147,12 +148,47 @@ def cmd_member(args) -> int:
 # -------------------------------------------------------------- decode
 
 
+def _cts_trace(trace, verbose: bool, payload: dict, lines: list[str]) -> None:
+    row1, cols = trace.row1, trace.column_window
+    payload |= {"row1": _report(_outcome(row1), False)[0], "rows": list(trace.rows),
+                "column_window": cols and list(cols)}
+    if verbose:
+        lines.append(f"row 1: {row1.word}  {row1.classification}  window {list(row1.window)}")
+        lines += [f"column window {list(cols)}"] if cols else []
+        lines += [f"row {i}: {row}" for i, row in enumerate(trace.rows[1:], start=2)]
+
+
+def _c31_trace(trace, verbose: bool, payload: dict, lines: list[str]) -> None:
+    if verbose:
+        # the classification is already at the top level
+        payload["trace"] = {k: v for k, v in asdict(trace).items() if k != "classification"}
+        lines += [f"deltas odd={trace.d_odd} even={trace.d_even} run={trace.d_run}",
+                  f"candidates {trace.candidates}, survivors {trace.survivors}, "
+                  f"run filter {'decisive' if trace.run_filter_decisive else 'idle'}"]
+
+
+# what each trace type adds to a decode's payload, and to its lines under --verbose
+_TRACES = {cts.CtsTrace: _cts_trace, c31.C31Trace: _c31_trace}
+
+
+def _report(res, verbose: bool) -> tuple[dict, list[str]]:
+    """The JSON payload and the text lines of one decode result: its
+    word, classification and window where set, then what its trace adds."""
+    shown = {"decoded": res.word, "classification": res.classification,
+             "window": res.window and list(res.window)}
+    payload = {key: value for key, value in shown.items() if value is not None}
+    lines = [f"{key} {value}" for key, value in payload.items()]
+    if res.trace is not None:
+        _TRACES[type(res.trace)](res.trace, verbose, payload, lines)
+    return payload, lines
+
+
 def cmd_decode(args) -> int:
     words = _gather_words(args)
     for y in words:
         fam = _family(args, "n")
         params = fam.params(_parse_params(args.params), args.n, args)
-        payload, lines = fam.decode(y, params, args.n, args)
+        payload, lines = _report(fam.decode(y, params, args.n, args.window), args.verbose)
         _emit(payload, args.json, lines)
     return 0
 
@@ -317,7 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
     decodable = [name for name, fam in FAMILIES.items() if fam.decode]
-    roundtrip = [name for name, fam in FAMILIES.items() if fam.roundtrip]
+    # verify and simulate decode with no window, which svt21 needs
+    unaided = [name for name in decodable if "window" not in FAMILIES[name].needs]
 
     p = sub.add_parser("ball", help="enumerate a burst ball around a word")
     _add_shared(p, "words", "--file", "--t", "--s", "--json")
@@ -343,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="exhaustive checks, JSON report per line")
     p.add_argument("check", choices=("ball-laws", *_BOOK_CHECKS))
-    p.add_argument("family", nargs="?", choices=roundtrip, default=None)
+    p.add_argument("family", nargs="?", choices=unaided, default=None)
     _add_shared(p, "--t", "--s", "--n")
     p.add_argument("--n-max", type=int, default=8, dest="n_max")
     p.add_argument("--t-max", type=int, default=4, dest="t_max")
@@ -358,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("simulate", help="seeded random bursts through a decoder")
-    p.add_argument("family", choices=roundtrip)
+    p.add_argument("family", choices=unaided)
     _add_shared(p, "--t", "--s", "--n", "--json")
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)

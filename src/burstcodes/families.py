@@ -12,7 +12,8 @@ that replaces a module attribute, such as a tracer, sees these calls.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from collections import namedtuple
+from dataclasses import dataclass
 from typing import Callable
 
 from . import c31, codes, cts
@@ -35,10 +36,9 @@ class Family:
     params(vals, n, opts) builds the parameter object from the --params
     integers, the length and the parsed options; member(x, params, n)
     tests membership; search(n, t, s, P, f) returns (params,
-    Codebook).  decode(y, params, n, opts) returns the JSON payload and
-    the text lines of the decode subcommand, None for a family without
-    a decoder.  roundtrip(y, params, n) returns the decoded codeword;
-    it is set exactly for the families verify and simulate take.
+    Codebook).  decode(y, params, n, window) returns a _Decoded, where
+    window is read only by a family that needs it; decode is None for a
+    family without a decoder.
     """
 
     burst: tuple[int, int] | None
@@ -47,7 +47,6 @@ class Family:
     member: Callable
     search: Callable
     decode: Callable | None = None
-    roundtrip: Callable | None = None
     reads: tuple[str, ...] = ()
 
     def burst_for(self, name: str, t: int | None, s: int | None) -> tuple[int, int]:
@@ -73,29 +72,17 @@ class Family:
                 raise ValueError(f"{name} does not read {flag}{key}")
 
 
+# one decode of any family: the codeword, and the classification, location
+# window and trace where the family's decoder gives them
+_Decoded = namedtuple("_Decoded", "word classification window trace", defaults=(None,) * 3)
+
+
 def _take(vals: list[int], names: str) -> dict:
     """The --params integers named by names ("a,b"), checked for count."""
     keys = names.split(",")
     if len(vals) != len(keys):
         raise ValueError(f"--params needs {len(keys)} values ({names}), got {len(vals)}")
     return dict(zip(keys, vals))
-
-
-def _word(word: str):
-    return {"decoded": word}, [f"decoded {word}"]
-
-
-def _outcome(out: codes.DecodeOutcome):
-    payload = {
-        "decoded": out.word,
-        "classification": out.classification,
-        "window": list(out.window),
-    }
-    return payload, [
-        f"decoded {out.word}",
-        f"classification {out.classification}",
-        f"window [{out.window[0]}, {out.window[1]}]",
-    ]
 
 
 def _cts_params(vals: list[int], n: int, opts) -> cts.CtsParams:
@@ -110,42 +97,18 @@ def _cts_params(vals: list[int], n: int, opts) -> cts.CtsParams:
     return cts.CtsParams.derive(n, opts.t, opts.s, vals[0], vals[1], rows)
 
 
-def _decode_cts(y: str, params: cts.CtsParams, n: int, opts):
+def _outcome(out: codes.DecodeOutcome) -> _Decoded:
+    return _Decoded(out.word, out.classification, out.window)
+
+
+def _decode_cts(y: str, params: cts.CtsParams, n: int, window) -> _Decoded:
     word, trace = cts.cts_decode(y, params, trace=True)
-    payload = {
-        "decoded": word,
-        "row1": _outcome(trace.row1)[0],
-        "column_window": list(trace.column_window) if trace.column_window else None,
-        "rows": list(trace.rows),
-    }
-    lines = [f"decoded {word}"]
-    if opts.verbose:
-        lines.append(
-            f"row 1: {trace.row1.word}  {trace.row1.classification}  "
-            f"window [{trace.row1.window[0]}, {trace.row1.window[1]}]"
-        )
-        if trace.column_window:
-            lines.append(
-                f"column window [{trace.column_window[0]}, {trace.column_window[1]}]"
-            )
-        for i, row in enumerate(trace.rows[1:], start=2):
-            lines.append(f"row {i}: {row}")
-    return payload, lines
+    return _Decoded(word, trace=trace)
 
 
-def _decode_c31(y: str, params: c31.C31Params, n: int, opts):
+def _decode_c31(y: str, params: c31.C31Params, n: int, window) -> _Decoded:
     word, trace = c31.c31_decode(y, params, trace=True)
-    payload = {"decoded": word, "classification": trace.classification}
-    lines = [f"decoded {word}", f"classification {trace.classification}"]
-    if opts.verbose:
-        # the classification is already at the top level
-        payload["trace"] = {k: v for k, v in asdict(trace).items() if k != "classification"}
-        lines.append(f"deltas odd={trace.d_odd} even={trace.d_even} run={trace.d_run}")
-        lines.append(
-            f"candidates {trace.candidates}, survivors {trace.survivors}, "
-            f"run filter {'decisive' if trace.run_filter_decisive else 'idle'}"
-        )
-    return payload, lines
+    return _Decoded(word, trace.classification, trace=trace)
 
 
 FAMILIES = {
@@ -154,22 +117,21 @@ FAMILIES = {
         params=lambda vals, n, opts: _take(vals, "a"),
         member=lambda x, p, n: codes.vt_member(x, p["a"], n),
         search=lambda n, t, s, P, f: codes.pigeonhole_search("vt", n),
-        decode=lambda y, p, n, opts: _word(codes.vt_decode(y, p["a"], n)),
+        decode=lambda y, p, n, w: _Decoded(codes.vt_decode(y, p["a"], n)),
     ),
     "lev2": Family(
         burst=(2, 0), needs=(),
         params=lambda vals, n, opts: _take(vals, "a"),
         member=lambda x, p, n: codes.lev2_member(x, p["a"], n),
         search=lambda n, t, s, P, f: codes.pigeonhole_search("lev2", n),
-        decode=lambda y, p, n, opts: _word(codes.lev2_decode(y, p["a"], n)),
+        decode=lambda y, p, n, w: _Decoded(codes.lev2_decode(y, p["a"], n)),
     ),
     "c21": Family(
         burst=(2, 1), needs=(),
         params=lambda vals, n, opts: _take(vals, "a,b"),
         member=lambda x, p, n: codes.c21_member(x, p["a"], p["b"], n),
         search=lambda n, t, s, P, f: codes.pigeonhole_search("c21", n),
-        decode=lambda y, p, n, opts: _outcome(codes.c21_decode(y, p["a"], p["b"], n)),
-        roundtrip=lambda y, p, n: codes.c21_decode(y, p["a"], p["b"], n).word,
+        decode=lambda y, p, n, w: _outcome(codes.c21_decode(y, p["a"], p["b"], n)),
     ),
     "c21rll": Family(
         burst=(2, 1), needs=(),
@@ -183,9 +145,7 @@ FAMILIES = {
         params=lambda vals, n, opts: _take(vals, "c,d") | {"P": opts.P},
         member=lambda x, p, n: codes.svt21_member(x, p["c"], p["d"], p["P"]),
         search=lambda n, t, s, P, f: codes.pigeonhole_search("svt21", n, P=P),
-        decode=lambda y, p, n, opts: _word(
-            codes.svt21_decode(y, p["c"], p["d"], p["P"], opts.window, n)
-        ),
+        decode=lambda y, p, n, w: _Decoded(codes.svt21_decode(y, p["c"], p["d"], p["P"], w, n)),
         reads=("P", "window"),
     ),
     "cts": Family(
@@ -194,7 +154,6 @@ FAMILIES = {
         member=lambda x, p, n: cts.cts_member(x, p),
         search=lambda n, t, s, P, f: cts.cts_param_search(n, t, s),
         decode=_decode_cts,
-        roundtrip=lambda y, p, n: cts.cts_decode(y, p),
     ),
     "c31": Family(
         burst=(3, 1), needs=(),
@@ -202,6 +161,5 @@ FAMILIES = {
         member=lambda x, p, n: c31.c31_member(x, p),
         search=lambda n, t, s, P, f: c31.c31_param_search(n),
         decode=_decode_c31,
-        roundtrip=lambda y, p, n: c31.c31_decode(y, p),
     ),
 }

@@ -77,18 +77,22 @@ def family_setup(family: str, n: int, t: int | None = None, s: int | None = None
     """Search the best codebook for a family and build its decoder.
 
     Returns (t, s, params_dict, codebook, decode) where decode maps a
-    received word back to the codeword.  Families: those with a
-    roundtrip decoder in FAMILIES (c21, c31, cts; the last needs t and s).
-    t and s go through Family.burst_for, and a length n < t, which no
-    (t, s)-burst fits in, is refused.
+    received word back to the codeword.  Families: those in FAMILIES with
+    a decoder that needs no window, all but c21rll and svt21; cts needs t
+    and s.  t and s go through Family.burst_for, and a length n < t,
+    which no (t, s)-burst fits in, is refused.
     """
     fam = FAMILIES.get(family)
-    if fam is None or fam.roundtrip is None:
+    if fam is None:
         raise ValueError(f"unknown family {family!r}")
+    if fam.decode is None:
+        raise ValueError(f"{family} has no decoder")
+    if "window" in fam.needs:
+        raise ValueError(f"{family} decodes only inside a given window")
     t, s = fam.burst_for(family, t, s)
     _check_room(n, t, s)
     params, book = fam.search(n, t, s, None, None)
-    return t, s, book.params, book, lambda y: fam.roundtrip(y, params, n)
+    return t, s, book.params, book, lambda y: fam.decode(y, params, n, None).word
 
 
 def simulate(

@@ -203,7 +203,7 @@ def test_a_construction_length_must_be_an_int():
 
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(
-    family=st.sampled_from(("c21", "c31", "cts")),
+    family=st.sampled_from(("vt", "lev2", "c21", "c31", "cts")),
     n=st.integers(4, 12) | numbers(hi=12), trials=NUMBER,
     t=st.none() | SMALL, s=st.none() | SMALL,
 )
@@ -360,15 +360,26 @@ def _valid_argv(rng, name, head, flags, takes_words):
     return argv
 
 
+def _reaches_a_verdict(name, head, *_):
+    """Whether a valid argv for the combination can exit 0 or 1."""
+    if name != "verify":
+        return True
+    check, family = head[0], (head[1:] or [None])[0]
+    if (check == "ball-laws") == (family is not None):
+        return False
+    # the packing ceiling needs s >= 1, which a family with s = 0 never has
+    burst = family and FAMILIES[family].burst
+    return not (check == "bound" and burst and burst[1] == 0)
+
+
 def test_cli_fuzz_with_valid_options_reaches_every_command():
     """Every family, check and subcommand gets past its argument checks
     to a verdict: each combination exits 0 or 1 at least once.  A
-    verify check other than ball-laws without a family, and ball-laws
-    with one, always exits 2, so those combinations are left to the fuzz
-    above."""
+    verify check other than ball-laws without a family, ball-laws with
+    one, and bound on a family whose burst has s = 0 (vt, lev2) always
+    exit 2, so those combinations are left to the fuzz above."""
     rng = random.Random(2022)
-    combos = [c for c in _subcommands()
-              if c[0] != "verify" or (c[1][0] == "ball-laws") != bool(c[1][1:])]
+    combos = [c for c in _subcommands() if _reaches_a_verdict(*c)]
     verdict = set()
     for i in range(8 * len(combos)):
         argv = _valid_argv(rng, *combos[i % len(combos)])

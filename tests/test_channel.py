@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from burstcodes.channel import (
     BurstSpec,
-    _burst_mask,
     _burst_outputs,
+    _mask_step,
+    _step_plan,
     apply_burst,
     ball,
     ball_size_formula,
@@ -152,6 +153,17 @@ def _as_mask(out):
     for u in out:
         b[u >> 3] |= 1 << (u & 7)
     return int.from_bytes(b, "little")
+
+
+def _burst_mask(v: int, n: int, t: int, s: int, refined: bool = False) -> int:
+    """_burst_outputs(v, n, t, s, refined) as one int with bit u set for
+    each output u: channel._mask_step() folded with a one-kind plan over
+    the suffixes of v from length t up, as the ball-law sweep steps its
+    masks.  Callers check that 0 <= t <= n and s >= 0."""
+    masks = [0]
+    for k in range(t, n + 1):
+        masks = _mask_step(v & ((1 << k) - 1), k, [_step_plan(k, t, s, refined)], masks)
+    return masks[0]
 
 
 @pytest.mark.parametrize("n", range(15))

@@ -69,8 +69,11 @@ def test_every_family_and_subcommand_recorded():
         assert ("member", fam) in pairs and ("search", fam) in pairs
         if fam != "c21rll":
             assert ("decode", fam) in pairs
-    for fam in ("c21", "cts", "c31"):
+    for fam in ("vt", "lev2", "c21", "cts", "c31"):
         assert ("simulate", fam) in pairs
+        assert any(r["argv"][:3] == ["verify", "roundtrip", fam] and r["exit"] == 0
+                   for r in GOLDEN_DATA["records"])
+    for fam in ("c21", "cts", "c31"):
         for check in ("disjoint", "roundtrip", "equivalence", "bound"):
             assert any(
                 r["argv"][:3] == ["verify", check, fam] and r["exit"] == 0
@@ -256,7 +259,7 @@ def _cases():
         "verify-ball-laws-small": "verify ball-laws --n-max 4 --t-max 2 --s-max 3",
         "verify-ball-laws-guard": "verify ball-laws --n-max 15",
         "verify-needs-family": "verify disjoint --n 8",
-        "verify-refuses-vt": "verify disjoint vt --n 8",
+        "verify-refuses-c21rll": "verify disjoint c21rll --n 8",
         "verify-cts-needs-t": "verify disjoint cts --n 8",
         "verify-needs-n": "verify roundtrip c21",
         "verify-c31-odd": "verify roundtrip c31 --n 7",
@@ -265,6 +268,12 @@ def _cases():
     for fam, opts in books.items():
         for check in ("disjoint", "roundtrip", "equivalence", "bound"):
             cases[f"verify-{check}-{fam}"] = f"verify {check} {fam} {opts}"
+    # the deletion codes: a roundtrip each; the packing ceiling needs s >= 1
+    cases |= {
+        "verify-roundtrip-vt": "verify roundtrip vt --n 8",
+        "verify-roundtrip-lev2": "verify roundtrip lev2 --n 8",
+        "verify-bound-lev2": "verify bound lev2 --n 8",
+    }
     cases |= {
         "bounds": "bounds --t 3 --s 1 --n 8..16",
         "bounds-json": "bounds --t 4 --s 2 --n 6..12 --json",
@@ -276,8 +285,10 @@ def _cases():
         "simulate-cts": "simulate cts --n 8 --t 3 --s 1 --trials 100 --seed 5",
         "simulate-cts-42": "simulate cts --n 8 --t 4 --s 2 --trials 60 --json",
         "simulate-c31": "simulate c31 --n 8 --trials 100 --seed 7",
+        "simulate-vt": "simulate vt --n 8 --trials 50 --seed 1",
+        "simulate-lev2-json": "simulate lev2 --n 8 --trials 50 --seed 1 --json",
         "simulate-cts-needs-s": "simulate cts --n 8 --t 3",
-        "simulate-refuses-lev2": "simulate lev2 --n 8",
+        "simulate-refuses-svt21": "simulate svt21 --n 8",
         "simulate-negative-trials": "simulate c21 --n 8 --trials -1",
         "simulate-guard": "simulate c31 --n 26 --trials 1",
     }

@@ -1,10 +1,16 @@
 """Reproducible random trials and the pinned generator."""
 
+import argparse
+import re
+
 import pytest
 
 from burstcodes import codes
+from burstcodes.cli import build_parser
 from burstcodes.errors import DecodeFailure
-from burstcodes.simulate import SimulationResult, SplitMix64, simulate
+from burstcodes.families import FAMILIES
+from burstcodes.simulate import SimulationResult, SplitMix64, family_setup, simulate
+from burstcodes.verify import verify_roundtrip
 
 # Reference stream for seed 1234567, as published with the original
 # C implementation of the mixer.
@@ -84,6 +90,43 @@ def test_simulate_validates_arguments():
         simulate("nope", 8, 10, seed=0)
     with pytest.raises(ValueError):
         simulate("c21", 8, -1, seed=0)
+
+
+@pytest.mark.parametrize(
+    "family, msg",
+    [
+        ("svt21", "svt21 decodes only inside a given window"),
+        ("c21rll", "c21rll has no decoder"),
+        ("nope", "unknown family 'nope'"),
+    ],
+)
+def test_family_setup_says_why_it_refuses_a_family(family, msg):
+    with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+        family_setup(family, 12)
+
+
+def _family_choices(command):
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return next(a.choices for a in sub.choices[command]._actions if a.dest == "family")
+
+
+# the families verify and simulate offer, read from the parser
+OFFERED = _family_choices("simulate")
+
+
+def test_verify_and_simulate_offer_the_same_families():
+    assert _family_choices("verify") == OFFERED
+    assert {"vt", "lev2", "c21", "cts", "c31"} <= set(OFFERED)
+
+
+@pytest.mark.parametrize("n", [8, 12])
+@pytest.mark.parametrize("family", OFFERED)
+def test_every_offered_family_decodes_its_whole_book(family, n):
+    # a family whose burst --t and --s choose is tried at (3, 1)
+    t, s, _, book, decode = family_setup(family, n, *(FAMILIES[family].burst or (3, 1)))
+    rep = verify_roundtrip(book.members, t, s, decode)
+    assert rep.verdict, rep.witness
+    assert rep.counts["codewords"] == book.size
 
 
 def test_result_dict_shape():

@@ -10,7 +10,7 @@ from collections import Counter
 import pytest
 
 from burstcodes import verify
-from burstcodes.channel import _burst_mask, _step_plan, ball, refined_ball
+from burstcodes.channel import _burst_outputs, _step_plan, ball, refined_ball
 from burstcodes.c31 import c31_param_search
 from burstcodes.codes import c21_decode, pigeonhole_search
 from burstcodes.cts import cts_param_search
@@ -317,8 +317,8 @@ def test_ball_laws_catch_a_part_that_drops_an_output(monkeypatch):
         # so only the partition law can see the loss
         if (v, n) == (0b10110, 5):
             out = masks[part] ^ 1 << (masks[part].bit_length() - 1)
-            outside = _burst_mask(v, n, 3, 1)
-            masks[part] = out | 1 << min(u for u in range(1 << 3) if not outside >> u & 1)
+            outside = set(_burst_outputs(v, n, 3, 1))
+            masks[part] = out | 1 << min(u for u in range(1 << 3) if u not in outside)
         return masks
 
     monkeypatch.setattr(verify, "_mask_step", drop_one)
