@@ -73,7 +73,7 @@ from .codes import (
     _largest_bucket,
 )
 from .errors import DecodeFailure
-from .words import _check_int, run_count, weights
+from .words import _check_int, weights
 
 __all__ = ["C31Params", "C31Trace", "classify_31", "c31_member", "c31_decode", "c31_param_search"]
 
@@ -254,7 +254,8 @@ def c31_decode(y: str, params: C31Params, *, trace: bool = False):
     t = C31Trace(
         d_odd=deltas[0],
         d_even=deltas[1],
-        d_run=(params.d - run_count(y)) % 5,
+        # y's runs, as x's are counted above
+        d_run=(params.d - head_t[m] - (y[:1] == "0")) % 5,
         classification=label,
         # inserting a pair at p gives the word of p + 1 exactly when its
         # first bit is y[p], so 2 per p < m and 4 at m are distinct: 2n;

@@ -26,7 +26,9 @@ one OR.  Its mask step, _mask_step(), uses that the bursts at starts
 >= 1 on b.v' are b followed by those on v': a word's mask is its
 suffix's shifted up by b << (m - 1), m = n - t + s, ORed with the first
 start's outputs; one call steps every kind of a word from a per-length
-plan of constants, _step_plan().
+plan of constants, _step_plan().  The sweep itself steps both words
+b.v' at once with _sibling_step(), which shares a kind's start term
+between them wherever that term does not read b.
 
 Ball size and the resulting sphere-packing ceiling are exact:
 
@@ -212,6 +214,37 @@ def _mask_step(v: int, n: int, plan: list, suffix_masks: list) -> list[int]:
             keep |= (0 if top else first) | (0 if v & last else last)
         masks.append(mask | comb << keep)
     return masks
+
+
+def _sibling_step(v: int, n: int, plan: list, suffix_masks: list) -> tuple[list, list]:
+    """_mask_step() on both length-n words whose length-(n - 1) suffix is
+    v, n >= 1: the masks of v (top bit 0) and of v | 2^(n-1) (top bit 1),
+    in one pass over plan.  A kind with t >= 1 keeps only bits below the
+    top, so outside the refined split both children take one start term,
+    comb << (v & low), and the top-1 child's suffix mask is shifted
+    first.  A refined split kind's term also depends on the top bit, and
+    for t = 1 the deleted block's last bit is the top bit itself."""
+    high = 1 << (n - 1)
+    zeros, ones = [], []
+    for (shift, comb, low, split), mask in zip_longest(plan, suffix_masks, fillvalue=0):
+        if split:
+            single, first, last = split
+            keep = v & low
+            # the insert's last bit is set where the deleted block's last
+            # bit, bit r, is 0; for t = 1 that is the top bit, 1 in ones
+            ends = 0 if v & last else last
+            ends_one = 0 if last == high else ends
+            zeros.append(mask if single and not ends else mask | comb << (keep | first | ends))
+            mask <<= shift
+            ones.append(mask if single and ends_one else mask | comb << (keep | ends_one))
+        elif low & high:  # t = 0: the first start keeps the top bit too
+            zeros.append(mask | comb << v)
+            ones.append(mask << shift | comb << (v | high))
+        else:
+            term = comb << (v & low)
+            zeros.append(mask | term)
+            ones.append(mask << shift | term)
+    return zeros, ones
 
 
 def _members(out: list[int], m: int) -> tuple[str, ...]:

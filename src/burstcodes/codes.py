@@ -507,17 +507,17 @@ def _row_counts(init, step, mods: tuple, m: int):
 
     A level maps each rest to one int that packs the number of words
     reaching it with leading residue r, for every r mod mods[0]: field r
-    is bits r*W .. r*W + W - 1, W the smallest of 8, 16, 32 or 64 bits
-    that holds m + 1 bits, so no count (at most 2^m) spills; rows are
-    therefore under 64 positions, which the search guard keeps.
+    is bits r*W .. r*W + W - 1, W the smallest power of two >= 8 bits
+    that holds m + 1 bits, so no count (at most 2^m) spills.
     step(rest, pos, bit) runs once per (rest, pos, bit); its increment d,
     taken mod mods[0], moves every r to r + d, which is one cyclic
     rotation of the packed int, and no work at all when d is 0 mod
     mods[0].  At the end one struct call reads each key's fields from the
-    int's little-endian bytes, as W-bit unsigned ints.  Picks the
-    best key by the (-count, key) rule.  Returns the levels, per
-    position 0..m a tuple of the rests reached after that many
-    positions; the best key; and the number of row words ending on it.
+    int's little-endian bytes, as W-bit unsigned ints; a field wider than
+    64 bits, which struct has no code for (m >= 64), is read from its own
+    W / 8 bytes.  Picks the best key by the (-count, key) rule.  Returns
+    the levels, per position 0..m a tuple of the rests reached after that
+    many positions; the best key; and the number of row words ending on it.
     """
     mod = mods[0]
     width = max(8, 1 << m.bit_length())
@@ -544,7 +544,12 @@ def _row_counts(init, step, mods: tuple, m: int):
     groups: dict[tuple, int] = {}
     for rest, packed in level.items():
         groups[rest[:k]] = groups.get(rest[:k], 0) + packed
-    read = struct.Struct(f"<{mod}{_FIELD_CODES[width]}").unpack
+    if width in _FIELD_CODES:
+        read = struct.Struct(f"<{mod}{_FIELD_CODES[width]}").unpack
+    else:
+        def read(data: bytes, size: int = width // 8) -> tuple:
+            return tuple(int.from_bytes(data[i : i + size], "little")
+                         for i in range(0, len(data), size))
     counts = {key: read(packed.to_bytes(span // 8, "little")) for key, packed in groups.items()}
     # the smallest residue of each key list holding the top count
     size = max(map(max, counts.values()))

@@ -13,6 +13,8 @@ import json
 import math
 import time
 from dataclasses import asdict, dataclass, field
+from itertools import repeat
+from operator import add, itemgetter, or_
 
 from .channel import (
     _burst_outputs,
@@ -23,6 +25,7 @@ from .channel import (
     _mask_step,
     _members,
     _refined_size,
+    _sibling_step,
     _start_outputs,
     _step_plan,
     ball_size_formula,
@@ -287,6 +290,47 @@ def _ball_law_work(top: int, kinds: list) -> int:
 _BALL_LAW_WORK = _ball_law_work(BALL_LAW_GUARD, _ball_law_kinds(4, 4, BALL_LAW_GUARD)[1])
 
 
+def _picker(idx: list):
+    """A function giving the tuple of a sequence's items at the indices idx."""
+    if len(idx) == 1:
+        (i,) = idx
+        return lambda seq: (seq[i],)
+    return itemgetter(*idx)
+
+
+def _ball_law_table(n: int, pairs: list, kls: dict, kinds: list) -> tuple:
+    """The constants of the ball-law word check at length n, built once
+    from the (t, s) pairs and refined parts kls that verify_ball_laws()
+    plans for n, as indices into a word's masks:
+
+    * a picker of the full balls, and their closed-form sizes;
+    * a picker of the parts: first those whose closed form does not
+      depend on the word (k = 0 or l >= 2), then the others, with the
+      sizes of the first and the k's and l's of the others;
+    * per (t, s), a picker of the ball its other parts tile and one of
+      its own part (t, s): parts(t, s) = parts(t - 1, s - 1) + [(t, s)]
+      for t >= s and t < s alike, so that ball is the full
+      (t - 1, s - 1)-ball, or its one part where t or s is 1.
+    """
+    full = {(t, s): i for t, s, _, i, _ in pairs}
+    fixed = [(k, l, j) for k, l, j in kls if k == 0 or l >= 2]
+    varying = [(k, l, j) for k, l, j in kls if k and l < 2]
+    smaller = [
+        full[t - 1, s - 1] if (t - 1, s - 1) in full else kinds.index((t - 1, s - 1, True))
+        for t, s, *_ in pairs
+    ]
+    return (
+        _picker([i for *_, i, _ in pairs]),
+        tuple(formula for _, _, formula, _, _ in pairs),
+        _picker([j for *_, j in fixed + varying]),
+        tuple(_refined_size(0, n, k, l) for k, l, _ in fixed),
+        [k for k, _, _ in varying],
+        [l for _, l, _ in varying],
+        _picker(smaller),
+        _picker([kinds.index((t, s, True)) for t, s, *_ in pairs]),
+    )
+
+
 def verify_ball_laws(n_values, t_max: int = 4, s_max: int = 4) -> dict[str, VerificationReport]:
     """One sweep over all words and burst sizes, three laws checked.
 
@@ -298,14 +342,26 @@ def verify_ball_laws(n_values, t_max: int = 4, s_max: int = 4) -> dict[str, Veri
     Words are ints and balls are bitmasks, bit u set for each output u:
     a size is a bit count, a union an OR.  Each ball is built from its
     suffix's ball: the sweep walks the words depth-first from the empty
-    word, prepending a bit per level, and one channel._mask_step() call
-    per word turns the masks of v' into those of b.v' with one start
-    term and one shift per kind (each full (t, s)-ball and refined
-    (k, l)-part, t and s capped at the largest length), from a plan of
-    constants per length built once per sweep.  One list of masks per depth
-    is kept, so memory is O(depth x kinds).  The full ball is built on
-    its own, never from the parts; a part's closed form is computed
-    once per word.  Counts are per (t, s) and part.  The walk meets
+    word (whose masks channel._mask_step() makes), prepending a bit per
+    level.  One channel._sibling_step() call per word v' below the
+    largest length turns its masks into those of both children 0.v' and
+    1.v', with one start term and one shift per kind and child (each
+    full (t, s)-ball and refined (k, l)-part, t and s capped at the
+    largest length), from a plan of constants per length built once per
+    sweep.  The masks of a word and of its unvisited sibling are kept
+    per depth, so memory is O(depth x kinds).  The full ball is built on
+    its own, never from the parts.
+
+    Each length has a table built once (_ball_law_table()), so a word
+    costs one bit count per mask and a few tuple compares: the full
+    sizes against their closed forms; the part sizes against theirs,
+    where those with k = 0 or l >= 2 do not depend on the word and are
+    computed once per length, the others once per word; and per (t, s)
+    one OR and one add, since the ball tiled by all parts but (t, s) is
+    the full (t - 1, s - 1)-ball.  A word any compare fails is checked
+    again by the plain loop over each (t, s) and its parts, which counts
+    and records every failure, so the reports are those of that loop
+    alone.  Counts are per (t, s) and part.  The walk meets
     words out of numeric order, so each witness is its law's failure
     with the smallest (n, x), the one an ascending sweep meets first.
     Raises ValueError unless t_max and s_max are ints >= 1, which any
@@ -346,7 +402,7 @@ def verify_ball_laws(n_values, t_max: int = 4, s_max: int = 4) -> dict[str, Veri
             wit[law] = n, v, fields
 
     steps = [[_step_plan(n, *kind) for kind in kinds if kind[0] <= n] for n in range(top + 1)]
-    plans = {}
+    plans, tables = {}, {}
     words = combos = formula_checks = 0
     for n in n_values:
         pairs = [
@@ -354,14 +410,16 @@ def verify_ball_laws(n_values, t_max: int = 4, s_max: int = 4) -> dict[str, Veri
              [(k, l, kinds.index((k, l, True))) for k, l in _refined_parts(t, s)])
             for t, s in sizes if max(t, s) <= n
         ]
-        plans[n] = pairs, {kl for *_, used in pairs for kl in used}
+        kls = dict.fromkeys(kl for *_, used in pairs for kl in used)
+        plans[n] = pairs, kls
         words += 1 << n
         combos += len(pairs) << n
         formula_checks += sum(len(used) for *_, used in pairs) << n
+        if pairs:
+            tables[n] = _ball_law_table(n, pairs, kls, kinds)
 
-    def walk(v: int, n: int, suffix: list) -> None:
-        masks = _mask_step(v, n, steps[n], suffix)
-        pairs, kls = plans.get(n, ((), ()))
+    def slow(v: int, n: int, masks: list) -> None:
+        pairs, kls = plans[n]
         known = {i: (masks[i].bit_count(), _refined_size(v, n, k, l)) for k, l, i in kls}
         for t, s, formula, i, used in pairs:
             size = masks[i].bit_count()
@@ -377,11 +435,32 @@ def verify_ball_laws(n_values, t_max: int = 4, s_max: int = 4) -> dict[str, Veri
             if not (union == masks[i] and total == union.bit_count()):
                 fail("partition", v, n, t=t, s=s, parts_total=total,
                      union=union.bit_count(), ball=size)
-        if n < top:
-            walk(v, n + 1, masks)
-            walk(v | 1 << n, n + 1, masks)
 
-    walk(0, 0, [])
+    def check(v: int, n: int, masks: list) -> None:
+        table = tables.get(n)
+        if table is None:
+            return
+        full_at, formulas, parts_at, fixed, ks, ls, smaller_at, own_at = table
+        # no tuple(map(...)): it resizes the tuple it builds, so the freed
+        # tuples pile up in CPython's free list of their final size (about
+        # 0.7 MB over a sweep to n = 10)
+        got = [*map(int.bit_count, masks)]
+        if not (
+            full_at(got) == formulas
+            and parts_at(got) == (*fixed, *map(_refined_size, repeat(v), repeat(n), ks, ls))
+            and full_at(masks) == (*map(or_, smaller_at(masks), own_at(masks)),)
+            and formulas == (*map(add, smaller_at(got), own_at(got)),)
+        ):
+            slow(v, n, masks)
+
+    def walk(v: int, n: int, masks: list) -> None:
+        check(v, n, masks)
+        if n < top:
+            zeros, ones = _sibling_step(v, n + 1, steps[n + 1], masks)
+            walk(v, n + 1, zeros)
+            walk(v | 1 << n, n + 1, ones)
+
+    walk(0, 0, _mask_step(0, 0, steps[0], []))
     elapsed = time.perf_counter() - start
     params = {"n_values": list(n_values), "t_max": t_max, "s_max": s_max}
     counts = {"words": words, "burst_combinations": combos}

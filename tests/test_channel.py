@@ -10,6 +10,7 @@ from burstcodes.channel import (
     BurstSpec,
     _burst_outputs,
     _mask_step,
+    _sibling_step,
     _step_plan,
     apply_burst,
     ball,
@@ -164,6 +165,22 @@ def _burst_mask(v: int, n: int, t: int, s: int, refined: bool = False) -> int:
     for k in range(t, n + 1):
         masks = _mask_step(v & ((1 << k) - 1), k, [_step_plan(k, t, s, refined)], masks)
     return masks[0]
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_sibling_step_is_the_mask_step_on_both_children(n):
+    # every kind with t <= n and s <= 4, refined or not, over seeded
+    # suffix masks, so that no term may lean on what a real mask holds
+    rng = random.Random(n)
+    kinds = sorted((t, s, refined) for t in range(n + 1) for s in range(5)
+                   for refined in (False, True))
+    plan = [_step_plan(n, *kind) for kind in kinds]
+    fit = sum(t < n for t, _, _ in kinds)
+    for v in range(1 << (n - 1)):
+        suffix = [rng.getrandbits(1 << (n + 3)) for _ in range(fit)]
+        zeros, ones = _sibling_step(v, n, plan, suffix)
+        assert zeros == _mask_step(v, n, plan, suffix), v
+        assert ones == _mask_step(v | 1 << (n - 1), n, plan, suffix), v
 
 
 @pytest.mark.parametrize("n", range(15))

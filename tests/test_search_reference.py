@@ -162,6 +162,14 @@ def test_packed_counts_match_the_state_dict_pass(case):
         assert ([set(level) for level in levels], best, size) == ref_row_counts(*row, m)
 
 
+@pytest.mark.parametrize("family,m", [("vt", 64), ("vt", 80), ("c21", 64), ("c21", 80)])
+def test_counts_wider_than_64_bits_match_the_state_dict_pass(family, m):
+    # from m = 64 a count needs a 128-bit field, which struct cannot read
+    (row,) = codes._family_rows(family, m, None, None)[0]
+    levels, best, size = codes._row_counts(*row, m)
+    assert ([set(level) for level in levels], best, size) == ref_row_counts(*row, m)
+
+
 @pytest.mark.parametrize(
     "search, args, rows",
     [

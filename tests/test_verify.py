@@ -306,12 +306,22 @@ def test_ball_laws_catch_a_wrong_refined_size(monkeypatch):
     assert w["x"] == "0000"
 
 
+def _per_child(step):
+    """A stand-in for verify._sibling_step that passes each child's masks,
+    with its word and length, through step(v, n, masks)."""
+    real = verify._sibling_step
+
+    def sibling_step(v, n, plan, suffix_masks):
+        zeros, ones = real(v, n, plan, suffix_masks)
+        return step(v, n, zeros), step(v | 1 << (n - 1), n, ones)
+
+    return sibling_step
+
+
 def test_ball_laws_catch_a_part_that_drops_an_output(monkeypatch):
-    real = verify._mask_step
     part = verify._ball_law_kinds(3, 3, 5)[1].index((2, 0, True))
 
-    def drop_one(v, n, plan, suffix_masks):
-        masks = real(v, n, plan, suffix_masks)
+    def drop_one(v, n, masks):
         # the (2, 0) part, which tiles the (3, 1)-ball with (3, 1), swaps
         # an output for a word outside that ball; its size stays right,
         # so only the partition law can see the loss
@@ -321,7 +331,7 @@ def test_ball_laws_catch_a_part_that_drops_an_output(monkeypatch):
             masks[part] = out | 1 << min(u for u in range(1 << 3) if u not in outside)
         return masks
 
-    monkeypatch.setattr(verify, "_mask_step", drop_one)
+    monkeypatch.setattr(verify, "_sibling_step", _per_child(drop_one))
     w = _only_failure(verify_ball_laws([4, 5], 3, 3), "partition")
     assert w == {"x": "10110", "t": 3, "s": 1, "parts_total": 4, "union": 4, "ball": 4}
 
@@ -339,19 +349,29 @@ def test_ball_law_witness_is_the_smallest_failing_word(monkeypatch):
 
 
 def test_ball_law_sweep_takes_one_start_term_per_word_and_kind(monkeypatch):
-    real = verify._mask_step
+    real_one, real_pair = verify._mask_step, verify._sibling_step
     kinds = verify._ball_law_kinds(4, 2, 6)[1]
-    calls, terms = Counter(), Counter()
+    calls, terms, pair_calls = Counter(), Counter(), Counter()
 
-    def counted(v, n, plan, suffix_masks):
-        # one step per word, whose plan holds one start term per kind
-        # that fits in n
-        calls[v, n] += 1
+    def count(ws, n, plan):
+        # each word's plan holds one start term per kind that fits in n
         assert plan == [_step_plan(n, *kind) for kind in kinds[: len(plan)]]
-        terms.update((v, n, *kind) for kind in kinds[: len(plan)])
-        return real(v, n, plan, suffix_masks)
+        for v in ws:
+            calls[v, n] += 1
+            terms.update((v, n, *kind) for kind in kinds[: len(plan)])
 
-    monkeypatch.setattr(verify, "_mask_step", counted)
+    def counted_one(v, n, plan, suffix_masks):
+        count([v], n, plan)
+        return real_one(v, n, plan, suffix_masks)
+
+    def counted_pair(v, n, plan, suffix_masks):
+        # one step for both children of the suffix v
+        pair_calls[v, n] += 1
+        count([v, v | 1 << (n - 1)], n, plan)
+        return real_pair(v, n, plan, suffix_masks)
+
+    monkeypatch.setattr(verify, "_mask_step", counted_one)
+    monkeypatch.setattr(verify, "_sibling_step", counted_pair)
     verify_ball_laws([3, 6], 4, 2)
     sizes = [(t, s) for t in range(1, 5) for s in range(1, 3)]
     named = {(t, s, False) for t, s in sizes}
@@ -361,6 +381,9 @@ def test_ball_law_sweep_takes_one_start_term_per_word_and_kind(monkeypatch):
     assert set(terms) == want
     assert set(terms.values()) == set(calls.values()) == {1}
     assert len(calls) == 2**7 - 1
+    # the empty word takes a one-word step; every other word is a child
+    assert set(pair_calls) == {(v, n) for n in range(1, 7) for v in range(1 << (n - 1))}
+    assert set(pair_calls.values()) == {1}
 
 
 @pytest.mark.parametrize(
