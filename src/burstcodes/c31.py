@@ -66,6 +66,7 @@ from .codes import (
     PATTERN_111_TO_0,
     TWO_BURST_DELETION,
     Codebook,
+    _check_params,
     _check_received,
     _check_syndromes,
     _expect_one,
@@ -176,15 +177,8 @@ def _automaton(n: int) -> tuple:
     return (((0, 0, 1, 0), step, (4 * n, 4, 4, 5)),)
 
 
-def _check_params(params) -> C31Params:
-    """Refuse params unless it is a C31Params."""
-    if not isinstance(params, C31Params):
-        raise ValueError(f"params must be a C31Params, got {params!r}")
-    return params
-
-
 def c31_member(x: str, params: C31Params) -> bool:
-    _check_params(params)
+    _check_params(params, C31Params)
     vals = (params.a, params.b, params.c, params.d)
     return _in_bucket(x, params.n, _rows(params.n), vals)
 
@@ -192,7 +186,7 @@ def c31_member(x: str, params: C31Params) -> bool:
 def _shape(y: str, params: C31Params) -> tuple[tuple, tuple[int, int]]:
     """The _SHAPES entry of y and the weight deltas (d_odd, d_even) that
     name it."""
-    _check_received(y, _check_params(params).n - 2)
+    _check_received(y, _check_params(params, C31Params).n - 2)
     w = weights(y)
     key = ((params.b - w.odd) % 4, (params.c - w.even) % 4)
     entry = _SHAPES.get(key)
@@ -220,7 +214,12 @@ def c31_decode(y: str, params: C31Params, *, trace: bool = False):
     Returns the codeword, or (codeword, C31Trace) when trace=True.
     Exactly one candidate must survive all four congruences; anything
     else aborts with DecodeFailure or DecodeAmbiguity.  Candidates are
-    checked from prefix sums of y, as the module docstring describes.
+    checked from prefix sums of y, as the module docstring describes.  A
+    returned word is a codeword that one (3, 1)-burst takes to y; any
+    other y of length n - 2 raises DecodingError.  That holds by
+    construction: every candidate is a one-burst preimage of y, a pattern
+    block in place of its mark or a pair put in, and it is returned only
+    if it passes every congruence.
     """
     (label, mark, *fits), deltas = _shape(y, params)
     n, m, r = params.n, len(y), len(mark)

@@ -22,13 +22,12 @@ size below, while ball() and refined_ball() still refuse with GuardLimit
 a center whose n - t + 1 starts times 2^s inserts exceed OUTPUT_GUARD.
 _burst_outputs() is the kernel on one center.  The ball-law sweep sets
 bit u of a mask for each output u, so a size is a bit count and a union
-one OR.  Its mask step, _mask_step(), uses that the bursts at starts
+one OR.  Its step, _sibling_step(), uses that the bursts at starts
 >= 1 on b.v' are b followed by those on v': a word's mask is its
 suffix's shifted up by b << (m - 1), m = n - t + s, ORed with the first
-start's outputs; one call steps every kind of a word from a per-length
-plan of constants, _step_plan().  The sweep itself steps both words
-b.v' at once with _sibling_step(), which shares a kind's start term
-between them wherever that term does not read b.
+start's outputs.  One call steps every kind of both words 0.v' and
+1.v' from a per-length plan of constants, _step_plan(), and shares a
+kind's start term between them wherever that term does not read b.
 
 Ball size and the resulting sphere-packing ceiling are exact:
 
@@ -178,7 +177,7 @@ def _burst_outputs(v: int, n: int, t: int, s: int, refined: bool = False) -> lis
 
 @lru_cache(maxsize=None)
 def _step_plan(n: int, t: int, s: int, refined: bool) -> tuple:
-    """The constants of _mask_step() for one kind at length n, r = n - t:
+    """The constants of _sibling_step() for one kind at length n, r = n - t:
     the shift 2^(r+s-1) that a leading 1 adds to every later start's
     output, the comb (a bit at each offset a start's inserts reach above
     its lowest output: 2^s bits 2^r apart, or refined 2^(s-2) bits
@@ -193,37 +192,20 @@ def _step_plan(n: int, t: int, s: int, refined: bool) -> tuple:
     return shift, comb, (1 << r) - 1, (s == 1, 1 << (s - 1 + r), 1 << r) if split else None
 
 
-def _mask_step(v: int, n: int, plan: list, suffix_masks: list) -> list[int]:
-    """The mask of each kind in plan for the length-n word v, from
-    suffix_masks, the masks of v's length-(n - 1) suffix in plan order (0
-    for a kind that does not fit in it, or past the list's end), shifted
-    as the module says.  plan holds _step_plan(n, t, s, refined) for
-    kinds with t <= n.  The first start's comb lands on its lowest
-    output, past the end bits a refined insert must take."""
-    top = v >> (n - 1) if n else 0
-    masks = []
-    for (shift, comb, low, split), mask in zip_longest(plan, suffix_masks, fillvalue=0):
-        if top:
-            mask <<= shift
-        keep = v & low
-        if split:
-            single, first, last = split
-            if single and top != (v & last > 0):
-                masks.append(mask)
-                continue
-            keep |= (0 if top else first) | (0 if v & last else last)
-        masks.append(mask | comb << keep)
-    return masks
-
-
 def _sibling_step(v: int, n: int, plan: list, suffix_masks: list) -> tuple[list, list]:
-    """_mask_step() on both length-n words whose length-(n - 1) suffix is
-    v, n >= 1: the masks of v (top bit 0) and of v | 2^(n-1) (top bit 1),
-    in one pass over plan.  A kind with t >= 1 keeps only bits below the
-    top, so outside the refined split both children take one start term,
-    comb << (v & low), and the top-1 child's suffix mask is shifted
-    first.  A refined split kind's term also depends on the top bit, and
-    for t = 1 the deleted block's last bit is the top bit itself."""
+    """The mask of each kind in plan for both length-n words whose
+    length-(n - 1) suffix is v, n >= 1: the masks of v (top bit 0) and of
+    v | 2^(n-1) (top bit 1), in one pass over plan.  plan holds
+    _step_plan(n, t, s, refined) for kinds with t <= n, and suffix_masks
+    the masks of v in plan order (0 for a kind that does not fit in it,
+    or past the list's end).  A child's mask is its suffix's, shifted for
+    the top-1 child as the module says, ORed with its first start's term:
+    the comb shifted to its lowest output, past the end bits a refined
+    insert must take.  A kind with t >= 1 keeps only bits below the top,
+    so outside the refined split both children take one start term,
+    comb << (v & low).  A refined split kind's term also depends on the
+    top bit, and for t = 1 the deleted block's last bit is the top bit
+    itself."""
     high = 1 << (n - 1)
     zeros, ones = [], []
     for (shift, comb, low, split), mask in zip_longest(plan, suffix_masks, fillvalue=0):

@@ -225,6 +225,13 @@ def _check_syndromes(*vals) -> None:
         _check_int(v, None, "syndrome values must be ints, got {!r}", v)
 
 
+def _check_params(params, kind: type):
+    """params if it is a kind, else ValueError naming the kind."""
+    if not isinstance(params, kind):
+        raise ValueError(f"params must be a {kind.__name__}, got {params!r}")
+    return params
+
+
 def _check_received(y: str, length: int) -> None:
     """Refuse a received word that is not binary or not of length length."""
     check_word(y)
@@ -331,7 +338,13 @@ def vt_member(x: str, a: int, n: int) -> bool:
 
 
 def vt_decode(y: str, a: int, n: int) -> str:
-    """Recover the VT(n; a) codeword a single deletion of which gave y."""
+    """Recover the VT(n; a) codeword a single deletion of which gave y.
+
+    A returned word is a codeword that one deletion takes to y; any other
+    y of length n - 1 raises DecodingError.  That holds by construction:
+    every candidate is a one-deletion preimage of y, and it is returned
+    only if it passes the congruence.
+    """
     _check_syndromes(a)
     _check_room(n, 1, 0)
     _check_received(y, n - 1)
@@ -357,6 +370,10 @@ def lev2_decode(y: str, a: int, n: int) -> str:
 
     The received length says how many symbols went missing (0, 1, or 2);
     the zero-prefixed run syndrome mod 2n then pins the unique preimage.
+    A returned word is a codeword that one burst of at most two
+    deletions takes to y; any other y of length n, n - 1 or n - 2 raises
+    DecodingError.  That holds by construction: every candidate is such
+    a preimage of y, and it is returned only if it passes the congruence.
     """
     _check_syndromes(a)
     _check_int(n, 1, "length must be >= 1")
@@ -402,7 +419,11 @@ def c21_decode(y: str, a: int, b: int, n: int) -> DecodeOutcome:
     """Correct one (2, 1)-burst against syndromes (a mod 2n-1, b mod 4).
 
     The weight delta picks the error shape, and the position-weighted
-    syndrome picks the one preimage of that shape.
+    syndrome picks the one preimage of that shape.  A returned word is a
+    codeword that one (2, 1)-burst takes to y; any other y of length
+    n - 1 raises DecodingError.  That holds by construction: every
+    candidate is a one-burst preimage of y, and it is returned only if it
+    passes both congruences.
     """
     _check_syndromes(a, b)
     _check_room(n, 2, 1)
@@ -436,7 +457,11 @@ def svt21_decode(
     window is a 1-based inclusive interval of at most P coordinates; it
     is clamped to the valid start range 1..n-1.  Only syndromes mod
     2P-1 and mod 4 are needed because candidate starts this close
-    together can never collide on both.
+    together can never collide on both.  A returned word is a codeword
+    that one (2, 1)-burst starting inside the window takes to y; any
+    other y of length n - 1 raises DecodingError.  That holds by
+    construction: every candidate is such a preimage of y, and it is
+    returned only if it passes both congruences.
     """
     _check_syndromes(c, d)
     _check_room(n, 2, 1)

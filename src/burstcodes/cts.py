@@ -42,6 +42,7 @@ from .codes import (
     Codebook,
     DecodeOutcome,
     _c21_core,
+    _check_params,
     _check_received,
     _check_syndromes,
     _family_rows,
@@ -160,15 +161,8 @@ class CtsParams:
         }
 
 
-def _check_params(params) -> CtsParams:
-    """Refuse params unless it is a CtsParams."""
-    if not isinstance(params, CtsParams):
-        raise ValueError(f"params must be a CtsParams, got {params!r}")
-    return params
-
-
 def cts_member(x: str, params: CtsParams) -> bool:
-    _check_params(params)
+    _check_params(params, CtsParams)
     vals = (params.a, params.b) + sum(params.row_params, ())
     return _in_bucket(x, params.n, _rows(params.n, params.t, params.s), vals)
 
@@ -216,13 +210,16 @@ def _in_ball(x: str, y: str, t: int) -> bool:
 def cts_decode(y: str, params: CtsParams, *, trace: bool = False):
     """Recover the codeword one (t, s)-burst of which produced y.
 
-    Returns the codeword, or (codeword, CtsTrace) when trace=True.  The
-    row decoders give at most one codeword; it is returned only when one
-    (t, s)-burst of it gives y, that is when it and y share a prefix and
-    a suffix of n - t symbols together, and DecodeFailure is raised
-    otherwise.  So a y in no codeword's ball is refused, never decoded.
+    Returns the codeword, or (codeword, CtsTrace) when trace=True.  A
+    returned word is a codeword that one (t, s)-burst takes to y; any
+    other y of length n - t + s raises DecodingError.  The row decoders
+    give at most one codeword, each row a preimage of its own, but the
+    row errors need not form one burst; so the word is returned only
+    when one (t, s)-burst of it gives y, that is when it and y share a
+    prefix and a suffix of n - t symbols together, and DecodeFailure is
+    raised otherwise.
     """
-    k, m, P = _check_params(params).k, params.m, params.P
+    k, m, P = _check_params(params, CtsParams).k, params.m, params.P
     _check_received(y, params.n - k)
     # params checked its syndromes and shape, and y its length, so each
     # row is a word of length m - 1 >= 1 and skips the public checks

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 
-from .channel import BurstSpec, _check_room, apply_burst
+from .channel import BurstSpec, _check_room, _check_sizes, apply_burst
 from .errors import DecodingError
 from .families import FAMILIES
 from .words import _check_int
@@ -46,7 +46,8 @@ class SplitMix64:
                 return draw % bound
 
     def word(self, length: int) -> str:
-        """Uniform word of the given length."""
+        """Uniform word of the given length, an int >= 0."""
+        _check_int(length, 0, "word length must be an int >= 0, got {!r}", length)
         if length == 0:
             return ""
         return format(self.below(1 << length), f"0{length}b")
@@ -79,8 +80,8 @@ def family_setup(family: str, n: int, t: int | None = None, s: int | None = None
     Returns (t, s, params_dict, codebook, decode) where decode maps a
     received word back to the codeword.  Families: those in FAMILIES with
     a decoder that needs no window, all but c21rll and svt21; cts needs t
-    and s.  t and s go through Family.burst_for, and a length n < t,
-    which no (t, s)-burst fits in, is refused.
+    and s.  t and s go through Family.burst_for, then must be ints >= 0,
+    and a length n < t, which no (t, s)-burst fits in, is refused.
     """
     fam = FAMILIES.get(family)
     if fam is None:
@@ -90,6 +91,7 @@ def family_setup(family: str, n: int, t: int | None = None, s: int | None = None
     if "window" in fam.needs:
         raise ValueError(f"{family} decodes only inside a given window")
     t, s = fam.burst_for(family, t, s)
+    _check_sizes(t, s)
     _check_room(n, t, s)
     params, book = fam.search(n, t, s, None, None)
     return t, s, book.params, book, lambda y: fam.decode(y, params, n, None).word

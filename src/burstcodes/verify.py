@@ -22,7 +22,6 @@ from .channel import (
     _check_outputs,
     _check_room,
     _check_sizes,
-    _mask_step,
     _members,
     _refined_size,
     _sibling_step,
@@ -91,13 +90,14 @@ def verify_disjoint(members, t: int, s: int) -> VerificationReport:
     lengths never meet.  Each pool is filled one start at a time over
     all codewords of its length, from channel._start_outputs(), which
     gives every codeword's outputs once each; the book passes when every
-    pool holds as many ints as were made.  When one holds fewer, the
-    book is walked again codeword by codeword: a codeword whose ball
-    misses its pool only adds to it, and on an overlap its outputs are
-    replayed in sorted order and each shared one is traced to its first
-    earlier owner; the first owner other than the codeword itself
-    becomes the witness, and the count stops there.  A repeated codeword
-    shares only with itself, so a book with one can still pass.
+    pool holds as many ints as were made, and never builds an owner
+    table.  When one holds fewer, one owner walk goes over the book
+    codeword by codeword: each codeword's outputs are replayed in sorted
+    order, and each is owned by the first codeword of its length that
+    made it; the first output owned by another codeword becomes the
+    witness, and the count, the earlier codewords' outputs plus that
+    output's place, stops there.  A repeated codeword shares only with
+    itself, so a book with one can still pass.
     """
     start = time.perf_counter()
     members = _codewords(members)
@@ -132,41 +132,19 @@ def _disjoint(members: tuple, t: int, s: int):
 
 
 def _clash_walk(members: tuple, t: int, s: int):
-    """_disjoint() codeword by codeword, for a book whose pools came up short."""
-    pools: dict[int, set[int]] = {}
+    """_disjoint() as one owner walk, for a book whose pools came up short."""
+    owners: dict[int, dict[int, str]] = {}
     outputs = 0
-    for idx, x in enumerate(members):
+    for x in members:
         n = len(x)
-        out = _burst_outputs(int(x or "0", 2), n, t, s)
-        pool = pools.setdefault(n, set())
-        if not pool.isdisjoint(out):
-            witness, seen = _first_clash(members[:idx], x, out, pool, t, s)
-            outputs += seen
-            if witness:
-                return witness, outputs
-        else:
-            outputs += len(out)
-        pool.update(out)
+        owner = owners.setdefault(n, {})
+        for u in sorted(_burst_outputs(int(x or "0", 2), n, t, s)):
+            outputs += 1
+            w = owner.setdefault(u, x)
+            if w != x:
+                (word,) = _members([u], n - t + s)
+                return {"center_a": w, "center_b": x, "shared": word}, outputs
     return None, outputs
-
-
-def _first_clash(earlier, x: str, out: list[int], pool: set[int], t: int, s: int):
-    """(witness or None, outputs checked) for x's outputs, in sorted
-    order, against the pool of the earlier codewords of its length."""
-    n = len(x)
-    shared = pool.intersection(out)
-    owner: dict[int, str] = {}
-    for w in earlier:
-        if len(owner) == len(shared):
-            break
-        if len(w) == n:
-            for y in shared.intersection(_burst_outputs(int(w or "0", 2), n, t, s)):
-                owner.setdefault(y, w)
-    for seen, y in enumerate(sorted(out), 1):
-        if owner.get(y, x) != x:
-            (word,) = _members([y], n - t + s)
-            return {"center_a": owner[y], "center_b": x, "shared": word}, seen
-    return None, len(out)
 
 
 def verify_roundtrip(members, t: int, s: int, decode) -> VerificationReport:
@@ -342,8 +320,7 @@ def verify_ball_laws(n_values, t_max: int = 4, s_max: int = 4) -> dict[str, Veri
     Words are ints and balls are bitmasks, bit u set for each output u:
     a size is a bit count, a union an OR.  Each ball is built from its
     suffix's ball: the sweep walks the words depth-first from the empty
-    word (whose masks channel._mask_step() makes), prepending a bit per
-    level.  One channel._sibling_step() call per word v' below the
+    word, whose masks are its plan's combs, prepending a bit per level.  One channel._sibling_step() call per word v' below the
     largest length turns its masks into those of both children 0.v' and
     1.v', with one start term and one shift per kind and child (each
     full (t, s)-ball and refined (k, l)-part, t and s capped at the
@@ -373,9 +350,10 @@ def verify_ball_laws(n_values, t_max: int = 4, s_max: int = 4) -> dict[str, Veri
 
     Returns reports keyed 'size', 'partition', 'refined-size'.
     """
+    for size in (t_max, s_max):
+        _check_int(size, None, "burst sizes must be ints, got {!r}", size)
     _check_int(min(t_max, s_max), 1, "ball-law sweep needs t_max, s_max >= 1, got {}, {}",
                t_max, s_max)
-    _check_sizes(t_max, s_max)
     n_values = list(n_values)
     for n in n_values:
         _check_int(n, None, "ball-law sweep lengths must be ints, got {!r}", n)
@@ -460,7 +438,7 @@ def verify_ball_laws(n_values, t_max: int = 4, s_max: int = 4) -> dict[str, Veri
             walk(v, n + 1, zeros)
             walk(v | 1 << n, n + 1, ones)
 
-    walk(0, 0, _mask_step(0, 0, steps[0], []))
+    walk(0, 0, [comb for _, comb, _, _ in steps[0]])
     elapsed = time.perf_counter() - start
     params = {"n_values": list(n_values), "t_max": t_max, "s_max": s_max}
     counts = {"words": words, "burst_combinations": combos}

@@ -37,7 +37,7 @@ from burstcodes.channel import (
 from burstcodes.cli import build_parser, main
 from burstcodes.errors import DecodingError, GuardLimit
 from burstcodes.families import FAMILIES
-from burstcodes.simulate import SplitMix64, simulate
+from burstcodes.simulate import SplitMix64, family_setup, simulate
 from burstcodes.verify import verify_ball_laws, verify_roundtrip
 from burstcodes.words import all_words, interleave, vt_syndrome
 
@@ -54,6 +54,8 @@ def numbers(lo: int = -3, hi: int = 24):
 
 NUMBER = numbers()
 SMALL = numbers(hi=5)
+# a scalar of no number type at all
+NOT_A_NUMBER = st.none() | st.text("01a", max_size=2)
 OPTIONAL = st.none() | NUMBER
 WORD = st.text("01", max_size=10)
 QUICK = settings(max_examples=60, deadline=None, derandomize=True)
@@ -77,7 +79,8 @@ def test_channel_rules(x, t, s, n, start, raw, big):
 
 
 @QUICK
-@given(n=st.integers(1, 6) | numbers(hi=6) | numbers(lo=15), t_max=SMALL, s_max=SMALL)
+@given(n=st.integers(1, 6) | numbers(hi=6) | numbers(lo=15),
+       t_max=SMALL | NOT_A_NUMBER, s_max=SMALL | NOT_A_NUMBER)
 def test_ball_law_rules(n, t_max, s_max):
     ends_well(verify_ball_laws, [n], t_max, s_max)
 
@@ -205,7 +208,7 @@ def test_a_construction_length_must_be_an_int():
 @given(
     family=st.sampled_from(("vt", "lev2", "c21", "c31", "cts")),
     n=st.integers(4, 12) | numbers(hi=12), trials=NUMBER,
-    t=st.none() | SMALL, s=st.none() | SMALL,
+    t=SMALL | NOT_A_NUMBER, s=SMALL | NOT_A_NUMBER,
 )
 def test_simulate_rules(family, n, trials, t, s):
     ends_well(simulate, family, n, trials, 0, t=t, s=s)
@@ -432,5 +435,26 @@ def test_a_float_that_equals_an_int_leaves_every_cache_clean():
     ids=["simulate-float-seed", "bool-seed", "no-window", "three-bound-window"],
 )
 def test_a_seed_or_window_of_the_wrong_kind_is_refused(call, msg):
+    with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+        call()
+
+
+# each of these once ended in TypeError: the sweep took min(t_max, s_max)
+# and family_setup compared n with t before either was known to be an int
+@pytest.mark.parametrize(
+    "call, msg",
+    [
+        (lambda: verify_ball_laws([4], None, 1), "burst sizes must be ints, got None"),
+        (lambda: verify_ball_laws([4], 2, "a"), "burst sizes must be ints, got 'a'"),
+        (lambda: family_setup("cts", 8, "a", 2), "burst sizes must be ints, got 'a'"),
+        (lambda: simulate("cts", 8, 5, 1, t="a", s=2), "burst sizes must be ints, got 'a'"),
+        (lambda: SplitMix64(1).word(None), "word length must be an int >= 0, got None"),
+        (lambda: SplitMix64(1).word(1.5), "word length must be an int >= 0, got 1.5"),
+        (lambda: SplitMix64(1).word(-1), "word length must be an int >= 0, got -1"),
+    ],
+    ids=["ball-laws-None", "ball-laws-str", "family_setup-str", "simulate-str",
+         "word-None", "word-float", "word-negative"],
+)
+def test_a_scalar_of_the_wrong_type_is_refused(call, msg):
     with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
         call()

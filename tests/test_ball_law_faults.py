@@ -1,11 +1,12 @@
 """The ball-law sweep's table checks against the plain per-word loop.
 
 ref_ball_law_sweep() is verify_ball_laws() with the word check that the
-per-length tables replace: one channel._mask_step() per word, then the
-loop over each (t, s) and its parts for every word.  Both read the
-masks, the ball-size formula and the refined closed forms through the
-verify module, so faults planted there reach both, and the whole
-reports, witnesses included, must agree.
+per-length tables replace: one channel._sibling_step() per word, whose
+child with the word's top bit it keeps, then the loop over each (t, s)
+and its parts for every word.  Both read the masks, the ball-size
+formula and the refined closed forms through the verify module, so
+faults planted there reach both, and the whole reports, witnesses
+included, must agree.
 """
 
 import random
@@ -46,7 +47,12 @@ def ref_ball_law_sweep(n_values, t_max, s_max):
         formula_checks += sum(len(used) for *_, used in pairs) << n
 
     def walk(v, n, suffix):
-        masks = verify._mask_step(v, n, steps[n], suffix)
+        if n:
+            bit = v >> (n - 1)
+            masks = verify._sibling_step(v ^ bit << (n - 1), n, steps[n], suffix)[bit]
+        else:
+            # the empty word: one output, the insert alone, per kind
+            masks = [comb for _, comb, _, _ in steps[0]]
         pairs, kls = plans.get(n, ((), ()))
         known = {i: (masks[i].bit_count(), verify._refined_size(v, n, k, l)) for k, l, i in kls}
         for t, s, formula, i, used in pairs:
@@ -118,7 +124,8 @@ def _plant(rng, kinds, n_values, t_max, s_max):
     """Seeded mask faults {(n, v): [(op, i, ..., pick)]} at lengths where
     every kind is checked: drop an output of kind i, add one of its
     length, move one to another kind j of that length, or share one
-    with j; some words take several."""
+    with j; some words take several.  Every host length is >= 1, since
+    only the sibling step carries faults."""
     hosts = [n for n in n_values if n >= max(t_max, s_max)]
     faults = {}
     for _ in range(rng.randint(1, 4)):
@@ -162,18 +169,14 @@ def _apply(faults, kinds, v, n, masks):
 
 
 def _inject(monkeypatch, faults, kinds):
-    """Route both mask steps through _apply()."""
-    one, pair = verify._mask_step, verify._sibling_step
-
-    def mask_step(v, n, plan, suffix_masks):
-        return _apply(faults, kinds, v, n, one(v, n, plan, suffix_masks))
+    """Route the sibling step through _apply()."""
+    pair = verify._sibling_step
 
     def sibling_step(v, n, plan, suffix_masks):
         zeros, ones = pair(v, n, plan, suffix_masks)
         return (_apply(faults, kinds, v, n, zeros),
                 _apply(faults, kinds, v | 1 << (n - 1), n, ones))
 
-    monkeypatch.setattr(verify, "_mask_step", mask_step)
     monkeypatch.setattr(verify, "_sibling_step", sibling_step)
 
 

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from burstcodes.channel import (
     BurstSpec,
     _burst_outputs,
-    _mask_step,
     _sibling_step,
     _step_plan,
     apply_burst,
@@ -158,19 +157,37 @@ def _as_mask(out):
 
 def _burst_mask(v: int, n: int, t: int, s: int, refined: bool = False) -> int:
     """_burst_outputs(v, n, t, s, refined) as one int with bit u set for
-    each output u: channel._mask_step() folded with a one-kind plan over
-    the suffixes of v from length t up, as the ball-law sweep steps its
-    masks.  Callers check that 0 <= t <= n and s >= 0."""
-    masks = [0]
-    for k in range(t, n + 1):
-        masks = _mask_step(v & ((1 << k) - 1), k, [_step_plan(k, t, s, refined)], masks)
+    each output u: channel._sibling_step() folded with a one-kind plan
+    over the suffixes of v from length max(t, 1) up, keeping at each
+    length the child with v's bit there, as the ball-law sweep steps its
+    masks from the empty word's, its plan's comb.  Callers check that
+    0 <= t <= n and s >= 0."""
+    masks = [_step_plan(0, 0, s, refined)[1] if t == 0 else 0]
+    for k in range(max(t, 1), n + 1):
+        children = _sibling_step(v & ((1 << (k - 1)) - 1), k, [_step_plan(k, t, s, refined)], masks)
+        masks = children[v >> (k - 1) & 1]
     return masks[0]
+
+
+def _first_start(w: int, n: int, t: int, s: int, refined: bool) -> list[int]:
+    """Every output of a (t, s)-burst at the first start of the length-n
+    word w, n >= 1: each s-bit insert followed by w's last n - t bits,
+    for a refined one with t, s >= 1 only the inserts that differ from the
+    deleted block at both ends.  Unlike the first list of
+    _start_outputs(), it keeps the inserts that begin with x_1, whose
+    outputs the second start also gives."""
+    r = n - t
+    split = refined and t and s
+    return [ins << r | w & ((1 << r) - 1) for ins in range(1 << s)
+            if not split or ins >> (s - 1) != w >> (n - 1) and ins & 1 != w >> r & 1]
 
 
 @pytest.mark.parametrize("n", range(1, 10))
 def test_sibling_step_is_the_mask_step_on_both_children(n):
     # every kind with t <= n and s <= 4, refined or not, over seeded
-    # suffix masks, so that no term may lean on what a real mask holds
+    # suffix masks, so that no term may lean on what a real mask holds:
+    # each child's mask is the suffix's, shifted by 2^(m - 1) for the
+    # 1-child, m = n - t + s, ORed with its first start's outputs
     rng = random.Random(n)
     kinds = sorted((t, s, refined) for t in range(n + 1) for s in range(5)
                    for refined in (False, True))
@@ -178,9 +195,17 @@ def test_sibling_step_is_the_mask_step_on_both_children(n):
     fit = sum(t < n for t, _, _ in kinds)
     for v in range(1 << (n - 1)):
         suffix = [rng.getrandbits(1 << (n + 3)) for _ in range(fit)]
-        zeros, ones = _sibling_step(v, n, plan, suffix)
-        assert zeros == _mask_step(v, n, plan, suffix), v
-        assert ones == _mask_step(v | 1 << (n - 1), n, plan, suffix), v
+        children = _sibling_step(v, n, plan, suffix)
+        for bit, got in enumerate(children):
+            w = v | bit << (n - 1)
+            want = []
+            for (t, s, refined), mask in zip(kinds, suffix + [0] * (len(kinds) - fit)):
+                if bit and t < n:
+                    mask <<= 1 << (n - t + s - 1)
+                for u in _first_start(w, n, t, s, refined):
+                    mask |= 1 << u
+                want.append(mask)
+            assert got == want, (v, bit)
 
 
 @pytest.mark.parametrize("n", range(15))

@@ -349,7 +349,7 @@ def test_ball_law_witness_is_the_smallest_failing_word(monkeypatch):
 
 
 def test_ball_law_sweep_takes_one_start_term_per_word_and_kind(monkeypatch):
-    real_one, real_pair = verify._mask_step, verify._sibling_step
+    real_pair = verify._sibling_step
     kinds = verify._ball_law_kinds(4, 2, 6)[1]
     calls, terms, pair_calls = Counter(), Counter(), Counter()
 
@@ -360,28 +360,24 @@ def test_ball_law_sweep_takes_one_start_term_per_word_and_kind(monkeypatch):
             calls[v, n] += 1
             terms.update((v, n, *kind) for kind in kinds[: len(plan)])
 
-    def counted_one(v, n, plan, suffix_masks):
-        count([v], n, plan)
-        return real_one(v, n, plan, suffix_masks)
-
     def counted_pair(v, n, plan, suffix_masks):
         # one step for both children of the suffix v
         pair_calls[v, n] += 1
         count([v, v | 1 << (n - 1)], n, plan)
         return real_pair(v, n, plan, suffix_masks)
 
-    monkeypatch.setattr(verify, "_mask_step", counted_one)
     monkeypatch.setattr(verify, "_sibling_step", counted_pair)
     verify_ball_laws([3, 6], 4, 2)
     sizes = [(t, s) for t in range(1, 5) for s in range(1, 3)]
     named = {(t, s, False) for t, s in sizes}
     named |= {(k, l, True) for t, s in sizes for k, l in verify._refined_parts(t, s)}
     want = {(v, n, t, s, refined)
-            for n in range(7) for v in range(1 << n) for t, s, refined in named if t <= n}
+            for n in range(1, 7) for v in range(1 << n) for t, s, refined in named if t <= n}
     assert set(terms) == want
     assert set(terms.values()) == set(calls.values()) == {1}
-    assert len(calls) == 2**7 - 1
-    # the empty word takes a one-word step; every other word is a child
+    # the empty word's masks are its plan's combs, with no step call;
+    # every other word is a child
+    assert len(calls) == 2**7 - 2 and (0, 0) not in calls
     assert set(pair_calls) == {(v, n) for n in range(1, 7) for v in range(1 << (n - 1))}
     assert set(pair_calls.values()) == {1}
 
@@ -446,6 +442,24 @@ def test_disjoint_matches_the_owner_dict_reference(t, s):
             rep = verify_disjoint(members, t, s)
             assert rep.verdict
             assert (rep.verdict, rep.counts, rep.witness) == ref_verify_disjoint(members, t, s)
+
+
+@pytest.mark.parametrize("plant", ["front", "middle", "end", "repeat"])
+def test_the_owner_walk_on_a_large_book(plant):
+    # the c21 book at n = 18 (2,316 codewords) with one word planted: a
+    # collider, the middle codeword with its last bit flipped, which a
+    # burst at the last start takes to that codeword's output, or a
+    # repeat of the middle codeword, which collides with nothing
+    book = list(pigeonhole_search("c21", 18)[1].members)
+    x = book[len(book) // 2]
+    word = x if plant == "repeat" else x[:-1] + "10"[int(x[-1])]
+    at = {"front": 0, "middle": len(book) // 2, "end": len(book)}.get(plant, len(book) - 1)
+    book.insert(at, word)
+    rep = verify_disjoint(book, 2, 1)
+    assert (rep.verdict, rep.counts, rep.witness) == ref_verify_disjoint(book, 2, 1)
+    assert rep.verdict == (plant == "repeat")
+    both = int(rep.verdict)
+    assert verify_equivalence(book, 2, 1).counts == {"forward_pass": both, "swapped_pass": both}
 
 
 def test_a_passing_book_is_never_walked_codeword_by_codeword(monkeypatch):
