@@ -44,8 +44,9 @@ y[:p] + block + y[p + r:]: a pair inserted at p (r = 0), or a pattern
 block replacing the mark y_{p+1} (r = 1).  Either way the suffix moves
 up two coordinates, so its odd and even weights stay put and each of
 its transitions' rsyn0 terms n + 1 - i falls by exactly 2.  The weight
-change thus depends on p only through its parity, which picks the
-blocks that can pass b and c before any position is looked at.  One
+change thus depends on p only through its parity, which picks the one
+block that can pass b and c at each start before any position is looked
+at, and a pair is tried only where no later start gives its word.  One
 pass over y gives the prefix sums of the rsyn0 terms and of the
 transition count (x_0 = 0), and the suffix sums are their differences.
 A candidate's rsyn0 and run count then come in O(1): prefix plus suffix
@@ -58,6 +59,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from functools import cache
 from itertools import accumulate
+from operator import mul, ne
 
 from .codes import (
     PATTERN_000_TO_1,
@@ -74,7 +76,7 @@ from .codes import (
     _largest_bucket,
 )
 from .errors import DecodeFailure
-from .words import _check_int, weights
+from .words import _check_int
 
 __all__ = ["C31Params", "C31Trace", "classify_31", "c31_member", "c31_decode", "c31_param_search"]
 
@@ -90,22 +92,29 @@ _PREIMAGES = (
 
 
 def _shape_table(preimages: tuple) -> dict:
-    """Weight deltas -> (shape, replaced symbol, blocks for p + 1 even,
-    blocks for p + 1 odd), for the deltas some preimage gives.
+    """Weight deltas -> (shape, replaced symbol, wants, blocks) for the
+    deltas some preimage gives: at a start p of parity q, blocks[q] is
+    the one block to try, where y[p] is wants[q]; None where none is.
 
     A block's first symbol lands on x_{p+1}, and the moved suffix keeps
     its parities, so the (odd, even) weight change mod 4 depends on p
-    only through its parity.
+    only through its parity, and no two blocks share one there.  A
+    pattern block replaces its mark y[p].  A pair starting with y[p]
+    gives the word of p + 1's pair, so a pair is tried only where y[p]
+    differs from its first bit, and at p = len(y): each word once.
     """
     table = {}
     for shape, mark, blocks in preimages:
         for bl in blocks:
             same = (bl[0::2].count("1") - mark.count("1")) % 4
             other = bl[1::2].count("1") % 4
-            for first_odd, deltas in ((False, (other, same)), (True, (same, other))):
-                entry = table.setdefault(deltas, [shape, mark, (), ()])
-                entry[2 + first_odd] += (bl,)
-    return {deltas: tuple(entry) for deltas, entry in table.items()}
+            # an even p puts the block's first symbol on an odd coordinate
+            for q, deltas in ((0, (same, other)), (1, (other, same))):
+                entry = table.setdefault(deltas, (shape, mark, [None, None], [None, None]))
+                entry[2][q] = mark or "01"[bl[0] == "0"]
+                entry[3][q] = bl
+    return {deltas: (shape, mark, tuple(wants), tuple(bls))
+            for deltas, (shape, mark, wants, bls) in table.items()}
 
 
 _SHAPES = _shape_table(_PREIMAGES)
@@ -187,8 +196,7 @@ def _shape(y: str, params: C31Params) -> tuple[tuple, tuple[int, int]]:
     """The _SHAPES entry of y and the weight deltas (d_odd, d_even) that
     name it."""
     _check_received(y, _check_params(params, C31Params).n - 2)
-    w = weights(y)
-    key = ((params.b - w.odd) % 4, (params.c - w.even) % 4)
+    key = ((params.b - y[0::2].count("1")) % 4, (params.c - y[1::2].count("1")) % 4)
     entry = _SHAPES.get(key)
     if entry is None:
         raise DecodeFailure(f"weight deltas {key} cannot come from a (3,1)-burst")
@@ -221,28 +229,27 @@ def c31_decode(y: str, params: C31Params, *, trace: bool = False):
     block in place of its mark or a pair put in, and it is returned only
     if it passes every congruence.
     """
-    (label, mark, *fits), deltas = _shape(y, params)
+    (label, mark, wants, blocks), deltas = _shape(y, params)
     n, m, r = params.n, len(y), len(mark)
-    # a pair goes in at any p, a pattern block replaces a mark y_{p+1}
-    starts = [p for p, ch in enumerate(y) if ch == mark] if mark else range(m + 1)
-    flips = list(map(str.__ne__, "0" + y, y))  # flips[i - 1]: y_i != y_{i-1}
-    head_a = list(accumulate((f * (n + 1 - i) for i, f in enumerate(flips, 1)), initial=0))
+    starts = [p for p, ch in enumerate(y) if ch == wants[p % 2]] + ([] if r else [m])
+    flips = list(map(ne, "0" + y, y))  # flips[i - 1]: y_i != y_{i-1}
+    # rsyn0 adds n + 1 - i for the transition at y_i
+    head_a = list(accumulate(map(mul, flips, range(n, n - m, -1)), initial=0))
     head_t = list(accumulate(flips, initial=0))
     mod_a, a, d = 4 * n, params.a % (4 * n), params.d % 5
     partial = {}
     for p in starts:
+        bl = blocks[p % 2]
         left = y[p - 1] if p else "0"
         k = p + r
         right = y[k] if k < m else ""
         # the suffix's own transitions sit at y coordinates k + 2..m
-        j = min(k + 1, m)
+        j = k + 1 if k < m else m
         tail_t = head_t[m] - head_t[j]
-        tail_a = head_a[m] - head_a[j] - 2 * tail_t
-        for bl in fits[p % 2 == 0]:
-            # the window's pair at offset o is the transition at x_{p+1+o}
-            cnt, offs = _window_flips(left + bl + right)
-            if (head_a[p] + cnt * (n - p) - offs + tail_a) % mod_a != a:
-                continue
+        # the window's pair at offset o is the transition at x_{p+1+o}
+        cnt, offs = _window_flips(left + bl + right)
+        total = head_a[p] + head_a[m] - head_a[j] - 2 * tail_t + cnt * (n - p) - offs
+        if total % mod_a == a:
             x = y[:p] + bl + y[k:]
             # runs of x: transitions of 0x, plus one if x starts with 0
             partial[x] = (head_t[p] + cnt + tail_t + (x[0] == "0")) % 5 == d
@@ -259,7 +266,7 @@ def c31_decode(y: str, params: C31Params, *, trace: bool = False):
         # inserting a pair at p gives the word of p + 1 exactly when its
         # first bit is y[p], so 2 per p < m and 4 at m are distinct: 2n;
         # no pattern block starts with its mark, so no two marks collide
-        candidates=2 * n if r == 0 else len(starts),
+        candidates=2 * n if r == 0 else y.count(mark),
         survivors=len(survivors),
         run_filter_decisive=len(partial) > 1,
     )

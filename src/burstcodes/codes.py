@@ -27,17 +27,17 @@ and the weight change b0 + b1 - y_p names the error:
      2  ->  a 0 replaced 11          (merge-11->0)
     0 or 1  ->  a single deletion: the pair keeps y_p at one end.
 
-VT takes changes 0 and 1; C21 and SVT21 read their one change from the
-weight residue, (b - weight(y)) mod 4 as -1..2.  C21(n) is SVT21 at
-P = n, so C21 decodes as SVT21 over the window of every start 1..n-1.
-The core solves the VT-sum congruence in closed form, as Levenshtein's
-VT decoder does.  Past the window's first position each change splices
-at the positions of one symbol only, and the candidate's sum is a
-strictly monotone function of the position's index among them, so each
-value of the right residue class names at most one position, found by
-one split or count of y in C.  y's VT sum takes one popcount of
-int(y, 2) per bit of the length.  So a decode takes O(1) Python steps
-per candidate and O(n) work in C, and strings are built only for
+VT takes changes 0 and 1; C21 and SVT21 pass their weight residue b,
+and the core reads the change, (b - weight(y)) mod 4 as -1..2.  C21(n)
+is SVT21 at P = n, so C21 decodes as SVT21 over the window of every
+start 1..n-1.  The core solves the VT-sum congruence in closed form, as
+Levenshtein's VT decoder does.  Each change splices at the positions of
+one symbol only, and the candidate's sum is a strictly monotone
+function of the position's index among them, so each value of the
+right residue class names at most one position, found by one replace or
+count of y in C.  y's VT sum takes one popcount of int(y, 2) per bit of
+the length.  So a decode takes O(1) Python steps per candidate and O(n)
+work in C, checks each argument once, and builds strings only for
 survivors.  C31 checks its run-syndrome candidates from prefix sums of
 y's transitions (see c31).  LEV2 still builds and rescans every
 distinct candidate.
@@ -140,6 +140,11 @@ class DecodeOutcome:
     classification: str
     window: tuple[int, int]
 
+    def __init__(self, word: str, classification: str, window: tuple[int, int]):
+        # twice as fast as frozen's object.__setattr__; fields stay read-only
+        d = self.__dict__
+        d["word"], d["classification"], d["window"] = word, classification, window
+
 
 class Codebook:
     """All words of one length satisfying one family's syndrome equations.
@@ -222,7 +227,8 @@ def _expect_one(seen: dict, context: str) -> tuple[str, object]:
 def _check_syndromes(*vals) -> None:
     """Refuse syndrome values unless each is an int; a bool is not one."""
     for v in vals:
-        _check_int(v, None, "syndrome values must be ints, got {!r}", v)
+        if type(v) is not int:
+            raise ValueError(f"syndrome values must be ints, got {v!r}")
 
 
 def _check_params(params, kind: type):
@@ -254,36 +260,38 @@ def _bit_masks(bits: int) -> tuple[tuple[int, int], ...]:
     return tuple(masks)
 
 
-# each weight change's pair with b1 != y_p, as (y_p, pair, whether the
-# key is j + p rather than j)
-_SPLICE_PAIRS = {
+# each weight change's symbol y_p, what the splice puts in, and whether
+# it replaces y_p (a merge, key j + p) or goes in after it (key j)
+_SPLICES = {
     -1: ("1", "00", True),
-    0: ("1", "10", False),
-    1: ("0", "01", False),
+    0: ("1", "0", False),
+    1: ("0", "1", False),
     2: ("0", "11", True),
 }
 
 
-def _pair_splices(y: str, mod: int, target: int, lo: int, hi: int, changes) -> dict:
+def _pair_splices(y: str, mod: int, target: int, lo: int, hi: int, weight: int | None) -> dict:
     """The words that replace one y_p, lo <= p <= hi, by a pair b0 b1 whose
-    weight change b0 + b1 - y_p is in changes and whose VT sum is target
-    mod mod, each with the last p that gives it.
+    VT sum is target mod mod, each with the last p that gives it: of the
+    one weight change b0 + b1 - y_p that gives weight mod 4, or for weight
+    None of changes 0 and 1, a bit put in.
 
     The splice takes p * y_p off y's sum V, adds p * b0 + (p + 1) * b1 and
     moves y[p:] up one coordinate, so its sum is V + ones + p * change +
-    b1, ones the number of 1s in y[p:].  A pair with b1 = y_p gives the
-    word of the pair (y_{p-1}, b0) at p - 1, so it is tried only at p = lo;
-    only changes 0 and 1 have one, b0 = change.  The pair with b1 != y_p
-    is one per change, at the positions of one symbol: the 1s for changes
-    0 and -1, the 0s for 1 and 2.  With j the index of p among them and w
-    the weight, the sum less V is w - 1 - j (change 0), w - 1 - (j + p)
-    (-1), w + 2 + j (1) or w + 2 + (j + p) (2).  Each key, j or j + p,
-    rises with p, so each key of the right residue in the window's range
-    gives at most one p: the j-th symbol is found by one split, and j + p
-    is the index of p's first copy in y with that symbol doubled.  V
-    itself takes one popcount of int(y, 2) per bit of the length.  So the
-    work is O(1) Python steps per key and O(n) in C, and a string is built
-    only for a survivor.
+    b1, ones the number of 1s in y[p:].  Changes -1 and 2 are merges, at
+    the 1s and 0s.  Changes 0 and 1 put c = change in after a y_p != c,
+    or before y_lo, which is c put in after the last symbol before lo
+    that is not c, or at the front.  With j the index of p among its
+    symbol's positions and w the weight, the sum less V is w - 1 - j
+    (change 0), w - 1 - (j + p) (-1), w + 2 + j (1) or w + 2 + (j + p)
+    (2), and c before y_lo takes the j below the window's, -1 at the
+    front.  Each key, j or j + p, rises with p, so each key of the right
+    residue in the window's range gives at most one p: c goes in after
+    symbol j, found by one replace, and j + p is the index of p's first
+    copy in y with that symbol doubled.  V takes one popcount of
+    int(y, 2) per bit of the length, w the first.  So the work is O(1)
+    Python steps per key and O(n) in C, and a string is built only for
+    a survivor.
     """
     # coordinate i is bit b = len(y) - i of v, so V is len(y) w less the
     # sum of b over the 1s, and bit k of b adds 2^k for each 1 that has it
@@ -294,19 +302,15 @@ def _pair_splices(y: str, mod: int, target: int, lo: int, hi: int, changes) -> d
         V -= (v & mask).bit_count() << k
     target = (target - V) % mod
     seen = {}
-    for change in changes:
-        sym, pair, merge = _SPLICE_PAIRS[change]
-        if not merge:
-            b1 = y[lo - 1]
-            if (y.count("1", lo) + lo * change + int(b1)) % mod == target:
-                seen[y[: lo - 1] + "01"[change] + b1 + y[lo:]] = lo
+    for change in (0, 1) if weight is None else ((weight - w + 1) % 4 - 1,):
+        sym, bits, merge = _SPLICES[change]
         # the indices j0 .. j1 - 1 of the symbols at lo <= p <= hi
         j0, j1 = y.count(sym, 0, lo - 1), y.count(sym, 0, hi)
         if merge:
             doubled = y.replace(sym, sym + sym)
             first, last = lo + j0, hi + j1 - 1
         else:
-            first, last = j0, j1 - 1
+            first, last = j0 - 1, j1 - 1
         want = (w - 1 - target if sym == "1" else target - w - 2) % mod
         for key in range(first + (want - first) % mod, last + 1, mod):
             if merge:
@@ -315,19 +319,13 @@ def _pair_splices(y: str, mod: int, target: int, lo: int, hi: int, changes) -> d
                 if doubled[key - 1] != sym or not copies % 2:
                     continue
                 p = key - copies // 2
+                seen[y[: p - 1] + bits + y[p:]] = p
             else:
-                p = len(y) - len(y.split(sym, key + 1)[-1])
-            seen[y[: p - 1] + pair + y[p:]] = p
+                # c goes in after symbol key, the last of the first
+                # key + 1 marked
+                i = y.replace(sym, "#", key + 1).rfind("#") + 1
+                seen[y[:i] + bits + y[i:]] = i if i > lo else lo
     return seen
-
-
-def _weight_splice(y: str, mod: int, a: int, b: int, lo: int, hi: int, context: str):
-    """C21's and SVT21's tail: the one splice at lo <= p <= hi whose word
-    has VT sum a mod mod and weight b mod 4, as (word, p, weight change)."""
-    # the weight change that gives weight b mod 4, read as -1..2
-    change = (b - y.count("1") + 1) % 4 - 1
-    word, p = _expect_one(_pair_splices(y, mod, a, lo, hi, (change,)), context)
-    return word, p, change
 
 
 # ---------------------------------------------------------------- VT
@@ -353,9 +351,7 @@ def vt_decode(y: str, a: int, n: int) -> str:
         return "01"[a % 2]
     # inserting a bit next to y_p replaces y_p by a pair that keeps it at
     # one end, a weight change of 0 or 1
-    seen = _pair_splices(y, n + 1, a, 1, n - 1, (0, 1))
-    word, _ = _expect_one(seen, "vt_decode")
-    return word
+    return _expect_one(_pair_splices(y, n + 1, a, 1, n - 1, None), "vt_decode")[0]
 
 
 # ---------------------------------------------------------------- LEV2
@@ -401,20 +397,6 @@ def c21_member(x: str, a: int, b: int, n: int) -> bool:
     return _in_bucket(x, n, _family_rows("c21", n, None, None)[0], (a, b))
 
 
-def _deletion_run(x: str, y: str) -> tuple[int, int]:
-    """The run of x whose one-symbol deletion yields y, as 1-based bounds.
-
-    Deleting any symbol of a run gives the same word, and y first differs
-    from x at the run's last symbol, so one scan finds the run.  x is y
-    with one bit inserted, so that deletion always gives y back.  Read as
-    ints, x less its last bit xored with y has its highest 1 at the first
-    difference, and the run's start is where x's prefix stops ending in
-    that symbol: O(n), all in C.
-    """
-    q = len(y) - ((int(x, 2) >> 1) ^ int(y, 2)).bit_length()
-    return len(x[:q].rstrip(x[q])) + 1, q + 1
-
-
 def c21_decode(y: str, a: int, b: int, n: int) -> DecodeOutcome:
     """Correct one (2, 1)-burst against syndromes (a mod 2n-1, b mod 4).
 
@@ -432,13 +414,17 @@ def c21_decode(y: str, a: int, b: int, n: int) -> DecodeOutcome:
 
 
 def _c21_core(y: str, a: int, b: int, n: int) -> DecodeOutcome:
-    """c21_decode() for checked arguments."""
-    # C21(n) is SVT21 at P = n over every start: a merge is a splice of
-    # weight change -1 or 2, a single deletion one of 0 or 1
-    word, p, change = _weight_splice(y, 2 * n - 1, a, b, 1, n - 1, "c21_decode")
-    if change in (0, 1):
-        return DecodeOutcome(word, SINGLE_DELETION, _deletion_run(word, y))
-    return DecodeOutcome(word, MERGE_00_TO_1 if change < 0 else MERGE_11_TO_0, (p, p))
+    """c21_decode() for checked arguments: a merge's pair drops y_p at both
+    ends; a single deletion's keeps it at one, and the window is the run
+    of the word holding the bit put in, read off y on either side."""
+    word, p = _expect_one(_pair_splices(y, 2 * n - 1, a, 1, n - 1, b), "c21_decode")
+    yp = y[p - 1]
+    if word[p - 1] == word[p] != yp:
+        return DecodeOutcome(word, MERGE_00_TO_1 if yp == "1" else MERGE_11_TO_0, (p, p))
+    i = p - (word[p] == yp)
+    c = word[i]
+    window = len(y[:i].rstrip(c)) + 1, len(word) - len(y[i:].lstrip(c))
+    return DecodeOutcome(word, SINGLE_DELETION, window)
 
 
 # ---------------------------------------------------------------- SVT21
@@ -446,7 +432,7 @@ def _c21_core(y: str, a: int, b: int, n: int) -> DecodeOutcome:
 
 def svt21_member(x: str, c: int, d: int, P: int) -> bool:
     n = len(check_word(x))
-    return _in_bucket(x, n, _family_rows("svt21", n, P, None)[0], (c, d))
+    return _in_bucket(x, n, _family_rows("svt21", n, P, None)[0], (c, d), checked=True)
 
 
 def svt21_decode(
@@ -482,7 +468,8 @@ def _svt21_core(y: str, c: int, d: int, P: int, window: tuple[int, int], n: int)
     """svt21_decode() for checked arguments: a window of at most P
     coordinates that keeps a start in 1..n-1 once clamped to them."""
     lo, hi = window
-    return _weight_splice(y, 2 * P - 1, c, d, max(lo, 1), min(hi, n - 1), "svt21_decode")[0]
+    seen = _pair_splices(y, 2 * P - 1, c, max(lo, 1), min(hi, n - 1), d)
+    return _expect_one(seen, "svt21_decode")[0]
 
 
 # ---------------------------------------------------------------- RLL
@@ -692,13 +679,14 @@ def _largest_bucket(n: int, rows: tuple):
     return best, size, lambda: _list_members(rows, counted)
 
 
-def _in_bucket(x: str, n: int, rows: tuple, vals: tuple) -> bool:
+def _in_bucket(x: str, n: int, rows: tuple, vals: tuple, *, checked: bool = False) -> bool:
     """Whether x is a word of length n in the bucket of key vals, the
     rows' keys joined, each value taken mod its modulus.  Row r reads
     x[r::k], the coordinates _largest_bucket gives it, and adds up the
     increments of its leading residue; rows share no state, so each is
-    run and checked in turn."""
-    check_word(x)
+    run and checked in turn.  checked says the caller validated x."""
+    if not checked:
+        check_word(x)
     _check_syndromes(*vals)
     if len(x) != n:
         return False

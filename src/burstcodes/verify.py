@@ -320,14 +320,15 @@ def verify_ball_laws(n_values, t_max: int = 4, s_max: int = 4) -> dict[str, Veri
     Words are ints and balls are bitmasks, bit u set for each output u:
     a size is a bit count, a union an OR.  Each ball is built from its
     suffix's ball: the sweep walks the words depth-first from the empty
-    word, whose masks are its plan's combs, prepending a bit per level.  One channel._sibling_step() call per word v' below the
-    largest length turns its masks into those of both children 0.v' and
-    1.v', with one start term and one shift per kind and child (each
-    full (t, s)-ball and refined (k, l)-part, t and s capped at the
-    largest length), from a plan of constants per length built once per
-    sweep.  The masks of a word and of its unvisited sibling are kept
-    per depth, so memory is O(depth x kinds).  The full ball is built on
-    its own, never from the parts.
+    word, whose masks are its plan's combs, prepending a bit per level.
+    One channel._sibling_step() call per word v' below the largest
+    length turns its masks into those of both children 0.v' and 1.v',
+    with one start term and one shift per kind and child (each full
+    (t, s)-ball and refined (k, l)-part, t and s capped at the largest
+    length), from a plan of constants per length built once per sweep.
+    The masks of a word and of its unvisited sibling are kept per depth,
+    so memory is O(depth x kinds).  The full ball is built on its own,
+    never from the parts.
 
     Each length has a table built once (_ball_law_table()), so a word
     costs one bit count per mask and a few tuple compares: the full

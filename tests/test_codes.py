@@ -1,8 +1,11 @@
 """Component code families: worked decodes, membership, search guarantees."""
 
+import dataclasses
+import sys
+
 import pytest
 
-from burstcodes import c31, codes, cts
+from burstcodes import c31, codes, cts, words
 from burstcodes.c31 import c31_param_search
 from burstcodes.channel import BurstSpec, apply_burst
 from burstcodes.codes import (
@@ -10,6 +13,7 @@ from burstcodes.codes import (
     MERGE_11_TO_0,
     SINGLE_DELETION,
     Codebook,
+    DecodeOutcome,
     c21_decode,
     c21_member,
     c21rll_member,
@@ -25,7 +29,7 @@ from burstcodes.codes import (
     vt_member,
 )
 from burstcodes.cts import cts_param_search
-from burstcodes.errors import DecodeFailure, GuardLimit
+from burstcodes.errors import DecodeFailure, DecodingError, GuardLimit
 from burstcodes.words import all_words, rsyn0, vt_syndrome
 
 
@@ -438,3 +442,91 @@ def test_codebook_equality_and_repr():
     vt4 = ("0000", "0110", "1001", "1111")
     assert pigeonhole_search("vt", 4)[1] == Codebook("vt", 4, {"a": 0}, vt4)
     assert repr(book) == "Codebook(family='vt', n=4, params={'a': 0}, size=2)"
+
+
+# ---------------------------------------------------------------- checks
+
+
+def test_decode_outcome_is_a_frozen_value():
+    out = DecodeOutcome("0110", SINGLE_DELETION, (2, 3))
+    assert [f.name for f in dataclasses.fields(out)] == ["word", "classification", "window"]
+    same = DecodeOutcome(word="0110", classification=SINGLE_DELETION, window=(2, 3))
+    assert out == same and hash(out) == hash(same)
+    assert out != DecodeOutcome("0110", SINGLE_DELETION, (2, 2))
+    assert out != ("0110", SINGLE_DELETION, (2, 3))
+    assert repr(out) == (
+        "DecodeOutcome(word='0110', classification='single-deletion', window=(2, 3))"
+    )
+    assert dataclasses.replace(out, window=(1, 1)) == DecodeOutcome("0110", SINGLE_DELETION, (1, 1))
+    for field in ("word", "window", "extra"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(out, field, "1")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del out.word
+
+
+@pytest.fixture
+def check_word_calls(monkeypatch):
+    """The words check_word is called on, counted in every package module
+    that imports it."""
+    calls = []
+    real = words.check_word
+
+    def counted(x, **kwargs):
+        calls.append(x)
+        return real(x, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "burstcodes" and getattr(module, "check_word", None) is real:
+            monkeypatch.setattr(module, "check_word", counted)
+    return calls
+
+
+def decode_cases(n=12):
+    """(name, received length, decode of y) for each decoder that needs no
+    other word checked, with its searched params."""
+    vt, _ = pigeonhole_search("vt", n)
+    c21, _ = pigeonhole_search("c21", n)
+    svt21, _ = pigeonhole_search("svt21", n, P=4)
+    p31, _ = c31_param_search(n)
+    pts, _ = cts_param_search(n, 4, 2)
+    return [
+        ("vt", n - 1, lambda y: vt_decode(y, vt["a"], n)),
+        ("c21", n - 1, lambda y: c21_decode(y, c21["a"], c21["b"], n)),
+        ("svt21", n - 1, lambda y: svt21_decode(y, svt21["c"], svt21["d"], 4, (4, 7), n)),
+        ("c31", n - 2, lambda y: c31.c31_decode(y, p31)),
+        ("c31-trace", n - 2, lambda y: c31.c31_decode(y, p31, trace=True)),
+        ("cts", n - 2, lambda y: cts.cts_decode(y, pts)),
+        ("cts-trace", n - 2, lambda y: cts.cts_decode(y, pts, trace=True)),
+    ]
+
+
+@pytest.mark.parametrize("case", decode_cases(), ids=lambda case: case[0])
+def test_each_decode_checks_the_received_word_once(case, check_word_calls):
+    _, length, decode = case
+    decoded = False
+    for y in all_words(length):
+        check_word_calls.clear()
+        try:
+            decode(y)
+            decoded = True
+        except DecodingError:
+            pass
+        assert check_word_calls == [y], y
+    assert decoded
+
+
+def test_each_member_test_checks_the_word_once(check_word_calls):
+    x = "011010011100"
+    for member in (
+        lambda: vt_member(x, 0, 12),
+        lambda: lev2_member(x, 0, 12),
+        lambda: c21_member(x, 0, 0, 12),
+        lambda: c21rll_member(x, 0, 0, 12),
+        lambda: svt21_member(x, 0, 0, 4),
+        lambda: c31.c31_member(x, c31.C31Params(12, 0, 0, 0, 0)),
+        lambda: cts.cts_member(x, cts.CtsParams.derive(12, 4, 2, 0, 0, ((0, 0),))),
+    ):
+        check_word_calls.clear()
+        member()
+        assert check_word_calls == [x]

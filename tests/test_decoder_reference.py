@@ -3,23 +3,28 @@
 `ref_vt_decode`, `ref_c21_decode` (with `ref_deletion_run`) and
 `ref_svt21_decode` build every candidate preimage as a string and rescan
 it with `vt_syndrome`.  The package decoders find their candidates in
-closed form instead: after the window's first position, a splice's VT
-sum less y's is a strictly monotone function of the index of its
-position among y's 1s or 0s, so each residue of the right class gives
-at most one position, found by one split or count of y.  They must
-return the same word, classification and window, and raise the same
-exception type with the same message, candidate order, dedup rule and
-sorted survivor list included.  `ref_pair_splices` is the O(n) loop the
-closed form replaced, one suffix-weight table per call and one step per
-symbol; the core must return the same dict of words and last positions
-for every y up to n = 10, and at n = 256 and 1024 on seeded draws.
+closed form instead: a splice's VT sum less y's is a strictly monotone
+function of the index of its position among y's 1s or 0s, so each
+residue of the right class gives at most one position, found by one
+replace or count of y; C21 reads a single deletion's window off y on
+either side of the bit put in.  They must return the same word,
+classification and window, and raise the same exception type with the
+same message, candidate order, dedup rule and sorted survivor list
+included.  `ref_pair_splices` is the O(n) loop the closed form
+replaced, one suffix-weight table per call and one step per symbol; the
+core, given the weight residue that picks the loop's one change (or
+None for both changes of a bit put in, see `splice_weight`), must
+return the same dict of words and last positions for every y up to
+n = 10, and at n = 256 and 1024 on seeded draws.
 `ref_lev2_decode` rescans every candidate, duplicates included, where
 the package filters each distinct candidate once.  C21(n) is SVT21 at
 P = n, so C21 must also decode as SVT21 does over the window of every
 start.  `ref_c31_decode` builds every distinct candidate and rescans it
-with `rsyn0`, `weights` and `run_count`; the package checks each from
-prefix and suffix tables of y, and must match it in the word, every
-`C31Trace` field, and each exception's type and message.
+with `rsyn0`, `weights` and `run_count`; the package tries the one
+block each start's parity allows, skips a pair whose word the next
+start gives, and checks each candidate from prefix and suffix tables of
+y, and must match it in the word, every `C31Trace` field, and each
+exception's type and message.
 """
 
 import random
@@ -330,6 +335,12 @@ def kind(got):
 SPLICE_CHANGES = ((-1,), (0,), (1,), (2,), (0, 1))
 
 
+def splice_weight(y: str, changes: tuple):
+    """The core's weight argument that selects changes: y's weight plus
+    the one change, mod 4, or None for both changes of an inserted bit."""
+    return None if changes == (0, 1) else (y.count("1") + changes[0]) % 4
+
+
 @pytest.mark.parametrize("n", range(2, 11))
 def test_pair_splices_match_the_reference_loop(n):
     size = n - 1
@@ -344,7 +355,8 @@ def test_pair_splices_match_the_reference_loop(n):
                 for lo, hi in windows:
                     for target in range(mod):
                         want = ref_pair_splices(y, ones, V, mod, target, lo, hi, changes)
-                        assert _pair_splices(y, mod, target, lo, hi, changes) == want, (
+                        weight = splice_weight(y, changes)
+                        assert _pair_splices(y, mod, target, lo, hi, weight) == want, (
                             y, mod, target, lo, hi, changes,
                         )
                         most = max(most, len(want))
@@ -592,7 +604,8 @@ def test_pair_splices_match_the_reference_loop_on_long_words(n):
         changes = rng.choice(SPLICE_CHANGES)
         target = rng.randrange(mod)
         ones, V = ref_suffix_ones(y)
-        assert _pair_splices(y, mod, target, lo, hi, changes) == ref_pair_splices(
+        weight = splice_weight(y, changes)
+        assert _pair_splices(y, mod, target, lo, hi, weight) == ref_pair_splices(
             y, ones, V, mod, target, lo, hi, changes
         ), (y, mod, target, lo, hi, changes)
 
