@@ -31,13 +31,19 @@ _rows(n) states these congruences once, as the row automaton, built
 once per length, that c31_member and c31_param_search run and that
 C31Params checks its length against.  The residue tuples number the
 product of its moduli, 4n * 4 * 4 * 5 = 320n, so the best choice keeps
-at least 2^n/(320n) codewords: redundancy below log2(n) + 9.  Its step
-reads a rest (odd, even, runs, last bit) and returns the increment of
-a, the leading residue, with the next rest; it never sees a.  Full
-states (a plus a rest) number up to 4n * 160 a position (about 10k at
-n = 16); the search keys only the 4 * 4 * 5 * 2 = 160 rests and packs
-the 4n counts of a into one int per rest, so it calls step at most 320
-times a position, whatever n is.
+at least 2^n/(320n) codewords: redundancy below log2(n) + 9.  Full
+states, the four residues and the last bit, number up to 640n a
+position (about 10k at n = 16); the search keys only the rests and
+packs the counts of every leading residue into one int per rest.  When
+5 does not divide n, 4n and 5 are coprime, so the leading residue runs
+mod 20n and carries a and d, key entries 0 and 3, as its remainders
+mod 4n and mod 5 (the CRT): the step reads a rest (odd, even, last
+bit), 4 * 4 * 2 = 32 rests, so the search calls it at most 64 times a
+position.  At n = 10, 20 and the other lengths that 5 divides the
+leading residue is a alone, mod 4n, and the rest (odd, even, runs,
+last bit) keeps d: 160 rests and at most 320 step calls a position.
+Either way the step returns the increment of the leading residue with
+the next rest and never sees the residue.
 
 The decoder never rescans a candidate.  Every preimage of y is
 y[:p] + block + y[p + r:]: a pair inserted at p (r = 0), or a pattern
@@ -153,8 +159,9 @@ _LENGTH = "length must be even and >= 4, got {}"
 
 
 def _rows(n: int) -> tuple:
-    """The one row automaton of the code: residues (a, odd, even, runs),
-    the rest (odd, even, runs, last bit).
+    """The one row automaton of the code: key (a, b, c, d), that is
+    (rsyn0, odd weight, even weight, run count) reduced mod
+    (4n, 4, 4, 5).
 
     The code needs n even and >= 4; any other length is refused before
     the cache, which would take 8.0 for 8."""
@@ -165,25 +172,49 @@ def _rows(n: int) -> tuple:
 
 @cache
 def _automaton(n: int) -> tuple:
-    """_rows() for a checked length."""
+    """_rows() for a checked length.
 
-    def step(rest, i, bit):
-        # rsyn0 adds n+1-i where x_i != x_{i-1} (x_0 = 0); the run count
-        # starts at 1 and counts only the changes inside x
-        odd, even, runs, last = rest
-        d = 0
-        if bit != last:
-            d = n + 1 - i
-            if i > 1:
-                runs = (runs + 1) % 5
+    rsyn0 adds n + 1 - i where x_i != x_{i-1} (x_0 = 0); the run count
+    is 1 for x_1 plus 1 per change inside x.  When 5 does not divide n,
+    4n and 5 are coprime, so one leading residue mod 20n carries a and d
+    (key entries 0 and 3) and the rest is (odd, even, last bit).  Else
+    the rest carries the run count too: (odd, even, runs, last bit)."""
+    mod_a = 4 * n
+    if n % 5 == 0:
+        def step(rest, i, bit):
+            odd, even, runs, last = rest
+            d = 0
+            if bit != last:
+                d = n + 1 - i
+                if i > 1:
+                    runs = (runs + 1) % 5
+            if bit:
+                if i % 2:
+                    odd = (odd + 1) % 4
+                else:
+                    even = (even + 1) % 4
+            return d, (odd, even, runs, bit)
+
+        return (((0, 0, 1, 0), step, (mod_a, 4, 4, 5)),)
+
+    def lift(u, v):
+        # the residue mod 20n that is u mod 4n and v mod 5
+        return u + mod_a * ((v - u) * pow(mod_a, -1, 5) % 5)
+
+    # turns[i][changed]: the increment at position i; x_1 opens the first run
+    turns = [None, (lift(0, 1), lift(n, 1))]
+    turns += [(0, lift(n + 1 - i, 1)) for i in range(2, n + 1)]
+
+    def packed_step(rest, i, bit):
+        odd, even, last = rest
         if bit:
             if i % 2:
                 odd = (odd + 1) % 4
             else:
                 even = (even + 1) % 4
-        return d, (odd, even, runs, bit)
+        return turns[i][bit != last], (odd, even, bit)
 
-    return (((0, 0, 1, 0), step, (4 * n, 4, 4, 5)),)
+    return (((0, 0, 0), packed_step, (mod_a, 4, 4, 5), (0, 3)),)
 
 
 def c31_member(x: str, params: C31Params) -> bool:

@@ -43,11 +43,19 @@ y's transitions (see c31).  LEV2 still builds and rescans every
 distinct candidate.
 
 Each family's syndrome is written once, as row automata (init, step,
-mods), built once per shape; the member tests run them over one word,
-and the searches count with them.  step(rest, pos, bit) returns the
-increment d of the row's leading residue and the next rest, or None to
-leave the word out; it never sees the leading residue, which starts at
-0 and which the engine adds up and reduces mod mods[0] itself.
+mods) or (init, step, mods, lead), built once per shape; the member
+tests run them over one word, and the searches count with them.  mods
+holds the moduli of the row's key entries, in key order.  step(rest,
+pos, bit) returns the increment d of the row's leading residue and the
+next rest, or None to leave the word out; it never sees the leading
+residue, which starts at 0 and which the engine adds up itself.  lead
+names the key entries that residue carries, by default the first
+alone; several must have coprime moduli, and the residue then runs mod
+their product, each entry its remainder (the CRT).  The rest's first
+entries are the other key entries.  Only c31 names more than one: at
+every length that 5 does not divide, its residue mod 20n carries rsyn0
+mod 4n and the run count mod 5, key entries 0 and 3.  _row_parts reads
+a row in either form.
 
 pigeonhole_search() finds, for any family, the syndrome values whose
 codebook is largest; averaging guarantees the winner is at least 2^n
@@ -60,7 +68,7 @@ holds m + 1 bits, m the row length; so rows stay under 64 positions.  A
 step adds d to that residue by rotating the int one field per unit of
 d, and passes it on untouched when d is 0 mod the residue's modulus.
 So step runs 2 m times per distinct rest, not per state: for c31 at
-n = 16, about 160 rests a level instead of about 10k states.  At the
+n = 16, at most 32 rests a level instead of about 10k states.  At the
 end one struct call per key reads its fields from the int's bytes.  That
 pass only counts, keeping the rests each position reached.  The
 codebook it returns takes its size from those counts; the winning
@@ -74,11 +82,11 @@ import math
 import struct
 from dataclasses import dataclass
 from functools import cache
-from itertools import product
+from itertools import compress, product
 
 from .channel import _check_room
 from .errors import DecodeAmbiguity, DecodeFailure, GuardLimit
-from .words import _check_int, check_word, rsyn0
+from .words import _check_int, _rsyn0, check_word
 
 __all__ = [
     "NO_ERROR",
@@ -376,7 +384,7 @@ def lev2_decode(y: str, a: int, n: int) -> str:
     check_word(y)
     a = a % (2 * n)
     if len(y) == n:
-        if lev2_member(y, a, n):
+        if _in_bucket(y, n, _family_rows("lev2", n, None, None)[0], (a,), checked=True):
             return y
         raise DecodeFailure("lev2_decode: full-length word is not a codeword")
     if len(y) == n - 1:
@@ -385,7 +393,7 @@ def lev2_decode(y: str, a: int, n: int) -> str:
         cands = {y[:i] + pair + y[i:] for i in range(n - 1) for pair in ("00", "01", "10", "11")}
     else:
         raise ValueError(f"received length {len(y)} not in {{n, n-1, n-2}} for n={n}")
-    seen = dict.fromkeys(w for w in cands if rsyn0(w) % (2 * n) == a)
+    seen = dict.fromkeys(w for w in cands if _rsyn0(w) % (2 * n) == a)
     word, _ = _expect_one(seen, "lev2_decode")
     return word
 
@@ -514,24 +522,43 @@ def c21rll_member(x: str, a: int, b: int, n: int, f: int | None = None) -> bool:
 # ---------------------------------------------------------------- search
 
 
-def _row_counts(init, step, mods: tuple, m: int):
+def _row_parts(row) -> tuple:
+    """(init, step, mods, lead) of a row automaton.  lead names the key
+    entries its leading residue carries, row[3] when the row gives it and
+    else the first alone; their moduli are pairwise coprime, the residue
+    runs mod their product, and key entry j is the residue mod mods[j]
+    (the CRT).  The rest's first entries are the other key entries, in
+    key order."""
+    return row if len(row) == 4 else (*row, (0,))
+
+
+def _key(mods: tuple, lead: tuple, res: int, rest: tuple) -> tuple:
+    """The row's key from its leading residue res and its final rest;
+    the lead entries are res mod their moduli."""
+    tail = iter(rest)
+    return tuple(res % mod if j in lead else next(tail) for j, mod in enumerate(mods))
+
+
+def _row_counts(row, m: int):
     """Forward pass of one row automaton over m positions; it only counts.
 
     A level maps each rest to one int that packs the number of words
-    reaching it with leading residue r, for every r mod mods[0]: field r
-    is bits r*W .. r*W + W - 1, W the smallest power of two >= 8 bits
-    that holds m + 1 bits, so no count (at most 2^m) spills.
-    step(rest, pos, bit) runs once per (rest, pos, bit); its increment d,
-    taken mod mods[0], moves every r to r + d, which is one cyclic
-    rotation of the packed int, and no work at all when d is 0 mod
-    mods[0].  At the end one struct call reads each key's fields from the
+    reaching it with leading residue r, for every r mod M, M the product
+    of the lead moduli: field r is bits r*W .. r*W + W - 1, W the
+    smallest power of two >= 8 bits that holds m + 1 bits, so no count
+    (at most 2^m) spills.  step(rest, pos, bit) runs once per (rest, pos,
+    bit); its increment d, taken mod M, moves every r to r + d, which is
+    one cyclic rotation of the packed int, and no work at all when d is
+    0 mod M.  At the end one struct call reads each key's fields from the
     int's little-endian bytes, as W-bit unsigned ints; a field wider than
     64 bits, which struct has no code for (m >= 64), is read from its own
-    W / 8 bytes.  Picks the best key by the (-count, key) rule.  Returns
-    the levels, per position 0..m a tuple of the rests reached after that
-    many positions; the best key; and the number of row words ending on it.
+    W / 8 bytes.  Picks the best key by the (-count, key) rule, on the
+    key itself, not on r.  Returns the levels, per position 0..m a tuple
+    of the rests reached after that many positions; the best key; and the
+    number of row words ending on it.
     """
-    mod = mods[0]
+    init, step, mods, lead = _row_parts(row)
+    mod = math.prod(mods[j] for j in lead)
     width = max(8, 1 << m.bit_length())
     span = mod * width
     full = (1 << span) - 1
@@ -552,7 +579,7 @@ def _row_counts(init, step, mods: tuple, m: int):
         levels.append(tuple(level))
     # rests that agree on the key's other entries share its buckets; no
     # field of their sum exceeds the 2^m words
-    k = len(mods) - 1
+    k = len(mods) - len(lead)
     groups: dict[tuple, int] = {}
     for rest, packed in level.items():
         groups[rest[:k]] = groups.get(rest[:k], 0) + packed
@@ -562,14 +589,22 @@ def _row_counts(init, step, mods: tuple, m: int):
         def read(data: bytes, size: int = width // 8) -> tuple:
             return tuple(int.from_bytes(data[i : i + size], "little")
                          for i in range(0, len(data), size))
-    counts = {key: read(packed.to_bytes(span // 8, "little")) for key, packed in groups.items()}
-    # the smallest residue of each key list holding the top count
+    counts = {tail: read(packed.to_bytes(span // 8, "little")) for tail, packed in groups.items()}
     size = max(map(max, counts.values()))
-    best = min((c.index(size),) + key for key, c in counts.items() if size in c)
+
+    def least(c: tuple) -> int:
+        # a group's keys share their other entries, so its least key has
+        # the least lead entries; with one lead entry that is the least r
+        if len(lead) == 1:
+            return c.index(size)
+        ties = compress(range(mod), map(size.__eq__, c))
+        return min(ties, key=lambda r: [r % mods[j] for j in lead])
+
+    best = min(_key(mods, lead, least(c), tail) for tail, c in counts.items() if size in c)
     return levels, best, size
 
 
-def _row_words(init, step, mods: tuple, levels: list, best: tuple) -> list[str]:
+def _row_words(row, levels: list, best: tuple) -> list[str]:
     """The row words ending on the best key, in lexicographic order.
 
     The backward pass gives each rest a live mask, bit r set when the
@@ -580,10 +615,13 @@ def _row_words(init, step, mods: tuple, levels: list, best: tuple) -> list[str]:
     state (residue, rest), testing one mask bit per move, so it enters
     only prefixes of row words and costs O(m) per word.
     """
-    mod = mods[0]
+    init, step, mods, lead = _row_parts(row)
+    mod = math.prod(mods[j] for j in lead)
     full = (1 << mod) - 1
-    tail = best[1:]
-    live = {rest: 1 << best[0] for rest in levels[-1] if rest[: len(tail)] == tail}
+    tail = tuple(v for j, v in enumerate(best) if j not in lead)
+    # the one residue whose lead entries are best's
+    start = next(r for r in range(mod) if all(r % mods[j] == best[j] for j in lead))
+    live = {rest: 1 << start for rest in levels[-1] if rest[: len(tail)] == tail}
     edges: list = [None] * (len(levels) - 1)
     for pos in range(len(edges) - 1, -1, -1):
         here, above = {}, {}
@@ -626,7 +664,7 @@ def _list_members(rows: tuple, counted: dict) -> tuple[str, ...]:
     cost is O(|C| n) plus the sort.
     """
     words = {
-        row: _row_words(*row, levels, best) for row, (levels, best, _) in counted.items()
+        row: _row_words(row, levels, best) for row, (levels, best, _) in counted.items()
     }
     if len(rows) == 1:
         return tuple(words[rows[0]])
@@ -639,26 +677,28 @@ def _largest_bucket(n: int, rows: tuple):
     """Key, size and member lister of the largest syndrome bucket of
     length-n words.
 
-    rows holds one automaton (init, step, mods) per row of the word read
-    as an array of k = len(rows) rows: row r has coordinates r+1, r+1+k,
-    ...  A row's state is its leading residue, mod mods[0], and a rest,
-    which starts at init.  step(rest, pos, bit) reads the bit at 1-based
-    row position pos and returns (d, next rest), d the increment of the
-    leading residue (any int), or None to leave the word out; the
-    leading residue starts at 0, and the passes add d and reduce it
-    themselves.  The leading residue and the first len(mods) - 1 entries
-    of the final rest, the j-th taken mod mods[j], are the row's key,
-    and a word's key is its rows' keys joined.  Rows share no
+    rows holds one automaton (init, step, mods[, lead]) per row of the
+    word read as an array of k = len(rows) rows: row r has coordinates
+    r+1, r+1+k, ...  A row's state is its leading residue, mod M, the
+    product of the moduli of the key entries lead names (mods[0] by
+    default), and a rest, which starts at init.  step(rest, pos, bit)
+    reads the bit at 1-based row position pos and returns (d, next rest),
+    d the increment of the leading residue (any int), or None to leave
+    the word out; the leading residue starts at 0, and the passes add d
+    and reduce it themselves.  The leading residue, each lead entry its
+    remainder mod that entry's modulus, and the first entries of the
+    final rest, in the other places, are the row's key, and a word's key
+    is its rows' keys joined.  Rows share no
     coordinate, so bucket sizes multiply across rows and the best key
     is the rows' best keys joined; ties go to the smallest key.  Lengths
     above DEFAULT_ENUM_GUARD are refused before any counting.
 
     step never sees the leading residue, so no pass keys on it.  The
     forward pass steps each rest once per position and bit and carries
-    the counts of all mods[0] residues packed in one int, a field of 8,
-    16, 32 or 64 bits per residue: 2 m step calls per rest and row of
-    length m = n / k, up to mods[0] times fewer than one per state, and
-    one rotation per call whose increment is not 0 mod mods[0].  The
+    the counts of all M residues packed in one int, a field of 8, 16, 32
+    or 64 bits per residue: 2 m step calls per rest and row of length
+    m = n / k, up to M times fewer than one per state, and one rotation
+    per call whose increment is not 0 mod M.  The
     guard keeps m under the 64 positions those fields can count.  It
     keeps only the rests each level reached.  The backward pass steps
     those rests again, the same number of calls, and it and the member
@@ -673,7 +713,7 @@ def _largest_bucket(n: int, rows: tuple):
     if n > DEFAULT_ENUM_GUARD:
         raise GuardLimit(f"search at n={n} exceeds the enumeration guard {DEFAULT_ENUM_GUARD}")
     m = n // len(rows)
-    counted = {row: _row_counts(*row, m) for row in dict.fromkeys(rows)}
+    counted = {row: _row_counts(row, m) for row in dict.fromkeys(rows)}
     best = sum((counted[row][1] for row in rows), ())
     size = math.prod(counted[row][2] for row in rows)
     return best, size, lambda: _list_members(rows, counted)
@@ -692,7 +732,8 @@ def _in_bucket(x: str, n: int, rows: tuple, vals: tuple, *, checked: bool = Fals
         return False
     k = len(rows)
     vals = iter(vals)
-    for r, (rest, step, mods) in enumerate(rows):
+    for r, row in enumerate(rows):
+        rest, step, mods, lead = _row_parts(row)
         res = 0
         for pos, bit in enumerate(map("1".__eq__, x[r::k]), 1):
             t = step(rest, pos, bit)
@@ -700,8 +741,7 @@ def _in_bucket(x: str, n: int, rows: tuple, vals: tuple, *, checked: bool = Fals
                 return False
             d, rest = t
             res += d
-        key = (res,) + rest[: len(mods) - 1]
-        if any(v % mod != next(vals) % mod for v, mod in zip(key, mods)):
+        if any(v % mod != next(vals) % mod for v, mod in zip(_key(mods, lead, res, rest), mods)):
             return False
     return True
 

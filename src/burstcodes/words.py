@@ -71,6 +71,11 @@ def run_profile(x: str) -> RunProfile:
     check_word(x)
     if not x:
         raise ValueError("run_profile needs a nonempty word")
+    return _run_profile(x)
+
+
+def _run_profile(x: str) -> RunProfile:
+    """run_profile() of a checked nonempty word."""
     seq = []
     idx = 0
     prev = x[0]
@@ -96,7 +101,12 @@ def rsyn0(x: str) -> int:
     Prepending fixes the frame: two words that differ only in the leading
     symbol get different values.  rsyn0('') == 0.
     """
-    return run_profile("0" + check_word(x)).rsyn
+    return _rsyn0(check_word(x))
+
+
+def _rsyn0(x: str) -> int:
+    """rsyn0() of a checked word."""
+    return _run_profile("0" + x).rsyn
 
 
 def vt_syndrome(x: str) -> int:

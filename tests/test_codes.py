@@ -334,7 +334,7 @@ def test_rows_keep_the_leading_residue_contract(shape):
             # row 1 alone carries the run cap
             cap = rll_max_run(m) if r == 0 else None
         accepts = (lambda x: True) if cap is None else (lambda x: rll_member(x, cap))
-        assert contract_breaks(*row, m, lead, accepts) == []
+        assert contract_breaks(*row[:3], m, lead, accepts) == []
 
 
 def test_contract_check_catches_a_residue_read_by_the_rest():
@@ -360,7 +360,7 @@ def test_count_and_listing_each_step_every_reached_rest_once_per_bit(shape):
     # 2 step calls per rest reached before each position, found here by
     # stepping the rests alone, per distinct row
     want = 0
-    for init, step, _ in dict.fromkeys(rows):
+    for init, step, *_ in dict.fromkeys(rows):
         level = {init}
         for pos in range(1, m + 1):
             want += 2 * len(level)
@@ -368,13 +368,13 @@ def test_count_and_listing_each_step_every_reached_rest_once_per_bit(shape):
     calls = [0]
 
     def counted(row):
-        init, step, mods = row
+        init, step, *spec = row
 
         def tally(rest, pos, bit):
             calls[0] += 1
             return step(rest, pos, bit)
 
-        return init, tally, mods
+        return init, tally, *spec
 
     wrapped = {row: counted(row) for row in dict.fromkeys(rows)}
     best, size, lister = codes._largest_bucket(n, tuple(wrapped[row] for row in rows))
@@ -486,12 +486,14 @@ def decode_cases(n=12):
     """(name, received length, decode of y) for each decoder that needs no
     other word checked, with its searched params."""
     vt, _ = pigeonhole_search("vt", n)
+    lev2, _ = pigeonhole_search("lev2", n)
     c21, _ = pigeonhole_search("c21", n)
     svt21, _ = pigeonhole_search("svt21", n, P=4)
     p31, _ = c31_param_search(n)
     pts, _ = cts_param_search(n, 4, 2)
     return [
         ("vt", n - 1, lambda y: vt_decode(y, vt["a"], n)),
+        *((f"lev2-{n - m}", m, lambda y: lev2_decode(y, lev2["a"], n)) for m in (n, n - 1, n - 2)),
         ("c21", n - 1, lambda y: c21_decode(y, c21["a"], c21["b"], n)),
         ("svt21", n - 1, lambda y: svt21_decode(y, svt21["c"], svt21["d"], 4, (4, 7), n)),
         ("c31", n - 2, lambda y: c31.c31_decode(y, p31)),

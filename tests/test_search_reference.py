@@ -7,7 +7,9 @@ the key, the size and the members tuple, byte for byte; the size comes
 from the bucket counts, the members from a later listing pass.
 
 Brute force stops at n = 12.  Past it, the packed count pass is checked
-against the plain one it replaced, which keys a dict by full states.
+against the plain one it replaced, which keys a dict by full states; for
+c31 that plain pass runs the row as it was before its run count moved
+into the leading residue.
 """
 
 import pytest
@@ -129,6 +131,40 @@ def ref_row_counts(init, step, mods, m):
     return rests, best, sizes[best]
 
 
+def ref_c31_row(n):
+    """The c31 row before its run count moved into the leading residue,
+    the reference automaton for every length: key (rsyn0 mod 4n, odd
+    weight, even weight, run count mod 5), rest (odd, even, runs, last
+    bit)."""
+
+    def step(rest, i, bit):
+        odd, even, runs, last = rest
+        d = 0
+        if bit != last:
+            d = n + 1 - i
+            if i > 1:
+                runs = (runs + 1) % 5
+        if bit:
+            if i % 2:
+                odd = (odd + 1) % 4
+            else:
+                even = (even + 1) % 4
+        return d, (odd, even, runs, bit)
+
+    return (0, 0, 1, 0), step, (4 * n, 4, 4, 5)
+
+
+def ref_counts(family, row, m):
+    """ref_row_counts over the row, or for c31 over ref_c31_row, its
+    rests projected to the row's: the packed row leaves out the runs."""
+    if family != "c31":
+        return ref_row_counts(*row, m)
+    rests, best, size = ref_row_counts(*ref_c31_row(m), m)
+    if len(row[0]) == 3:
+        rests = [{(odd, even, last) for odd, even, _, last in level} for level in rests]
+    return rests, best, size
+
+
 def search_rows(family, n, *shape):
     """The distinct row automata a search at length n counts, and their length."""
     if family == "c31":
@@ -142,7 +178,9 @@ def search_rows(family, n, *shape):
 
 # counts are packed in fields of 8, 16, 32 or 64 bits, the smallest that
 # holds m + 1 bits; the cts rows take m just below and at each change of
-# width, 7 and 8, 15 and 16, 31 and 32, for both of their row automata
+# width, 7 and 8, 15 and 16, 31 and 32, for both of their row automata;
+# c31 packs its run count with rsyn0 except at n = 20 and 30, which 5
+# divides, and is checked against the unpacked reference at every n
 LONG_ROWS = (
     [(fam, n, None, None) for fam in ("vt", "lev2", "c21", "c21rll") for n in range(13, 41)]
     + [("c21rll", n, None, f) for f in (1, 2) for n in range(13, 41)]
@@ -157,16 +195,24 @@ def test_packed_counts_match_the_state_dict_pass(case):
     rows, m = search_rows(*case)
     assert len(rows) == (2 if case[0] == "cts" else 1)
     for row in rows:
-        levels, best, size = codes._row_counts(*row, m)
+        levels, best, size = codes._row_counts(row, m)
         # the lister steps these rests again, so each level must be exact
-        assert ([set(level) for level in levels], best, size) == ref_row_counts(*row, m)
+        assert ([set(level) for level in levels], best, size) == ref_counts(case[0], row, m)
+
+
+@pytest.mark.parametrize("n", [16, 24])
+def test_packed_c31_row_keeps_at_most_32_rests(n):
+    # (odd, even, last bit): the run count rides in the leading residue
+    (row,) = c31._rows(n)
+    levels, _, _ = codes._row_counts(row, n)
+    assert max(map(len, levels)) == 32
 
 
 @pytest.mark.parametrize("family,m", [("vt", 64), ("vt", 80), ("c21", 64), ("c21", 80)])
 def test_counts_wider_than_64_bits_match_the_state_dict_pass(family, m):
     # from m = 64 a count needs a 128-bit field, which struct cannot read
     (row,) = codes._family_rows(family, m, None, None)[0]
-    levels, best, size = codes._row_counts(*row, m)
+    levels, best, size = codes._row_counts(row, m)
     assert ([set(level) for level in levels], best, size) == ref_row_counts(*row, m)
 
 
