@@ -195,7 +195,7 @@ def _automaton(n: int) -> tuple:
                     even = (even + 1) % 4
             return d, (odd, even, runs, bit)
 
-        return (((0, 0, 1, 0), step, (mod_a, 4, 4, 5)),)
+        return (((0, 0, 1, 0), step, (mod_a, 4, 4, 5), (0,)),)
 
     def lift(u, v):
         # the residue mod 20n that is u mod 4n and v mod 5

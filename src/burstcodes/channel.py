@@ -86,6 +86,8 @@ _START = "burst start {} out of range 1..{} for n={}, t={}"
 def apply_burst(x: str, spec: BurstSpec) -> str:
     """Delete t symbols of x starting at spec.start, splice in spec.inserted."""
     check_word(x)
+    if not isinstance(spec, BurstSpec):
+        raise ValueError(f"spec must be a BurstSpec, got {spec!r}")
     n = len(x)
     last = n - spec.t + 1
     fields = (spec.start, last, n, spec.t)

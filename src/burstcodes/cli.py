@@ -255,7 +255,7 @@ def _construction_buckets(n: int, t: int, s: int) -> int | None:
             rows = cts._rows(n, t, s)
     except ValueError:
         return None
-    return math.prod(mod for _, _, mods, _ in map(codes._row_parts, rows) for mod in mods)
+    return math.prod(mod for _, _, mods, _ in rows for mod in mods)
 
 
 def cmd_bounds(args) -> int:

@@ -43,19 +43,18 @@ y's transitions (see c31).  LEV2 still builds and rescans every
 distinct candidate.
 
 Each family's syndrome is written once, as row automata (init, step,
-mods) or (init, step, mods, lead), built once per shape; the member
-tests run them over one word, and the searches count with them.  mods
-holds the moduli of the row's key entries, in key order.  step(rest,
-pos, bit) returns the increment d of the row's leading residue and the
-next rest, or None to leave the word out; it never sees the leading
-residue, which starts at 0 and which the engine adds up itself.  lead
-names the key entries that residue carries, by default the first
-alone; several must have coprime moduli, and the residue then runs mod
-their product, each entry its remainder (the CRT).  The rest's first
-entries are the other key entries.  Only c31 names more than one: at
-every length that 5 does not divide, its residue mod 20n carries rsyn0
-mod 4n and the run count mod 5, key entries 0 and 3.  _row_parts reads
-a row in either form.
+mods, lead), built once per shape; the member tests run them over one
+word, and the searches count with them.  mods holds the moduli of the
+row's key entries, in key order.  step(rest, pos, bit) returns the
+increment d of the row's leading residue and the next rest, or None to
+leave the word out; it never sees the leading residue, which starts at
+0 and which the engine adds up itself.  lead names the key entries that
+residue carries, (0,) for most rows; several must have coprime moduli,
+and the residue then runs mod their product, each entry its remainder
+(the CRT).  The rest's first entries are the other key entries.  Only
+c31 names more than one: at every length that 5 does not divide, its
+residue mod 20n carries rsyn0 mod 4n and the run count mod 5, key
+entries 0 and 3.
 
 pigeonhole_search() finds, for any family, the syndrome values whose
 codebook is largest; averaging guarantees the winner is at least 2^n
@@ -522,19 +521,10 @@ def c21rll_member(x: str, a: int, b: int, n: int, f: int | None = None) -> bool:
 # ---------------------------------------------------------------- search
 
 
-def _row_parts(row) -> tuple:
-    """(init, step, mods, lead) of a row automaton.  lead names the key
-    entries its leading residue carries, row[3] when the row gives it and
-    else the first alone; their moduli are pairwise coprime, the residue
-    runs mod their product, and key entry j is the residue mod mods[j]
-    (the CRT).  The rest's first entries are the other key entries, in
-    key order."""
-    return row if len(row) == 4 else (*row, (0,))
-
-
 def _key(mods: tuple, lead: tuple, res: int, rest: tuple) -> tuple:
-    """The row's key from its leading residue res and its final rest;
-    the lead entries are res mod their moduli."""
+    """The row's key from its leading residue res and its final rest:
+    key entry j is res mod mods[j] for each j in lead (the CRT), and the
+    rest's first entries fill the other places, in key order."""
     tail = iter(rest)
     return tuple(res % mod if j in lead else next(tail) for j, mod in enumerate(mods))
 
@@ -557,7 +547,7 @@ def _row_counts(row, m: int):
     of the rests reached after that many positions; the best key; and the
     number of row words ending on it.
     """
-    init, step, mods, lead = _row_parts(row)
+    init, step, mods, lead = row
     mod = math.prod(mods[j] for j in lead)
     width = max(8, 1 << m.bit_length())
     span = mod * width
@@ -615,12 +605,11 @@ def _row_words(row, levels: list, best: tuple) -> list[str]:
     state (residue, rest), testing one mask bit per move, so it enters
     only prefixes of row words and costs O(m) per word.
     """
-    init, step, mods, lead = _row_parts(row)
+    init, step, mods, lead = row
     mod = math.prod(mods[j] for j in lead)
     full = (1 << mod) - 1
     tail = tuple(v for j, v in enumerate(best) if j not in lead)
-    # the one residue whose lead entries are best's
-    start = next(r for r in range(mod) if all(r % mods[j] == best[j] for j in lead))
+    start = next(r for r in range(mod) if _key(mods, lead, r, tail) == best)
     live = {rest: 1 << start for rest in levels[-1] if rest[: len(tail)] == tail}
     edges: list = [None] * (len(levels) - 1)
     for pos in range(len(edges) - 1, -1, -1):
@@ -677,11 +666,11 @@ def _largest_bucket(n: int, rows: tuple):
     """Key, size and member lister of the largest syndrome bucket of
     length-n words.
 
-    rows holds one automaton (init, step, mods[, lead]) per row of the
+    rows holds one automaton (init, step, mods, lead) per row of the
     word read as an array of k = len(rows) rows: row r has coordinates
     r+1, r+1+k, ...  A row's state is its leading residue, mod M, the
-    product of the moduli of the key entries lead names (mods[0] by
-    default), and a rest, which starts at init.  step(rest, pos, bit)
+    product of the moduli of the key entries lead names (just mods[0]
+    for (0,)), and a rest, which starts at init.  step(rest, pos, bit)
     reads the bit at 1-based row position pos and returns (d, next rest),
     d the increment of the leading residue (any int), or None to leave
     the word out; the leading residue starts at 0, and the passes add d
@@ -733,7 +722,7 @@ def _in_bucket(x: str, n: int, rows: tuple, vals: tuple, *, checked: bool = Fals
     k = len(rows)
     vals = iter(vals)
     for r, row in enumerate(rows):
-        rest, step, mods, lead = _row_parts(row)
+        rest, step, mods, lead = row
         res = 0
         for pos, bit in enumerate(map("1".__eq__, x[r::k]), 1):
             t = step(rest, pos, bit)
@@ -754,7 +743,7 @@ def _weighted_row(mod: int, cap: int | None = None):
     leaves the word out.
     """
     if cap is None:
-        return (0,), lambda rest, i, b: (i * b, ((rest[0] + b) % 4,)), (mod, 4)
+        return (0,), lambda rest, i, b: (i * b, ((rest[0] + b) % 4,)), (mod, 4), (0,)
 
     def step(rest, i, b):
         w, last, run = rest
@@ -763,7 +752,7 @@ def _weighted_row(mod: int, cap: int | None = None):
             return None
         return i * b, ((w + b) % 4, b, run)
 
-    return (0, None, 0), step, (mod, 4)
+    return (0, None, 0), step, (mod, 4), (0,)
 
 
 _ROW_FAMILIES = ("vt", "lev2", "c21", "c21rll", "svt21")
@@ -796,7 +785,7 @@ def _family_rows(family: str, n: int, P: int | None, f: int | None):
 def _build_rows(family: str, n: int, P: int | None, f: int | None):
     """_family_rows() for checked arguments."""
     if family == "vt":
-        row = ((), lambda rest, i, b: (i * b, ()), (n + 1,))
+        row = ((), lambda rest, i, b: (i * b, ()), (n + 1,), (0,))
         return (row,), ("a",), {}
     if family == "lev2":
         # rsyn0(x) sums n+1-i over the i where x_i != x_{i-1}, with x_0 = 0;
@@ -804,7 +793,7 @@ def _build_rows(family: str, n: int, P: int | None, f: int | None):
         def step(rest, i, b):
             return (n + 1 - i if b != rest[0] else 0), (b,)
 
-        return (((0,), step, (2 * n,)),), ("a",), {}
+        return (((0,), step, (2 * n,), (0,)),), ("a",), {}
     if family == "c21":
         return (_weighted_row(2 * n - 1),), ("a", "b"), {}
     if family == "c21rll":

@@ -31,7 +31,7 @@ window always fits.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -77,8 +77,12 @@ def _shape(n: int, t: int, s: int) -> tuple[int, int]:
     return k, _check_int(n // k, 2, "rows must have length >= 2")
 
 
+_INSERTS = "insertion count s must be an int >= 1, got {!r}"
+
+
 def window_capacity(m: int, s: int) -> int:
     """Window capacity P for the row codes: f+1, or f+2 once s >= 2."""
+    _check_int(s, 1, _INSERTS, s)
     return rll_max_run(m) + (1 if s == 1 else 2)
 
 
@@ -128,9 +132,11 @@ class CtsParams:
 
     @classmethod
     def derive(cls, n, t, s, a, b, row_params=()):
-        # an entry that is no sequence goes on as it is, for __post_init__ to refuse
-        rows = tuple(tuple(rp) if isinstance(rp, Sequence) else rp for rp in row_params)
-        return cls(n, t, s, a, b, rows)
+        # row_params that is not iterable, or an entry that is no
+        # sequence, goes on as it is, for __post_init__ to refuse
+        if isinstance(row_params, Iterable):
+            row_params = tuple(tuple(rp) if isinstance(rp, Sequence) else rp for rp in row_params)
+        return cls(n, t, s, a, b, row_params)
 
     @property
     def k(self) -> int:
@@ -169,7 +175,17 @@ def cts_member(x: str, params: CtsParams) -> bool:
 
 def column_window(outcome: DecodeOutcome, s: int, m: int) -> tuple[int, int]:
     """Column interval (1-based, clipped to [1, m]) holding every other
-    row's error start, given row 1's decode outcome."""
+    row's error start, given row 1's decode outcome, s insertions and
+    rows of length m."""
+    if not isinstance(outcome, DecodeOutcome):
+        raise ValueError(f"outcome must be a DecodeOutcome, got {outcome!r}")
+    _check_int(s, 1, _INSERTS, s)
+    _check_int(m, 2, "row length m must be an int >= 2, got {!r}", m)
+    return _column_window(outcome, s, m)
+
+
+def _column_window(outcome: DecodeOutcome, s: int, m: int) -> tuple[int, int]:
+    """column_window() for checked arguments."""
     if outcome.classification in (MERGE_00_TO_1, MERGE_11_TO_0):
         p = outcome.window[0]
         lo, hi = p - 1, p + 1
@@ -230,7 +246,7 @@ def cts_decode(y: str, params: CtsParams, *, trace: bool = False):
     # a single row has no other row to place; row 1's runs are at most f
     # long, so the window spans at most P columns and keeps a start in
     # 1..m-1, as the SVT21 rows need
-    window = column_window(out1, params.s, m) if k > 1 else None
+    window = _column_window(out1, params.s, m) if k > 1 else None
     rows_x = [out1.word]
     for row, (c, d) in zip(rows_y[1:], params.row_params):
         rows_x.append(_svt21_core(row, c, d, P, window, m))

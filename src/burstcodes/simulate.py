@@ -83,7 +83,7 @@ def family_setup(family: str, n: int, t: int | None = None, s: int | None = None
     and s.  t and s go through Family.burst_for, then must be ints >= 0,
     and a length n < t, which no (t, s)-burst fits in, is refused.
     """
-    fam = FAMILIES.get(family)
+    fam = FAMILIES.get(family) if isinstance(family, str) else None
     if fam is None:
         raise ValueError(f"unknown family {family!r}")
     if fam.decode is None:

@@ -31,7 +31,7 @@ from .channel import (
     sphere_packing_bound,
 )
 from .errors import DecodingError, GuardLimit
-from .words import _check_int, all_words, check_word
+from .words import _check_int, _check_iter, all_words, check_word
 
 __all__ = [
     "VerificationReport",
@@ -68,7 +68,8 @@ class VerificationReport:
 
 
 def _codewords(members) -> tuple:
-    """members as a tuple of checked words, refused when empty."""
+    """members as a tuple of checked words, refused when not iterable or empty."""
+    members = _check_iter(members, "codewords must be an iterable of words, got {!r}", members)
     members = tuple(map(check_word, members))
     if not members:
         raise ValueError("no codewords to check")
@@ -160,6 +161,8 @@ def verify_roundtrip(members, t: int, s: int, decode) -> VerificationReport:
     start = time.perf_counter()
     members = _codewords(members)
     _check_lengths(members, t, s)
+    if not callable(decode):
+        raise ValueError(f"decode must be callable, got {decode!r}")
     corruptions = failures = 0
     witness = None
     inserts = tuple(all_words(s))
@@ -355,7 +358,8 @@ def verify_ball_laws(n_values, t_max: int = 4, s_max: int = 4) -> dict[str, Veri
         _check_int(size, None, "burst sizes must be ints, got {!r}", size)
     _check_int(min(t_max, s_max), 1, "ball-law sweep needs t_max, s_max >= 1, got {}, {}",
                t_max, s_max)
-    n_values = list(n_values)
+    n_values = list(_check_iter(n_values, "ball-law sweep lengths must be an iterable of ints, "
+                                "got {!r}", n_values))
     for n in n_values:
         _check_int(n, None, "ball-law sweep lengths must be ints, got {!r}", n)
     n_values = sorted(set(n_values))

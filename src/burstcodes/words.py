@@ -50,6 +50,14 @@ def _check_int(x, least: int | None, message: str, *fields) -> int:
     return x
 
 
+def _check_iter(x, message: str, *fields):
+    """iter(x), or ValueError(message.format(*fields)) when x is not iterable."""
+    try:
+        return iter(x)
+    except TypeError:
+        raise ValueError(message.format(*fields)) from None
+
+
 @dataclass(frozen=True)
 class RunProfile:
     """Per-coordinate run indices plus the two derived run statistics."""
@@ -144,14 +152,13 @@ def deinterleave(rows) -> str:
     All rows must have equal length, so this also reassembles a received
     word whose every row lost the same number of symbols.
     """
-    rows = tuple(rows)
+    rows = _check_iter(rows, "rows must be an iterable of words, got {!r}", rows)
+    rows = tuple(check_word(r, what="row") for r in rows)
     if not rows:
         raise ValueError("need at least one row")
     width = len(rows[0])
-    for r in rows:
-        check_word(r, what="row")
-        if len(r) != width:
-            raise ValueError("rows must have equal length")
+    if any(len(r) != width for r in rows):
+        raise ValueError("rows must have equal length")
     return "".join(r[j] for j in range(width) for r in rows)
 
 

@@ -38,8 +38,14 @@ from burstcodes.cli import build_parser, main
 from burstcodes.errors import DecodingError, GuardLimit
 from burstcodes.families import FAMILIES
 from burstcodes.simulate import SplitMix64, family_setup, simulate
-from burstcodes.verify import verify_ball_laws, verify_roundtrip
-from burstcodes.words import all_words, interleave, vt_syndrome
+from burstcodes.verify import (
+    bound_report,
+    verify_ball_laws,
+    verify_disjoint,
+    verify_equivalence,
+    verify_roundtrip,
+)
+from burstcodes.words import all_words, deinterleave, interleave, vt_syndrome
 
 
 def numbers(lo: int = -3, hi: int = 24):
@@ -439,8 +445,15 @@ def test_a_seed_or_window_of_the_wrong_kind_is_refused(call, msg):
         call()
 
 
-# each of these once ended in TypeError: the sweep took min(t_max, s_max)
-# and family_setup compared n with t before either was known to be an int
+# a row-1 outcome for column_window
+OUTCOME = codes.DecodeOutcome("0110", codes.SINGLE_DELETION, (2, 3))
+
+
+# each of these once ended in TypeError, AttributeError or a result: the
+# sweep took min(t_max, s_max), family_setup compared n with t before
+# either was known to be an int, the checks over a book iterated it,
+# the roundtrip called decode, FAMILIES hashed the family, the helpers
+# read attributes off their object, and the window rules took any s
 @pytest.mark.parametrize(
     "call, msg",
     [
@@ -451,9 +464,39 @@ def test_a_seed_or_window_of_the_wrong_kind_is_refused(call, msg):
         (lambda: SplitMix64(1).word(None), "word length must be an int >= 0, got None"),
         (lambda: SplitMix64(1).word(1.5), "word length must be an int >= 0, got 1.5"),
         (lambda: SplitMix64(1).word(-1), "word length must be an int >= 0, got -1"),
+        (lambda: verify_disjoint(None, 1, 1), "codewords must be an iterable of words, got None"),
+        (lambda: verify_roundtrip(None, 1, 1, str),
+         "codewords must be an iterable of words, got None"),
+        (lambda: verify_equivalence(None, 1, 1),
+         "codewords must be an iterable of words, got None"),
+        (lambda: bound_report(None, 4, 1, 1), "codewords must be an iterable of words, got None"),
+        (lambda: verify_ball_laws(None),
+         "ball-law sweep lengths must be an iterable of ints, got None"),
+        (lambda: verify_ball_laws(5), "ball-law sweep lengths must be an iterable of ints, got 5"),
+        (lambda: verify_roundtrip(["0101"], 1, 0, None), "decode must be callable, got None"),
+        (lambda: family_setup([], 8), "unknown family []"),
+        (lambda: simulate([], 8, 5, 1), "unknown family []"),
+        (lambda: apply_burst("0101", None), "spec must be a BurstSpec, got None"),
+        (lambda: cts.column_window(None, 1, 4), "outcome must be a DecodeOutcome, got None"),
+        (lambda: cts.column_window(OUTCOME, 1.5, 4),
+         "insertion count s must be an int >= 1, got 1.5"),
+        (lambda: cts.column_window(OUTCOME, 1, 1.0), "row length m must be an int >= 2, got 1.0"),
+        (lambda: cts.window_capacity(4, 0), "insertion count s must be an int >= 1, got 0"),
+        (lambda: cts.window_capacity(4, 1.5), "insertion count s must be an int >= 1, got 1.5"),
+        (lambda: cts.window_capacity(4, None), "insertion count s must be an int >= 1, got None"),
+        (lambda: cts.CtsParams.derive(16, 4, 2, 1, 2, None),
+         "row_params must be a tuple of (c, d) pairs, got None"),
+        (lambda: deinterleave(None), "rows must be an iterable of words, got None"),
+        (lambda: deinterleave([1, 2]), "row must be a str of '0'/'1', got int"),
     ],
     ids=["ball-laws-None", "ball-laws-str", "family_setup-str", "simulate-str",
-         "word-None", "word-float", "word-negative"],
+         "word-None", "word-float", "word-negative",
+         "disjoint-None", "roundtrip-None", "equivalence-None", "bound-None",
+         "ball-laws-lengths-None", "ball-laws-lengths-int", "roundtrip-decode-None",
+         "family_setup-list", "simulate-list", "apply_burst-None", "column_window-None",
+         "column_window-float-s", "column_window-float-m", "window_capacity-0",
+         "window_capacity-float", "window_capacity-None", "derive-None",
+         "deinterleave-None", "deinterleave-ints"],
 )
 def test_a_scalar_of_the_wrong_type_is_refused(call, msg):
     with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):

@@ -1,6 +1,7 @@
 """Component code families: worked decodes, membership, search guarantees."""
 
 import dataclasses
+import math
 import sys
 
 import pytest
@@ -337,6 +338,29 @@ def test_rows_keep_the_leading_residue_contract(shape):
         assert contract_breaks(*row[:3], m, lead, accepts) == []
 
 
+# c31 at n = 20 and 30, which 5 divides, keeps its unpacked row
+LEAD_SHAPES = CONTRACT_SHAPES + [("c31", 20), ("c31", 30)]
+
+
+@pytest.mark.parametrize("shape", LEAD_SHAPES, ids=map(str, LEAD_SHAPES))
+def test_every_row_states_its_lead(shape):
+    for row in dict.fromkeys(shape_rows(*shape)):
+        assert isinstance(row, tuple) and len(row) == 4
+        init, _, mods, lead = row
+        assert isinstance(lead, tuple) and lead
+        assert len(set(lead)) == len(lead)
+        assert all(type(j) is int and 0 <= j < len(mods) for j in lead)
+        assert all(math.gcd(mods[i], mods[j]) == 1 for i in lead for j in lead if i < j)
+        # the rest's first entries fill the other places, in key order
+        k = len(mods) - len(lead)
+        assert len(init) >= k
+        rest = tuple(range(100, 100 + len(init)))
+        for r in range(3 * math.prod(mods[j] for j in lead)):
+            key = codes._key(mods, lead, r, rest)
+            assert [key[j] for j in lead] == [r % mods[j] for j in lead]
+            assert tuple(v for j, v in enumerate(key) if j not in lead) == rest[:k]
+
+
 def test_contract_check_catches_a_residue_read_by_the_rest():
     # a row that carries the VT sum in its rest and reads it back, giving
     # the running sum where the increment belongs
@@ -346,7 +370,7 @@ def test_contract_check_catches_a_residue_read_by_the_rest():
 
     assert contract_breaks((0, 0), step, (5, 4), 4, vt_syndrome, lambda x: True)
     # a row that leaves out a word the whole-word filter keeps
-    assert contract_breaks(*codes._weighted_row(5, 1), 4, vt_syndrome, lambda x: True)
+    assert contract_breaks(*codes._weighted_row(5, 1)[:3], 4, vt_syndrome, lambda x: True)
 
 
 COST_SHAPES = (("vt", 12, None, None), ("c21rll", 12, None, None), ("c31", 12), ("cts", 12, 4, 2))
