@@ -64,8 +64,6 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from functools import cache
-from itertools import accumulate
-from operator import mul, ne
 
 from .codes import (
     PATTERN_000_TO_1,
@@ -80,6 +78,8 @@ from .codes import (
     _expect_one,
     _in_bucket,
     _largest_bucket,
+    _transition_sums,
+    _window_flips,
 )
 from .errors import DecodeFailure
 from .words import _check_int
@@ -239,14 +239,6 @@ def classify_31(y: str, params: C31Params) -> str:
     return _shape(y, params)[0][0]
 
 
-@cache
-def _window_flips(w: str) -> tuple[int, int]:
-    """How many adjacent pairs of w differ, and the sum of their offsets
-    (k for the pair w[k], w[k + 1])."""
-    ks = [k for k in range(len(w) - 1) if w[k] != w[k + 1]]
-    return len(ks), sum(ks)
-
-
 def c31_decode(y: str, params: C31Params, *, trace: bool = False):
     """Recover the codeword one (3, 1)-burst of which produced y.
 
@@ -263,10 +255,7 @@ def c31_decode(y: str, params: C31Params, *, trace: bool = False):
     (label, mark, wants, blocks), deltas = _shape(y, params)
     n, m, r = params.n, len(y), len(mark)
     starts = [p for p, ch in enumerate(y) if ch == wants[p % 2]] + ([] if r else [m])
-    flips = list(map(ne, "0" + y, y))  # flips[i - 1]: y_i != y_{i-1}
-    # rsyn0 adds n + 1 - i for the transition at y_i
-    head_a = list(accumulate(map(mul, flips, range(n, n - m, -1)), initial=0))
-    head_t = list(accumulate(flips, initial=0))
+    head_a, head_t = _transition_sums(y, n)
     mod_a, a, d = 4 * n, params.a % (4 * n), params.d % 5
     partial = {}
     for p in starts:

@@ -38,9 +38,14 @@ right residue class names at most one position, found by one replace or
 count of y in C.  y's VT sum takes one popcount of int(y, 2) per bit of
 the length.  So a decode takes O(1) Python steps per candidate and O(n)
 work in C, checks each argument once, and builds strings only for
-survivors.  C31 checks its run-syndrome candidates from prefix sums of
-y's transitions (see c31).  LEV2 still builds and rescans every
-distinct candidate.
+survivors.  LEV2 and C31 check their run-syndrome candidates from
+prefix sums of y's transitions instead (_lev2_core, and see c31): an
+insert moves the suffix up a fixed number of coordinates, so each
+suffix transition's term falls by that number, and a candidate's sum is
+prefix plus shifted suffix plus the few transitions at its window.
+That is O(1) Python steps per candidate too, and a string is built
+only for a survivor.  The two cores share _transition_sums and
+_window_flips.
 
 Each family's syndrome is written once, as row automata (init, step,
 mods, lead), built once per shape; the member tests run them over one
@@ -81,11 +86,12 @@ import math
 import struct
 from dataclasses import dataclass
 from functools import cache
-from itertools import compress, product
+from itertools import accumulate, compress, product
+from operator import mul, ne
 
 from .channel import _check_room
 from .errors import DecodeAmbiguity, DecodeFailure, GuardLimit
-from .words import _check_int, _rsyn0, check_word
+from .words import _check_int, check_word
 
 __all__ = [
     "NO_ERROR",
@@ -373,10 +379,13 @@ def lev2_decode(y: str, a: int, n: int) -> str:
 
     The received length says how many symbols went missing (0, 1, or 2);
     the zero-prefixed run syndrome mod 2n then pins the unique preimage.
-    A returned word is a codeword that one burst of at most two
-    deletions takes to y; any other y of length n, n - 1 or n - 2 raises
-    DecodingError.  That holds by construction: every candidate is such
-    a preimage of y, and it is returned only if it passes the congruence.
+    Each distinct preimage is checked in O(1) Python steps from prefix
+    sums of y's transitions (see _lev2_core), and a string is built only
+    for a survivor.  A returned word is a codeword that one burst of at
+    most two deletions takes to y; any other y of length n, n - 1 or
+    n - 2 raises DecodingError.  That holds by construction: every
+    candidate is such a preimage of y, and it is returned only if it
+    passes the congruence.
     """
     _check_syndromes(a)
     _check_int(n, 1, "length must be >= 1")
@@ -386,15 +395,68 @@ def lev2_decode(y: str, a: int, n: int) -> str:
         if _in_bucket(y, n, _family_rows("lev2", n, None, None)[0], (a,), checked=True):
             return y
         raise DecodeFailure("lev2_decode: full-length word is not a codeword")
-    if len(y) == n - 1:
-        cands = {y[:i] + bit + y[i:] for i in range(n) for bit in "01"}
-    elif len(y) == n - 2:
-        cands = {y[:i] + pair + y[i:] for i in range(n - 1) for pair in ("00", "01", "10", "11")}
-    else:
+    if not n - 2 <= len(y) < n:
         raise ValueError(f"received length {len(y)} not in {{n, n-1, n-2}} for n={n}")
-    seen = dict.fromkeys(w for w in cands if _rsyn0(w) % (2 * n) == a)
-    word, _ = _expect_one(seen, "lev2_decode")
+    word, _ = _expect_one(_lev2_core(y, a, n), "lev2_decode")
     return word
+
+
+def _lev2_core(y: str, a: int, n: int) -> dict:
+    """The words that put k = n - len(y) bits into y and whose rsyn0 is
+    a mod 2n, each with the position p of its insert.
+
+    Putting an insert in at p moves y[p:] up k coordinates, so each of
+    its transitions' rsyn0 terms n + 1 - i falls by exactly k.  A
+    candidate's rsyn0 is thus the prefix's, plus the suffix's less k per
+    suffix transition, plus the transitions at and inside the window
+    y[p - 1] + insert + y[p] (y_0 = 0).  An insert whose first bit is
+    y[p] gives the word of p + 1, so at p < len(y) only the others are
+    tried, and every insert at p = len(y): n + 1 candidates for k = 1,
+    2n for k = 2, each word once.
+    """
+    m, k, mod = len(y), n - len(y), 2 * n
+    head_a, head_t = _transition_sums(y, n)
+    windows = _insert_windows(k)
+    seen = {}
+    for p in range(m + 1):
+        # the suffix's own transitions sit at y coordinates p + 2..m
+        j = p + 1 if p < m else m
+        base = head_a[p] + head_a[m] - head_a[j] - k * (head_t[m] - head_t[j])
+        for ins, cnt, offs in windows[y[p - 1] if p else "0", y[p : p + 1]]:
+            if (base + cnt * (n - p) - offs) % mod == a:
+                seen[y[:p] + ins + y[p:]] = p
+    return seen
+
+
+@cache
+def _insert_windows(k: int) -> dict:
+    """(left, right) -> (insert, *_window_flips(left + insert + right))
+    for each k-bit insert whose first bit is not right, which is "" at
+    the end of y.  The window's pair at offset o is the transition at
+    x_{p+1+o}, whose rsyn0 term is n - p - o."""
+    inserts = ["".join(bits) for bits in product("01", repeat=k)]
+    return {
+        (left, right): tuple((ins, *_window_flips(left + ins + right))
+                             for ins in inserts if ins[0] != right)
+        for left in "01" for right in ("0", "1", "")
+    }
+
+
+def _transition_sums(y: str, n: int) -> tuple[list[int], list[int]]:
+    """Prefix sums over y, with y_0 = 0, of the transitions y_i != y_{i-1}
+    weighted by their rsyn0 terms n + 1 - i in a word of length n, and
+    of the transitions alone: entry p sums those at y_1..y_p."""
+    flips = list(map(ne, "0" + y, y))  # flips[i - 1]: y_i != y_{i-1}
+    head_a = list(accumulate(map(mul, flips, range(n, n - len(y), -1)), initial=0))
+    return head_a, list(accumulate(flips, initial=0))
+
+
+@cache
+def _window_flips(w: str) -> tuple[int, int]:
+    """How many adjacent pairs of w differ, and the sum of their offsets
+    (k for the pair w[k], w[k + 1])."""
+    ks = [k for k in range(len(w) - 1) if w[k] != w[k + 1]]
+    return len(ks), sum(ks)
 
 
 # ---------------------------------------------------------------- C21

@@ -26,11 +26,12 @@ class Family:
     """How to reach one code family.
 
     burst is the (t, s) the family corrects, None where --t and --s
-    choose it; burst_for holds the rule every family subcommand and
-    simulate.family_setup apply to the asked t and s.  needs names the
-    options the family cannot work without, checked wherever a
-    subcommand offers them; apart from member, every subcommand also
-    needs --n.  reads names the family options, of P, f and window,
+    choose it; also names the smaller bursts it corrects as well, which
+    --t and --s may ask for instead.  burst_for holds the rule every
+    family subcommand and simulate.family_setup apply to the asked t
+    and s.  needs names the options the family cannot work without,
+    checked wherever a subcommand offers them; apart from member, every
+    subcommand also needs --n.  reads names the family options, of P, f and window,
     that the family reads at all; check_reads refuses any other.
 
     params(vals, n, opts) builds the parameter object from the --params
@@ -48,21 +49,22 @@ class Family:
     search: Callable
     decode: Callable | None = None
     reads: tuple[str, ...] = ()
+    also: tuple[tuple[int, int], ...] = ()
 
     def burst_for(self, name: str, t: int | None, s: int | None) -> tuple[int, int]:
         """The (t, s) the family named name corrects, asked for as t, s.
 
         A family that corrects one fixed burst takes its own value for
-        an omitted t or s and refuses any other; one whose burst t and s
-        choose needs both.
+        an omitted t or s and refuses any burst but that one and those in
+        also; one whose burst t and s choose needs both.
         """
         burst = self.burst or (t, s)
         asked = (burst[0] if t is None else t, burst[1] if s is None else s)
         if None in asked:
             raise ValueError(f"{name} needs t and s")
-        if asked != burst:
+        if asked != burst and asked not in self.also:
             raise ValueError(f"{name} corrects {burst}-bursts, not {asked}")
-        return burst
+        return asked
 
     def check_reads(self, name: str, flag: str = "", **options) -> None:
         """Refuse each of options, by its name as flag + key, that is set
@@ -119,8 +121,9 @@ FAMILIES = {
         search=lambda n, t, s, P, f: codes.pigeonhole_search("vt", n),
         decode=lambda y, p, n, w: _Decoded(codes.vt_decode(y, p["a"], n)),
     ),
+    # a burst of at most two deletions: one deletion too
     "lev2": Family(
-        burst=(2, 0), needs=(),
+        burst=(2, 0), needs=(), also=((1, 0),),
         params=lambda vals, n, opts: _take(vals, "a"),
         member=lambda x, p, n: codes.lev2_member(x, p["a"], n),
         search=lambda n, t, s, P, f: codes.pigeonhole_search("lev2", n),

@@ -109,12 +109,7 @@ def rsyn0(x: str) -> int:
     Prepending fixes the frame: two words that differ only in the leading
     symbol get different values.  rsyn0('') == 0.
     """
-    return _rsyn0(check_word(x))
-
-
-def _rsyn0(x: str) -> int:
-    """rsyn0() of a checked word."""
-    return _run_profile("0" + x).rsyn
+    return _run_profile("0" + check_word(x)).rsyn
 
 
 def vt_syndrome(x: str) -> int:

@@ -218,6 +218,31 @@ def test_every_family_subcommand_refuses_another_burst(capsys, argv, burst, aske
     assert err == f"error: {family} corrects {burst}-bursts, not {asked}\n"
 
 
+def test_lev2_takes_a_single_deletion_as_well(capsys):
+    # one deletion is a burst of at most two; --t 1 asks for it, and the
+    # family's default burst stays (2, 0)
+    code, out, _ = run(capsys, "verify", "roundtrip", "lev2", "--n", "12", "--t", "1")
+    assert code == 0
+    assert json.loads(out) == {
+        "check": "roundtrip",
+        "counts": {"codewords": 172, "corruptions": 2064, "failures": 0},
+        "params": {"codewords": 172, "s": 0, "t": 1},
+        "schema_version": 1,
+        "verdict": "pass",
+        "witness": None,
+    }
+    code, out, _ = run(
+        capsys, "simulate", "lev2", "--n", "12", "--t", "1", "--s", "0",
+        "--trials", "200", "--seed", "29", "--json",
+    )
+    assert code == 0
+    d = json.loads(out)
+    assert (d["t"], d["s"], d["successes"], d["trials"], d["witnesses"]) == (1, 0, 200, 200, [])
+    code, out, err = run(capsys, "simulate", "lev2", "--n", "12", "--t", "3", "--trials", "5")
+    assert (code, out) == (2, "")
+    assert err == "error: lev2 corrects (2, 0)-bursts, not (3, 0)\n"
+
+
 def test_python_dash_m_runs_the_cli(capsys):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(

@@ -16,8 +16,14 @@ core, given the weight residue that picks the loop's one change (or
 None for both changes of a bit put in, see `splice_weight`), must
 return the same dict of words and last positions for every y up to
 n = 10, and at n = 256 and 1024 on seeded draws.
-`ref_lev2_decode` rescans every candidate, duplicates included, where
-the package filters each distinct candidate once.  C21(n) is SVT21 at
+`ref_lev2_decode` rescans every candidate with `rsyn0`, duplicates
+included; the package tries each distinct candidate once, skipping an
+insert whose word the next position gives, and checks it from prefix
+sums of y's transitions, as c31 does.  It must match on every y and a
+up to n = 8 and on seeded bursts and syndromes at n = 256 and 1024,
+where words in no ball must raise the same `DecodeFailure`.  With every
+whole-word run syndrome patched to raise, lev2 and c31 must still
+decode: neither rescans a candidate.  C21(n) is SVT21 at
 P = n, so C21 must also decode as SVT21 does over the window of every
 start.  `ref_c31_decode` builds every distinct candidate and rescans it
 with `rsyn0`, `weights` and `run_count`; the package tries the one
@@ -35,7 +41,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from burstcodes.c31 import C31Params, C31Trace, c31_decode, classify_31
+from burstcodes import c31, codes, words
+from burstcodes.c31 import C31Params, C31Trace, c31_decode, c31_param_search, classify_31
 from burstcodes.channel import BurstSpec, _check_room, apply_burst
 from burstcodes.codes import (
     MERGE_00_TO_1,
@@ -636,3 +643,48 @@ def test_long_bursts_match_reference(n, draws):
             c, d = rng.randrange(2 * P - 1), rng.randrange(4)
             kinds.add(kind(assert_same(svt21_decode, ref_svt21_decode, y, c, d, P, window, n)))
     assert DecodeFailure in kinds
+
+
+@pytest.mark.parametrize("n, draws", [(256, 8), (1024, 2)])
+def test_long_lev2_bursts_match_reference(n, draws):
+    # each draw's one- and two-deletion bursts decode with the word's own
+    # syndrome; with random ones a two-deletion y always decodes (LEV2 is
+    # perfect), while a one-deletion or full-length y may be in no ball
+    rng = random.Random(2900 + n)
+    kinds = set()
+    for _ in range(draws):
+        x = random_word(rng, n)
+        a = rsyn0(x) % (2 * n)
+        for t in (1, 2):
+            y = apply_burst(x, BurstSpec(t, 0, rng.randint(1, n - t + 1), ""))
+            assert assert_same(lev2_decode, ref_lev2_decode, y, a, n) == x
+            kinds.add(kind(assert_same(lev2_decode, ref_lev2_decode, y, rng.randrange(2 * n), n)))
+        kinds.add(kind(assert_same(lev2_decode, ref_lev2_decode, x, rng.randrange(2 * n), n)))
+    assert kinds == {"decoded", DecodeFailure}
+
+
+def test_lev2_and_c31_never_rescan_a_candidate(monkeypatch):
+    # once every whole-word run syndrome raises, the decoders still
+    # decode: they check their candidates from y's prefix sums alone
+    n = 16
+    rng = random.Random(2916)
+    p31, book = c31_param_search(n)
+    cases = []
+    for _ in range(20):
+        x = random_word(rng, n)
+        for t in (1, 2):
+            y = apply_burst(x, BurstSpec(t, 0, rng.randint(1, n - t + 1), ""))
+            cases.append((lambda y, a=rsyn0(x) % (2 * n): lev2_decode(y, a, n), y, x))
+        x = rng.choice(book.members)
+        y = apply_burst(x, BurstSpec(3, 1, rng.randint(1, n - 2), rng.choice("01")))
+        cases.append((lambda y: c31_decode(y, p31), y, x))
+
+    def rescan(*args, **kwargs):
+        raise AssertionError("a candidate was rescanned")
+
+    for name in ("rsyn0", "run_profile", "_run_profile", "run_count"):
+        for module in (words, codes, c31):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, rescan)
+    for decode, y, x in cases:
+        assert decode(y) == x, (y, x)
