@@ -19,7 +19,7 @@ import math
 import sys
 from dataclasses import asdict
 
-from . import c31, codes, cts
+from . import c31, cts
 from .channel import ball, ball_size_formula, refined_ball, refined_ball_size, sphere_packing_bound
 from .errors import DecodingError, GuardLimit
 from .families import FAMILIES, _outcome
@@ -243,30 +243,22 @@ def cmd_verify(args) -> int:
 # -------------------------------------------------------------- bounds
 
 
-def _construction_buckets(n: int, t: int, s: int) -> int | None:
-    """Syndrome-bucket count of the best construction at (n, t, s): the
-    product of the moduli of its row automata, None where none exists."""
-    try:
-        if (t, s) == (3, 1):
-            rows = c31._rows(n)
-        elif (t, s) == (2, 1):
-            rows, _, _ = codes._family_rows("c21", n, None, None)
-        else:
-            rows = cts._rows(n, t, s)
-    except ValueError:
-        return None
-    return math.prod(mod for _, _, mods, _ in rows for mod in mods)
-
-
 def cmd_bounds(args) -> int:
     _need(args, "t", "s", "n")
     ns = _parse_n_range(args.n)
+    # the first family whose burst is exactly (t, s), else cts; its bucket
+    # count multiplies its rows' moduli, None where it has no rows at n
+    fam = next((f for f in FAMILIES.values() if f.burst == (args.t, args.s)), FAMILIES["cts"])
     rows = []
     for n in ns:
         if n < max(args.t, args.s):
             continue
         cap = sphere_packing_bound(n, args.t, args.s)
-        buckets = _construction_buckets(n, args.t, args.s)
+        try:
+            automata = fam.rows(n, args.t, args.s, None, None)
+            buckets = math.prod(mod for _, _, mods, _ in automata for mod in mods)
+        except ValueError:
+            buckets = None
         guarantee = None if buckets is None else -(-(1 << n) // buckets)
         rows.append(
             {

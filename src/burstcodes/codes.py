@@ -379,20 +379,20 @@ def lev2_decode(y: str, a: int, n: int) -> str:
 
     The received length says how many symbols went missing (0, 1, or 2);
     the zero-prefixed run syndrome mod 2n then pins the unique preimage.
-    Each distinct preimage is checked in O(1) Python steps from prefix
-    sums of y's transitions (see _lev2_core), and a string is built only
-    for a survivor.  A returned word is a codeword that one burst of at
-    most two deletions takes to y; any other y of length n, n - 1 or
-    n - 2 raises DecodingError.  That holds by construction: every
-    candidate is such a preimage of y, and it is returned only if it
-    passes the congruence.
+    y at full length, and each distinct preimage in O(1) Python steps,
+    is checked from prefix sums of y's transitions (see _lev2_core); a
+    string is built only for a survivor.  A returned word is a codeword
+    that one burst of at most two deletions takes to y; any other y of
+    length n, n - 1 or n - 2 raises DecodingError.  That holds by
+    construction: every candidate is such a preimage of y, and it is
+    returned only if it passes the congruence.
     """
     _check_syndromes(a)
     _check_int(n, 1, "length must be >= 1")
     check_word(y)
     a = a % (2 * n)
     if len(y) == n:
-        if _in_bucket(y, n, _family_rows("lev2", n, None, None)[0], (a,), checked=True):
+        if _transition_sums(y, n)[0][-1] % (2 * n) == a:
             return y
         raise DecodeFailure("lev2_decode: full-length word is not a codeword")
     if not n - 2 <= len(y) < n:

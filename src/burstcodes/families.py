@@ -36,10 +36,10 @@ class Family:
 
     params(vals, n, opts) builds the parameter object from the --params
     integers, the length and the parsed options; member(x, params, n)
-    tests membership; search(n, t, s, P, f) returns (params,
-    Codebook).  decode(y, params, n, window) returns a _Decoded, where
-    window is read only by a family that needs it; decode is None for a
-    family without a decoder.
+    tests membership; search(n, t, s, P, f) returns (params, Codebook),
+    counted over the row automata rows(n, t, s, P, f).  decode(y,
+    params, n, window) returns a _Decoded, where window is read only by
+    a family that needs it; decode is None for a family without a decoder.
     """
 
     burst: tuple[int, int] | None
@@ -47,6 +47,7 @@ class Family:
     params: Callable
     member: Callable
     search: Callable
+    rows: Callable
     decode: Callable | None = None
     reads: tuple[str, ...] = ()
     also: tuple[tuple[int, int], ...] = ()
@@ -119,6 +120,7 @@ FAMILIES = {
         params=lambda vals, n, opts: _take(vals, "a"),
         member=lambda x, p, n: codes.vt_member(x, p["a"], n),
         search=lambda n, t, s, P, f: codes.pigeonhole_search("vt", n),
+        rows=lambda n, t, s, P, f: codes._family_rows("vt", n, None, None)[0],
         decode=lambda y, p, n, w: _Decoded(codes.vt_decode(y, p["a"], n)),
     ),
     # a burst of at most two deletions: one deletion too
@@ -127,13 +129,15 @@ FAMILIES = {
         params=lambda vals, n, opts: _take(vals, "a"),
         member=lambda x, p, n: codes.lev2_member(x, p["a"], n),
         search=lambda n, t, s, P, f: codes.pigeonhole_search("lev2", n),
+        rows=lambda n, t, s, P, f: codes._family_rows("lev2", n, None, None)[0],
         decode=lambda y, p, n, w: _Decoded(codes.lev2_decode(y, p["a"], n)),
     ),
     "c21": Family(
-        burst=(2, 1), needs=(),
+        burst=(2, 1), needs=(), also=((1, 0),),
         params=lambda vals, n, opts: _take(vals, "a,b"),
         member=lambda x, p, n: codes.c21_member(x, p["a"], p["b"], n),
         search=lambda n, t, s, P, f: codes.pigeonhole_search("c21", n),
+        rows=lambda n, t, s, P, f: codes._family_rows("c21", n, None, None)[0],
         decode=lambda y, p, n, w: _outcome(codes.c21_decode(y, p["a"], p["b"], n)),
     ),
     "c21rll": Family(
@@ -141,6 +145,7 @@ FAMILIES = {
         params=lambda vals, n, opts: _take(vals, "a,b") | {"f": opts.f},
         member=lambda x, p, n: codes.c21rll_member(x, p["a"], p["b"], n, p["f"]),
         search=lambda n, t, s, P, f: codes.pigeonhole_search("c21rll", n, f=f),
+        rows=lambda n, t, s, P, f: codes._family_rows("c21rll", n, None, f)[0],
         reads=("f",),
     ),
     "svt21": Family(
@@ -148,6 +153,7 @@ FAMILIES = {
         params=lambda vals, n, opts: _take(vals, "c,d") | {"P": opts.P},
         member=lambda x, p, n: codes.svt21_member(x, p["c"], p["d"], p["P"]),
         search=lambda n, t, s, P, f: codes.pigeonhole_search("svt21", n, P=P),
+        rows=lambda n, t, s, P, f: codes._family_rows("svt21", n, P, None)[0],
         decode=lambda y, p, n, w: _Decoded(codes.svt21_decode(y, p["c"], p["d"], p["P"], w, n)),
         reads=("P", "window"),
     ),
@@ -156,13 +162,15 @@ FAMILIES = {
         params=_cts_params,
         member=lambda x, p, n: cts.cts_member(x, p),
         search=lambda n, t, s, P, f: cts.cts_param_search(n, t, s),
+        rows=lambda n, t, s, P, f: cts._rows(n, t, s),
         decode=_decode_cts,
     ),
     "c31": Family(
-        burst=(3, 1), needs=(),
+        burst=(3, 1), needs=(), also=((2, 0),),
         params=lambda vals, n, opts: c31.C31Params(n, **_take(vals, "a,b,c,d")),
         member=lambda x, p, n: c31.c31_member(x, p),
         search=lambda n, t, s, P, f: c31.c31_param_search(n),
+        rows=lambda n, t, s, P, f: c31._rows(n),
         decode=_decode_c31,
     ),
 }

@@ -218,29 +218,38 @@ def test_every_family_subcommand_refuses_another_burst(capsys, argv, burst, aske
     assert err == f"error: {family} corrects {burst}-bursts, not {asked}\n"
 
 
-def test_lev2_takes_a_single_deletion_as_well(capsys):
-    # one deletion is a burst of at most two; --t 1 asks for it, and the
-    # family's default burst stays (2, 0)
-    code, out, _ = run(capsys, "verify", "roundtrip", "lev2", "--n", "12", "--t", "1")
+@pytest.mark.parametrize(
+    "family, t, s, codewords, burst",
+    [("lev2", 1, 0, 172, (2, 0)), ("c21", 1, 0, 66, (2, 1)), ("c31", 2, 0, 13, (3, 1))],
+    ids=["lev2", "c21", "c31"],
+)
+def test_a_family_takes_a_smaller_burst_as_well(capsys, family, t, s, codewords, burst):
+    # a burst of t deletions is one the family's burst contains: --t and
+    # --s ask for it, and the family's default burst stays its own
+    shape = ("--n", "12", "--t", str(t), "--s", str(s))
+    code, out, _ = run(capsys, "verify", "roundtrip", family, *shape)
     assert code == 0
     assert json.loads(out) == {
         "check": "roundtrip",
-        "counts": {"codewords": 172, "corruptions": 2064, "failures": 0},
-        "params": {"codewords": 172, "s": 0, "t": 1},
+        # one burst per start, 13 - t of them
+        "counts": {"codewords": codewords, "corruptions": codewords * (13 - t), "failures": 0},
+        "params": {"codewords": codewords, "s": s, "t": t},
         "schema_version": 1,
         "verdict": "pass",
         "witness": None,
     }
     code, out, _ = run(
-        capsys, "simulate", "lev2", "--n", "12", "--t", "1", "--s", "0",
-        "--trials", "200", "--seed", "29", "--json",
+        capsys, "simulate", family, *shape, "--trials", "200", "--seed", "29", "--json",
     )
     assert code == 0
     d = json.loads(out)
-    assert (d["t"], d["s"], d["successes"], d["trials"], d["witnesses"]) == (1, 0, 200, 200, [])
-    code, out, err = run(capsys, "simulate", "lev2", "--n", "12", "--t", "3", "--trials", "5")
+    assert (d["t"], d["s"], d["successes"], d["trials"], d["witnesses"]) == (t, s, 200, 200, [])
+    bigger = (burst[0] + 1, burst[1])
+    code, out, err = run(
+        capsys, "simulate", family, "--n", "12", "--t", str(bigger[0]), "--trials", "5"
+    )
     assert (code, out) == (2, "")
-    assert err == "error: lev2 corrects (2, 0)-bursts, not (3, 0)\n"
+    assert err == f"error: {family} corrects {burst}-bursts, not {bigger}\n"
 
 
 def test_python_dash_m_runs_the_cli(capsys):

@@ -31,6 +31,7 @@ from burstcodes.codes import (
 )
 from burstcodes.cts import cts_param_search
 from burstcodes.errors import DecodeFailure, DecodingError, GuardLimit
+from burstcodes.families import FAMILIES
 from burstcodes.words import all_words, rsyn0, vt_syndrome
 
 
@@ -73,6 +74,27 @@ def test_lev2_decode_two_burst():
 def test_lev2_full_length_non_member_fails():
     with pytest.raises(DecodeFailure):
         lev2_decode("0100", 6, 4)
+
+
+def test_lev2_decode_runs_no_row_automaton(monkeypatch):
+    # the automata serve searches and member tests; lev2 checks every
+    # received length from prefix sums of y's transitions
+    n = 8
+    _, book = pigeonhole_search("lev2", n)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("lev2_decode ran a row automaton")
+
+    monkeypatch.setattr(codes, "_family_rows", refuse)
+    monkeypatch.setattr(codes, "_in_bucket", refuse)
+    for m in (n, n - 1, n - 2):
+        decoded = 0
+        for y in all_words(m):
+            try:
+                decoded += lev2_decode(y, book.params["a"], n) in book
+            except DecodingError:
+                pass
+        assert decoded
 
 
 def test_lev2_roundtrip_exhaustive_n7():
@@ -270,9 +292,8 @@ def test_pigeonhole_guard():
 
 
 def test_rows_are_built_once_per_shape():
-    assert codes._family_rows("c21", 16, None, None) is codes._family_rows("c21", 16, None, None)
-    assert c31._rows(16) is c31._rows(16)
-    assert cts._rows(16, 4, 2) is cts._rows(16, 4, 2)
+    for shape in (("c21", 16), ("c31", 16), ("cts", 16, 4, 2)):
+        assert shape_rows(*shape) is shape_rows(*shape)
 
 
 def contract_breaks(init, step, mods, m, lead, accepts):
@@ -314,11 +335,10 @@ CONTRACT_SHAPES = (
 
 
 def shape_rows(kind, n, *extra):
-    if kind == "c31":
-        return c31._rows(n)
-    if kind == "cts":
-        return cts._rows(n, *extra)
-    return codes._family_rows(kind, n, *extra)[0]
+    """FAMILIES' rows of kind at length n; extra is (t, s) for cts and
+    (P, f), or nothing, for every other family."""
+    t, s, P, f = (*extra, None, None) if kind == "cts" else (None, None, *extra, None, None)[:4]
+    return FAMILIES[kind].rows(n, t, s, P, f)
 
 
 @pytest.mark.parametrize("shape", CONTRACT_SHAPES, ids=map(str, CONTRACT_SHAPES))

@@ -14,6 +14,8 @@ refuses every word, where the earlier body refused only the words
 inside the C21 bucket and returned False for the rest.
 """
 
+import json
+import math
 import random
 
 import pytest
@@ -21,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from burstcodes.c31 import C31Params, c31_member
-from burstcodes.cli import _construction_buckets
+from burstcodes.cli import main
 from burstcodes.codes import (
     c21_member,
     c21rll_member,
@@ -293,9 +295,18 @@ def test_sampled_long_words_match_reference(x, shape):
             check_cts(x, n, t, s, vals)
 
 
-def test_construction_buckets_match_reference():
-    for n in range(1, 301):
-        for t in range(9):
-            for s in range(9):
-                got = _construction_buckets(n, t, s)
-                assert got == ref_construction_buckets(n, t, s), (n, t, s)
+def test_construction_buckets_match_reference(capsys):
+    # bounds refuses t = 0 and s = 0 and skips n < max(t, s), so these
+    # are all the (n, t, s) its guarantee columns are read at
+    for t in range(1, 9):
+        for s in range(1, 9):
+            assert main(["bounds", "--t", str(t), "--s", str(s), "--n", "1..300", "--json"]) == 0
+            rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+            assert [row["n"] for row in rows] == list(range(max(t, s), 301))
+            for row in rows:
+                n = row["n"]
+                buckets = ref_construction_buckets(n, t, s)
+                want = (None, None)
+                if buckets is not None:
+                    want = (-(-(1 << n) // buckets), round(math.log2(buckets), 4))
+                assert (row["guaranteed_size"], row["max_redundancy"]) == want, (n, t, s)

@@ -14,10 +14,11 @@ into the leading residue.
 
 import pytest
 
-from burstcodes import c31, codes, cts
+from burstcodes import codes
 from burstcodes.c31 import c31_param_search
 from burstcodes.codes import pigeonhole_search, rll_max_run, rll_member
 from burstcodes.cts import cts_param_search, window_capacity
+from burstcodes.families import FAMILIES
 from burstcodes.words import all_words, interleave, rsyn0, run_count, vt_syndrome, weights
 
 
@@ -165,14 +166,15 @@ def ref_counts(family, row, m):
     return rests, best, size
 
 
+def family_rows(family, n, t=None, s=None, P=None, f=None):
+    return FAMILIES[family].rows(n, t, s, P, f)
+
+
 def search_rows(family, n, *shape):
-    """The distinct row automata a search at length n counts, and their length."""
-    if family == "c31":
-        rows = c31._rows(n)
-    elif family == "cts":
-        rows = cts._rows(n, *shape)
-    else:
-        rows = codes._family_rows(family, n, *shape)[0]
+    """The distinct row automata a search at length n counts, and their
+    length; shape is (t, s) for cts and (P, f) for every other family."""
+    t, s, P, f = (*shape, None, None) if family == "cts" else (None, None, *shape)
+    rows = family_rows(family, n, t, s, P, f)
     return tuple(dict.fromkeys(rows)), n // len(rows)
 
 
@@ -203,7 +205,7 @@ def test_packed_counts_match_the_state_dict_pass(case):
 @pytest.mark.parametrize("n", [16, 24])
 def test_packed_c31_row_keeps_at_most_32_rests(n):
     # (odd, even, last bit): the run count rides in the leading residue
-    (row,) = c31._rows(n)
+    (row,) = family_rows("c31", n)
     levels, _, _ = codes._row_counts(row, n)
     assert max(map(len, levels)) == 32
 
@@ -211,7 +213,7 @@ def test_packed_c31_row_keeps_at_most_32_rests(n):
 @pytest.mark.parametrize("family,m", [("vt", 64), ("vt", 80), ("c21", 64), ("c21", 80)])
 def test_counts_wider_than_64_bits_match_the_state_dict_pass(family, m):
     # from m = 64 a count needs a 128-bit field, which struct cannot read
-    (row,) = codes._family_rows(family, m, None, None)[0]
+    (row,) = family_rows(family, m)
     levels, best, size = codes._row_counts(row, m)
     assert ([set(level) for level in levels], best, size) == ref_row_counts(*row[:3], m)
 
@@ -219,11 +221,11 @@ def test_counts_wider_than_64_bits_match_the_state_dict_pass(family, m):
 @pytest.mark.parametrize(
     "search, args, rows",
     [
-        (pigeonhole_search, ("c21", 16), codes._family_rows("c21", 16, None, None)[0]),
-        (pigeonhole_search, ("lev2", 15), codes._family_rows("lev2", 15, None, None)[0]),
-        (c31_param_search, (16,), c31._rows(16)),
-        (cts_param_search, (15, 4, 1), cts._rows(15, 4, 1)),
-        (cts_param_search, (16, 4, 2), cts._rows(16, 4, 2)),
+        (pigeonhole_search, ("c21", 16), family_rows("c21", 16)),
+        (pigeonhole_search, ("lev2", 15), family_rows("lev2", 15)),
+        (c31_param_search, (16,), family_rows("c31", 16)),
+        (cts_param_search, (15, 4, 1), family_rows("cts", 15, 4, 1)),
+        (cts_param_search, (16, 4, 2), family_rows("cts", 16, 4, 2)),
     ],
     ids=["c21-16", "lev2-15", "c31-16", "cts-15-4-1", "cts-16-4-2"],
 )
