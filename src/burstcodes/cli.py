@@ -344,9 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="burst-error codes: balls, membership, decoding, search, verification",
     )
     sub = top.add_subparsers(dest="command", required=True)
-    decodable = [name for name, fam in FAMILIES.items() if fam.decode]
     # verify and simulate decode with no window, which svt21 needs
-    unaided = [name for name in decodable if "window" not in FAMILIES[name].needs]
+    unaided = [name for name, fam in FAMILIES.items() if "window" not in fam.needs]
 
     p = sub.add_parser("ball", help="enumerate a burst ball around a word")
     _add_shared(p, "words", "--file", "--t", "--s", "--json")
@@ -359,9 +358,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_member)
 
     p = sub.add_parser("decode", help="decode a received word")
-    p.add_argument("family", choices=decodable)
+    p.add_argument("family", choices=list(FAMILIES))
     _add_shared(p, "words", "--file", "--t", "--s", "--n", "--params", "--P", "--window",
-                "--json", "--verbose")
+                "--f", "--json", "--verbose")
     p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("search", help="find the best parameters by pigeonhole")

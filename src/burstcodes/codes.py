@@ -117,6 +117,7 @@ __all__ = [
     "rll_member",
     "max_run_length",
     "c21rll_member",
+    "c21rll_decode",
     "pigeonhole_search",
     "DEFAULT_ENUM_GUARD",
 ]
@@ -578,6 +579,29 @@ def _within_run_cap(x: str, f: int) -> bool:
 def c21rll_member(x: str, a: int, b: int, n: int, f: int | None = None) -> bool:
     """C21 membership with the run cap added (default cap rll_max_run(n))."""
     return _in_bucket(x, n, _family_rows("c21rll", n, None, f)[0], (a, b))
+
+
+def c21rll_decode(y: str, a: int, b: int, n: int, f: int | None = None) -> DecodeOutcome:
+    """Correct one (2, 1)-burst against c21rll_member's syndromes and cap.
+
+    C21's decode finds the one candidate, and a word with a run over the
+    cap raises DecodeFailure; so a returned word is a codeword that one
+    (2, 1)-burst takes to y, and any other y of length n - 1 raises
+    DecodingError.  The code is cts with one row, decoded by its row-1 step.
+    """
+    _check_syndromes(a, b)
+    _check_room(n, 2, 1)
+    f = rll_max_run(n) if f is None else _check_int(f, 1, "run cap must be >= 1")
+    _check_received(y, n - 1)
+    return _c21rll_core(y, a, b, n, f)
+
+
+def _c21rll_core(y: str, a: int, b: int, n: int, f: int) -> DecodeOutcome:
+    """c21rll_decode() for checked arguments, and row 1's decode in cts."""
+    out = _c21_core(y, a, b, n)
+    if not _within_run_cap(out.word, f):
+        raise DecodeFailure("row 1 decoded outside the run cap")
+    return out
 
 
 # ---------------------------------------------------------------- search

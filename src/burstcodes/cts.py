@@ -41,7 +41,7 @@ from .codes import (
     MERGE_11_TO_0,
     Codebook,
     DecodeOutcome,
-    _c21_core,
+    _c21rll_core,
     _check_params,
     _check_received,
     _check_syndromes,
@@ -49,7 +49,6 @@ from .codes import (
     _in_bucket,
     _largest_bucket,
     _svt21_core,
-    _within_run_cap,
     rll_max_run,
 )
 from .errors import DecodeFailure
@@ -240,9 +239,7 @@ def cts_decode(y: str, params: CtsParams, *, trace: bool = False):
     # params checked its syndromes and shape, and y its length, so each
     # row is a word of length m - 1 >= 1 and skips the public checks
     rows_y = tuple(y[i::k] for i in range(k))
-    out1 = _c21_core(rows_y[0], params.a, params.b, m)
-    if not _within_run_cap(out1.word, params.f):
-        raise DecodeFailure("row 1 decoded outside the run cap")
+    out1 = _c21rll_core(rows_y[0], params.a, params.b, m, params.f)
     # a single row has no other row to place; row 1's runs are at most f
     # long, so the window spans at most P columns and keeps a start in
     # 1..m-1, as the SVT21 rows need

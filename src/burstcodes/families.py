@@ -39,7 +39,7 @@ class Family:
     tests membership; search(n, t, s, P, f) returns (params, Codebook),
     counted over the row automata rows(n, t, s, P, f).  decode(y,
     params, n, window) returns a _Decoded, where window is read only by
-    a family that needs it; decode is None for a family without a decoder.
+    a family that needs it.
     """
 
     burst: tuple[int, int] | None
@@ -48,7 +48,7 @@ class Family:
     member: Callable
     search: Callable
     rows: Callable
-    decode: Callable | None = None
+    decode: Callable
     reads: tuple[str, ...] = ()
     also: tuple[tuple[int, int], ...] = ()
 
@@ -141,11 +141,12 @@ FAMILIES = {
         decode=lambda y, p, n, w: _outcome(codes.c21_decode(y, p["a"], p["b"], n)),
     ),
     "c21rll": Family(
-        burst=(2, 1), needs=(),
+        burst=(2, 1), needs=(), also=((1, 0),),
         params=lambda vals, n, opts: _take(vals, "a,b") | {"f": opts.f},
         member=lambda x, p, n: codes.c21rll_member(x, p["a"], p["b"], n, p["f"]),
         search=lambda n, t, s, P, f: codes.pigeonhole_search("c21rll", n, f=f),
         rows=lambda n, t, s, P, f: codes._family_rows("c21rll", n, None, f)[0],
+        decode=lambda y, p, n, w: _outcome(codes.c21rll_decode(y, p["a"], p["b"], n, p["f"])),
         reads=("f",),
     ),
     "svt21": Family(

@@ -78,16 +78,14 @@ def family_setup(family: str, n: int, t: int | None = None, s: int | None = None
     """Search the best codebook for a family and build its decoder.
 
     Returns (t, s, params_dict, codebook, decode) where decode maps a
-    received word back to the codeword.  Families: those in FAMILIES with
-    a decoder that needs no window, all but c21rll and svt21; cts needs t
-    and s.  t and s go through Family.burst_for, then must be ints >= 0,
+    received word back to the codeword.  Families: those in FAMILIES
+    whose decoder needs no window, all but svt21; cts needs t and s.
+    t and s go through Family.burst_for, then must be ints >= 0,
     and a length n < t, which no (t, s)-burst fits in, is refused.
     """
     fam = FAMILIES.get(family) if isinstance(family, str) else None
     if fam is None:
         raise ValueError(f"unknown family {family!r}")
-    if fam.decode is None:
-        raise ValueError(f"{family} has no decoder")
     if "window" in fam.needs:
         raise ValueError(f"{family} decodes only inside a given window")
     t, s = fam.burst_for(family, t, s)

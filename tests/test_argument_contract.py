@@ -106,6 +106,7 @@ def test_code_rules(family, x, n, P, f, lo, hi):
     ends_well(codes.vt_decode, x, 0, n)
     ends_well(codes.lev2_decode, x, 0, n)
     ends_well(codes.c21_decode, x, 0, 0, n)
+    ends_well(codes.c21rll_decode, x, 0, 0, n, f)
     ends_well(codes.svt21_decode, x, 0, 0, P, (lo, hi), n)
     ends_well(codes.rll_max_run, n)
     ends_well(codes.rll_member, x, f)

@@ -220,8 +220,9 @@ def test_every_family_subcommand_refuses_another_burst(capsys, argv, burst, aske
 
 @pytest.mark.parametrize(
     "family, t, s, codewords, burst",
-    [("lev2", 1, 0, 172, (2, 0)), ("c21", 1, 0, 66, (2, 1)), ("c31", 2, 0, 13, (3, 1))],
-    ids=["lev2", "c21", "c31"],
+    [("lev2", 1, 0, 172, (2, 0)), ("c21", 1, 0, 66, (2, 1)), ("c21rll", 1, 0, 66, (2, 1)),
+     ("c31", 2, 0, 13, (3, 1))],
+    ids=["lev2", "c21", "c21rll", "c31"],
 )
 def test_a_family_takes_a_smaller_burst_as_well(capsys, family, t, s, codewords, burst):
     # a burst of t deletions is one the family's burst contains: --t and

@@ -67,9 +67,8 @@ def test_every_family_and_subcommand_recorded():
     }
     for fam in ("vt", "lev2", "c21", "c21rll", "svt21", "cts", "c31"):
         assert ("member", fam) in pairs and ("search", fam) in pairs
-        if fam != "c21rll":
-            assert ("decode", fam) in pairs
-    for fam in ("vt", "lev2", "c21", "cts", "c31"):
+        assert ("decode", fam) in pairs
+    for fam in ("vt", "lev2", "c21", "c21rll", "cts", "c31"):
         assert ("simulate", fam) in pairs
         assert any(r["argv"][:3] == ["verify", "roundtrip", fam] and r["exit"] == 0
                    for r in GOLDEN_DATA["records"])
@@ -177,8 +176,13 @@ def _cases():
         "decode-c21-two-words": f"{c21} {hit(x, 2, 1, 2, '1')} {hit(x, 2, 1, 5, '0')}",
         "decode-c21-failure": f"{c21} 111111",
         "decode-c21-bad-word": f"{c21} XYZ",
-        "decode-c21rll-refused": "decode c21rll --n 8 --params 0,0 0101010",
+        "decode-c21rll-failure": "decode c21rll --n 8 --params 0,0 0101010",
     }
+    # c21rll at its default cap, and at the cap --f sets
+    for name, cap, extra in (("decode-c21rll", None, ""), ("decode-c21rll-cap", 2, "--f 2")):
+        params, book = pigeonhole_search("c21rll", 8, f=cap)
+        y = hit(book.members[1], 2, 1, 3, "0")
+        cases[name] = f"decode c21rll --n 8 --params {params['a']},{params['b']} {extra} {y}"
     (params, book), _ = simple["svt21"]
     y = hit(book.members[2], 2, 1, 3, "0")
     svt = f"decode svt21 --n 7 --params {params['c']},{params['d']}"
@@ -259,7 +263,7 @@ def _cases():
         "verify-ball-laws-small": "verify ball-laws --n-max 4 --t-max 2 --s-max 3",
         "verify-ball-laws-guard": "verify ball-laws --n-max 15",
         "verify-needs-family": "verify disjoint --n 8",
-        "verify-refuses-c21rll": "verify disjoint c21rll --n 8",
+        "verify-disjoint-c21rll": "verify disjoint c21rll --n 8",
         "verify-cts-needs-t": "verify disjoint cts --n 8",
         "verify-needs-n": "verify roundtrip c21",
         "verify-c31-odd": "verify roundtrip c31 --n 7",
@@ -272,6 +276,7 @@ def _cases():
     cases |= {
         "verify-roundtrip-vt": "verify roundtrip vt --n 8",
         "verify-roundtrip-lev2": "verify roundtrip lev2 --n 8",
+        "verify-roundtrip-c21rll": "verify roundtrip c21rll --n 8",
         "verify-bound-lev2": "verify bound lev2 --n 8",
     }
     cases |= {
@@ -287,6 +292,7 @@ def _cases():
         "simulate-c31": "simulate c31 --n 8 --trials 100 --seed 7",
         "simulate-vt": "simulate vt --n 8 --trials 50 --seed 1",
         "simulate-lev2-json": "simulate lev2 --n 8 --trials 50 --seed 1 --json",
+        "simulate-c21rll": "simulate c21rll --n 8 --trials 50 --seed 1",
         "simulate-cts-needs-s": "simulate cts --n 8 --t 3",
         "simulate-refuses-svt21": "simulate svt21 --n 8",
         "simulate-negative-trials": "simulate c21 --n 8 --trials -1",

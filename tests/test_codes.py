@@ -17,6 +17,7 @@ from burstcodes.codes import (
     DecodeOutcome,
     c21_decode,
     c21_member,
+    c21rll_decode,
     c21rll_member,
     lev2_decode,
     lev2_member,
@@ -532,6 +533,7 @@ def decode_cases(n=12):
     vt, _ = pigeonhole_search("vt", n)
     lev2, _ = pigeonhole_search("lev2", n)
     c21, _ = pigeonhole_search("c21", n)
+    rll, _ = pigeonhole_search("c21rll", n)
     svt21, _ = pigeonhole_search("svt21", n, P=4)
     p31, _ = c31_param_search(n)
     pts, _ = cts_param_search(n, 4, 2)
@@ -539,6 +541,7 @@ def decode_cases(n=12):
         ("vt", n - 1, lambda y: vt_decode(y, vt["a"], n)),
         *((f"lev2-{n - m}", m, lambda y: lev2_decode(y, lev2["a"], n)) for m in (n, n - 1, n - 2)),
         ("c21", n - 1, lambda y: c21_decode(y, c21["a"], c21["b"], n)),
+        ("c21rll", n - 1, lambda y: c21rll_decode(y, rll["a"], rll["b"], n)),
         ("svt21", n - 1, lambda y: svt21_decode(y, svt21["c"], svt21["d"], 4, (4, 7), n)),
         ("c31", n - 2, lambda y: c31.c31_decode(y, p31)),
         ("c31-trace", n - 2, lambda y: c31.c31_decode(y, p31, trace=True)),

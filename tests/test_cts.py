@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from burstcodes.channel import BurstSpec, apply_burst, ball
-from burstcodes.codes import rll_max_run
+from burstcodes.codes import c21rll_decode, pigeonhole_search, rll_max_run
 from burstcodes.cts import (
     CtsParams,
     _in_ball,
@@ -52,6 +52,26 @@ def test_decode_refuses_a_row_1_outside_the_run_cap():
     assert params.f == 6
     with pytest.raises(DecodeFailure, match="^row 1 decoded outside the run cap$"):
         cts_decode("0000000", params)
+
+
+def _decoded(decode):
+    """What decode() returns, or the refusal it raises."""
+    try:
+        return decode()
+    except DecodingError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_c21rll_is_the_one_row_construction():
+    # at its default cap, c21rll's book and decoder are cts's at (n, 2, 1)
+    n = 12
+    params, book = cts_param_search(n, 2, 1)
+    rll, rll_book = pigeonhole_search("c21rll", n)
+    assert rll == {"a": params.a, "b": params.b, "f": params.f}
+    assert rll_book.members == book.members
+    for y in all_words(n - 1):
+        one_row = _decoded(lambda: cts_decode(y, params))
+        assert _decoded(lambda: c21rll_decode(y, rll["a"], rll["b"], n).word) == one_row, y
 
 
 def test_decode_rejects_wrong_length():

@@ -40,12 +40,14 @@ PINNED = {
               "vt_syndrome", "weights"],
 }
 
-# the names the modules listed that the package had not exported
+# the names the modules listed that the package had not exported, then
+# the names added since
 ADDED = {
     "OUTPUT_GUARD", "DEFAULT_ENUM_GUARD", "BALL_LAW_GUARD",
     "NO_ERROR", "SINGLE_DELETION", "TWO_BURST_DELETION", "MERGE_00_TO_1", "MERGE_11_TO_0",
     "PATTERN_000_TO_1", "PATTERN_010_TO_1", "PATTERN_111_TO_0", "PATTERN_101_TO_0",
     "check_word", "RunProfile", "Weights",
+    "c21rll_decode",
 }
 
 

@@ -16,7 +16,8 @@ from burstcodes.words import all_words
 
 @pytest.mark.parametrize(
     "family,t,s",
-    [("vt", 1, 0), ("lev2", 1, 0), ("lev2", 2, 0), ("c21", 2, 1), ("c31", 3, 1)],
+    [("vt", 1, 0), ("lev2", 1, 0), ("lev2", 2, 0), ("c21", 2, 1), ("c21rll", 2, 1),
+     ("c31", 3, 1)],
 )
 def test_every_received_word_decodes_to_its_ball_or_is_refused(family, t, s):
     n = 12
