@@ -38,14 +38,18 @@ right residue class names at most one position, found by one replace or
 count of y in C.  y's VT sum takes one popcount of int(y, 2) per bit of
 the length.  So a decode takes O(1) Python steps per candidate and O(n)
 work in C, checks each argument once, and builds strings only for
-survivors.  LEV2 and C31 check their run-syndrome candidates from
-prefix sums of y's transitions instead (_lev2_core, and see c31): an
+survivors.  The run-syndrome decoders, LEV2 and C31, use that an
 insert moves the suffix up a fixed number of coordinates, so each
 suffix transition's term falls by that number, and a candidate's sum is
 prefix plus shifted suffix plus the few transitions at its window.
-That is O(1) Python steps per candidate too, and a string is built
-only for a survivor.  The two cores share _transition_sums and
-_window_flips.
+LEV2 solves its congruence per window class (_lev2_core): at a run
+start the sum is a multiple of the run's rank plus a constant, and
+inside runs a strictly monotone function of the position, so each class
+is one division, lookup or bisection over popcounts of y's transition
+mask, O(log n) Python steps a decode with the O(n) work in C.  C31 still
+checks each candidate in O(1) Python steps from prefix sums of y's
+transitions (_transition_sums; see c31).  Both build a string only for
+a survivor and read the transitions inside a window from _window_flips.
 
 Each family's syndrome is written once, as row automata (init, step,
 mods, lead), built once per shape; the member tests run them over one
@@ -84,6 +88,7 @@ from __future__ import annotations
 
 import math
 import struct
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate, compress, product
@@ -274,6 +279,15 @@ def _bit_masks(bits: int) -> tuple[tuple[int, int], ...]:
     return tuple(masks)
 
 
+def _index_sum(v: int, bits: int) -> int:
+    """The sum of the indices of v's set bits, all below 2^bits: bit k of
+    an index adds 2^k for each set bit whose index has it."""
+    total = 0
+    for mask, k in _bit_masks(bits):
+        total += (v & mask).bit_count() << k
+    return total
+
+
 # each weight change's symbol y_p, what the splice puts in, and whether
 # it replaces y_p (a merge, key j + p) or goes in after it (key j)
 _SPLICES = {
@@ -308,12 +322,10 @@ def _pair_splices(y: str, mod: int, target: int, lo: int, hi: int, weight: int |
     a survivor.
     """
     # coordinate i is bit b = len(y) - i of v, so V is len(y) w less the
-    # sum of b over the 1s, and bit k of b adds 2^k for each 1 that has it
+    # sum of b over the 1s
     v = int(y, 2)
     w = v.bit_count()
-    V = len(y) * w
-    for mask, k in _bit_masks(len(y).bit_length()):
-        V -= (v & mask).bit_count() << k
+    V = len(y) * w - _index_sum(v, len(y).bit_length())
     target = (target - V) % mod
     seen = {}
     for change in (0, 1) if weight is None else ((weight - w + 1) % 4 - 1,):
@@ -380,20 +392,21 @@ def lev2_decode(y: str, a: int, n: int) -> str:
 
     The received length says how many symbols went missing (0, 1, or 2);
     the zero-prefixed run syndrome mod 2n then pins the unique preimage.
-    y at full length, and each distinct preimage in O(1) Python steps,
-    is checked from prefix sums of y's transitions (see _lev2_core); a
-    string is built only for a survivor.  A returned word is a codeword
-    that one burst of at most two deletions takes to y; any other y of
-    length n, n - 1 or n - 2 raises DecodingError.  That holds by
-    construction: every candidate is such a preimage of y, and it is
-    returned only if it passes the congruence.
+    The congruence is solved per window class, in O(log n) Python steps
+    from popcounts of y's transition mask (see _lev2_core), and y at full
+    length is checked from the same mask; a string is built only for a
+    survivor.  A returned word is a codeword that one burst of at most
+    two deletions takes to y; any other y of length n, n - 1 or n - 2
+    raises DecodingError.  That holds by construction: every candidate is
+    such a preimage of y, and it is returned only if it passes the
+    congruence.
     """
     _check_syndromes(a)
     _check_int(n, 1, "length must be >= 1")
     check_word(y)
     a = a % (2 * n)
     if len(y) == n:
-        if _transition_sums(y, n)[0][-1] % (2 * n) == a:
+        if _transitions(y, n)[2] % (2 * n) == a:
             return y
         raise DecodeFailure("lev2_decode: full-length word is not a codeword")
     if not n - 2 <= len(y) < n:
@@ -403,50 +416,92 @@ def lev2_decode(y: str, a: int, n: int) -> str:
 
 
 def _lev2_core(y: str, a: int, n: int) -> dict:
-    """The words that put k = n - len(y) bits into y and whose rsyn0 is
-    a mod 2n, each with the position p of its insert.
+    """The words that put k = n - len(y) bits u into y and whose rsyn0 is
+    a mod 2n, each with the position p of its insert, solved per window
+    class in O(log n) Python steps.
 
-    Putting an insert in at p moves y[p:] up k coordinates, so each of
-    its transitions' rsyn0 terms n + 1 - i falls by exactly k.  A
-    candidate's rsyn0 is thus the prefix's, plus the suffix's less k per
-    suffix transition, plus the transitions at and inside the window
-    y[p - 1] + insert + y[p] (y_0 = 0).  An insert whose first bit is
-    y[p] gives the word of p + 1, so at p < len(y) only the others are
-    tried, and every insert at p = len(y): n + 1 candidates for k = 1,
-    2n for k = 2, each word once.
+    Putting u in after y_p (y_0 = 0) moves y[p:] up k coordinates, so each
+    of its transitions' rsyn0 terms n + 1 - i falls by exactly k.  An
+    insert whose first bit is y_{p+1} gives the word of p + 1, so at
+    p < m = len(y) only u_1 != y_{p+1} is tried, and then the window
+    y_p u y_{p+1} makes the candidate's rsyn0
+
+        A - k T_m + k T(p + 1) + 2 (1 - f) (n - p) - o,
+
+    A the sum of y's transition terms, T(i) the number of its transitions
+    at y_1..y_i, f = 1 when y_{p+1} starts a run (y_{p+1} != y_p), and
+    o = 1, or 2 when k = 2 and u_1 = u_2.  At a run start that is k times
+    the run's rank T(p + 1) plus a constant, so one division gives the
+    rank and one bisection its p.  Inside runs, 2 p - k T(p + 1) strictly
+    rises with p (T rises by at most 1 a step, and not at the next
+    interior p) and spans less than 2n, so one value of its residue class
+    is in range, and one bisection finds the p that has it, kept only if
+    it is interior.  The 2^k inserts at p = m add 0 .. 2^k - 1 to A, one
+    each, so one lookup finds the one that fits.  Each word comes once,
+    as from trying all n + 1 (k = 1) or 2n (k = 2) candidates.  T and A
+    come from popcounts of y's transition mask, so the O(n) work is in C,
+    and a string is built only for a survivor.
     """
     m, k, mod = len(y), n - len(y), 2 * n
-    head_a, head_t = _transition_sums(y, n)
-    windows = _insert_windows(k)
+    d, t_m, big_a = _transitions(y, n)
     seen = {}
-    for p in range(m + 1):
-        # the suffix's own transitions sit at y coordinates p + 2..m
-        j = p + 1 if p < m else m
-        base = head_a[p] + head_a[m] - head_a[j] - k * (head_t[m] - head_t[j])
-        for ins, cnt, offs in windows[y[p - 1] if p else "0", y[p : p + 1]]:
-            if (base + cnt * (n - p) - offs) % mod == a:
-                seen[y[:p] + ins + y[p:]] = p
+    ins = _END_INSERTS[k, y[-1:] or "0"].get((a - big_a) % mod)
+    if ins is not None:
+        seen[y + ins] = m
+    if not m:
+        return seen
+    # bit last - p of d is y_{p+1} != y_p, so T(p + 1) is the popcount of
+    # d >> last - p
+    last = m - 1
+
+    def head(p):
+        return (d >> last - p).bit_count()
+
+    def key(p):
+        return 2 * p - k * (d >> last - p).bit_count()
+
+    lo, hi = key(0), key(last)
+    for o, ins in _INSERTS[k]:
+        base = big_a - k * t_m - o
+        # run starts: k T(p + 1) is a - base mod 2n, and T(p + 1) is at
+        # most T_m < 2n / k, so it is that residue over k
+        rank, rem = divmod((a - base) % mod, k)
+        if not rem and 1 <= rank <= t_m:
+            p = bisect_left(range(m), rank, key=head)
+            seen[y[:p] + ins[y[p]] + y[p:]] = p
+        # interior p: the sum is base + 2n - key(p), so key(p) is base - a
+        v = lo + (base - a - lo) % mod
+        if v <= hi:
+            p = bisect_left(range(m), v, key=key)
+            if key(p) == v and not d >> last - p & 1:
+                seen[y[:p] + ins[y[p]] + y[p:]] = p
     return seen
 
 
-@cache
-def _insert_windows(k: int) -> dict:
-    """(left, right) -> (insert, *_window_flips(left + insert + right))
-    for each k-bit insert whose first bit is not right, which is "" at
-    the end of y.  The window's pair at offset o is the transition at
-    x_{p+1+o}, whose rsyn0 term is n - p - o."""
-    inserts = ["".join(bits) for bits in product("01", repeat=k)]
-    return {
-        (left, right): tuple((ins, *_window_flips(left + ins + right))
-                             for ins in inserts if ins[0] != right)
-        for left in "01" for right in ("0", "1", "")
-    }
+# per k, each o of _lev2_core with the insert it puts before y_{p+1}
+_INSERTS = {
+    1: ((1, {"0": "1", "1": "0"}),),
+    2: ((1, {"0": "10", "1": "01"}), (2, {"0": "11", "1": "00"})),
+}
+
+
+def _transitions(y: str, n: int) -> tuple[int, int, int]:
+    """y's transition mask d, with y_0 = 0: bit len(y) - i is y_i !=
+    y_{i-1}; the number of transitions; and the sum of their rsyn0 terms
+    n + 1 - i in a word of length n, the rsyn0 of y itself at len(y) = n."""
+    m = len(y)
+    v = int(y, 2) if y else 0
+    d = v ^ v >> 1
+    t = d.bit_count()
+    # bit j is the transition at i = m - j, whose term is n + 1 - m + j
+    return d, t, (n + 1 - m) * t + _index_sum(d, m.bit_length())
 
 
 def _transition_sums(y: str, n: int) -> tuple[list[int], list[int]]:
     """Prefix sums over y, with y_0 = 0, of the transitions y_i != y_{i-1}
     weighted by their rsyn0 terms n + 1 - i in a word of length n, and
-    of the transitions alone: entry p sums those at y_1..y_p."""
+    of the transitions alone: entry p sums those at y_1..y_p.  c31's
+    decoder reads them per candidate."""
     flips = list(map(ne, "0" + y, y))  # flips[i - 1]: y_i != y_{i-1}
     head_a = list(accumulate(map(mul, flips, range(n, n - len(y), -1)), initial=0))
     return head_a, list(accumulate(flips, initial=0))
@@ -458,6 +513,17 @@ def _window_flips(w: str) -> tuple[int, int]:
     (k for the pair w[k], w[k + 1])."""
     ks = [k for k in range(len(w) - 1) if w[k] != w[k + 1]]
     return len(ks), sum(ks)
+
+
+# per (k, y_m), each k-bit insert at the end of y keyed by what it adds
+# to y's rsyn0: the pair of y_m + insert at offset o has the term
+# n - m - o = k - o, and the 2^k inserts add 0 .. 2^k - 1 < 2n, once each
+_END_INSERTS = {
+    (k, left): {cnt * k - offs: ins
+                for ins in map("".join, product("01", repeat=k))
+                for cnt, offs in [_window_flips(left + ins)]}
+    for k in (1, 2) for left in "01"
+}
 
 
 # ---------------------------------------------------------------- C21
@@ -480,14 +546,15 @@ def c21_decode(y: str, a: int, b: int, n: int) -> DecodeOutcome:
     _check_syndromes(a, b)
     _check_room(n, 2, 1)
     _check_received(y, n - 1)
-    return _c21_core(y, a, b, n)
+    return _c21_core(y, a, b, n, "c21_decode")
 
 
-def _c21_core(y: str, a: int, b: int, n: int) -> DecodeOutcome:
-    """c21_decode() for checked arguments: a merge's pair drops y_p at both
-    ends; a single deletion's keeps it at one, and the window is the run
-    of the word holding the bit put in, read off y on either side."""
-    word, p = _expect_one(_pair_splices(y, 2 * n - 1, a, 1, n - 1, b), "c21_decode")
+def _c21_core(y: str, a: int, b: int, n: int, context: str) -> DecodeOutcome:
+    """c21_decode() for checked arguments, its refusals naming context, the
+    public decoder called: a merge's pair drops y_p at both ends; a single
+    deletion's keeps it at one, and the window is the run of the word
+    holding the bit put in, read off y on either side."""
+    word, p = _expect_one(_pair_splices(y, 2 * n - 1, a, 1, n - 1, b), context)
     yp = y[p - 1]
     if word[p - 1] == word[p] != yp:
         return DecodeOutcome(word, MERGE_00_TO_1 if yp == "1" else MERGE_11_TO_0, (p, p))
@@ -593,12 +660,13 @@ def c21rll_decode(y: str, a: int, b: int, n: int, f: int | None = None) -> Decod
     _check_room(n, 2, 1)
     f = rll_max_run(n) if f is None else _check_int(f, 1, "run cap must be >= 1")
     _check_received(y, n - 1)
-    return _c21rll_core(y, a, b, n, f)
+    return _c21rll_core(y, a, b, n, f, "c21rll_decode")
 
 
-def _c21rll_core(y: str, a: int, b: int, n: int, f: int) -> DecodeOutcome:
-    """c21rll_decode() for checked arguments, and row 1's decode in cts."""
-    out = _c21_core(y, a, b, n)
+def _c21rll_core(y: str, a: int, b: int, n: int, f: int, context: str) -> DecodeOutcome:
+    """c21rll_decode() for checked arguments, and row 1's decode in cts;
+    a refusal to find one candidate names context."""
+    out = _c21_core(y, a, b, n, context)
     if not _within_run_cap(out.word, f):
         raise DecodeFailure("row 1 decoded outside the run cap")
     return out

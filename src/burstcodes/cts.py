@@ -239,7 +239,7 @@ def cts_decode(y: str, params: CtsParams, *, trace: bool = False):
     # params checked its syndromes and shape, and y its length, so each
     # row is a word of length m - 1 >= 1 and skips the public checks
     rows_y = tuple(y[i::k] for i in range(k))
-    out1 = _c21rll_core(rows_y[0], params.a, params.b, m, params.f)
+    out1 = _c21rll_core(rows_y[0], params.a, params.b, m, params.f, "cts_decode")
     # a single row has no other row to place; row 1's runs are at most f
     # long, so the window spans at most P columns and keeps a start in
     # 1..m-1, as the SVT21 rows need

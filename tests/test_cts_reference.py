@@ -1,7 +1,8 @@
 """cts_decode against the public row decoders it is built from.
 
-`ref_cts_decode` decodes row 1 with the public `c21_decode`, checks its
-run cap, decodes every other row with the public `svt21_decode` over
+`ref_cts_decode` decodes row 1 with the public `c21_decode` (a refusal
+there names `cts_decode`, the decoder called), checks its run cap,
+decodes every other row with the public `svt21_decode` over
 `column_window`, and returns the rows joined only when `ball` of the
 word holds y.  The package decodes the rows through their unchecked
 cores and tests the ball from the common prefix and suffix.  On every
@@ -21,7 +22,11 @@ from burstcodes.words import all_words, deinterleave, interleave
 def ref_cts_decode(y: str, params) -> str:
     k, m = params.k, params.m
     rows_y = interleave(y, k)
-    out1 = c21_decode(rows_y[0], params.a, params.b, m)
+    try:
+        out1 = c21_decode(rows_y[0], params.a, params.b, m)
+    except DecodingError as exc:
+        # a refusal names the decoder called, which is cts_decode
+        raise type(exc)(str(exc).replace("c21_decode:", "cts_decode:", 1)) from None
     if not rll_member(out1.word, params.f):
         raise DecodeFailure("row 1 decoded outside the run cap")
     window = column_window(out1, params.s, m)

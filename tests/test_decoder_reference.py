@@ -17,9 +17,9 @@ None for both changes of a bit put in, see `splice_weight`), must
 return the same dict of words and last positions for every y up to
 n = 10, and at n = 256 and 1024 on seeded draws.
 `ref_lev2_decode` rescans every candidate with `rsyn0`, duplicates
-included; the package tries each distinct candidate once, skipping an
-insert whose word the next position gives, and checks it from prefix
-sums of y's transitions, as c31 does.  It must match on every y and a
+included; the package solves its congruence per window class, each
+distinct candidate once (`tests/test_lev2_reference.py` holds the
+per-candidate loop that did it before).  It must match on every y and a
 up to n = 8 and on seeded bursts and syndromes at n = 256 and 1024,
 where words in no ball must raise the same `DecodeFailure`.  With every
 whole-word run syndrome patched to raise, lev2 and c31 must still
