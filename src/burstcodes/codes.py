@@ -19,9 +19,12 @@ for every decoder here and in c31 and cts: zero survivors raise
 DecodeFailure and two or more raise DecodeAmbiguity; the two conditions
 are different facts about the received word and are never conflated.
 
-The VT-sum decoders (VT, C21, SVT21) share one core, _pair_splices.
-Each of their preimages replaces one symbol y_p of y by a pair b0 b1,
-and the weight change b0 + b1 - y_p names the error:
+The VT-sum decoders (VT, C21, SVT21, and so C21RLL and every row of
+cts) share one core, _pair_splices: y's sums, its VT sum and weight
+from int(y, 2), then the splice solve, _splice_solve.  cts feeds the
+solve each row's sums read from one int of the whole received word.
+Each preimage replaces one symbol y_p of y by a pair b0 b1, and the
+weight change b0 + b1 - y_p names the error:
 
     -1  ->  a 1 replaced 00          (merge-00->1)
      2  ->  a 0 replaced 11          (merge-11->0)
@@ -36,12 +39,13 @@ one symbol only, and the candidate's sum is a strictly monotone
 function of the position's index among them, so each value of the
 right residue class names at most one position, found by one replace or
 count of y in C.  y's VT sum takes one popcount of int(y, 2) per bit of
-the length.  So a decode takes O(1) Python steps per candidate and O(n)
-work in C, checks each argument once, and builds strings only for
-survivors.  The run-syndrome decoders, LEV2 and C31, use that an
-insert moves the suffix up a fixed number of coordinates, so each
-suffix transition's term falls by that number, and a candidate's sum is
-prefix plus shifted suffix plus the few transitions at its window.
+the length, its weight one more.  So a decode takes O(1) Python steps
+per candidate and O(n) work in C, checks each argument once, and builds
+strings only for survivors.  The run-syndrome decoders, LEV2 and C31,
+use that an insert moves the suffix up a fixed number of coordinates,
+so each suffix transition's term falls by that number, and a
+candidate's sum is prefix plus shifted suffix plus the few transitions
+at its window.
 LEV2 solves its congruence per window class (_lev2_core): at a run
 start the sum is a multiple of the run's rank plus a constant, and
 inside runs a strictly monotone function of the position, so each class
@@ -304,28 +308,36 @@ def _pair_splices(y: str, mod: int, target: int, lo: int, hi: int, weight: int |
     one weight change b0 + b1 - y_p that gives weight mod 4, or for weight
     None of changes 0 and 1, a bit put in.
 
-    The splice takes p * y_p off y's sum V, adds p * b0 + (p + 1) * b1 and
+    y's sums, then the solve.  Coordinate i is bit b = len(y) - i of
+    int(y, 2), so y's VT sum is len(y) times its weight w less the sum of
+    b over the 1s, one popcount per bit of the length, and w one more.
+    """
+    v = int(y, 2)
+    w = v.bit_count()
+    V = len(y) * w - _index_sum(v, len(y).bit_length())
+    return _splice_solve(y, V, w, mod, target, lo, hi, weight)
+
+
+def _splice_solve(
+    y: str, V: int, w: int, mod: int, target: int, lo: int, hi: int, weight: int | None
+) -> dict:
+    """_pair_splices() given y's VT sum V and weight w.
+
+    The splice takes p * y_p off V, adds p * b0 + (p + 1) * b1 and
     moves y[p:] up one coordinate, so its sum is V + ones + p * change +
     b1, ones the number of 1s in y[p:].  Changes -1 and 2 are merges, at
     the 1s and 0s.  Changes 0 and 1 put c = change in after a y_p != c,
     or before y_lo, which is c put in after the last symbol before lo
     that is not c, or at the front.  With j the index of p among its
-    symbol's positions and w the weight, the sum less V is w - 1 - j
-    (change 0), w - 1 - (j + p) (-1), w + 2 + j (1) or w + 2 + (j + p)
-    (2), and c before y_lo takes the j below the window's, -1 at the
-    front.  Each key, j or j + p, rises with p, so each key of the right
-    residue in the window's range gives at most one p: c goes in after
-    symbol j, found by one replace, and j + p is the index of p's first
-    copy in y with that symbol doubled.  V takes one popcount of
-    int(y, 2) per bit of the length, w the first.  So the work is O(1)
-    Python steps per key and O(n) in C, and a string is built only for
-    a survivor.
+    symbol's positions, the sum less V is w - 1 - j (change 0),
+    w - 1 - (j + p) (-1), w + 2 + j (1) or w + 2 + (j + p) (2), and c
+    before y_lo takes the j below the window's, -1 at the front.  Each
+    key, j or j + p, rises with p, so each key of the right residue in
+    the window's range gives at most one p: c goes in after symbol j,
+    found by one replace, and j + p is the index of p's first copy in y
+    with that symbol doubled.  So the work is O(1) Python steps per key
+    and O(n) in C, and a string is built only for a survivor.
     """
-    # coordinate i is bit b = len(y) - i of v, so V is len(y) w less the
-    # sum of b over the 1s
-    v = int(y, 2)
-    w = v.bit_count()
-    V = len(y) * w - _index_sum(v, len(y).bit_length())
     target = (target - V) % mod
     seen = {}
     for change in (0, 1) if weight is None else ((weight - w + 1) % 4 - 1,):
@@ -546,22 +558,25 @@ def c21_decode(y: str, a: int, b: int, n: int) -> DecodeOutcome:
     _check_syndromes(a, b)
     _check_room(n, 2, 1)
     _check_received(y, n - 1)
-    return _c21_core(y, a, b, n, "c21_decode")
+    word, classification, window = _c21_outcome(
+        y, _pair_splices(y, 2 * n - 1, a, 1, n - 1, b), "c21_decode"
+    )
+    return DecodeOutcome(word, classification, window)
 
 
-def _c21_core(y: str, a: int, b: int, n: int, context: str) -> DecodeOutcome:
-    """c21_decode() for checked arguments, its refusals naming context, the
-    public decoder called: a merge's pair drops y_p at both ends; a single
-    deletion's keeps it at one, and the window is the run of the word
-    holding the bit put in, read off y on either side."""
-    word, p = _expect_one(_pair_splices(y, 2 * n - 1, a, 1, n - 1, b), context)
+def _c21_outcome(y: str, seen: dict, context: str) -> tuple[str, str, tuple[int, int]]:
+    """The one word of seen, C21's splice solve on y, with its
+    classification and window; a refusal to find one names context.  A
+    merge's pair drops y_p at both ends; a single deletion's keeps it at
+    one, and the window is the run of the word holding the bit put in,
+    read off y on either side."""
+    word, p = _expect_one(seen, context)
     yp = y[p - 1]
     if word[p - 1] == word[p] != yp:
-        return DecodeOutcome(word, MERGE_00_TO_1 if yp == "1" else MERGE_11_TO_0, (p, p))
+        return word, MERGE_00_TO_1 if yp == "1" else MERGE_11_TO_0, (p, p)
     i = p - (word[p] == yp)
     c = word[i]
-    window = len(y[:i].rstrip(c)) + 1, len(word) - len(y[i:].lstrip(c))
-    return DecodeOutcome(word, SINGLE_DELETION, window)
+    return word, SINGLE_DELETION, (len(y[:i].rstrip(c)) + 1, len(word) - len(y[i:].lstrip(c)))
 
 
 # ---------------------------------------------------------------- SVT21
@@ -598,13 +613,6 @@ def svt21_decode(
     _check_int(hi, lo, "empty window {}", window)
     _check_int(P, hi - lo + 1, "window {} longer than P={}", window, P)
     _check_int(min(hi, n - 1), max(lo, 1), "window {} has no valid burst start for n={}", window, n)
-    return _svt21_core(y, c, d, P, window, n)
-
-
-def _svt21_core(y: str, c: int, d: int, P: int, window: tuple[int, int], n: int) -> str:
-    """svt21_decode() for checked arguments: a window of at most P
-    coordinates that keeps a start in 1..n-1 once clamped to them."""
-    lo, hi = window
     seen = _pair_splices(y, 2 * P - 1, c, max(lo, 1), min(hi, n - 1), d)
     return _expect_one(seen, "svt21_decode")[0]
 
@@ -660,14 +668,17 @@ def c21rll_decode(y: str, a: int, b: int, n: int, f: int | None = None) -> Decod
     _check_room(n, 2, 1)
     f = rll_max_run(n) if f is None else _check_int(f, 1, "run cap must be >= 1")
     _check_received(y, n - 1)
-    return _c21rll_core(y, a, b, n, f, "c21rll_decode")
+    seen = _pair_splices(y, 2 * n - 1, a, 1, n - 1, b)
+    word, classification, window = _c21rll_core(y, seen, f, "c21rll_decode")
+    return DecodeOutcome(word, classification, window)
 
 
-def _c21rll_core(y: str, a: int, b: int, n: int, f: int, context: str) -> DecodeOutcome:
-    """c21rll_decode() for checked arguments, and row 1's decode in cts;
-    a refusal to find one candidate names context."""
-    out = _c21_core(y, a, b, n, context)
-    if not _within_run_cap(out.word, f):
+def _c21rll_core(y: str, seen: dict, f: int, context: str) -> tuple[str, str, tuple[int, int]]:
+    """c21rll_decode()'s word, classification and window from seen, C21's
+    splice solve on y, and row 1's decode in cts: _c21_outcome(), then
+    one run-cap check; a refusal to find one candidate names context."""
+    out = _c21_outcome(y, seen, context)
+    if not _within_run_cap(out[0], f):
         raise DecodeFailure("row 1 decoded outside the run cap")
     return out
 

@@ -27,6 +27,16 @@ row 1's burst imitates a deletion at the front of a run the documented
 needs column 2 while [c1-1, c2] clips to {3}).  The window capacity P
 of the row codes is f+1 when s = 1 and f+2 when s >= 2 so the widened
 window always fits.
+
+cts_decode reads the received word as one int and takes every row's VT
+sum and weight from it through strided masks built once per shape
+(_row_masks, _row_sums), then runs the splice solve of codes on each
+row: row 1 over starts 1..m-1 with C21's moduli and run cap, every other
+row over the column window with SVT21's.  Row 1's decode, the window
+and its clamp to 1..m-1 are each done once a decode, and what the
+decoder reads of the params (k, m, f and the moduli 2m-1 and 2P-1) is
+read once per params object.  The outcome and trace objects are built
+only for a traced decode.
 """
 
 from __future__ import annotations
@@ -45,10 +55,11 @@ from .codes import (
     _check_params,
     _check_received,
     _check_syndromes,
+    _expect_one,
     _family_rows,
     _in_bucket,
     _largest_bucket,
-    _svt21_core,
+    _splice_solve,
     rll_max_run,
 )
 from .errors import DecodeFailure
@@ -153,6 +164,13 @@ class CtsParams:
     def P(self) -> int:
         return window_capacity(self.m, self.s)
 
+    @cached_property
+    def _decoding(self) -> tuple:
+        """What cts_decode reads, once per params: k, m, s, f, the row
+        moduli 2m - 1 and 2P - 1, and the row masks of a received word."""
+        k, m = self.k, self.m
+        return k, m, self.s, self.f, 2 * m - 1, 2 * self.P - 1, _row_masks(k, self.n - k)
+
     def to_dict(self) -> dict:
         return {
             "n": self.n,
@@ -172,6 +190,9 @@ def cts_member(x: str, params: CtsParams) -> bool:
     return _in_bucket(x, params.n, _rows(params.n, params.t, params.s), vals)
 
 
+_MERGES = frozenset((MERGE_00_TO_1, MERGE_11_TO_0))
+
+
 def column_window(outcome: DecodeOutcome, s: int, m: int) -> tuple[int, int]:
     """Column interval (1-based, clipped to [1, m]) holding every other
     row's error start, given row 1's decode outcome, s insertions and
@@ -180,19 +201,53 @@ def column_window(outcome: DecodeOutcome, s: int, m: int) -> tuple[int, int]:
         raise ValueError(f"outcome must be a DecodeOutcome, got {outcome!r}")
     _check_int(s, 1, _INSERTS, s)
     _check_int(m, 2, "row length m must be an int >= 2, got {!r}", m)
-    return _column_window(outcome, s, m)
+    return _column_window(outcome.classification, outcome.window, s, m)
 
 
-def _column_window(outcome: DecodeOutcome, s: int, m: int) -> tuple[int, int]:
-    """column_window() for checked arguments."""
-    if outcome.classification in (MERGE_00_TO_1, MERGE_11_TO_0):
-        p = outcome.window[0]
+def _column_window(
+    classification: str, window: tuple[int, int], s: int, m: int
+) -> tuple[int, int]:
+    """column_window() for checked arguments, from row 1's classification
+    and window."""
+    if classification in _MERGES:
+        p = window[0]
         lo, hi = p - 1, p + 1
     else:
-        c1, c2 = outcome.window
-        lo = c1 - 1 - (0 if s == 1 else 1)
-        hi = c2
-    return max(1, lo), min(m, hi)
+        c1, hi = window
+        lo = c1 - (1 if s == 1 else 2)
+    return lo if lo > 1 else 1, hi if hi < m else m
+
+
+@cache
+def _row_masks(k: int, size: int) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
+    """Per row y[i::k], i < k, of a word of length size: the mask of the
+    row's bits in the word's int and, per bit q of a row index j, the mask
+    of the row's bits whose j has bit q set.  Coordinate j + 1 of row i is
+    coordinate i + 1 + k j of the word, bit size - 1 - i - k j."""
+    masks = []
+    for i in range(k):
+        bits = range(size - 1 - i, -1, -k)
+        masks.append((
+            sum(1 << b for b in bits),
+            tuple(
+                (sum(1 << b for j, b in enumerate(bits) if j >> q & 1), q)
+                for q in range((len(bits) - 1).bit_length())
+            ),
+        ))
+    return tuple(masks)
+
+
+def _row_sums(v: int, masks: tuple) -> list[tuple[int, int]]:
+    """Each row's VT sum and weight, (V, w), read from v, the int of the
+    word whose _row_masks are masks: w is one popcount, and V is w plus
+    the sum of the row indices j of the 1s, one popcount per bit of j."""
+    sums = []
+    for whole, parts in masks:
+        V = w = (v & whole).bit_count()
+        for mask, q in parts:
+            V += (v & mask).bit_count() << q
+        sums.append((V, w))
+    return sums
 
 
 @dataclass(frozen=True)
@@ -233,25 +288,38 @@ def cts_decode(y: str, params: CtsParams, *, trace: bool = False):
     when one (t, s)-burst of it gives y, that is when it and y share a
     prefix and a suffix of n - t symbols together, and DecodeFailure is
     raised otherwise.
+
+    Every row's sums come from one int of y; each row then takes one
+    splice solve, as c21rll_decode and svt21_decode would, and a row's
+    refusal reads as theirs: row 1's names cts_decode, the others'
+    svt21_decode.
     """
-    k, m, P = _check_params(params, CtsParams).k, params.m, params.P
+    k, m, s, f, mod1, mod, masks = _check_params(params, CtsParams)._decoding
     _check_received(y, params.n - k)
     # params checked its syndromes and shape, and y its length, so each
     # row is a word of length m - 1 >= 1 and skips the public checks
-    rows_y = tuple(y[i::k] for i in range(k))
-    out1 = _c21rll_core(rows_y[0], params.a, params.b, m, params.f, "cts_decode")
-    # a single row has no other row to place; row 1's runs are at most f
-    # long, so the window spans at most P columns and keeps a start in
-    # 1..m-1, as the SVT21 rows need
-    window = _column_window(out1, params.s, m) if k > 1 else None
-    rows_x = [out1.word]
-    for row, (c, d) in zip(rows_y[1:], params.row_params):
-        rows_x.append(_svt21_core(row, c, d, P, window, m))
+    sums = _row_sums(int(y, 2), masks)
+    row = y[::k]
+    V, w = sums[0]
+    word, classification, run = _c21rll_core(
+        row, _splice_solve(row, V, w, mod1, params.a, 1, m - 1, params.b), f, "cts_decode"
+    )
+    rows_x = [word]
+    window = None
+    if k > 1:
+        # row 1's runs are at most f long, so the window spans at most P
+        # columns and keeps a start in 1..m-1, as the SVT21 rows need
+        window = lo, hi = _column_window(classification, run, s, m)
+        hi = min(hi, m - 1)
+        for i, (c, d) in enumerate(params.row_params, 1):
+            V, w = sums[i]
+            seen = _splice_solve(y[i::k], V, w, mod, c, lo, hi, d)
+            rows_x.append(_expect_one(seen, "svt21_decode")[0])
     word = "".join(map("".join, zip(*rows_x)))
     if not _in_ball(word, y, params.t):
         raise DecodeFailure("cts_decode: no (t, s)-burst of the decoded word gives y")
     if trace:
-        return word, CtsTrace(out1, window, tuple(rows_x))
+        return word, CtsTrace(DecodeOutcome(rows_x[0], classification, run), window, tuple(rows_x))
     return word
 
 

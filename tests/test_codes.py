@@ -78,8 +78,9 @@ def test_lev2_full_length_non_member_fails():
 
 
 def test_lev2_decode_runs_no_row_automaton(monkeypatch):
-    # the automata serve searches and member tests; lev2 checks every
-    # received length from prefix sums of y's transitions
+    # the automata serve searches and member tests; lev2 solves a shorter
+    # received word per window class from popcounts of y's transition
+    # mask, and checks a full-length word from the same mask
     n = 8
     _, book = pigeonhole_search("lev2", n)
 
