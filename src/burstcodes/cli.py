@@ -228,6 +228,8 @@ def cmd_verify(args) -> int:
     if args.check == "ball-laws":
         if any(v is not None for v in (args.family, args.n, args.t, args.s)):
             raise ValueError("verify ball-laws reads no family, --n, --t or --s")
+        if args.f is not None:
+            raise ValueError("verify ball-laws reads no --f")
         _check_int(args.n_max, 2, "--n-max must be >= 2, got {}", args.n_max)
         reports = verify_ball_laws(range(2, args.n_max + 1), args.t_max, args.s_max)
         # a list, so every report prints when one fails
@@ -235,7 +237,7 @@ def cmd_verify(args) -> int:
     if args.family is None:
         raise ValueError(f"verify {args.check} needs a family")
     _family(args, "n")
-    t, s, _, book, decode = family_setup(args.family, args.n, args.t, args.s)
+    t, s, _, book, decode = family_setup(args.family, args.n, args.t, args.s, args.f)
     rep = _BOOK_CHECKS[args.check](book.members, args.n, t, s, decode)
     return 0 if _print_report(rep) else 1
 
@@ -291,7 +293,7 @@ def cmd_bounds(args) -> int:
 def cmd_simulate(args) -> int:
     _family(args, "n")
     res = simulate(
-        args.family, args.n, args.trials, args.seed, t=args.t, s=args.s
+        args.family, args.n, args.trials, args.seed, t=args.t, s=args.s, f=args.f
     )
     _emit(res.to_dict(), args.json, [
         f"simulate {res.family} n={res.n} t={res.t} s={res.s} seed={res.seed}",
@@ -325,10 +327,13 @@ _SHARED = {
 }
 
 
-def _add_shared(p, *names):
-    """Add the named shared arguments to p, in _SHARED's order."""
+def _add_shared(p, *names, hidden=()):
+    """Add the named shared arguments, and those in hidden, to p, in
+    _SHARED's order; p's usage and help leave out those in hidden."""
     for name, keywords in _SHARED.items():
-        if name in names:
+        if name in hidden:
+            p.add_argument(name, **keywords | {"help": argparse.SUPPRESS})
+        elif name in names:
             p.add_argument(name, **keywords)
 
 
@@ -372,7 +377,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="exhaustive checks, JSON report per line")
     p.add_argument("check", choices=("ball-laws", *_BOOK_CHECKS))
     p.add_argument("family", nargs="?", choices=unaided, default=None)
-    _add_shared(p, "--t", "--s", "--n")
+    # --f, which only c21rll reads, stays out of the usage and help text,
+    # which tests/cli_oracle.json records byte for byte
+    _add_shared(p, "--t", "--s", "--n", hidden=("--f",))
     p.add_argument("--n-max", type=int, default=8, dest="n_max")
     p.add_argument("--t-max", type=int, default=4, dest="t_max")
     p.add_argument("--s-max", type=int, default=4, dest="s_max")
@@ -387,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="seeded random bursts through a decoder")
     p.add_argument("family", choices=unaided)
-    _add_shared(p, "--t", "--s", "--n", "--json")
+    _add_shared(p, "--t", "--s", "--n", "--json", hidden=("--f",))
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_simulate)

@@ -84,8 +84,8 @@ n = 16, at most 32 rests a level instead of about 10k states.  At the
 end one struct call per key reads its fields from the int's bytes.  That
 pass only counts, keeping the rests each position reached.  The
 codebook it returns takes its size from those counts; the winning
-bucket's members are built on first use, by stepping those rests again,
-and no other bucket's ever are.
+bucket's members are built on first use, met in the middle of each row
+from those rests (_row_words), and no other bucket's ever are.
 """
 
 from __future__ import annotations
@@ -174,10 +174,10 @@ class Codebook:
 
     A book built from its members holds them from the start.  A book a
     search returns knows its size from the packed bucket counts and
-    lists its members on first access, once, by stepping the rows again
-    from the rests the count pass reached, as many step calls as the
-    count took; the lister and those rests are dropped then, so a book
-    that is never listed costs no more than the counts.
+    lists its members on first access, once, meeting in the middle of
+    each row from the rests the count pass reached; the lister and
+    those rests are dropped then, so a book that is never listed costs
+    no more than the counts.
     """
 
     def __init__(self, family: str, n: int, params: dict, members: tuple[str, ...]):
@@ -760,51 +760,71 @@ def _row_counts(row, m: int):
 
 
 def _row_words(row, levels: list, best: tuple) -> list[str]:
-    """The row words ending on the best key, in lexicographic order.
+    """The row words ending on the best key, in lexicographic order, met
+    in the middle at h = m // 2 (Horowitz and Sahni, J. ACM 1974).
 
-    The backward pass gives each rest a live mask, bit r set when the
-    rest with leading residue r can still end on best, seeded from the
-    last level's rests.  It steps each rest of each earlier level once
-    per bit, as the count pass did, and keeps per position the moves
-    into a live rest.  The walk then goes depth first, 0 before 1, from
-    state (residue, rest), testing one mask bit per move, so it enters
-    only prefixes of row words and costs O(m) per word.
+    Backward: from the last level's rests that end on best's other
+    entries, each rest of levels m - 1 down to h takes its successors'
+    suffixes, 0-branch before 1-branch, so each rest's list is in
+    lexicographic order, each suffix with the residue it adds.  At h,
+    each rest's suffixes are grouped by that residue mod M.  Forward:
+    the length-h prefixes, in lexicographic order, each with its residue
+    and rest.  Join: each prefix, in order, takes the suffixes of its
+    rest whose residue completes its own to best's leading residue.
+    step runs twice per rest at each position above h and twice per
+    prefix up to h, so the cost is O(2^(m/2) rests + |C|) and no word is
+    walked symbol by symbol.
     """
     init, step, mods, lead = row
     mod = math.prod(mods[j] for j in lead)
-    full = (1 << mod) - 1
     tail = tuple(v for j, v in enumerate(best) if j not in lead)
-    start = next(r for r in range(mod) if _key(mods, lead, r, tail) == best)
-    live = {rest: 1 << start for rest in levels[-1] if rest[: len(tail)] == tail}
-    edges: list = [None] * (len(levels) - 1)
-    for pos in range(len(edges) - 1, -1, -1):
-        here, above = {}, {}
+    # the leading residue whose key is best is best's first lead entry
+    # plus a multiple of that entry's modulus
+    first = lead[0]
+    start = next(
+        r for r in range(best[first], mod, mods[first]) if _key(mods, lead, r, tail) == best
+    )
+    m = len(levels) - 1
+    h = m // 2
+    # per rest, its suffixes and, in step, the residues they add
+    ahead = {rest: ([""], [0]) for rest in levels[m] if rest[: len(tail)] == tail}
+    put_bit = ((0, "0".__add__), (1, "1".__add__))
+    for pos in range(m - 1, h - 1, -1):
+        here = {}
         for rest in levels[pos]:
-            kept, mask = [], 0
-            for bit, ch in enumerate("01"):
+            sufs, adds = [], []
+            for bit, put in put_bit:
                 t = step(rest, pos + 1, bit)
-                if t is not None and (ahead := live.get(t[1])):
+                if t is not None and (nxt := ahead.get(t[1])):
+                    sufs += map(put, nxt[0])
                     d = t[0] % mod
-                    kept.append((ch, d, t[1], ahead))
-                    # r is live when r + d is
-                    mask |= (ahead >> d | ahead << (mod - d)) & full if d else ahead
-            if kept:
-                # stored 1 before 0, so the stack pops 0 first
-                here[rest] = tuple(reversed(kept))
-                above[rest] = mask
-        edges[pos] = here
-        live = above
+                    adds += map(d.__add__, nxt[1]) if d else nxt[1]
+            if sufs:
+                here[rest] = sufs, adds
+        ahead = here
+    # per rest at h, residue mod M -> its suffixes, still in order
+    groups = {}
+    for rest, (sufs, adds) in ahead.items():
+        by_res = groups[rest] = {}
+        for suf, r in zip(sufs, map(mod.__rmod__, adds)):
+            if r in by_res:
+                by_res[r].append(suf)
+            else:
+                by_res[r] = [suf]
+    prefixes = [("", 0, init)]
+    for pos in range(1, h + 1):
+        longer = []
+        for word, res, rest in prefixes:
+            for bit, ch in ((0, "0"), (1, "1")):
+                t = step(rest, pos, bit)
+                if t is not None:
+                    longer.append((word + ch, res + t[0], t[1]))
+        prefixes = longer
     words = []
-    stack = [(0, "", 0, init)]
-    while stack:
-        pos, word, res, rest = stack.pop()
-        if pos == len(edges):
-            words.append(word)
-            continue
-        for ch, d, rest2, ahead in edges[pos][rest]:
-            res2 = (res + d) % mod
-            if ahead >> res2 & 1:
-                stack.append((pos + 1, word + ch, res2, rest2))
+    for word, res, rest in prefixes:
+        by_res = groups.get(rest)
+        if by_res and (sufs := by_res.get((start - res) % mod)):
+            words += map(word.__add__, sufs)
     return words
 
 
@@ -813,18 +833,24 @@ def _list_members(rows: tuple, counted: dict) -> tuple[str, ...]:
     and best keys in counted.
 
     Each distinct row lists its own words once.  A word's coordinates
-    cycle over its rows, so the bucket is every choice of one word per
-    row interleaved; with more than one row those words are sorted.  The
-    cost is O(|C| n) plus the sort.
+    cycle over its k rows, so the bucket is every choice of one word per
+    row interleaved.  With more than one row, each row word becomes an
+    int with its bits at its row's coordinates: its symbols k - 1 zeros
+    apart, shifted by the row's place.  A member is then the sum of one
+    int per row, and the sums sort as ints and print as n-bit words, all
+    in C.  The cost is each row's meet in the middle plus O(|C| log |C|)
+    C steps for the sort.
     """
     words = {
         row: _row_words(row, levels, best) for row, (levels, best, _) in counted.items()
     }
     if len(rows) == 1:
         return tuple(words[rows[0]])
-    members = ["".join(map("".join, zip(*ws))) for ws in product(*(words[row] for row in rows))]
-    members.sort()
-    return tuple(members)
+    k = len(rows)
+    n = k * (len(counted[rows[0]][0]) - 1)
+    pad = "0" * (k - 1)
+    spread = [[int(pad.join(w), 2) << k - 1 - r for w in words[row]] for r, row in enumerate(rows)]
+    return tuple(map(f"{{:0{n}b}}".format, sorted(map(sum, product(*spread)))))
 
 
 def _largest_bucket(n: int, rows: tuple):
@@ -854,15 +880,15 @@ def _largest_bucket(n: int, rows: tuple):
     m = n / k, up to M times fewer than one per state, and one rotation
     per call whose increment is not 0 mod M.  The
     guard keeps m under the 64 positions those fields can count.  It
-    keeps only the rests each level reached.  The backward pass steps
-    those rests again, the same number of calls, and it and the member
-    walk carry liveness as one bitmask over the leading residue per
-    rest.
+    keeps only the rests each level reached.  The lister meets in the
+    middle, h = m // 2 (_row_words): it steps each rest of the levels
+    from h on once per bit to build their suffixes, and each length-h
+    prefix once per bit, then joins them on the leading residue.
 
     Only the forward counts run here, once per distinct row automaton.
     The returned lister takes no argument and returns the members in
-    lexicographic order, stepping the rows again; nothing is listed
-    until it is called.
+    lexicographic order, stepping the rows again from the kept rests;
+    nothing is listed until it is called.
     """
     if n > DEFAULT_ENUM_GUARD:
         raise GuardLimit(f"search at n={n} exceeds the enumeration guard {DEFAULT_ENUM_GUARD}")
@@ -980,8 +1006,9 @@ def pigeonhole_search(
     positions and returns the largest bucket; ties go to the
     lexicographically smallest tuple, so results are reproducible.  The
     search costs the count tables; the book lists its members, for
-    O(|C| n) more, on first access.  Lengths above DEFAULT_ENUM_GUARD,
-    whose codebook would be too big to list, are refused.
+    O(2^(n/2) rests + |C|) more, on first access.  Lengths above
+    DEFAULT_ENUM_GUARD, whose codebook would be too big to list, are
+    refused.
     """
     _check_int(n, 1, "length must be >= 1")
     rows, names, fixed = _family_rows(family, n, P, f)

@@ -74,7 +74,9 @@ class SimulationResult:
         return asdict(self) | {"failures": self.failures}
 
 
-def family_setup(family: str, n: int, t: int | None = None, s: int | None = None):
+def family_setup(
+    family: str, n: int, t: int | None = None, s: int | None = None, f: int | None = None
+):
     """Search the best codebook for a family and build its decoder.
 
     Returns (t, s, params_dict, codebook, decode) where decode maps a
@@ -82,16 +84,19 @@ def family_setup(family: str, n: int, t: int | None = None, s: int | None = None
     whose decoder needs no window, all but svt21; cts needs t and s.
     t and s go through Family.burst_for, then must be ints >= 0,
     and a length n < t, which no (t, s)-burst fits in, is refused.
+    f, the run cap, goes to the search of a family that reads it and
+    is refused by any other.
     """
     fam = FAMILIES.get(family) if isinstance(family, str) else None
     if fam is None:
         raise ValueError(f"unknown family {family!r}")
     if "window" in fam.needs:
         raise ValueError(f"{family} decodes only inside a given window")
+    fam.check_reads(family, f=f)
     t, s = fam.burst_for(family, t, s)
     _check_sizes(t, s)
     _check_room(n, t, s)
-    params, book = fam.search(n, t, s, None, None)
+    params, book = fam.search(n, t, s, None, f)
     return t, s, book.params, book, lambda y: fam.decode(y, params, n, None).word
 
 
@@ -103,17 +108,18 @@ def simulate(
     *,
     t: int | None = None,
     s: int | None = None,
+    f: int | None = None,
 ) -> SimulationResult:
     """Hit random codewords with random bursts and decode them back.
 
     Per trial the stream is consumed in a fixed order: codeword index,
     burst start, inserted word.  Up to 10 failing trials are kept as
-    replayable witnesses.
+    replayable witnesses.  t, s and f go to family_setup.
     """
     # zero trials would report a vacuous success 0/0
     _check_int(trials, 1, "trials must be >= 1, got {}", trials)
     rng = SplitMix64(seed)
-    t, s, params, book, decode = family_setup(family, n, t, s)
+    t, s, params, book, decode = family_setup(family, n, t, s, f)
     successes = 0
     witnesses: list[dict] = []
     for _ in range(trials):

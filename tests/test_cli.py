@@ -348,6 +348,21 @@ def test_verify_cts_needs_ts(capsys):
     assert code == 0
 
 
+def test_verify_and_simulate_take_the_run_cap(capsys):
+    code, out, _ = run(capsys, "verify", "roundtrip", "c21rll", "--n", "8", "--f", "2")
+    assert code == 0
+    assert json.loads(out)["counts"]["failures"] == 0
+    code, out, _ = run(capsys, "simulate", "c21rll", "--n", "10", "--f", "2", "--trials", "30")
+    assert code == 0
+    assert 'params {"a": 8, "b": 1, "f": 2}' in out and "success 30/30" in out
+    # a family without a run cap refuses it, as member and search do
+    for family, argv in (("vt", ("verify", "roundtrip", "vt")), ("c21", ("simulate", "c21"))):
+        code, out, err = run(capsys, *argv, "--n", "8", "--f", "2")
+        assert (code, out, err) == (2, "", f"error: {family} does not read --f\n")
+    code, out, err = run(capsys, "verify", "ball-laws", "--f", "2")
+    assert (code, out, err) == (2, "", "error: verify ball-laws reads no --f\n")
+
+
 def test_simulate_deterministic_stdout(capsys):
     args = ("simulate", "c31", "--n", "8", "--trials", "200", "--seed", "7")
     code1, out1, _ = run(capsys, *args)

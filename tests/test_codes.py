@@ -403,14 +403,19 @@ def test_count_and_listing_each_step_every_reached_rest_once_per_bit(shape):
     kind, n, *extra = shape
     rows = shape_rows(kind, n, *extra)
     m = n // len(rows)
-    # 2 step calls per rest reached before each position, found here by
-    # stepping the rests alone, per distinct row
-    want = 0
+    h = m // 2
+    # the count pass: 2 step calls per rest reached before each position;
+    # the lister: 2 per rest reached before each position above h and 2
+    # per prefix the row keeps before each position up to h; found here
+    # by stepping the rests and the prefixes alone, per distinct row
+    want = listing = 0
     for init, step, *_ in dict.fromkeys(rows):
-        level = {init}
+        level, prefixes = {init}, [init]
         for pos in range(1, m + 1):
             want += 2 * len(level)
+            listing += 2 * (len(level) if pos > h else len(prefixes))
             level = {t[1] for rest in level for b in (0, 1) if (t := step(rest, pos, b))}
+            prefixes = [t[1] for rest in prefixes for b in (0, 1) if (t := step(rest, pos, b))]
     calls = [0]
 
     def counted(row):
@@ -426,7 +431,7 @@ def test_count_and_listing_each_step_every_reached_rest_once_per_bit(shape):
     best, size, lister = codes._largest_bucket(n, tuple(wrapped[row] for row in rows))
     assert calls[0] == want
     members = lister()
-    assert calls[0] == 2 * want
+    assert calls[0] == want + listing
     assert len(members) == size
     assert all(codes._in_bucket(x, n, rows, best) for x in members)
 

@@ -12,6 +12,8 @@ c31 that plain pass runs the row as it was before its run count moved
 into the leading residue.
 """
 
+import random
+
 import pytest
 
 from burstcodes import codes
@@ -198,7 +200,8 @@ def test_packed_counts_match_the_state_dict_pass(case):
     assert len(rows) == (2 if case[0] == "cts" else 1)
     for row in rows:
         levels, best, size = codes._row_counts(row, m)
-        # the lister steps these rests again, so each level must be exact
+        # the lister takes its suffixes from the rests of each level past
+        # the middle, so each level must be exact
         assert ([set(level) for level in levels], best, size) == ref_counts(case[0], row, m)
 
 
@@ -218,25 +221,44 @@ def test_counts_wider_than_64_bits_match_the_state_dict_pass(family, m):
     assert ([set(level) for level in levels], best, size) == ref_row_counts(*row[:3], m)
 
 
+# every member is checked against its bucket up to this many; past it a
+# seeded sample of SAMPLE members is
+CHECK_ALL, SAMPLE = 5000, 200
+
+
 @pytest.mark.parametrize(
-    "search, args, rows",
+    "search, args, kwargs, size",
     [
-        (pigeonhole_search, ("c21", 16), family_rows("c21", 16)),
-        (pigeonhole_search, ("lev2", 15), family_rows("lev2", 15)),
-        (c31_param_search, (16,), family_rows("c31", 16)),
-        (cts_param_search, (15, 4, 1), family_rows("cts", 15, 4, 1)),
-        (cts_param_search, (16, 4, 2), family_rows("cts", 16, 4, 2)),
+        (pigeonhole_search, ("c21", 16), {}, None),
+        (pigeonhole_search, ("lev2", 15), {}, None),
+        (c31_param_search, (16,), {}, None),
+        (cts_param_search, (15, 4, 1), {}, None),
+        (cts_param_search, (16, 4, 2), {}, None),
+        (pigeonhole_search, ("vt", 20), {}, None),
+        # a sparse row, capped at runs of 2
+        (pigeonhole_search, ("c21rll", 16), {"f": 2}, None),
+        (pigeonhole_search, ("svt21", 18), {"P": 6}, None),
+        (c31_param_search, (20,), {}, None),
+        # the guard
+        (pigeonhole_search, ("c21", 24), {}, 100_178),
     ],
-    ids=["c21-16", "lev2-15", "c31-16", "cts-15-4-1", "cts-16-4-2"],
+    ids=["c21-16", "lev2-15", "c31-16", "cts-15-4-1", "cts-16-4-2", "vt-20", "c21rll-16-f2",
+         "svt21-18-P6", "c31-20", "c21-24"],
 )
-def test_members_past_brute_force_are_the_bucket(search, args, rows):
+def test_members_past_brute_force_are_the_bucket(search, args, kwargs, size):
     # strictly increasing, each in the bucket, as many as counted: the bucket in order
-    params, book = search(*args)
+    params, book = search(*args, **kwargs)
     members = book.members
     assert all(x < y for x, y in zip(members, members[1:]))
-    vals = {
-        c31_param_search: lambda p: (p.a, p.b, p.c, p.d),
-        cts_param_search: lambda p: (p.a, p.b) + sum(p.row_params, ()),
-    }.get(search, lambda p: tuple(p.values()))(params)
+    assert len(members) == book.size == (size or book.size)
+    if search is pigeonhole_search:
+        rows = family_rows(args[0], book.n, P=kwargs.get("P"), f=kwargs.get("f"))
+        vals = tuple(v for k, v in params.items() if k not in ("P", "f"))
+    elif search is c31_param_search:
+        rows, vals = family_rows("c31", book.n), (params.a, params.b, params.c, params.d)
+    else:
+        rows = family_rows("cts", *args)
+        vals = (params.a, params.b) + sum(params.row_params, ())
+    if len(members) > CHECK_ALL:
+        members = random.Random(book.n).sample(members, SAMPLE)
     assert all(codes._in_bucket(x, book.n, rows, vals) for x in members)
-    assert len(members) == book.size

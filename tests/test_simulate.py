@@ -6,6 +6,7 @@ import re
 import pytest
 
 from burstcodes import codes
+from burstcodes.codes import pigeonhole_search, rll_member
 from burstcodes.cli import build_parser
 from burstcodes.errors import DecodeFailure
 from burstcodes.families import FAMILIES
@@ -102,6 +103,16 @@ def test_simulate_validates_arguments():
 def test_family_setup_says_why_it_refuses_a_family(family, msg):
     with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
         family_setup(family, 12)
+
+
+def test_family_setup_passes_the_run_cap_to_the_search():
+    t, s, params, book, decode = family_setup("c21rll", 10, f=2)
+    assert params == pigeonhole_search("c21rll", 10, f=2)[0]
+    assert params["f"] == 2 and all(rll_member(x, 2) for x in book.members)
+    assert verify_roundtrip(book.members, t, s, decode).verdict
+    assert simulate("c21rll", 10, 40, seed=5, f=2).params == params
+    with pytest.raises(ValueError, match="^vt does not read f$"):
+        family_setup("vt", 8, f=2)
 
 
 def _family_choices(command):
