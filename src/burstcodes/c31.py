@@ -78,6 +78,7 @@ from .codes import (
     _expect_one,
     _in_bucket,
     _largest_bucket,
+    _lift,
     _transition_sums,
     _window_flips,
 )
@@ -197,13 +198,11 @@ def _automaton(n: int) -> tuple:
 
         return (((0, 0, 1, 0), step, (mod_a, 4, 4, 5), (0,)),)
 
-    def lift(u, v):
-        # the residue mod 20n that is u mod 4n and v mod 5
-        return u + mod_a * ((v - u) * pow(mod_a, -1, 5) % 5)
-
-    # turns[i][changed]: the increment at position i; x_1 opens the first run
-    turns = [None, (lift(0, 1), lift(n, 1))]
-    turns += [(0, lift(n + 1 - i, 1)) for i in range(2, n + 1)]
+    # turns[i][changed]: the increment at position i, the residue mod 20n
+    # that is its rsyn0 term mod 4n and its run count mod 5; x_1 opens
+    # the first run
+    turns = [None, (_lift(0, mod_a, 1, 5), _lift(n, mod_a, 1, 5))]
+    turns += [(0, _lift(n + 1 - i, mod_a, 1, 5)) for i in range(2, n + 1)]
 
     def packed_step(rest, i, bit):
         odd, even, last = rest

@@ -327,13 +327,10 @@ _SHARED = {
 }
 
 
-def _add_shared(p, *names, hidden=()):
-    """Add the named shared arguments, and those in hidden, to p, in
-    _SHARED's order; p's usage and help leave out those in hidden."""
+def _add_shared(p, *names):
+    """Add the named shared arguments to p, in _SHARED's order."""
     for name, keywords in _SHARED.items():
-        if name in hidden:
-            p.add_argument(name, **keywords | {"help": argparse.SUPPRESS})
-        elif name in names:
+        if name in names:
             p.add_argument(name, **keywords)
 
 
@@ -377,9 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="exhaustive checks, JSON report per line")
     p.add_argument("check", choices=("ball-laws", *_BOOK_CHECKS))
     p.add_argument("family", nargs="?", choices=unaided, default=None)
-    # --f, which only c21rll reads, stays out of the usage and help text,
-    # which tests/cli_oracle.json records byte for byte
-    _add_shared(p, "--t", "--s", "--n", hidden=("--f",))
+    _add_shared(p, "--t", "--s", "--n", "--f")
     p.add_argument("--n-max", type=int, default=8, dest="n_max")
     p.add_argument("--t-max", type=int, default=4, dest="t_max")
     p.add_argument("--s-max", type=int, default=4, dest="s_max")
@@ -394,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="seeded random bursts through a decoder")
     p.add_argument("family", choices=unaided)
-    _add_shared(p, "--t", "--s", "--n", "--json", hidden=("--f",))
+    _add_shared(p, "--t", "--s", "--n", "--f", "--json")
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_simulate)

@@ -62,12 +62,15 @@ row's key entries, in key order.  step(rest, pos, bit) returns the
 increment d of the row's leading residue and the next rest, or None to
 leave the word out; it never sees the leading residue, which starts at
 0 and which the engine adds up itself.  lead names the key entries that
-residue carries, (0,) for most rows; several must have coprime moduli,
-and the residue then runs mod their product, each entry its remainder
-(the CRT).  The rest's first entries are the other key entries.  Only
-c31 names more than one: at every length that 5 does not divide, its
-residue mod 20n carries rsyn0 mod 4n and the run count mod 5, key
-entries 0 and 3.
+residue carries; several must have coprime moduli, and the residue then
+runs mod their product, each entry its remainder (the CRT).  The rest's
+first entries are the other key entries.  VT's and LEV2's rows lead
+with (0,).  The weighted rows, C21's, C21RLL's, SVT21's and every row
+of cts, key a VT sum mod an odd M and the weight mod 4, so one residue
+mod 4M carries both, lead (0, 1), and the rest is () or, with a run
+cap, the last bit and run length (_weighted_row).  c31, at every length
+that 5 does not divide, carries rsyn0 mod 4n and the run count mod 5 in
+one residue mod 20n, key entries 0 and 3.
 
 pigeonhole_search() finds, for any family, the syndrome values whose
 codebook is largest; averaging guarantees the winner is at least 2^n
@@ -80,10 +83,11 @@ holds m + 1 bits, m the row length; so rows stay under 64 positions.  A
 step adds d to that residue by rotating the int one field per unit of
 d, and passes it on untouched when d is 0 mod the residue's modulus.
 So step runs 2 m times per distinct rest, not per state: for c31 at
-n = 16, at most 32 rests a level instead of about 10k states.  At the
-end one struct call per key reads its fields from the int's bytes.  That
-pass only counts, keeping the rests each position reached.  The
-codebook it returns takes its size from those counts; the winning
+n = 16, at most 32 rests a level instead of about 10k states, and for
+c21 and svt21 one.  At the end one struct call per key reads its fields
+from the int's bytes.  That pass only counts, keeping the rests each
+position reached.  The codebook it returns takes its size from those
+counts; the winning
 bucket's members are built on first use, met in the middle of each row
 from those rests (_row_words), and no other bucket's ever are.
 """
@@ -707,7 +711,11 @@ def _row_counts(row, m: int):
     0 mod M.  At the end one struct call reads each key's fields from the
     int's little-endian bytes, as W-bit unsigned ints; a field wider than
     64 bits, which struct has no code for (m >= 64), is read from its own
-    W / 8 bytes.  Picks the best key by the (-count, key) rule, on the
+    W / 8 bytes.  The first int to reach a rest is stored as it is and
+    later ones are added to it, so no int is copied just to start a sum.
+    With the weight in the leading residue (lead (0, 1)), c21's and
+    svt21's rows reach one rest a level, so the pass makes 2 m step
+    calls.  Picks the best key by the (-count, key) rule, on the
     key itself, not on r.  Returns the levels, per position 0..m a tuple
     of the rests reached after that many positions; the best key; and the
     number of row words ending on it.
@@ -729,7 +737,10 @@ def _row_counts(row, m: int):
                 d, rest2 = t
                 shift = d % mod * width
                 turned = (packed << shift | packed >> (span - shift)) & full if shift else packed
-                nxt[rest2] = nxt.get(rest2, 0) + turned
+                if rest2 in nxt:
+                    nxt[rest2] += turned
+                else:
+                    nxt[rest2] = turned
         level = nxt
         levels.append(tuple(level))
     # rests that agree on the key's other entries share its buckets; no
@@ -737,7 +748,10 @@ def _row_counts(row, m: int):
     k = len(mods) - len(lead)
     groups: dict[tuple, int] = {}
     for rest, packed in level.items():
-        groups[rest[:k]] = groups.get(rest[:k], 0) + packed
+        if rest[:k] in groups:
+            groups[rest[:k]] += packed
+        else:
+            groups[rest[:k]] = packed
     if width in _FIELD_CODES:
         read = struct.Struct(f"<{mod}{_FIELD_CODES[width]}").unpack
     else:
@@ -860,12 +874,12 @@ def _largest_bucket(n: int, rows: tuple):
     rows holds one automaton (init, step, mods, lead) per row of the
     word read as an array of k = len(rows) rows: row r has coordinates
     r+1, r+1+k, ...  A row's state is its leading residue, mod M, the
-    product of the moduli of the key entries lead names (just mods[0]
-    for (0,)), and a rest, which starts at init.  step(rest, pos, bit)
-    reads the bit at 1-based row position pos and returns (d, next rest),
-    d the increment of the leading residue (any int), or None to leave
-    the word out; the leading residue starts at 0, and the passes add d
-    and reduce it themselves.  The leading residue, each lead entry its
+    product of the moduli of the key entries lead names (mods[0] for
+    (0,), 4 mods[0] for a weighted row's (0, 1)), and a rest, which
+    starts at init.  step(rest, pos, bit) reads the bit at 1-based row
+    position pos and returns (d, next rest), d the increment of the
+    leading residue (any int), or None to leave the word out; the leading
+    residue starts at 0, and the passes add d and reduce it themselves.  The leading residue, each lead entry its
     remainder mod that entry's modulus, and the first entries of the
     final rest, in the other places, are the row's key, and a word's key
     is its rows' keys joined.  Rows share no
@@ -926,24 +940,36 @@ def _in_bucket(x: str, n: int, rows: tuple, vals: tuple, *, checked: bool = Fals
     return True
 
 
-def _weighted_row(mod: int, cap: int | None = None):
-    """Row automaton with residues (sum of i * x_i mod mod, weight mod 4).
+def _lift(u: int, mu: int, v: int, mv: int) -> int:
+    """The residue mod mu * mv, for coprime mu and mv, that is u mod mu and
+    v mod mv (the CRT)."""
+    return u + mu * ((v - u) * pow(mu, -1, mv) % mv)
 
-    The rest holds the weight; with a run cap it also carries the last
-    bit and the length of the current run, and a run longer than cap
-    leaves the word out.
+
+def _weighted_row(mod: int, m: int, cap: int | None = None):
+    """Row automaton of length m with key (sum of i * x_i mod mod, weight
+    mod 4), mod odd.
+
+    Since mod is odd, it is coprime to 4, so one leading residue mod
+    4 * mod carries both entries (lead (0, 1)): a 1 at position i adds
+    the residue that is i mod mod and 1 mod 4, from a per-position table.
+    The rest is () with no cap; with a run cap it is the last bit and the
+    length of the current run, and a run longer than cap leaves the word
+    out.
     """
+    # turns[i][b]: the increment of bit b at position i
+    turns = [(0, _lift(i, mod, 1, 4)) for i in range(m + 1)]
     if cap is None:
-        return (0,), lambda rest, i, b: (i * b, ((rest[0] + b) % 4,)), (mod, 4), (0,)
+        return (), lambda rest, i, b: (turns[i][b], ()), (mod, 4), (0, 1)
 
     def step(rest, i, b):
-        w, last, run = rest
+        last, run = rest
         run = run + 1 if b == last else 1
         if run > cap:
             return None
-        return i * b, ((w + b) % 4, b, run)
+        return turns[i][b], (b, run)
 
-    return (0, None, 0), step, (mod, 4), (0,)
+    return (None, 0), step, (mod, 4), (0, 1)
 
 
 _ROW_FAMILIES = ("vt", "lev2", "c21", "c21rll", "svt21")
@@ -986,11 +1012,11 @@ def _build_rows(family: str, n: int, P: int | None, f: int | None):
 
         return (((0,), step, (2 * n,), (0,)),), ("a",), {}
     if family == "c21":
-        return (_weighted_row(2 * n - 1),), ("a", "b"), {}
+        return (_weighted_row(2 * n - 1, n),), ("a", "b"), {}
     if family == "c21rll":
         cap = rll_max_run(n) if f is None else f
-        return (_weighted_row(2 * n - 1, cap),), ("a", "b"), {"f": cap}
-    return (_weighted_row(2 * P - 1),), ("c", "d"), {"P": P}
+        return (_weighted_row(2 * n - 1, n, cap),), ("a", "b"), {"f": cap}
+    return (_weighted_row(2 * P - 1, n),), ("c", "d"), {"P": P}
 
 
 def pigeonhole_search(

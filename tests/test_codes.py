@@ -391,8 +391,10 @@ def test_contract_check_catches_a_residue_read_by_the_rest():
         return vt, (vt, (rest[1] + b) % 4)
 
     assert contract_breaks((0, 0), step, (5, 4), 4, vt_syndrome, lambda x: True)
-    # a row that leaves out a word the whole-word filter keeps
-    assert contract_breaks(*codes._weighted_row(5, 1)[:3], 4, vt_syndrome, lambda x: True)
+    # a row that leaves out a word the whole-word filter keeps: its run
+    # cap of 1 refuses exactly the words with a run of two
+    breaks = contract_breaks(*codes._weighted_row(5, 4, 1)[:3], 4, vt_syndrome, lambda x: True)
+    assert breaks == [x for x in all_words(4) if not rll_member(x, 1)]
 
 
 COST_SHAPES = (("vt", 12, None, None), ("c21rll", 12, None, None), ("c31", 12), ("cts", 12, 4, 2))

@@ -7,11 +7,13 @@ the key, the size and the members tuple, byte for byte; the size comes
 from the bucket counts, the members from a later listing pass.
 
 Brute force stops at n = 12.  Past it, the packed count pass is checked
-against the plain one it replaced, which keys a dict by full states; for
+against the plain one it replaced, which keys a dict by full states.  For
 c31 that plain pass runs the row as it was before its run count moved
-into the leading residue.
+into the leading residue, and for the weighted rows (c21, c21rll, svt21
+and the cts rows) the row as it was before their weight did.
 """
 
+import math
 import random
 
 import pytest
@@ -157,15 +159,47 @@ def ref_c31_row(n):
     return (0, 0, 1, 0), step, (4 * n, 4, 4, 5)
 
 
-def ref_counts(family, row, m):
-    """ref_row_counts over the row, or for c31 over ref_c31_row, its
-    rests projected to the row's: the packed row leaves out the runs."""
-    if family != "c31":
-        return ref_row_counts(*row[:3], m)
-    rests, best, size = ref_row_counts(*ref_c31_row(m), m)
-    if len(row[0]) == 3:
-        rests = [{(odd, even, last) for odd, even, _, last in level} for level in rests]
-    return rests, best, size
+def ref_weighted_row(mod, cap=None):
+    """The weighted row before its weight moved into the leading residue,
+    the reference automaton for c21, c21rll, svt21 and the cts rows: key
+    (VT sum mod mod, weight mod 4), rest (weight,) or, with a run cap,
+    (weight, last bit, run length)."""
+    if cap is None:
+        return (0,), lambda rest, i, b: (i * b, ((rest[0] + b) % 4,)), (mod, 4)
+
+    def step(rest, i, b):
+        w, last, run = rest
+        run = run + 1 if b == last else 1
+        if run > cap:
+            return None
+        return i * b, ((w + b) % 4, b, run)
+
+    return (0, None, 0), step, (mod, 4)
+
+
+def row_cap(case, r, m):
+    """The run cap of the r-th distinct row of case, or None."""
+    family, n, _, f = case
+    if family == "c21rll":
+        return rll_max_run(n) if f is None else f
+    if family == "cts" and r == 0:
+        return rll_max_run(m)
+    return None
+
+
+def ref_counts(case, r, row, m):
+    """ref_row_counts over the r-th distinct row of case, or over its
+    reference automaton, its rests projected to the row's: the packed c31
+    row leaves out the runs, and a weighted row, lead (0, 1), the weight."""
+    if case[0] == "c31":
+        rests, best, size = ref_row_counts(*ref_c31_row(m), m)
+        if len(row[0]) == 3:
+            rests = [{(odd, even, last) for odd, even, _, last in level} for level in rests]
+        return rests, best, size
+    if row[3] == (0, 1):
+        rests, best, size = ref_row_counts(*ref_weighted_row(row[2][0], row_cap(case, r, m)), m)
+        return [{rest[1:] for rest in level} for level in rests], best, size
+    return ref_row_counts(*row[:3], m)
 
 
 def family_rows(family, n, t=None, s=None, P=None, f=None):
@@ -198,11 +232,11 @@ LONG_ROWS = (
 def test_packed_counts_match_the_state_dict_pass(case):
     rows, m = search_rows(*case)
     assert len(rows) == (2 if case[0] == "cts" else 1)
-    for row in rows:
+    for r, row in enumerate(rows):
         levels, best, size = codes._row_counts(row, m)
         # the lister takes its suffixes from the rests of each level past
         # the middle, so each level must be exact
-        assert ([set(level) for level in levels], best, size) == ref_counts(case[0], row, m)
+        assert ([set(level) for level in levels], best, size) == ref_counts(case, r, row, m)
 
 
 @pytest.mark.parametrize("n", [16, 24])
@@ -213,12 +247,52 @@ def test_packed_c31_row_keeps_at_most_32_rests(n):
     assert max(map(len, levels)) == 32
 
 
+# the weight rides in the leading residue, so c21's and svt21's rows keep
+# one rest, (), a level, and a capped row at most the 2 f pairs (last
+# bit, run length)
+WEIGHTED_ROWS = [
+    ("c21", 16, None, None),
+    ("c21", 24, None, None),
+    ("svt21", 16, 6, None),
+    ("svt21", 24, 1, None),
+    ("c21rll", 16, None, None),
+    ("c21rll", 24, None, 2),
+    ("cts", 16, 4, 2),
+    ("cts", 24, 4, 1),
+]
+
+
+@pytest.mark.parametrize("case", WEIGHTED_ROWS, ids=map(str, WEIGHTED_ROWS))
+def test_weighted_rows_keep_no_weight_in_the_rest(case):
+    rows, m = search_rows(*case)
+    for r, (init, step, mods, lead) in enumerate(rows):
+        assert lead == (0, 1) and math.prod(mods) == 4 * mods[0]
+        calls = [0]
+
+        def tally(rest, pos, bit, step=step):
+            calls[0] += 1
+            return step(rest, pos, bit)
+
+        levels, _, _ = codes._row_counts((init, tally, mods, lead), m)
+        cap = row_cap(case, r, m)
+        if cap is None:
+            # one rest a level, so one step call per bit per position
+            assert set(levels) == {((),)}
+            assert calls[0] == 2 * m
+        else:
+            assert max(map(len, levels)) <= 2 * cap
+    if case == ("c21rll", 16, None, None):
+        assert max(map(len, levels)) == 14 and calls[0] <= 338
+
+
 @pytest.mark.parametrize("family,m", [("vt", 64), ("vt", 80), ("c21", 64), ("c21", 80)])
 def test_counts_wider_than_64_bits_match_the_state_dict_pass(family, m):
     # from m = 64 a count needs a 128-bit field, which struct cannot read
     (row,) = family_rows(family, m)
     levels, best, size = codes._row_counts(row, m)
-    assert ([set(level) for level in levels], best, size) == ref_row_counts(*row[:3], m)
+    assert ([set(level) for level in levels], best, size) == ref_counts(
+        (family, m, None, None), 0, row, m
+    )
 
 
 # every member is checked against its bucket up to this many; past it a
