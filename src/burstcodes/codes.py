@@ -78,8 +78,10 @@ over the number of residue classes, the product of the rows' mods.
 Every residue is a sum of per-position terms, so bucket sizes come from
 a dynamic program over positions.  The leading residue never keys it:
 per position, each rest holds one int packing the word counts of every
-leading residue in fields of 8, 16, 32 or 64 bits, the smallest that
-holds m + 1 bits, m the row length; so rows stay under 64 positions.  A
+leading residue in fields of W bits, the least power of two >= 8 and
+>= m, m the row length.  Only all 2^m words of a row in one cell can
+fill such a field, at W = m; the pass widens the last position's fields
+to 2W bits exactly when every word still in ends in one key group.  A
 step adds d to that residue by rotating the int one field per unit of
 d, and passes it on untouched when d is 0 mod the residue's modulus.
 So step runs 2 m times per distinct rest, not per state: for c31 at
@@ -698,41 +700,74 @@ def _key(mods: tuple, lead: tuple, res: int, rest: tuple) -> tuple:
     return tuple(res % mod if j in lead else next(tail) for j, mod in enumerate(mods))
 
 
+def _widen(packed: int, width: int, fields: int) -> int:
+    """packed, read as fields of width bits, with each field moved into
+    2 * width bits: one bytearray slice per byte of a field."""
+    size = width // 8
+    data = packed.to_bytes(fields * size, "little")
+    out = bytearray(2 * len(data))
+    for j in range(size):
+        out[j :: 2 * size] = data[j::size]
+    return int.from_bytes(out, "little")
+
+
 def _row_counts(row, m: int):
     """Forward pass of one row automaton over m positions; it only counts.
 
     A level maps each rest to one int that packs the number of words
-    reaching it with leading residue r, for every r mod M, M the product
-    of the lead moduli: field r is bits r*W .. r*W + W - 1, W the
-    smallest power of two >= 8 bits that holds m + 1 bits, so no count
-    (at most 2^m) spills.  step(rest, pos, bit) runs once per (rest, pos,
-    bit); its increment d, taken mod M, moves every r to r + d, which is
-    one cyclic rotation of the packed int, and no work at all when d is
-    0 mod M.  At the end one struct call reads each key's fields from the
-    int's little-endian bytes, as W-bit unsigned ints; a field wider than
-    64 bits, which struct has no code for (m >= 64), is read from its own
-    W / 8 bytes.  The first int to reach a rest is stored as it is and
-    later ones are added to it, so no int is copied just to start a sum.
-    With the weight in the leading residue (lead (0, 1)), c21's and
-    svt21's rows reach one rest a level, so the pass makes 2 m step
-    calls.  Picks the best key by the (-count, key) rule, on the
-    key itself, not on r.  Returns the levels, per position 0..m a tuple
-    of the rests reached after that many positions; the best key; and the
-    number of row words ending on it.
+    reaching it with leading residue r, for every r mod M, M the product of
+    the lead moduli: field r is bits r*W .. r*W + W - 1, W the smallest
+    power of two >= max(8, m).  A field holds up to 2^W - 1 words and a
+    (rest, residue) cell after pos positions at most 2^pos, so a cell can
+    fill its field only at W = m, at the last position, with no word left
+    out and every word ending in one key group: one rest, or rests that
+    agree on the key's other entries.  Exactly then the pass steps the last
+    position first, widens each int to fields of 2W bits (_widen) and counts
+    that position from the recorded steps; vt's, c21's and svt21's one rest
+    and lev2's two take this path at m = 8, 16, 32, 64.  step(rest, pos, bit)
+    runs once per (rest, pos, bit) either way; its increment d, taken mod M,
+    moves every r to r + d, which is one cyclic rotation of the packed int,
+    and no work at all when d is 0 mod M.  At the end one struct call reads
+    each key's fields from the int's little-endian bytes, as W-bit unsigned
+    ints; a field wider than 64 bits, which struct has no code for, is read
+    from its own W / 8 bytes.  The first int to reach a rest is stored as it
+    is and later ones are added to it, so no int is copied just to start a
+    sum.  With the weight in the leading residue (lead (0, 1)), c21's and
+    svt21's rows reach one rest a level, so the pass makes 2 m step calls.
+    Picks the best key by the (-count, key) rule, on the key itself, not on
+    r.  Returns the levels, per position 0..m a tuple of the rests reached
+    after that many positions; the best key; and the number of row words
+    ending on it.
     """
     init, step, mods, lead = row
     mod = math.prod(mods[j] for j in lead)
-    width = max(8, 1 << m.bit_length())
+    k = len(mods) - len(lead)
+    width = max(8, 1 << (m - 1).bit_length())
     span = mod * width
     full = (1 << span) - 1
+    left_out = False
     level = {init: 1}
     levels = [(init,)]
     for pos in range(1, m + 1):
+        run = step
+        if pos == m and width == m and not left_out:
+            # every word is still in: step the last position first, and if
+            # every word ends in one key group, count it in 2W-bit fields
+            seen = {(rest, bit): step(rest, pos, bit) for rest in level for bit in (0, 1)}
+            if None not in seen.values() and len({t[1][:k] for t in seen.values()}) == 1:
+                level = {rest: _widen(packed, width, mod) for rest, packed in level.items()}
+                width, span = 2 * width, 2 * span
+                full = (1 << span) - 1
+
+            def run(rest, pos, bit):
+                return seen[rest, bit]
+
         nxt = {}
         for rest, packed in level.items():
             for bit in (0, 1):
-                t = step(rest, pos, bit)
+                t = run(rest, pos, bit)
                 if t is None:
+                    left_out = True
                     continue
                 d, rest2 = t
                 shift = d % mod * width
@@ -743,9 +778,8 @@ def _row_counts(row, m: int):
                     nxt[rest2] = turned
         level = nxt
         levels.append(tuple(level))
-    # rests that agree on the key's other entries share its buckets; no
-    # field of their sum exceeds the 2^m words
-    k = len(mods) - len(lead)
+    # rests that agree on the key's other entries share its buckets; the
+    # guard above keeps every field of their sum under 2^W
     groups: dict[tuple, int] = {}
     for rest, packed in level.items():
         if rest[:k] in groups:
@@ -887,17 +921,16 @@ def _largest_bucket(n: int, rows: tuple):
     is the rows' best keys joined; ties go to the smallest key.  Lengths
     above DEFAULT_ENUM_GUARD are refused before any counting.
 
-    step never sees the leading residue, so no pass keys on it.  The
-    forward pass steps each rest once per position and bit and carries
-    the counts of all M residues packed in one int, a field of 8, 16, 32
-    or 64 bits per residue: 2 m step calls per rest and row of length
-    m = n / k, up to M times fewer than one per state, and one rotation
-    per call whose increment is not 0 mod M.  The
-    guard keeps m under the 64 positions those fields can count.  It
-    keeps only the rests each level reached.  The lister meets in the
-    middle, h = m // 2 (_row_words): it steps each rest of the levels
-    from h on once per bit to build their suffixes, and each length-h
-    prefix once per bit, then joins them on the leading residue.
+    step never sees the leading residue, so no pass keys on it.  The forward
+    pass steps each rest once per position and bit and carries the counts of
+    all M residues packed in one int, a field of W bits per residue, W the
+    least power of two >= 8 and >= m (_row_counts): 2 m step calls per rest
+    and row of length m = n / k, up to M times fewer than one per state, and
+    one rotation per call whose increment is not 0 mod M.  It keeps only the
+    rests each level reached.  The lister meets in the middle, h = m // 2
+    (_row_words): it steps each rest of the levels from h on once per bit to
+    build their suffixes, and each length-h prefix once per bit, then joins
+    them on the leading residue.
 
     Only the forward counts run here, once per distinct row automaton.
     The returned lister takes no argument and returns the members in

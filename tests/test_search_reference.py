@@ -214,9 +214,9 @@ def search_rows(family, n, *shape):
     return tuple(dict.fromkeys(rows)), n // len(rows)
 
 
-# counts are packed in fields of 8, 16, 32 or 64 bits, the smallest that
-# holds m + 1 bits; the cts rows take m just below and at each change of
-# width, 7 and 8, 15 and 16, 31 and 32, for both of their row automata;
+# counts are packed in fields of W bits, the least power of two >= 8 and
+# >= m; the cts rows take m just below, at and just past W = m, 7, 8 and
+# 9, 15, 16 and 17, 31 and 32, for both of their row automata;
 # c31 packs its run count with rsyn0 except at n = 20 and 30, which 5
 # divides, and is checked against the unpacked reference at every n
 LONG_ROWS = (
@@ -224,7 +224,7 @@ LONG_ROWS = (
     + [("c21rll", n, None, f) for f in (1, 2) for n in range(13, 41)]
     + [("svt21", n, P, None) for P in (1, 3, 6) for n in range(13, 41)]
     + [("c31", n, None, None) for n in range(14, 33, 2)]
-    + [("cts", k * m, t, s) for t, s, k in ((4, 2, 2), (4, 1, 3)) for m in (7, 8, 15, 16, 31, 32)]
+    + [("cts", k * m, t, s) for t, s, k in ((4, 2, 2), (4, 1, 3)) for m in (7, 8, 9, 15, 16, 17, 31, 32)]
 )
 
 
@@ -287,12 +287,71 @@ def test_weighted_rows_keep_no_weight_in_the_rest(case):
 
 @pytest.mark.parametrize("family,m", [("vt", 64), ("vt", 80), ("c21", 64), ("c21", 80)])
 def test_counts_wider_than_64_bits_match_the_state_dict_pass(family, m):
-    # from m = 64 a count needs a 128-bit field, which struct cannot read
+    # at m = 64 a one-rest row counts its last position in 128-bit fields,
+    # and from m = 65 every position; struct cannot read them
     (row,) = family_rows(family, m)
     levels, best, size = codes._row_counts(row, m)
     assert ([set(level) for level in levels], best, size) == ref_counts(
         (family, m, None, None), 0, row, m
     )
+
+
+def one_cell_rows(m):
+    """Synthetic rows of length m whose every word ends in one cell, one
+    leading residue of one key group, so at m = W the count 2^m fills a
+    W-bit field: one rest mod 1; one rest mod 2 with even increments; two
+    rests (the last bit) that merge at position m, every step adding 1;
+    two final rests (0, last bit) that share their key tail (0,)."""
+    return {
+        "mod-1": ((), lambda rest, i, b: (i * b, ()), (1,), (0,)),
+        "mod-2-even": ((), lambda rest, i, b: (2 * i * b, ()), (2,), (0,)),
+        "merging": ((0,), lambda rest, i, b: (1, (b,) if i < m else ()), (3,), (0,)),
+        "one-tail": ((0, 0), lambda rest, i, b: (4 * b, (0, b)), (4, 2), (0,)),
+    }
+
+
+@pytest.mark.parametrize("m", [8, 16, 32, 64])
+@pytest.mark.parametrize("name", ["mod-1", "mod-2-even", "merging", "one-tail"])
+def test_a_row_whose_words_share_one_cell_counts_them_all(name, m):
+    init, step, mods, lead = one_cell_rows(m)[name]
+    calls = [0]
+
+    def tally(rest, pos, bit):
+        calls[0] += 1
+        return step(rest, pos, bit)
+
+    levels, best, size = codes._row_counts((init, tally, mods, lead), m)
+    assert size == 2**m
+    assert ([set(level) for level in levels], best, size) == ref_row_counts(init, step, mods, m)
+    # the last position is stepped once, before its fields are widened
+    assert calls[0] == 2 * sum(map(len, levels[:-1]))
+
+
+@pytest.mark.parametrize(
+    "case, widened",
+    [
+        (("vt", 16, None, None), 1),
+        (("c21", 32, None, None), 1),
+        (("svt21", 16, 6, None), 1),
+        (("lev2", 16, None, None), 2),
+        (("vt", 15, None, None), 0),
+        (("c31", 16, None, None), 0),
+        (("c21rll", 16, None, None), 0),
+        (("cts", 16, 4, 2), 1),
+    ],
+    ids=str,
+)
+def test_only_rows_whose_words_can_fill_a_field_are_widened(case, widened, monkeypatch):
+    # W = m with every word in one key group: vt's, c21's and svt21's one
+    # rest, lev2's two (no key tail), and cts's svt21 row at m = 8; not
+    # c31's weights in its tail, nor a run cap, which leaves words out
+    calls = []
+    widen = codes._widen
+    monkeypatch.setattr(codes, "_widen", lambda *a: calls.append(a) or widen(*a))
+    rows, m = search_rows(*case)
+    for row in rows:
+        codes._row_counts(row, m)
+    assert len(calls) == widened
 
 
 # every member is checked against its bucket up to this many; past it a
