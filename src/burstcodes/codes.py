@@ -78,18 +78,9 @@ over the number of residue classes, the product of the rows' mods.
 Every residue is a sum of per-position terms, so bucket sizes come from
 a dynamic program over positions.  The leading residue never keys it:
 per position, each rest holds one int packing the word counts of every
-leading residue in fields of W bits, the least power of two >= 8 and
->= m, m the row length.  Only all 2^m words of a row in one cell can
-fill such a field, at W = m; the pass widens the last position's fields
-to 2W bits exactly when every word still in ends in one key group.  A
-step adds d to that residue by rotating the int one field per unit of
-d, and passes it on untouched when d is 0 mod the residue's modulus.
-So step runs 2 m times per distinct rest, not per state: for c31 at
-n = 16, at most 32 rests a level instead of about 10k states, and for
-c21 and svt21 one.  At the end one struct call per key reads its fields
-from the int's bytes.  That pass only counts, keeping the rests each
-position reached.  The codebook it returns takes its size from those
-counts; the winning
+leading residue, so step runs per rest, not per state (_row_counts).
+That pass only counts, keeping the rests each position reached.  The
+codebook it returns takes its size from those counts; the winning
 bucket's members are built on first use, met in the middle of each row
 from those rests (_row_words), and no other bucket's ever are.
 """
@@ -700,17 +691,6 @@ def _key(mods: tuple, lead: tuple, res: int, rest: tuple) -> tuple:
     return tuple(res % mod if j in lead else next(tail) for j, mod in enumerate(mods))
 
 
-def _widen(packed: int, width: int, fields: int) -> int:
-    """packed, read as fields of width bits, with each field moved into
-    2 * width bits: one bytearray slice per byte of a field."""
-    size = width // 8
-    data = packed.to_bytes(fields * size, "little")
-    out = bytearray(2 * len(data))
-    for j in range(size):
-        out[j :: 2 * size] = data[j::size]
-    return int.from_bytes(out, "little")
-
-
 def _row_counts(row, m: int):
     """Forward pass of one row automaton over m positions; it only counts.
 
@@ -718,14 +698,14 @@ def _row_counts(row, m: int):
     reaching it with leading residue r, for every r mod M, M the product of
     the lead moduli: field r is bits r*W .. r*W + W - 1, W the smallest
     power of two >= max(8, m).  A field holds up to 2^W - 1 words and a
-    (rest, residue) cell after pos positions at most 2^pos, so a cell can
-    fill its field only at W = m, at the last position, with no word left
-    out and every word ending in one key group: one rest, or rests that
-    agree on the key's other entries.  Exactly then the pass steps the last
-    position first, widens each int to fields of 2W bits (_widen) and counts
-    that position from the recorded steps; vt's, c21's and svt21's one rest
-    and lev2's two take this path at m = 8, 16, 32, 64.  step(rest, pos, bit)
-    runs once per (rest, pos, bit) either way; its increment d, taken mod M,
+    (rest, residue) cell after pos positions at most 2^pos, so only a final
+    cell, summed over the rests of one key group (rests that agree on the
+    key's other entries), can overflow its field: at W = m, with no word
+    left out and all 2^m words in that cell.  The sums are exact ints, so
+    then the one group's int is 2^m << r W, a single set bit, and with
+    every word in and no cell full at least two fields are non-zero; the
+    pass checks for that bit before it reads any field.  step(rest, pos,
+    bit) runs once per (rest, pos, bit); its increment d, taken mod M,
     moves every r to r + d, which is one cyclic rotation of the packed int,
     and no work at all when d is 0 mod M.  At the end one struct call reads
     each key's fields from the int's little-endian bytes, as W-bit unsigned
@@ -749,23 +729,10 @@ def _row_counts(row, m: int):
     level = {init: 1}
     levels = [(init,)]
     for pos in range(1, m + 1):
-        run = step
-        if pos == m and width == m and not left_out:
-            # every word is still in: step the last position first, and if
-            # every word ends in one key group, count it in 2W-bit fields
-            seen = {(rest, bit): step(rest, pos, bit) for rest in level for bit in (0, 1)}
-            if None not in seen.values() and len({t[1][:k] for t in seen.values()}) == 1:
-                level = {rest: _widen(packed, width, mod) for rest, packed in level.items()}
-                width, span = 2 * width, 2 * span
-                full = (1 << span) - 1
-
-            def run(rest, pos, bit):
-                return seen[rest, bit]
-
         nxt = {}
         for rest, packed in level.items():
             for bit in (0, 1):
-                t = run(rest, pos, bit)
+                t = step(rest, pos, bit)
                 if t is None:
                     left_out = True
                     continue
@@ -778,14 +745,18 @@ def _row_counts(row, m: int):
                     nxt[rest2] = turned
         level = nxt
         levels.append(tuple(level))
-    # rests that agree on the key's other entries share its buckets; the
-    # guard above keeps every field of their sum under 2^W
+    # rests that agree on the key's other entries share its buckets
     groups: dict[tuple, int] = {}
     for rest, packed in level.items():
         if rest[:k] in groups:
             groups[rest[:k]] += packed
         else:
             groups[rest[:k]] = packed
+    if width == m and not left_out and len(groups) == 1:
+        [(tail, packed)] = groups.items()
+        if packed.bit_count() == 1:
+            # all 2^m words in one cell r, which no m-bit field holds: packed is 2^m << r m
+            return levels, _key(mods, lead, (packed.bit_length() - 1) // m - 1, tail), 1 << m
     if width in _FIELD_CODES:
         read = struct.Struct(f"<{mod}{_FIELD_CODES[width]}").unpack
     else:
@@ -922,15 +893,12 @@ def _largest_bucket(n: int, rows: tuple):
     above DEFAULT_ENUM_GUARD are refused before any counting.
 
     step never sees the leading residue, so no pass keys on it.  The forward
-    pass steps each rest once per position and bit and carries the counts of
-    all M residues packed in one int, a field of W bits per residue, W the
-    least power of two >= 8 and >= m (_row_counts): 2 m step calls per rest
-    and row of length m = n / k, up to M times fewer than one per state, and
-    one rotation per call whose increment is not 0 mod M.  It keeps only the
-    rests each level reached.  The lister meets in the middle, h = m // 2
-    (_row_words): it steps each rest of the levels from h on once per bit to
-    build their suffixes, and each length-h prefix once per bit, then joins
-    them on the leading residue.
+    pass steps each rest of a row of length m = n / k once per position and
+    bit, carrying the counts of all M residues packed in one int
+    (_row_counts), and keeps only the rests each level reached.  The lister
+    meets in the middle, h = m // 2 (_row_words): it steps each rest of the
+    levels from h on once per bit to build their suffixes, and each
+    length-h prefix once per bit, then joins them on the leading residue.
 
     Only the forward counts run here, once per distinct row automaton.
     The returned lister takes no argument and returns the members in

@@ -287,8 +287,8 @@ def test_weighted_rows_keep_no_weight_in_the_rest(case):
 
 @pytest.mark.parametrize("family,m", [("vt", 64), ("vt", 80), ("c21", 64), ("c21", 80)])
 def test_counts_wider_than_64_bits_match_the_state_dict_pass(family, m):
-    # at m = 64 a one-rest row counts its last position in 128-bit fields,
-    # and from m = 65 every position; struct cannot read them
+    # at m = 64 the fields are 64 bits wide, which struct reads; at m = 80
+    # they are 128 bits wide, which it cannot
     (row,) = family_rows(family, m)
     levels, best, size = codes._row_counts(row, m)
     assert ([set(level) for level in levels], best, size) == ref_counts(
@@ -298,8 +298,8 @@ def test_counts_wider_than_64_bits_match_the_state_dict_pass(family, m):
 
 def one_cell_rows(m):
     """Synthetic rows of length m whose every word ends in one cell, one
-    leading residue of one key group, so at m = W the count 2^m fills a
-    W-bit field: one rest mod 1; one rest mod 2 with even increments; two
+    leading residue of one key group, so at W = m the count 2^m overflows
+    a W-bit field: one rest mod 1; one rest mod 2 with even increments; two
     rests (the last bit) that merge at position m, every step adding 1;
     two final rests (0, last bit) that share their key tail (0,)."""
     return {
@@ -310,7 +310,9 @@ def one_cell_rows(m):
     }
 
 
-@pytest.mark.parametrize("m", [8, 16, 32, 64])
+# W > m at 5 and 17, W = m at 8, 16, 32 and 64, and fields wider than 64
+# bits, read without struct, at 128
+@pytest.mark.parametrize("m", [5, 8, 16, 17, 32, 64, 128])
 @pytest.mark.parametrize("name", ["mod-1", "mod-2-even", "merging", "one-tail"])
 def test_a_row_whose_words_share_one_cell_counts_them_all(name, m):
     init, step, mods, lead = one_cell_rows(m)[name]
@@ -323,35 +325,41 @@ def test_a_row_whose_words_share_one_cell_counts_them_all(name, m):
     levels, best, size = codes._row_counts((init, tally, mods, lead), m)
     assert size == 2**m
     assert ([set(level) for level in levels], best, size) == ref_row_counts(init, step, mods, m)
-    # the last position is stepped once, before its fields are widened
+    # each (rest, pos, bit) is stepped once
     assert calls[0] == 2 * sum(map(len, levels[:-1]))
 
 
-@pytest.mark.parametrize(
-    "case, widened",
-    [
-        (("vt", 16, None, None), 1),
-        (("c21", 32, None, None), 1),
-        (("svt21", 16, 6, None), 1),
-        (("lev2", 16, None, None), 2),
-        (("vt", 15, None, None), 0),
-        (("c31", 16, None, None), 0),
-        (("c21rll", 16, None, None), 0),
-        (("cts", 16, 4, 2), 1),
-    ],
-    ids=str,
-)
-def test_only_rows_whose_words_can_fill_a_field_are_widened(case, widened, monkeypatch):
-    # W = m with every word in one key group: vt's, c21's and svt21's one
-    # rest, lev2's two (no key tail), and cts's svt21 row at m = 8; not
-    # c31's weights in its tail, nor a run cap, which leaves words out
-    calls = []
-    widen = codes._widen
-    monkeypatch.setattr(codes, "_widen", lambda *a: calls.append(a) or widen(*a))
-    rows, m = search_rows(*case)
-    for row in rows:
-        codes._row_counts(row, m)
-    assert len(calls) == widened
+def sparse_rows(m):
+    """Synthetic rows of length m with W = m that leave words out: one
+    that keeps only 0^m, in field 0 of 3; the same word in the top field,
+    residue 2; one that leaves out only 1^m, putting the other 2^m - 1
+    words in the top field.  A row that keeps one word ends on an int with
+    one set bit, as 2^m words in one cell would, so only the words left
+    out tell the two apart; 2^m - 1 is the largest count a field holds."""
+
+    def only_zeros(d):
+        return lambda rest, i, b: None if b else (d * (i == 1), ())
+
+    def all_but_ones(rest, i, b):
+        ones = rest[0] and b
+        if i < m:
+            return 2 * (i == 1), (ones,)
+        return None if ones else (0, ())
+
+    return {
+        "zeros-field-0": ((), only_zeros(0), (3,), (0,)),
+        "zeros-top-field": ((), only_zeros(2), (3,), (0,)),
+        "all-but-ones": ((1,), all_but_ones, (3,), (0,)),
+    }
+
+
+@pytest.mark.parametrize("m", [8, 16, 32, 64, 128])
+@pytest.mark.parametrize("name", ["zeros-field-0", "zeros-top-field", "all-but-ones"])
+def test_a_row_that_leaves_words_out_counts_the_rest(name, m):
+    init, step, mods, lead = sparse_rows(m)[name]
+    levels, best, size = codes._row_counts((init, step, mods, lead), m)
+    assert size == (2**m - 1 if name == "all-but-ones" else 1)
+    assert ([set(level) for level in levels], best, size) == ref_row_counts(init, step, mods, m)
 
 
 # every member is checked against its bucket up to this many; past it a
