@@ -198,11 +198,11 @@ def _automaton(n: int) -> tuple:
 
         return (((0, 0, 1, 0), step, (mod_a, 4, 4, 5), (0,)),)
 
-    # turns[i][changed]: the increment at position i, the residue mod 20n
-    # that is its rsyn0 term mod 4n and its run count mod 5; x_1 opens
-    # the first run
-    turns = [None, (_lift(0, mod_a, 1, 5), _lift(n, mod_a, 1, 5))]
-    turns += [(0, _lift(n + 1 - i, mod_a, 1, 5)) for i in range(2, n + 1)]
+    # the CRT lift to mod 20n is linear, with unit 1 mod 4n and 0 mod 5 and
+    # run 0 mod 4n and 1 mod 5: a transition at i adds (n + 1 - i) unit +
+    # run, top - i unit, and an unchanged x_1 adds run, opening the first run
+    unit, run = _lift(1, mod_a, 0, 5), _lift(0, mod_a, 1, 5)
+    top = (n + 1) * unit + run
 
     def packed_step(rest, i, bit):
         odd, even, last = rest
@@ -211,7 +211,7 @@ def _automaton(n: int) -> tuple:
                 odd = (odd + 1) % 4
             else:
                 even = (even + 1) % 4
-        return turns[i][bit != last], (odd, even, bit)
+        return (top - i * unit if bit != last else run if i == 1 else 0), (odd, even, bit)
 
     return (((0, 0, 0), packed_step, (mod_a, 4, 4, 5), (0, 3)),)
 

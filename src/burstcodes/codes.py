@@ -38,14 +38,15 @@ Levenshtein's VT decoder does.  Each change splices at the positions of
 one symbol only, and the candidate's sum is a strictly monotone
 function of the position's index among them, so each value of the
 right residue class names at most one position, found by one replace or
-count of y in C.  y's VT sum takes one popcount of int(y, 2) per bit of
-the length, its weight one more.  So a decode takes O(1) Python steps
-per candidate and O(n) work in C, checks each argument once, and builds
-strings only for survivors.  The run-syndrome decoders, LEV2 and C31,
-use that an insert moves the suffix up a fixed number of coordinates,
-so each suffix transition's term falls by that number, and a
-candidate's sum is prefix plus shifted suffix plus the few transitions
-at its window.
+count of y in C.  y's VT sum and weight come from _row_sums, the one
+int primitive for them, which cts's rows and LEV2's transition sums use
+too: a popcount of int(y, 2) per bit of the length, and one more.  So a
+decode takes O(1) Python steps per candidate and O(n) work in C, checks
+each argument once, and builds strings only for survivors.  The
+run-syndrome decoders, LEV2 and C31, use that an insert moves the
+suffix up a fixed number of coordinates, so each suffix transition's
+term falls by that number, and a candidate's sum is prefix plus shifted
+suffix plus the few transitions at its window.
 LEV2 solves its congruence per window class (_lev2_core): at a run
 start the sum is a multiple of the run's rank plus a constant, and
 inside runs a strictly monotone function of the position, so each class
@@ -56,21 +57,23 @@ transitions (_transition_sums; see c31).  Both build a string only for
 a survivor and read the transitions inside a window from _window_flips.
 
 Each family's syndrome is written once, as row automata (init, step,
-mods, lead), built once per shape; the member tests run them over one
-word, and the searches count with them.  mods holds the moduli of the
-row's key entries, in key order.  step(rest, pos, bit) returns the
-increment d of the row's leading residue and the next rest, or None to
-leave the word out; it never sees the leading residue, which starts at
-0 and which the engine adds up itself.  lead names the key entries that
-residue carries; several must have coprime moduli, and the residue then
-runs mod their product, each entry its remainder (the CRT).  The rest's
-first entries are the other key entries.  VT's and LEV2's rows lead
-with (0,).  The weighted rows, C21's, C21RLL's, SVT21's and every row
-of cts, key a VT sum mod an odd M and the weight mod 4, so one residue
-mod 4M carries both, lead (0, 1), and the rest is () or, with a run
-cap, the last bit and run length (_weighted_row).  c31, at every length
-that 5 does not divide, carries rsyn0 mod 4n and the run count mod 5 in
-one residue mod 20n, key entries 0 and 3.
+mods, lead), built once per shape from a few constants, no per-position
+table; the member tests run them over one word, and the searches count
+with them.  mods holds the moduli of the row's key entries, in key
+order.  step(rest, pos, bit) returns the increment d of the row's
+leading residue and the next rest, or None to leave the word out; it
+never sees the leading residue, which starts at 0 and which the engine
+adds up itself.  lead names the key entries that residue carries;
+several must have coprime moduli, and the residue then runs mod their
+product, each entry its remainder (the CRT).  The rest's first entries
+are the other key entries.  VT's and LEV2's rows lead with (0,).  The
+weighted rows, C21's, C21RLL's, SVT21's and every row of cts, key a VT
+sum mod an odd M and the weight mod 4, so one residue mod 4M carries
+both, lead (0, 1): unit * V + one * w, as the CRT is linear, so a 1 at
+i adds i * unit + one.  The rest is () or, with a run cap, the last bit
+and run length (_weighted_row).  c31, at lengths that 5 does not
+divide, carries rsyn0 mod 4n and the run count mod 5 in one residue mod
+20n, key entries 0 and 3, the same way.
 
 pigeonhole_search() finds, for any family, the syndrome values whose
 codebook is largest; averaging guarantees the winner is at least 2^n
@@ -266,27 +269,34 @@ def _check_received(y: str, length: int) -> None:
 
 
 @cache
-def _bit_masks(bits: int) -> tuple[tuple[int, int], ...]:
-    """Per k < bits, (mask, k): the mask of the bit positions below 2^bits
-    that have bit k set.  It repeats one block of 2^k set bits every
-    2^(k+1) positions, so it is that block times a repunit in base
-    2^(k+1)."""
-    whole = (1 << (1 << bits)) - 1
-    masks = []
-    for k in range(bits):
-        half = 1 << k
-        block = (1 << half) - 1 << half
-        masks.append((block * whole // ((1 << 2 * half) - 1), k))
+def _row_masks(k: int, size: int) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
+    """Per row y[i::k], i < k, of a word of length size: the mask of the
+    row's bits in the word's int and, per bit q of a row index j, the mask
+    of the row's bits whose j has bit q set.  Coordinate j + 1 of row i is
+    coordinate i + 1 + k j of the word, bit size - 1 - i - k j.  A mask is
+    built as a bit string in C, its marks k - 1 zeros apart."""
+    gap, masks = "0" * (k - 1), []
+    for i in range(k):
+        length = len(range(i, size, k))
+        # "1" at each row index j in the mask: every j, then the j with bit q set
+        marks = ["1" * length] + [(("0" * (1 << q) + "1" * (1 << q)) * (length >> q))[:length]
+                                  for q in range((length - 1).bit_length())]
+        ints = [int(("0" * i + gap.join(js)).ljust(size, "0") or "0", 2) for js in marks]
+        masks.append((ints[0], tuple(zip(ints[1:], range(len(ints) - 1)))))
     return tuple(masks)
 
 
-def _index_sum(v: int, bits: int) -> int:
-    """The sum of the indices of v's set bits, all below 2^bits: bit k of
-    an index adds 2^k for each set bit whose index has it."""
-    total = 0
-    for mask, k in _bit_masks(bits):
-        total += (v & mask).bit_count() << k
-    return total
+def _row_sums(v: int, masks: tuple) -> list[tuple[int, int]]:
+    """Each row's VT sum and weight, (V, w), read from v, the int of the
+    word whose _row_masks are masks: w is one popcount, and V is w plus
+    the sum of the row indices j of the 1s, one popcount per bit of j."""
+    sums = []
+    for whole, parts in masks:
+        V = w = (v & whole).bit_count()
+        for mask, q in parts:
+            V += (v & mask).bit_count() << q
+        sums.append((V, w))
+    return sums
 
 
 # each weight change's symbol y_p, what the splice puts in, and whether
@@ -305,13 +315,10 @@ def _pair_splices(y: str, mod: int, target: int, lo: int, hi: int, weight: int |
     one weight change b0 + b1 - y_p that gives weight mod 4, or for weight
     None of changes 0 and 1, a bit put in.
 
-    y's sums, then the solve.  Coordinate i is bit b = len(y) - i of
-    int(y, 2), so y's VT sum is len(y) times its weight w less the sum of
-    b over the 1s, one popcount per bit of the length, and w one more.
+    y's sums, its VT sum V and weight w as one row's _row_sums of
+    int(y, 2), then the solve.
     """
-    v = int(y, 2)
-    w = v.bit_count()
-    V = len(y) * w - _index_sum(v, len(y).bit_length())
+    [(V, w)] = _row_sums(int(y, 2), _row_masks(1, len(y)))
     return _splice_solve(y, V, w, mod, target, lo, hi, weight)
 
 
@@ -496,14 +503,13 @@ _INSERTS = {
 
 def _transitions(y: str, n: int) -> tuple[int, int, int]:
     """y's transition mask d, with y_0 = 0: bit len(y) - i is y_i !=
-    y_{i-1}; the number of transitions; and the sum of their rsyn0 terms
-    n + 1 - i in a word of length n, the rsyn0 of y itself at len(y) = n."""
-    m = len(y)
+    y_{i-1}; the number t of transitions, d's weight; and the sum of their
+    rsyn0 terms n + 1 - i in a word of length n, (n + 1) t less d's VT
+    sum, the rsyn0 of y itself at len(y) = n."""
     v = int(y, 2) if y else 0
     d = v ^ v >> 1
-    t = d.bit_count()
-    # bit j is the transition at i = m - j, whose term is n + 1 - m + j
-    return d, t, (n + 1 - m) * t + _index_sum(d, m.bit_length())
+    [(V, t)] = _row_sums(d, _row_masks(1, len(y)))
+    return d, t, (n + 1) * t - V
 
 
 def _transition_sums(y: str, n: int) -> tuple[list[int], list[int]]:
@@ -947,28 +953,26 @@ def _lift(u: int, mu: int, v: int, mv: int) -> int:
     return u + mu * ((v - u) * pow(mu, -1, mv) % mv)
 
 
-def _weighted_row(mod: int, m: int, cap: int | None = None):
-    """Row automaton of length m with key (sum of i * x_i mod mod, weight
-    mod 4), mod odd.
+def _weighted_row(mod: int, cap: int | None = None):
+    """Row automaton, of any length, with key (V, w) = (sum of i * x_i mod
+    mod, weight mod 4), mod odd.
 
     Since mod is odd, it is coprime to 4, so one leading residue mod
-    4 * mod carries both entries (lead (0, 1)): a 1 at position i adds
-    the residue that is i mod mod and 1 mod 4, from a per-position table.
-    The rest is () with no cap; with a run cap it is the last bit and the
-    length of the current run, and a run longer than cap leaves the word
-    out.
-    """
-    # turns[i][b]: the increment of bit b at position i
-    turns = [(0, _lift(i, mod, 1, 4)) for i in range(m + 1)]
+    4 * mod, unit * V + one * w, carries both entries (lead (0, 1)), unit
+    1 mod mod and 0 mod 4 and one 0 mod mod and 1 mod 4 (the CRT is
+    linear): a 1 at position i adds i * unit + one.  The rest is () with
+    no cap; else the last bit and the length of the run, and a run longer
+    than cap leaves the word out."""
+    unit, one = _lift(1, mod, 0, 4), _lift(0, mod, 1, 4)
     if cap is None:
-        return (), lambda rest, i, b: (turns[i][b], ()), (mod, 4), (0, 1)
+        return (), lambda rest, i, b: (i * unit + one if b else 0, ()), (mod, 4), (0, 1)
 
     def step(rest, i, b):
         last, run = rest
         run = run + 1 if b == last else 1
         if run > cap:
             return None
-        return turns[i][b], (b, run)
+        return (i * unit + one if b else 0), (b, run)
 
     return (None, 0), step, (mod, 4), (0, 1)
 
@@ -1013,11 +1017,11 @@ def _build_rows(family: str, n: int, P: int | None, f: int | None):
 
         return (((0,), step, (2 * n,), (0,)),), ("a",), {}
     if family == "c21":
-        return (_weighted_row(2 * n - 1, n),), ("a", "b"), {}
+        return (_weighted_row(2 * n - 1),), ("a", "b"), {}
     if family == "c21rll":
         cap = rll_max_run(n) if f is None else f
-        return (_weighted_row(2 * n - 1, n, cap),), ("a", "b"), {"f": cap}
-    return (_weighted_row(2 * P - 1, n),), ("c", "d"), {"P": P}
+        return (_weighted_row(2 * n - 1, cap),), ("a", "b"), {"f": cap}
+    return (_weighted_row(2 * P - 1),), ("c", "d"), {"P": P}
 
 
 def pigeonhole_search(

@@ -29,14 +29,14 @@ of the row codes is f+1 when s = 1 and f+2 when s >= 2 so the widened
 window always fits.
 
 cts_decode reads the received word as one int and takes every row's VT
-sum and weight from it through strided masks built once per shape
-(_row_masks, _row_sums), then runs the splice solve of codes on each
-row: row 1 over starts 1..m-1 with C21's moduli and run cap, every other
-row over the column window with SVT21's.  Row 1's decode, the window
-and its clamp to 1..m-1 are each done once a decode, and what the
-decoder reads of the params (k, m, f and the moduli 2m-1 and 2P-1) is
-read once per params object.  The outcome and trace objects are built
-only for a traced decode.
+sum and weight from it through strided masks built once per shape, with
+codes' one VT-sum primitive (_row_masks, _row_sums), then runs the
+splice solve of codes on each row: row 1 over starts 1..m-1 with C21's
+moduli and run cap, every other row over the column window with
+SVT21's.  Row 1's decode, the window and its clamp to 1..m-1 are each
+done once a decode, and what the decoder reads of the params (k, m, f
+and the moduli 2m-1 and 2P-1) is read once per params object.  The
+outcome and trace objects are built only for a traced decode.
 """
 
 from __future__ import annotations
@@ -59,6 +59,8 @@ from .codes import (
     _family_rows,
     _in_bucket,
     _largest_bucket,
+    _row_masks,
+    _row_sums,
     _splice_solve,
     rll_max_run,
 )
@@ -216,38 +218,6 @@ def _column_window(
         c1, hi = window
         lo = c1 - (1 if s == 1 else 2)
     return lo if lo > 1 else 1, hi if hi < m else m
-
-
-@cache
-def _row_masks(k: int, size: int) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
-    """Per row y[i::k], i < k, of a word of length size: the mask of the
-    row's bits in the word's int and, per bit q of a row index j, the mask
-    of the row's bits whose j has bit q set.  Coordinate j + 1 of row i is
-    coordinate i + 1 + k j of the word, bit size - 1 - i - k j."""
-    masks = []
-    for i in range(k):
-        bits = range(size - 1 - i, -1, -k)
-        masks.append((
-            sum(1 << b for b in bits),
-            tuple(
-                (sum(1 << b for j, b in enumerate(bits) if j >> q & 1), q)
-                for q in range((len(bits) - 1).bit_length())
-            ),
-        ))
-    return tuple(masks)
-
-
-def _row_sums(v: int, masks: tuple) -> list[tuple[int, int]]:
-    """Each row's VT sum and weight, (V, w), read from v, the int of the
-    word whose _row_masks are masks: w is one popcount, and V is w plus
-    the sum of the row indices j of the 1s, one popcount per bit of j."""
-    sums = []
-    for whole, parts in masks:
-        V = w = (v & whole).bit_count()
-        for mask, q in parts:
-            V += (v & mask).bit_count() << q
-        sums.append((V, w))
-    return sums
 
 
 @dataclass(frozen=True)

@@ -37,8 +37,10 @@ class SplitMix64:
         return z ^ (z >> 31)
 
     def below(self, bound: int) -> int:
-        """Uniform integer in [0, bound) without modulo bias."""
+        """Uniform integer in [0, bound), bound <= 2^64, without modulo bias."""
         _check_int(bound, 1, "bound must be positive")
+        if bound > 1 << 64:
+            raise ValueError(f"bound must be at most 2^64, got {bound}")
         limit = (1 << 64) - ((1 << 64) % bound)
         while True:
             draw = self.next64()
@@ -46,8 +48,10 @@ class SplitMix64:
                 return draw % bound
 
     def word(self, length: int) -> str:
-        """Uniform word of the given length, an int >= 0."""
+        """Uniform word of the given length, an int from 0 to 64."""
         _check_int(length, 0, "word length must be an int >= 0, got {!r}", length)
+        if length > 64:
+            raise ValueError(f"word length must be at most 64, got {length}")
         if length == 0:
             return ""
         return format(self.below(1 << length), f"0{length}b")

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import sys
+import tracemalloc
 
 import pytest
 
@@ -298,6 +299,26 @@ def test_rows_are_built_once_per_shape():
         assert shape_rows(*shape) is shape_rows(*shape)
 
 
+LONG_ROW_SHAPES = (
+    ("c21", 100_000), ("c21rll", 100_000), ("svt21", 100_000, 6), ("cts", 100_000, 4, 2),
+    ("c31", 100_002),
+)
+
+
+@pytest.mark.parametrize("shape", LONG_ROW_SHAPES, ids=map(str, LONG_ROW_SHAPES))
+def test_rows_hold_no_table_per_position(shape):
+    # a row's increments are linear in the position, so its size does
+    # not grow with the length
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        rows = shape_rows(*shape)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert rows and held < 64 * 1024, held
+
+
 def contract_breaks(init, step, mods, m, lead, accepts):
     """Words of length m on which a row breaks what the packed search
     relies on: each step gives None or (int increment, rest as long as
@@ -393,7 +414,7 @@ def test_contract_check_catches_a_residue_read_by_the_rest():
     assert contract_breaks((0, 0), step, (5, 4), 4, vt_syndrome, lambda x: True)
     # a row that leaves out a word the whole-word filter keeps: its run
     # cap of 1 refuses exactly the words with a run of two
-    breaks = contract_breaks(*codes._weighted_row(5, 4, 1)[:3], 4, vt_syndrome, lambda x: True)
+    breaks = contract_breaks(*codes._weighted_row(5, 1)[:3], 4, vt_syndrome, lambda x: True)
     assert breaks == [x for x in all_words(4) if not rll_member(x, 1)]
 
 

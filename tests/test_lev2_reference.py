@@ -9,6 +9,11 @@ division at run starts and one bisection inside runs.  Both must return
 the same dict of words and insert positions for every y of length
 n - 1 and n - 2 and every residue up to n = 10, and on seeded words at
 n = 64, 256 and 1024, long runs and plain draws alike.
+
+`codes._transitions` reads y's transitions and their rsyn0 terms from
+popcounts: the terms n + 1 - i sum to (n + 1) t less the VT sum of the
+transition mask.  `ref_transitions` counts the transitions of 0y one by
+one instead.
 """
 
 import random
@@ -18,7 +23,7 @@ from operator import mul, ne
 
 import pytest
 
-from burstcodes.codes import _lev2_core
+from burstcodes.codes import _lev2_core, _transitions
 from burstcodes.words import all_words, rsyn0
 
 
@@ -117,3 +122,26 @@ def test_core_matches_the_loop_on_seeded_words(n, draws):
     for y in ys:
         for a in rng.sample(range(2 * n), 6):
             assert _lev2_core(y, a, n) == ref_lev2_candidates(y, a, n), (y, a)
+
+
+def ref_transitions(y: str, n: int) -> tuple[int, int, int]:
+    """The coordinates i of y with y_i != y_{i-1}, y_0 = 0, as a mask with
+    bit len(y) - i set; their number; and the sum of n + 1 - i over them."""
+    zy = "0" + y
+    at = [i for i in range(1, len(zy)) if zy[i] != zy[i - 1]]
+    return sum(1 << len(y) - i for i in at), len(at), sum(n + 1 - i for i in at)
+
+
+def test_transitions_match_the_plain_count_on_every_short_word():
+    for n in range(1, 13):
+        for m in range(max(n - 2, 0), n + 1):
+            for y in all_words(m):
+                assert _transitions(y, n) == ref_transitions(y, n), (y, n)
+
+
+@pytest.mark.parametrize("n", [256, 1024])
+def test_transitions_match_the_plain_count_on_seeded_words(n):
+    rng = random.Random(3900 + n)
+    for i in range(30):
+        y = seeded_word(rng, n - i % 3, i % 2 == 0)
+        assert _transitions(y, n) == ref_transitions(y, n), (y, n)

@@ -47,6 +47,20 @@ def test_below_rejects_nonpositive():
         SplitMix64(0).below(0)
 
 
+def test_draws_past_64_bits_are_refused():
+    # one 64-bit draw cannot cover a larger bound, whose rejection limit
+    # would be 0; bounds up to 2^64 keep their stream
+    g = SplitMix64(0)
+    for bound in (2**64 + 1, 1 << 70):
+        with pytest.raises(ValueError):
+            g.below(bound)
+    with pytest.raises(ValueError):
+        g.word(65)
+    ref = SplitMix64(0)
+    assert g.below(1 << 64) == ref.next64()
+    assert g.word(64) == format(ref.next64(), "064b")
+
+
 def test_word_shape():
     g = SplitMix64(7)
     w = g.word(12)
