@@ -25,9 +25,11 @@ bit u of a mask for each output u, so a size is a bit count and a union
 one OR.  Its step, _sibling_step(), uses that the bursts at starts
 >= 1 on b.v' are b followed by those on v': a word's mask is its
 suffix's shifted up by b << (m - 1), m = n - t + s, ORed with the first
-start's outputs.  One call steps every kind of both words 0.v' and
-1.v' from a per-length plan of constants, _step_plan(), and shares a
-kind's start term between them wherever that term does not read b.
+start's outputs.  One call steps every kind of a block of suffixes v'
+to the block of their children, each 0.v' then each 1.v', from a
+per-length plan of constants, _step_plan(), with one list comprehension
+per kind and child over the block, and shares a kind's start terms
+between the two children wherever a term does not read b.
 
 Ball size and the resulting sphere-packing ceiling are exact:
 
@@ -42,7 +44,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import zip_longest
+from itertools import repeat, zip_longest
+from operator import or_
 
 from .errors import GuardLimit
 from .words import _check_int, check_word
@@ -194,41 +197,40 @@ def _step_plan(n: int, t: int, s: int, refined: bool) -> tuple:
     return shift, comb, (1 << r) - 1, (s == 1, 1 << (s - 1 + r), 1 << r) if split else None
 
 
-def _sibling_step(v: int, n: int, plan: list, suffix_masks: list) -> tuple[list, list]:
-    """The mask of each kind in plan for both length-n words whose
-    length-(n - 1) suffix is v, n >= 1: the masks of v (top bit 0) and of
-    v | 2^(n-1) (top bit 1), in one pass over plan.  plan holds
-    _step_plan(n, t, s, refined) for kinds with t <= n, and suffix_masks
-    the masks of v in plan order (0 for a kind that does not fit in it,
-    or past the list's end).  A child's mask is its suffix's, shifted for
-    the top-1 child as the module says, ORed with its first start's term:
-    the comb shifted to its lowest output, past the end bits a refined
-    insert must take.  A kind with t >= 1 keeps only bits below the top,
-    so outside the refined split both children take one start term,
-    comb << (v & low).  A refined split kind's term also depends on the
-    top bit, and for t = 1 the deleted block's last bit is the top bit
-    itself."""
+def _sibling_step(vs: list, n: int, plan: list, suffix_masks: list) -> list[list]:
+    """The mask of each kind in plan for the 2 |vs| length-n words whose
+    length-(n - 1) suffixes are the words vs, n >= 1: per kind, the masks
+    of each v in vs (top bit 0), then those of each v | 2^(n-1) (top bit
+    1), so on a full level a child's index is its value.  plan holds
+    _step_plan(n, t, s, refined) for kinds with t <= n, and suffix_masks,
+    per kind in plan order, the list of the masks of vs (kinds that do
+    not fit in length n - 1, past the list's end, have zero masks).  A
+    child's mask is its suffix's, shifted for the top-1 child as the
+    module says, ORed with its first start's term: the comb shifted to
+    the child's lowest output, e, past the end bits a refined insert
+    must take.  e keeps the child's bits below r, v & low; for t = 0 the
+    top bit is among them.  A refined split kind also sets the insert's
+    first bit where the top bit is 0, and its last bit where the deleted
+    block's last bit, bit r, is 0 (for t = 1 that is the top bit); with
+    s = 1 the one insert bit must do both, so a child whose top bit and
+    bit r differ takes no term.  Each kind is one list comprehension per
+    child over the block."""
     high = 1 << (n - 1)
-    zeros, ones = [], []
-    for (shift, comb, low, split), mask in zip_longest(plan, suffix_masks, fillvalue=0):
+    children = []
+    for (shift, comb, low, split), masks in zip_longest(plan, suffix_masks, fillvalue=repeat(0)):
         if split:
             single, first, last = split
-            keep = v & low
-            # the insert's last bit is set where the deleted block's last
-            # bit, bit r, is 0; for t = 1 that is the top bit, 1 in ones
-            ends = 0 if v & last else last
-            ends_one = 0 if last == high else ends
-            zeros.append(mask if single and not ends else mask | comb << (keep | first | ends))
-            mask <<= shift
-            ones.append(mask if single and ends_one else mask | comb << (keep | ends_one))
-        elif low & high:  # t = 0: the first start keeps the top bit too
-            zeros.append(mask | comb << v)
-            ones.append(mask << shift | comb << (v | high))
+            ends = (last << 1) - 1  # the bits below r, and bit r flipped
+            gate = last if single else 0
+            zero_terms = [0 if v & gate else comb << ((v ^ last) & ends | first) for v in vs]
+            one_terms = [0 if ~(v | high) & gate else comb << (((v | high) ^ last) & ends)
+                         for v in vs]
         else:
-            term = comb << (v & low)
-            zeros.append(mask | term)
-            ones.append(mask << shift | term)
-    return zeros, ones
+            zero_terms = [comb << (v & low) for v in vs]
+            one_terms = zero_terms if low < high else [comb << (v | high) for v in vs]
+        children.append([*map(or_, masks, zero_terms),
+                         *[m << shift | term for m, term in zip(masks, one_terms)]])
+    return children
 
 
 def _members(out: list[int], m: int) -> tuple[str, ...]:

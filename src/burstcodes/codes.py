@@ -38,11 +38,12 @@ Levenshtein's VT decoder does.  Each change splices at the positions of
 one symbol only, and the candidate's sum is a strictly monotone
 function of the position's index among them, so each value of the
 right residue class names at most one position, found by one replace or
-count of y in C.  y's VT sum and weight come from _row_sums, the one
-int primitive for them, which cts's rows and LEV2's transition sums use
-too: a popcount of int(y, 2) per bit of the length, and one more.  So a
-decode takes O(1) Python steps per candidate and O(n) work in C, checks
-each argument once, and builds strings only for survivors.  The
+count of y in C.  y's VT sum and weight come from _row_sum, the one
+int primitive for them, which cts's rows (through _row_sums) and LEV2's
+transition sums use too: a popcount of int(y, 2) per bit of the length,
+and one more.  So a decode takes O(1) Python steps per candidate and
+O(n) work in C, checks each argument once, and builds strings only for
+survivors.  The
 run-syndrome decoders, LEV2 and C31, use that an insert moves the
 suffix up a fixed number of coordinates, so each suffix transition's
 term falls by that number, and a candidate's sum is prefix plus shifted
@@ -286,17 +287,22 @@ def _row_masks(k: int, size: int) -> tuple[tuple[int, tuple[tuple[int, int], ...
     return tuple(masks)
 
 
+def _row_sum(u: int, parts: tuple) -> tuple[int, int]:
+    """One row's VT sum and weight, (V, w), read from u, the int of a word
+    with no bit outside the row, whose row index masks are parts (one
+    row's second entry in _row_masks): w is one popcount, and V is w plus
+    the sum of the row indices j of the 1s, one popcount per bit of j.
+    A word that is its own one row (k = 1) passes its int as it is."""
+    V = w = u.bit_count()
+    for mask, q in parts:
+        V += (u & mask).bit_count() << q
+    return V, w
+
+
 def _row_sums(v: int, masks: tuple) -> list[tuple[int, int]]:
     """Each row's VT sum and weight, (V, w), read from v, the int of the
-    word whose _row_masks are masks: w is one popcount, and V is w plus
-    the sum of the row indices j of the 1s, one popcount per bit of j."""
-    sums = []
-    for whole, parts in masks:
-        V = w = (v & whole).bit_count()
-        for mask, q in parts:
-            V += (v & mask).bit_count() << q
-        sums.append((V, w))
-    return sums
+    word whose _row_masks are masks: _row_sum() of each row's bits."""
+    return [_row_sum(v & whole, parts) for whole, parts in masks]
 
 
 # each weight change's symbol y_p, what the splice puts in, and whether
@@ -315,10 +321,10 @@ def _pair_splices(y: str, mod: int, target: int, lo: int, hi: int, weight: int |
     one weight change b0 + b1 - y_p that gives weight mod 4, or for weight
     None of changes 0 and 1, a bit put in.
 
-    y's sums, its VT sum V and weight w as one row's _row_sums of
-    int(y, 2), then the solve.
+    y's sums, its VT sum V and weight w as the _row_sum() of int(y, 2)
+    as one row, then the solve.
     """
-    [(V, w)] = _row_sums(int(y, 2), _row_masks(1, len(y)))
+    V, w = _row_sum(int(y, 2), _row_masks(1, len(y))[0][1])
     return _splice_solve(y, V, w, mod, target, lo, hi, weight)
 
 
@@ -508,7 +514,7 @@ def _transitions(y: str, n: int) -> tuple[int, int, int]:
     sum, the rsyn0 of y itself at len(y) = n."""
     v = int(y, 2) if y else 0
     d = v ^ v >> 1
-    [(V, t)] = _row_sums(d, _row_masks(1, len(y)))
+    V, t = _row_sum(d, _row_masks(1, len(y))[0][1])
     return d, t, (n + 1) * t - V
 
 

@@ -14,7 +14,7 @@ import math
 import time
 from dataclasses import asdict, dataclass, field
 from itertools import repeat
-from operator import add, itemgetter, or_
+from operator import or_
 
 from .channel import (
     _burst_outputs,
@@ -257,59 +257,26 @@ def _ball_law_kinds(t_max: int, s_max: int, top: int) -> tuple[list, list]:
     return sizes, sorted(kinds)
 
 
+def _mask_words(n: int, kinds: list) -> int:
+    """64-bit words in the masks of one length-n word: 2^(n - t + s) bits
+    for each kind with t <= n."""
+    return sum(-(-(1 << (n - t + s)) // 64) for t, s, _ in kinds if t <= n)
+
+
 def _ball_law_work(top: int, kinds: list) -> int:
     """Estimated 64-bit mask words the sweep up to length top touches:
-    each of the 2^n words of each length n builds a mask of 2^(n - t + s)
-    bits for each kind with t <= n."""
-    return sum(
-        sum(-(-(1 << (n - t + s)) // 64) for t, s, _ in kinds if t <= n) << n
-        for n in range(top + 1)
-    )
+    the masks of each of the 2^n words of each length n."""
+    return sum(_mask_words(n, kinds) << n for n in range(top + 1))
 
 
 # the work of the default sweep at the length guard
 _BALL_LAW_WORK = _ball_law_work(BALL_LAW_GUARD, _ball_law_kinds(4, 4, BALL_LAW_GUARD)[1])
 
-
-def _picker(idx: list):
-    """A function giving the tuple of a sequence's items at the indices idx."""
-    if len(idx) == 1:
-        (i,) = idx
-        return lambda seq: (seq[i],)
-    return itemgetter(*idx)
-
-
-def _ball_law_table(n: int, pairs: list, kls: dict, kinds: list) -> tuple:
-    """The constants of the ball-law word check at length n, built once
-    from the (t, s) pairs and refined parts kls that verify_ball_laws()
-    plans for n, as indices into a word's masks:
-
-    * a picker of the full balls, and their closed-form sizes;
-    * a picker of the parts: first those whose closed form does not
-      depend on the word (k = 0 or l >= 2), then the others, with the
-      sizes of the first and the k's and l's of the others;
-    * per (t, s), a picker of the ball its other parts tile and one of
-      its own part (t, s): parts(t, s) = parts(t - 1, s - 1) + [(t, s)]
-      for t >= s and t < s alike, so that ball is the full
-      (t - 1, s - 1)-ball, or its one part where t or s is 1.
-    """
-    full = {(t, s): i for t, s, _, i, _ in pairs}
-    fixed = [(k, l, j) for k, l, j in kls if k == 0 or l >= 2]
-    varying = [(k, l, j) for k, l, j in kls if k and l < 2]
-    smaller = [
-        full[t - 1, s - 1] if (t - 1, s - 1) in full else kinds.index((t - 1, s - 1, True))
-        for t, s, *_ in pairs
-    ]
-    return (
-        _picker([i for *_, i, _ in pairs]),
-        tuple(formula for _, _, formula, _, _ in pairs),
-        _picker([j for *_, j in fixed + varying]),
-        tuple(_refined_size(0, n, k, l) for k, l, _ in fixed),
-        [k for k, _, _ in varying],
-        [l for _, l, _ in varying],
-        _picker(smaller),
-        _picker([kinds.index((t, s, True)) for t, s, *_ in pairs]),
-    )
+# the most bytes of estimated mask words (_mask_words) in the deepest
+# level of one block of the ball-law sweep: 2^8 words at top length 10
+# with the default sizes, 2^6 at 12 and 2^4 at 14, each about 2.4 MB
+# (2.5-2.9 MB as ints)
+_BLOCK_BYTES = 3 << 20
 
 
 def verify_ball_laws(n_values, t_max: int = 4, s_max: int = 4) -> dict[str, VerificationReport]:
@@ -322,29 +289,37 @@ def verify_ball_laws(n_values, t_max: int = 4, s_max: int = 4) -> dict[str, Veri
 
     Words are ints and balls are bitmasks, bit u set for each output u:
     a size is a bit count, a union an OR.  Each ball is built from its
-    suffix's ball: the sweep walks the words depth-first from the empty
-    word, whose masks are its plan's combs, prepending a bit per level.
-    One channel._sibling_step() call per word v' below the largest
-    length turns its masks into those of both children 0.v' and 1.v',
-    with one start term and one shift per kind and child (each full
-    (t, s)-ball and refined (k, l)-part, t and s capped at the largest
-    length), from a plan of constants per length built once per sweep.
-    The masks of a word and of its unvisited sibling are kept per depth,
-    so memory is O(depth x kinds).  The full ball is built on its own,
-    never from the parts.
+    suffix's ball, prepending a bit per level, with one start term and
+    one shift per kind and child (each full (t, s)-ball and refined
+    (k, l)-part, t and s capped at the largest length), from a plan of
+    constants per length built once per sweep.  The sweep steps and
+    checks blocks of words, each kind's masks one list: one
+    channel._sibling_step() call turns a block of length-(n - 1) words
+    into the block of their 0- and 1-children.  From the empty word,
+    whose masks are its plan's combs, it walks one-word blocks
+    depth-first down to the length where the block below one word would
+    hold, at the largest length, more than _BLOCK_BYTES of estimated
+    mask words (_mask_words), and from each word there steps the block
+    level by level, keeping only the level it steps from and the one it
+    makes.  So memory is O(depth x kinds) above that length and, below
+    it, one deepest level of at most _BLOCK_BYTES and its parent, about
+    a quarter of that; the blocks hold 2^8 words at the largest length
+    10 with the default sizes, 2^6 at 12 and 2^4 at 14.  The full ball
+    is built on its own, never from the parts.
 
-    Each length has a table built once (_ball_law_table()), so a word
-    costs one bit count per mask and a few tuple compares: the full
-    sizes against their closed forms; the part sizes against theirs,
-    where those with k = 0 or l >= 2 do not depend on the word and are
-    computed once per length, the others once per word; and per (t, s)
-    one OR and one add, since the ball tiled by all parts but (t, s) is
-    the full (t - 1, s - 1)-ball.  A word any compare fails is checked
-    again by the plain loop over each (t, s) and its parts, which counts
-    and records every failure, so the reports are those of that loop
-    alone.  Counts are per (t, s) and part.  The walk meets
-    words out of numeric order, so each witness is its law's failure
-    with the smallest (n, x), the one an ascending sweep meets first.
+    Each length has its constants built once, so a block costs one bit
+    count per mask and a few compares per kind over the block's lists:
+    the full sizes against their closed forms; the part sizes against
+    theirs, where those with k = 0 or l >= 2 do not depend on the word
+    and are computed once per length, the others once per word; and per
+    (t, s) one OR per word and two sums, since the ball tiled by all
+    parts but (t, s) is the full (t - 1, s - 1)-ball.  A block any
+    compare fails is checked again word by word by the plain loop over
+    each (t, s) and its parts, which counts and records every failure,
+    so the reports are those of that loop alone.  Counts are per (t, s)
+    and part.  The walk meets words out of numeric order, so each
+    witness is its law's failure with the smallest (n, x), the one an
+    ascending sweep meets first.
     Raises ValueError unless t_max and s_max are ints >= 1, which any
     combination needs, for a sweep with no length >= 1, and for a
     length that is not an int >= 0; GuardLimit for a length above
@@ -399,7 +374,19 @@ def verify_ball_laws(n_values, t_max: int = 4, s_max: int = 4) -> dict[str, Veri
         combos += len(pairs) << n
         formula_checks += sum(len(used) for *_, used in pairs) << n
         if pairs:
-            tables[n] = _ball_law_table(n, pairs, kls, kinds)
+            # per (t, s), the ball its other parts tile and its own part
+            # (t, s): parts(t, s) = parts(t - 1, s - 1) + [(t, s)] for
+            # t >= s and t < s alike, so that ball is the full
+            # (t - 1, s - 1)-ball, or its one part where t or s is 1
+            full = {(t, s): i for t, s, _, i, _ in pairs}
+            tables[n] = (
+                [(i, formula) for _, _, formula, i, _ in pairs],
+                [(j, _refined_size(0, n, k, l)) for k, l, j in kls if k == 0 or l >= 2],
+                [(j, k, l) for k, l, j in kls if k and l < 2],
+                [(i, full[t - 1, s - 1] if (t - 1, s - 1) in full
+                  else kinds.index((t - 1, s - 1, True)), kinds.index((t, s, True)), formula)
+                 for t, s, formula, i, _ in pairs],
+            )
 
     def slow(v: int, n: int, masks: list) -> None:
         pairs, kls = plans[n]
@@ -419,31 +406,44 @@ def verify_ball_laws(n_values, t_max: int = 4, s_max: int = 4) -> dict[str, Veri
                 fail("partition", v, n, t=t, s=s, parts_total=total,
                      union=union.bit_count(), ball=size)
 
-    def check(v: int, n: int, masks: list) -> None:
+    def check(vs: list, n: int, masks: list) -> None:
         table = tables.get(n)
         if table is None:
             return
-        full_at, formulas, parts_at, fixed, ks, ls, smaller_at, own_at = table
-        # no tuple(map(...)): it resizes the tuple it builds, so the freed
-        # tuples pile up in CPython's free list of their final size (about
-        # 0.7 MB over a sweep to n = 10)
-        got = [*map(int.bit_count, masks)]
+        fulls, fixed, varying, tiles = table
+        size = len(vs)
+        got = [[*map(int.bit_count, kind)] for kind in masks]
         if not (
-            full_at(got) == formulas
-            and parts_at(got) == (*fixed, *map(_refined_size, repeat(v), repeat(n), ks, ls))
-            and full_at(masks) == (*map(or_, smaller_at(masks), own_at(masks)),)
-            and formulas == (*map(add, smaller_at(got), own_at(got)),)
+            all(got[i].count(formula) == size for i, formula in fulls)
+            and all(got[j].count(part) == size for j, part in fixed)
+            and all(got[j] == [*map(_refined_size, vs, repeat(n), repeat(k), repeat(l))]
+                    for j, k, l in varying)
+            and all(masks[i] == [*map(or_, masks[a], masks[b])]
+                    and sum(got[a]) + sum(got[b]) == formula * size
+                    for i, a, b, formula in tiles)
         ):
-            slow(v, n, masks)
+            for w, v in enumerate(vs):
+                slow(v, n, [kind[w] for kind in masks])
 
-    def walk(v: int, n: int, masks: list) -> None:
-        check(v, n, masks)
-        if n < top:
-            zeros, ones = _sibling_step(v, n + 1, steps[n + 1], masks)
-            walk(v, n + 1, zeros)
-            walk(v | 1 << n, n + 1, ones)
+    # one-word blocks down to length split, so that a block holds at
+    # most 2^(top - split) words at the top length, within _BLOCK_BYTES
+    most = (_BLOCK_BYTES // (8 * _mask_words(top, kinds))).bit_length() - 1
+    split = top - min(max(most, 0), top)
 
-    walk(0, 0, [comb for _, comb, _, _ in steps[0]])
+    def walk(vs: list, n: int, masks: list) -> None:
+        """Check the block vs of length n and every block below it."""
+        while True:
+            check(vs, n, masks)
+            if n == top:
+                return
+            masks = _sibling_step(vs, n + 1, steps[n + 1], masks)
+            vs = vs + [v | 1 << n for v in vs]
+            n += 1
+            if n <= split:  # one-word blocks, depth-first
+                walk(vs[:1], n, [kind[:1] for kind in masks])
+                vs, masks = vs[1:], [kind[1:] for kind in masks]
+
+    walk([0], 0, [[comb] for _, comb, _, _ in steps[0]])
     elapsed = time.perf_counter() - start
     params = {"n_values": list(n_values), "t_max": t_max, "s_max": s_max}
     counts = {"words": words, "burst_combinations": combos}

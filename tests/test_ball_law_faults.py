@@ -1,12 +1,12 @@
-"""The ball-law sweep's table checks against the plain per-word loop.
+"""The ball-law sweep's block checks against the plain per-word loop.
 
 ref_ball_law_sweep() is verify_ball_laws() with the word check that the
-per-length tables replace: one channel._sibling_step() per word, whose
-child with the word's top bit it keeps, then the loop over each (t, s)
-and its parts for every word.  Both read the masks, the ball-size
-formula and the refined closed forms through the verify module, so
-faults planted there reach both, and the whole reports, witnesses
-included, must agree.
+block compares replace: one channel._sibling_step() per word, on a
+one-word block, whose child with the word's top bit it keeps, then the
+loop over each (t, s) and its parts for every word.  Both read the
+masks, the ball-size formula and the refined closed forms through the
+verify module, so faults planted there reach both, and the whole
+reports, witnesses included, must agree.
 """
 
 import random
@@ -48,8 +48,11 @@ def ref_ball_law_sweep(n_values, t_max, s_max):
 
     def walk(v, n, suffix):
         if n:
+            # a one-word block; the child with v's top bit is entry `bit`
             bit = v >> (n - 1)
-            masks = verify._sibling_step(v ^ bit << (n - 1), n, steps[n], suffix)[bit]
+            children = verify._sibling_step([v ^ bit << (n - 1)], n, steps[n],
+                                            [[mask] for mask in suffix])
+            masks = [kind[bit] for kind in children]
         else:
             # the empty word: one output, the insert alone, per kind
             masks = [comb for _, comb, _, _ in steps[0]]
@@ -169,13 +172,16 @@ def _apply(faults, kinds, v, n, masks):
 
 
 def _inject(monkeypatch, faults, kinds):
-    """Route the sibling step through _apply()."""
-    pair = verify._sibling_step
+    """Route each child of the block step through _apply()."""
+    step = verify._sibling_step
 
-    def sibling_step(v, n, plan, suffix_masks):
-        zeros, ones = pair(v, n, plan, suffix_masks)
-        return (_apply(faults, kinds, v, n, zeros),
-                _apply(faults, kinds, v | 1 << (n - 1), n, ones))
+    def sibling_step(vs, n, plan, suffix_masks):
+        children = step(vs, n, plan, suffix_masks)
+        for w, v in enumerate(vs + [v | 1 << (n - 1) for v in vs]):
+            masks = _apply(faults, kinds, v, n, [kind[w] for kind in children])
+            for kind, mask in zip(children, masks):
+                kind[w] = mask
+        return children
 
     monkeypatch.setattr(verify, "_sibling_step", sibling_step)
 
@@ -242,3 +248,42 @@ def test_a_word_only_one_compare_sees_falls_back(monkeypatch, owner, sharer, siz
     assert got["partition"]["counts"]["failures"] == 1
     assert got["partition"]["witness"] == {"x": "10110", "t": 3, "s": 1, "parts_total": 5,
                                            "union": 4, "ball": 4}
+
+
+def test_an_overlap_only_the_parts_total_sees_falls_back(monkeypatch):
+    # (2, 0) takes an output of (3, 1) at v, and its closed form is one
+    # too big at v alone: every size in v's block matches and every
+    # union is its ball, so only the parts' total shows the overlap
+    kinds = verify._ball_law_kinds(3, 3, 5)[1]
+    v = 0b10110
+    faults = {(5, v): [("share", kinds.index((3, 1, True)), kinds.index((2, 0, True)), 0)]}
+    part = verify._refined_size
+    monkeypatch.setattr(verify, "_refined_size",
+                        lambda w, n, k, l: part(w, n, k, l) + ((n, w, k, l) == (5, v, 2, 0)))
+    _inject(monkeypatch, faults, kinds)
+    got = _plain(verify_ball_laws([4, 5], 3, 3))
+    assert got == _plain(ref_ball_law_sweep([4, 5], 3, 3))
+    assert got["size"]["verdict"] == got["refined-size"]["verdict"] == "pass"
+    assert got["partition"]["counts"]["failures"] == 1
+    assert got["partition"]["witness"] == {"x": "10110", "t": 3, "s": 1, "parts_total": 5,
+                                           "union": 4, "ball": 4}
+
+
+def test_a_fault_inside_a_full_block_gives_the_plain_loops_report(monkeypatch):
+    # with the default sizes up to n = 10 the sweep checks blocks of 2^8
+    # words at n = 10, the words with one 2-bit suffix; the fault sits
+    # at index 137 of such a block, where no block edge is near
+    kinds = verify._ball_law_kinds(4, 4, 10)[1]
+    assert verify._BLOCK_BYTES // (8 * verify._mask_words(10, kinds)) >> 8 == 1
+    v = 137 << 2 | 0b10
+    part = kinds.index((2, 1, True))
+    _inject(monkeypatch, {(10, v): [("drop", part, 5)]}, kinds)
+    got = _plain(verify_ball_laws(range(4, 11)))
+    assert got == _plain(ref_ball_law_sweep(range(4, 11), 4, 4))
+    # the (2, 1)-part tiles the (2, 1)-, (3, 2)- and (4, 3)-balls, and
+    # the loop counts its size and each tiling once per ball
+    x = format(v, "010b")
+    for law in ("refined-size", "partition"):
+        assert got[law]["counts"]["failures"] == 3
+        assert got[law]["witness"]["x"] == x
+    assert got["size"]["verdict"] == "pass"

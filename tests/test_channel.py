@@ -155,18 +155,24 @@ def _as_mask(out):
     return int.from_bytes(b, "little")
 
 
-def _burst_mask(v: int, n: int, t: int, s: int, refined: bool = False) -> int:
-    """_burst_outputs(v, n, t, s, refined) as one int with bit u set for
-    each output u: channel._sibling_step() folded with a one-kind plan
-    over the suffixes of v from length max(t, 1) up, keeping at each
-    length the child with v's bit there, as the ball-law sweep steps its
-    masks from the empty word's, its plan's comb.  Callers check that
-    0 <= t <= n and s >= 0."""
-    masks = [_step_plan(0, 0, s, refined)[1] if t == 0 else 0]
-    for k in range(max(t, 1), n + 1):
-        children = _sibling_step(v & ((1 << (k - 1)) - 1), k, [_step_plan(k, t, s, refined)], masks)
-        masks = children[v >> (k - 1) & 1]
-    return masks[0]
+def _burst_masks(vs: list, n: int, t: int, s: int, refined: bool = False) -> list[int]:
+    """_burst_outputs(v, n, t, s, refined) for each length-n word v in vs,
+    as one int with bit u set for each output u: channel._sibling_step()
+    folded with a one-kind plan over the suffixes of the words vs, from
+    length max(t, 1) up, stepping at each length the block of their
+    distinct suffixes and keeping the children that are suffixes of
+    words in vs, as the ball-law sweep steps its masks from the empty
+    word's, its plan's comb.  Callers check that 0 <= t <= n and s >= 0."""
+    start = max(t, 1)
+    empty = _step_plan(0, 0, s, refined)[1] if t == 0 else 0
+    masks = dict.fromkeys({v & ((1 << (start - 1)) - 1) for v in vs}, empty)
+    for k in range(start, n + 1):
+        block = sorted(masks)
+        [kind] = _sibling_step(block, k, [_step_plan(k, t, s, refined)],
+                               [[masks[u] for u in block]])
+        children = dict(zip(block + [u | 1 << (k - 1) for u in block], kind))
+        masks = {u: children[u] for u in {v & ((1 << k) - 1) for v in vs}}
+    return [masks[v] for v in vs]
 
 
 def _first_start(w: int, n: int, t: int, s: int, refined: bool) -> list[int]:
@@ -195,8 +201,9 @@ def test_sibling_step_is_the_mask_step_on_both_children(n):
     fit = sum(t < n for t, _, _ in kinds)
     for v in range(1 << (n - 1)):
         suffix = [rng.getrandbits(1 << (n + 3)) for _ in range(fit)]
-        children = _sibling_step(v, n, plan, suffix)
-        for bit, got in enumerate(children):
+        children = _sibling_step([v], n, plan, [[mask] for mask in suffix])
+        for bit in (0, 1):
+            got = [kind[bit] for kind in children]
             w = v | bit << (n - 1)
             want = []
             for (t, s, refined), mask in zip(kinds, suffix + [0] * (len(kinds) - fit)):
@@ -208,17 +215,47 @@ def test_sibling_step_is_the_mask_step_on_both_children(n):
             assert got == want, (v, bit)
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_block_step_is_the_one_word_step(n):
+    # the length-(n - 1) words in a seeded order, cut into blocks of 1,
+    # 2, 2^3 and 2^5 words, each kind's suffix masks the set kernel's:
+    # the children of a block come zeros then ones, each with the mask
+    # the one-word step gives it and the set kernel's mask of the child
+    rng = random.Random(n)
+    kinds = sorted((t, s, refined) for t in range(n + 1) for s in range(5)
+                   for refined in (False, True))
+    plan = [_step_plan(n, *kind) for kind in kinds]
+    kernel = {(k, v, kind): _as_mask(_burst_outputs(v, k, *kind))
+              for k in (n - 1, n) for v in range(1 << k) for kind in kinds if kind[0] <= k}
+    for size in (1, 2, 2**3, 2**5):
+        words = list(range(1 << (n - 1)))
+        rng.shuffle(words)
+        for at in range(0, len(words), size):
+            vs = words[at : at + size]
+            suffix = [[kernel[n - 1, v, kind] for v in vs] for kind in kinds if kind[0] < n]
+            children = _sibling_step(vs, n, plan, suffix)
+            assert [len(kind) for kind in children] == [2 * len(vs)] * len(kinds)
+            for w, v in enumerate(vs):
+                one = _sibling_step([v], n, plan, [[kind[w]] for kind in suffix])
+                for bit in (0, 1):
+                    got = [kind[w + bit * len(vs)] for kind in children]
+                    child = v | bit << (n - 1)
+                    assert got == [kind[bit] for kind in one], (size, vs, v, bit)
+                    assert got == [kernel[n, child, kind] for kind in kinds], (size, child)
+
+
 @pytest.mark.parametrize("n", range(15))
 def test_burst_mask_agrees_with_the_set_kernel(n):
     # every word up to n = 9, then 200 seeded words per length
     rng = random.Random(n)
     words = range(1 << n) if n <= 9 else [rng.getrandbits(n) for _ in range(200)]
-    for v in words:
-        for t in range(min(4, n) + 1):
-            for s in range(5):
-                for refined in (False, True):
+    for t in range(min(4, n) + 1):
+        for s in range(5):
+            for refined in (False, True):
+                got = _burst_masks(words, n, t, s, refined)
+                for v, mask in zip(words, got):
                     want = _as_mask(_burst_outputs(v, n, t, s, refined))
-                    assert _burst_mask(v, n, t, s, refined) == want, (v, n, t, s, refined)
+                    assert mask == want, (v, n, t, s, refined)
 
 
 def test_ball_size_law_smoke():

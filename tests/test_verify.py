@@ -5,6 +5,7 @@ import math
 import random
 import re
 import time
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -311,9 +312,13 @@ def _per_child(step):
     with its word and length, through step(v, n, masks)."""
     real = verify._sibling_step
 
-    def sibling_step(v, n, plan, suffix_masks):
-        zeros, ones = real(v, n, plan, suffix_masks)
-        return step(v, n, zeros), step(v | 1 << (n - 1), n, ones)
+    def sibling_step(vs, n, plan, suffix_masks):
+        children = real(vs, n, plan, suffix_masks)
+        for w, v in enumerate(vs + [v | 1 << (n - 1) for v in vs]):
+            masks = step(v, n, [kind[w] for kind in children])
+            for kind, mask in zip(children, masks):
+                kind[w] = mask
+        return children
 
     return sibling_step
 
@@ -360,11 +365,11 @@ def test_ball_law_sweep_takes_one_start_term_per_word_and_kind(monkeypatch):
             calls[v, n] += 1
             terms.update((v, n, *kind) for kind in kinds[: len(plan)])
 
-    def counted_pair(v, n, plan, suffix_masks):
-        # one step for both children of the suffix v
-        pair_calls[v, n] += 1
-        count([v, v | 1 << (n - 1)], n, plan)
-        return real_pair(v, n, plan, suffix_masks)
+    def counted_pair(vs, n, plan, suffix_masks):
+        # one step for both children of each suffix v in the block
+        pair_calls.update((v, n) for v in vs)
+        count(vs + [v | 1 << (n - 1) for v in vs], n, plan)
+        return real_pair(vs, n, plan, suffix_masks)
 
     monkeypatch.setattr(verify, "_sibling_step", counted_pair)
     verify_ball_laws([3, 6], 4, 2)
@@ -380,6 +385,20 @@ def test_ball_law_sweep_takes_one_start_term_per_word_and_kind(monkeypatch):
     assert len(calls) == 2**7 - 2 and (0, 0) not in calls
     assert set(pair_calls) == {(v, n) for n in range(1, 7) for v in range(1 << (n - 1))}
     assert set(pair_calls.values()) == {1}
+
+
+def test_ball_law_sweep_holds_a_few_blocks_at_a_time():
+    # blocks of 2^6 words at n = 12 hold about 2.4 MB of masks at their
+    # deepest level; a sweep that kept whole levels would hold 150 MB
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        reports = verify_ball_laws(range(4, 13))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert all(rep.verdict for rep in reports.values())
+    assert peak < 8 * 2**20, peak
 
 
 @pytest.mark.parametrize(
