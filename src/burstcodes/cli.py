@@ -251,6 +251,14 @@ def cmd_bounds(args) -> int:
     # the first family whose burst is exactly (t, s), else cts; its bucket
     # count multiplies its rows' moduli, None where it has no rows at n
     fam = next((f for f in FAMILIES.values() if f.burst == (args.t, args.s)), FAMILIES["cts"])
+    # the bound rises with n and no guarantee passes it, so the last n's
+    # bound is the largest int printed: refuse one that str() would refuse
+    top, limit = ns[-1], getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and top >= max(args.t, args.s) and (
+        sphere_packing_bound(top, args.t, args.s) >= 10**limit
+    ):
+        raise GuardLimit(f"the bound at n={top} has more than {limit} digits, "
+                         "past this Python's int-to-string limit")
     rows = []
     for n in ns:
         if n < max(args.t, args.s):
@@ -271,19 +279,18 @@ def cmd_bounds(args) -> int:
                 "max_redundancy": None if buckets is None else round(math.log2(buckets), 4),
             }
         )
+    # every line is formatted before any prints, so a refusal prints none
     if args.json:
-        for row in rows:
-            print(json.dumps(row, sort_keys=True))
-        return 0
-    print(f"bounds t={args.t} s={args.s}")
-    print(f"{'n':>4}  {'bound':>14}  {'log2':>9}  {'guarantee':>10}  {'max_red':>8}")
-    for r in rows:
-        guar = "-" if r["guaranteed_size"] is None else str(r["guaranteed_size"])
-        red = "-" if r["max_redundancy"] is None else f"{r['max_redundancy']:.4f}"
-        print(
-            f"{r['n']:>4}  {r['bound']:>14}  {r['log2_bound']:>9.4f}  "
-            f"{guar:>10}  {red:>8}"
-        )
+        lines = [json.dumps(row, sort_keys=True) for row in rows]
+    else:
+        lines = [f"bounds t={args.t} s={args.s}",
+                 f"{'n':>4}  {'bound':>14}  {'log2':>9}  {'guarantee':>10}  {'max_red':>8}"]
+        for r in rows:
+            guar = "-" if r["guaranteed_size"] is None else str(r["guaranteed_size"])
+            red = "-" if r["max_redundancy"] is None else f"{r['max_redundancy']:.4f}"
+            lines.append(f"{r['n']:>4}  {r['bound']:>14}  {r['log2_bound']:>9.4f}  "
+                         f"{guar:>10}  {red:>8}")
+    sys.stdout.write("".join(f"{line}\n" for line in lines))
     return 0
 
 

@@ -31,23 +31,23 @@ weight change b0 + b1 - y_p names the error:
     0 or 1  ->  a single deletion: the pair keeps y_p at one end.
 
 VT takes changes 0 and 1; C21 and SVT21 pass their weight residue b,
-and the core reads the change, (b - weight(y)) mod 4 as -1..2.  C21(n)
-is SVT21 at P = n, so C21 decodes as SVT21 over the window of every
-start 1..n-1.  The core solves the VT-sum congruence in closed form, as
-Levenshtein's VT decoder does.  Each change splices at the positions of
-one symbol only, and the candidate's sum is a strictly monotone
-function of the position's index among them, so each value of the
-right residue class names at most one position, found by one replace or
-count of y in C.  y's VT sum and weight come from _row_sum, the one
-int primitive for them, which cts's rows (through _row_sums) and LEV2's
-transition sums use too: a popcount of int(y, 2) per bit of the length,
-and one more.  So a decode takes O(1) Python steps per candidate and
-O(n) work in C, checks each argument once, and builds strings only for
-survivors.  The
-run-syndrome decoders, LEV2 and C31, use that an insert moves the
-suffix up a fixed number of coordinates, so each suffix transition's
-term falls by that number, and a candidate's sum is prefix plus shifted
-suffix plus the few transitions at its window.
+and the core looks its splice up by (b - weight(y)) mod 4, the change
+mod 4.  C21(n) is SVT21 at P = n, so C21 decodes as SVT21 over the
+window of every start 1..n-1.  The core solves the VT-sum congruence in
+closed form, as Levenshtein's VT decoder does.  Each change splices at
+the positions of one symbol only, and the candidate's sum is a strictly
+monotone function of the position's index among them, so each value of
+the right residue class names at most one position, found by one
+replace or count of y in C; y's weight gives the counts at its ends.
+y's VT sum and weight come from _row_sum, the one int primitive for
+them, which LEV2's transition sums use too and _row_sums writes out per
+row of cts: a popcount of int(y, 2) per bit of the length, and one
+more.  So a decode takes O(1) Python steps per candidate and O(n) work
+in C, checks each argument once, and builds strings only for
+survivors.  The run-syndrome decoders, LEV2 and C31, use that an
+insert moves the suffix up a fixed number of coordinates, so each
+suffix transition's term falls by that number, and a candidate's sum is
+prefix plus shifted suffix plus the few transitions at its window.
 LEV2 solves its congruence per window class (_lev2_core): at a run
 start the sum is a multiple of the run's rank plus a constant, and
 inside runs a strictly monotone function of the position, so each class
@@ -237,15 +237,15 @@ class Codebook:
 
 
 def _expect_one(seen: dict, context: str) -> tuple[str, object]:
+    """The one (word, tag) item of seen; a refusal names context."""
+    if len(seen) == 1:
+        [item] = seen.items()
+        return item
     if not seen:
         raise DecodeFailure(f"{context}: no syndrome-consistent candidate")
-    if len(seen) > 1:
-        raise DecodeAmbiguity(
-            f"{context}: {len(seen)} syndrome-consistent candidates: "
-            + ", ".join(sorted(seen))
-        )
-    [(word, tag)] = seen.items()
-    return word, tag
+    raise DecodeAmbiguity(
+        f"{context}: {len(seen)} syndrome-consistent candidates: " + ", ".join(sorted(seen))
+    )
 
 
 def _check_syndromes(*vals) -> None:
@@ -301,18 +301,27 @@ def _row_sum(u: int, parts: tuple) -> tuple[int, int]:
 
 def _row_sums(v: int, masks: tuple) -> list[tuple[int, int]]:
     """Each row's VT sum and weight, (V, w), read from v, the int of the
-    word whose _row_masks are masks: _row_sum() of each row's bits."""
-    return [_row_sum(v & whole, parts) for whole, parts in masks]
+    word whose _row_masks are masks: _row_sum()'s body, once per row."""
+    sums = []
+    for whole, parts in masks:
+        u = v & whole
+        V = w = u.bit_count()
+        for mask, q in parts:
+            V += (u & mask).bit_count() << q
+        sums.append((V, w))
+    return sums
 
 
-# each weight change's symbol y_p, what the splice puts in, and whether
-# it replaces y_p (a merge, key j + p) or goes in after it (key j)
+# per weight change mod 4 (3 is -1), its splice: y_p, what it puts in,
+# y_p twice for a merge (key j + p; else "", key j) and whether y_p is 1;
+# None, a bit put in, takes changes 0 and 1
 _SPLICES = {
-    -1: ("1", "00", True),
-    0: ("1", "0", False),
-    1: ("0", "1", False),
-    2: ("0", "11", True),
+    0: (("1", "0", "", True),),
+    1: (("0", "1", "", False),),
+    2: (("0", "11", "00", False),),
+    3: (("1", "00", "11", True),),
 }
+_SPLICES[None] = _SPLICES[0] + _SPLICES[1]
 
 
 def _pair_splices(y: str, mod: int, target: int, lo: int, hi: int, weight: int | None) -> dict:
@@ -346,22 +355,29 @@ def _splice_solve(
     the window's range gives at most one p: c goes in after symbol j,
     found by one replace, and j + p is the index of p's first copy in y
     with that symbol doubled.  So the work is O(1) Python steps per key
-    and O(n) in C, and a string is built only for a survivor.
+    and O(n) in C, and a string is built only for a survivor.  A weight
+    picks its one splice by its residue mod 4, in _SPLICES; j0 and j1 are
+    counted only inside y (0 at lo = 1, w or len(y) - w at the end); and
+    the first key is tested before any string is built.
     """
     target = (target - V) % mod
+    size = len(y)
     seen = {}
-    for change in (0, 1) if weight is None else ((weight - w + 1) % 4 - 1,):
-        sym, bits, merge = _SPLICES[change]
+    for sym, bits, twice, one in _SPLICES[None if weight is None else (weight - w) % 4]:
         # the indices j0 .. j1 - 1 of the symbols at lo <= p <= hi
-        j0, j1 = y.count(sym, 0, lo - 1), y.count(sym, 0, hi)
-        if merge:
-            doubled = y.replace(sym, sym + sym)
+        j0 = y.count(sym, 0, lo - 1) if lo > 1 else 0
+        j1 = y.count(sym, 0, hi) if hi < size else w if one else size - w
+        if twice:
             first, last = lo + j0, hi + j1 - 1
         else:
             first, last = j0 - 1, j1 - 1
-        want = (w - 1 - target if sym == "1" else target - w - 2) % mod
-        for key in range(first + (want - first) % mod, last + 1, mod):
-            if merge:
+        key = first + ((w - 1 - target if one else target - w - 2) - first) % mod
+        if key > last:
+            continue
+        if twice:
+            doubled = y.replace(sym, twice)
+        for key in range(key, last + 1, mod):
+            if twice:
                 # p's first copy is the (2j + 1)-th symbol of doubled
                 copies = doubled.count(sym, 0, key)
                 if doubled[key - 1] != sym or not copies % 2:
@@ -567,25 +583,26 @@ def c21_decode(y: str, a: int, b: int, n: int) -> DecodeOutcome:
     _check_syndromes(a, b)
     _check_room(n, 2, 1)
     _check_received(y, n - 1)
-    word, classification, window = _c21_outcome(
-        y, _pair_splices(y, 2 * n - 1, a, 1, n - 1, b), "c21_decode"
-    )
-    return DecodeOutcome(word, classification, window)
+    seen = _pair_splices(y, 2 * n - 1, a, 1, n - 1, b)
+    return DecodeOutcome(*_c21_outcome(y, seen, None, "c21_decode"))
 
 
-def _c21_outcome(y: str, seen: dict, context: str) -> tuple[str, str, tuple[int, int]]:
+def _c21_outcome(y: str, seen: dict, f: int | None, context: str) -> tuple[str, str, tuple]:
     """The one word of seen, C21's splice solve on y, with its
-    classification and window; a refusal to find one names context.  A
+    classification and window; a refusal to find one names context, and
+    with a run cap f, a word with a longer run raises DecodeFailure.  A
     merge's pair drops y_p at both ends; a single deletion's keeps it at
     one, and the window is the run of the word holding the bit put in,
-    read off y on either side."""
+    from the last other symbol before it in y to the first after."""
     word, p = _expect_one(seen, context)
+    if f is not None and not _within_run_cap(word, f):
+        raise DecodeFailure("row 1 decoded outside the run cap")
     yp = y[p - 1]
     if word[p - 1] == word[p] != yp:
         return word, MERGE_00_TO_1 if yp == "1" else MERGE_11_TO_0, (p, p)
     i = p - (word[p] == yp)
-    c = word[i]
-    return word, SINGLE_DELETION, (len(y[:i].rstrip(c)) + 1, len(word) - len(y[i:].lstrip(c)))
+    other = "0" if word[i] == "1" else "1"
+    return word, SINGLE_DELETION, (y.rfind(other, 0, i) + 2, y.find(other, i) + 1 or len(word))
 
 
 # ---------------------------------------------------------------- SVT21
@@ -678,18 +695,7 @@ def c21rll_decode(y: str, a: int, b: int, n: int, f: int | None = None) -> Decod
     f = rll_max_run(n) if f is None else _check_int(f, 1, "run cap must be >= 1")
     _check_received(y, n - 1)
     seen = _pair_splices(y, 2 * n - 1, a, 1, n - 1, b)
-    word, classification, window = _c21rll_core(y, seen, f, "c21rll_decode")
-    return DecodeOutcome(word, classification, window)
-
-
-def _c21rll_core(y: str, seen: dict, f: int, context: str) -> tuple[str, str, tuple[int, int]]:
-    """c21rll_decode()'s word, classification and window from seen, C21's
-    splice solve on y, and row 1's decode in cts: _c21_outcome(), then
-    one run-cap check; a refusal to find one candidate names context."""
-    out = _c21_outcome(y, seen, context)
-    if not _within_run_cap(out[0], f):
-        raise DecodeFailure("row 1 decoded outside the run cap")
-    return out
+    return DecodeOutcome(*_c21_outcome(y, seen, f, "c21rll_decode"))
 
 
 # ---------------------------------------------------------------- search

@@ -29,14 +29,16 @@ of the row codes is f+1 when s = 1 and f+2 when s >= 2 so the widened
 window always fits.
 
 cts_decode reads the received word as one int and takes every row's VT
-sum and weight from it through strided masks built once per shape, with
-codes' one VT-sum primitive (_row_masks, _row_sums), then runs the
-splice solve of codes on each row: row 1 over starts 1..m-1 with C21's
-moduli and run cap, every other row over the column window with
-SVT21's.  Row 1's decode, the window and its clamp to 1..m-1 are each
-done once a decode, and what the decoder reads of the params (k, m, f
-and the moduli 2m-1 and 2P-1) is read once per params object.  The
-outcome and trace objects are built only for a traced decode.
+sum and weight from it through strided masks built once per shape
+(_row_masks), with codes' one VT-sum primitive written out in the row
+loop of _row_sums, no call a row.  It runs the splice solve of codes on
+each row, row 1 over starts 1..m-1 with C21's moduli and run cap, every
+other row over the column window with SVT21's, and puts each row in the
+word by one slice assignment.  Row 1's decode, the window and its clamp
+to 1..m-1 are each done once a decode, and what the decoder reads of the
+params (k, m, f and the moduli 2m-1 and 2P-1) is read once per params
+object.  The outcome and trace objects are built only for a traced
+decode.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from .codes import (
     MERGE_11_TO_0,
     Codebook,
     DecodeOutcome,
-    _c21rll_core,
+    _c21_outcome,
     _check_params,
     _check_received,
     _check_syndromes,
@@ -271,7 +273,7 @@ def cts_decode(y: str, params: CtsParams, *, trace: bool = False):
     sums = _row_sums(int(y, 2), masks)
     row = y[::k]
     V, w = sums[0]
-    word, classification, run = _c21rll_core(
+    word, classification, run = _c21_outcome(
         row, _splice_solve(row, V, w, mod1, params.a, 1, m - 1, params.b), f, "cts_decode"
     )
     rows_x = [word]
@@ -285,7 +287,10 @@ def cts_decode(y: str, params: CtsParams, *, trace: bool = False):
             V, w = sums[i]
             seen = _splice_solve(y[i::k], V, w, mod, c, lo, hi, d)
             rows_x.append(_expect_one(seen, "svt21_decode")[0])
-    word = "".join(map("".join, zip(*rows_x)))
+    spread = bytearray(params.n)
+    for i, row in enumerate(rows_x):
+        spread[i::k] = row.encode()
+    word = spread.decode()
     if not _in_ball(word, y, params.t):
         raise DecodeFailure("cts_decode: no (t, s)-burst of the decoded word gives y")
     if trace:

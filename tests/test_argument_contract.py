@@ -8,7 +8,9 @@ strs.  A seeded fuzz runs random flags and words through every
 subcommand, family and check, and a second one sets only options in
 range, so that each of those reaches its verdict.  A call must return,
 or raise ValueError, DecodingError or GuardLimit (exit 0-3 through the
-command line); any other exception is a rule that is missing.  Sizes that
+command line); any other exception is a rule that is missing.  A command
+that exits 2 or 3 prints nothing on stdout, in the CLI oracle and in the
+fuzzes, which also run bounds past the int-to-string limit.  Sizes that
 enumerate 2^s inserts, ball-law sweeps and simulated books stay small,
 since a valid large one only costs time.  The cache sequence these
 rules closed is pinned after the property tests.
@@ -17,8 +19,10 @@ rules closed is pinned after the property tests.
 import argparse
 import contextlib
 import io
+import json
 import random
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -301,19 +305,46 @@ def _random_argv(rng, name, head, flags, takes_words, missing):
     return argv
 
 
+# past Python's default int-to-string limit of 4,300 digits, the bound at
+# these n has too many digits to print
+PINNED_ARGV = (
+    ["bounds", "--t", "2", "--s", "1", "--n", "14300"],
+    ["bounds", "--t", "2", "--s", "1", "--n", "14298..14302", "--json"],
+)
+
+
+def ends_in_an_exit_code(argv) -> tuple[int, str]:
+    """Run the command line on argv; it must exit 0-3 with no traceback,
+    and a refusal (exit 2 or 3) must print nothing on stdout.  Returns
+    the exit code and stdout."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except Exception as exc:  # any escape is the finding
+            pytest.fail(f"{argv}: {type(exc).__name__}: {exc}")
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in err.getvalue(), argv
+    assert code < 2 or out.getvalue() == "", (argv, out.getvalue()[:200])
+    return code, out.getvalue()
+
+
 def test_cli_fuzz_ends_in_an_exit_code(tmp_path):
     rng = random.Random(2022)
     combos = list(_subcommands())
     for i in range(20 * len(combos)):
-        argv = _random_argv(rng, *combos[i % len(combos)], tmp_path / "missing.txt")
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main(argv)
-            except Exception as exc:  # any escape is the finding
-                pytest.fail(f"{argv}: {type(exc).__name__}: {exc}")
-        assert code in (0, 1, 2, 3), argv
-        assert "Traceback" not in err.getvalue(), argv
+        ends_in_an_exit_code(_random_argv(rng, *combos[i % len(combos)], tmp_path / "missing.txt"))
+    for argv in PINNED_ARGV:
+        ends_in_an_exit_code(argv)
+
+
+def test_a_refusal_prints_nothing_on_stdout():
+    """Every recorded exit 2 or 3 leaves stdout empty, as the fuzzes
+    check of theirs; no exception is known."""
+    records = json.loads((Path(__file__).with_name("cli_oracle.json")).read_text())["records"]
+    refusals = [r for r in records if r["exit"] in (2, 3)]
+    assert len(refusals) == 51
+    assert [r["name"] for r in refusals if r["stdout"]] == []
 
 
 # the --params count of a family at burst (t, s)
@@ -392,15 +423,7 @@ def test_cli_fuzz_with_valid_options_reaches_every_command():
     combos = [c for c in _subcommands() if _reaches_a_verdict(*c)]
     verdict = set()
     for i in range(8 * len(combos)):
-        argv = _valid_argv(rng, *combos[i % len(combos)])
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main(argv)
-            except Exception as exc:  # any escape is the finding
-                pytest.fail(f"{argv}: {type(exc).__name__}: {exc}")
-        assert code in (0, 1, 2, 3), argv
-        assert "Traceback" not in err.getvalue(), argv
+        code, _ = ends_in_an_exit_code(_valid_argv(rng, *combos[i % len(combos)]))
         if code in (0, 1):
             verdict.add(i % len(combos))
     assert [combos[i][:2] for i in range(len(combos)) if i not in verdict] == []

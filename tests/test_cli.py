@@ -474,3 +474,34 @@ def test_words_from_file(tmp_path, capsys):
 def test_no_words_is_usage_error(capsys):
     code, _, err = run(capsys, "ball", "--t", "2", "--s", "1")
     assert code == 2
+
+
+def test_bounds_past_the_int_string_limit_refuses_before_printing(capsys):
+    # the bound at n = 14,300 has 4,301 digits; at 14,299 it has 4,300
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this Python sets no int-to-string limit")
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)
+        for n in ("14300", "14298..14302", "1..2000000"):
+            assert run(capsys, "bounds", "--t", "2", "--s", "1", "--n", n, "--json")[:2] == (3, "")
+        code, out, _ = run(capsys, "bounds", "--t", "2", "--s", "1", "--n", "14299")
+        assert code == 0 and len(out.splitlines()[-1].split()[1]) == 4300
+        # with no limit, the guard has nothing to refuse
+        sys.set_int_max_str_digits(0)
+        code, out, _ = run(capsys, "bounds", "--t", "2", "--s", "1", "--n", "14300", "--json")
+        assert code == 0 and json.loads(out)["n"] == 14300
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_the_bound_rises_with_n_and_no_guarantee_passes_it(capsys):
+    # the bounds guard reads the largest printed int off the last n's bound
+    for t in range(1, 7):
+        for s in range(1, 7):
+            assert main(["bounds", "--t", str(t), "--s", str(s), "--n", "1..200", "--json"]) == 0
+            rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+            bounds = [row["bound"] for row in rows]
+            assert bounds == sorted(bounds), (t, s)
+            for row in rows:
+                assert (row["guaranteed_size"] or 0) <= row["bound"], (t, s, row["n"])

@@ -352,8 +352,10 @@ def splice_weight(y: str, changes: tuple):
 def test_pair_splices_match_the_reference_loop(n):
     size = n - 1
     # the full window, a window from the middle, where the first position
-    # is not 1, and the last position alone, lo = hi = n - 1
-    windows = {(1, size), ((size + 1) // 2, size), (size, size)}
+    # is not 1, and the last position alone, lo = hi = n - 1; then windows
+    # that stop short of len(y), where the core counts the symbols up to hi
+    windows = {(1, size), ((size + 1) // 2, size), (size, size), (1, size // 2), (2, size - 1)}
+    windows = {(lo, hi) for lo, hi in windows if lo <= hi}
     most = 0
     for y in all_words(size):
         ones, V = ref_suffix_ones(y)
@@ -615,6 +617,18 @@ def test_pair_splices_match_the_reference_loop_on_long_words(n):
         assert _pair_splices(y, mod, target, lo, hi, weight) == ref_pair_splices(
             y, ones, V, mod, target, lo, hi, changes
         ), (y, mod, target, lo, hi, changes)
+    # a window that starts after 1 and stops short of len(y), where the
+    # core counts the symbols at both ends, for every change
+    y = random_word(rng, n - 1)
+    ones, V = ref_suffix_ones(y)
+    lo, hi = 2, n // 2
+    for changes in SPLICE_CHANGES:
+        for mod in (3, 2 * n - 1):
+            target = rng.randrange(mod)
+            weight = splice_weight(y, changes)
+            assert _pair_splices(y, mod, target, lo, hi, weight) == ref_pair_splices(
+                y, ones, V, mod, target, lo, hi, changes
+            ), (y, mod, target, lo, hi, changes)
 
 
 @pytest.mark.parametrize("n, draws", [(256, 12), (1024, 3)])
