@@ -11,8 +11,11 @@ Both run on one integer kernel, _start_outputs(): a word of length n is
 the int whose binary digits it spells (x_1 most significant), and each
 output is spliced together with shifts and masks, so no string is built
 until the members are listed.  The kernel runs one start at a time over
-a list of centers and makes each output of a center once: a burst at
-start i whose insert begins with x_i, the symbol at the start (for
+a block of centers packed into one int of fixed-width fields, one field
+per center (SIMD within a register), so a start's outputs for the whole
+block take a few whole-int shifts, ANDs and XORs and one struct call to
+read back (_fields()).  It makes each output of a center once: a burst
+at start i whose insert begins with x_i, the symbol at the start (for
 t = 0, the one after the insertion point), gives an output of start
 i + 1, so every start but the last takes only the inserts whose first
 bit differs from x_i, and no later start can give such an output, since
@@ -42,10 +45,11 @@ when it corrects (s, t)-bursts.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import repeat, zip_longest
-from operator import or_
+from itertools import compress, repeat, zip_longest
+from operator import itemgetter, or_
 
 from .errors import GuardLimit
 from .words import _check_int, check_word
@@ -126,8 +130,65 @@ class Ball:
         return d
 
 
+# the struct code of the unsigned field of each width in bits
+_FIELD_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}
+_LITTLE = repeat("little")  # the byte order of every field, for map()
+
+
+def _one_field(u: int, keep: int | None = None) -> tuple:
+    return () if keep == 0 else (u,)
+
+
+@lru_cache(maxsize=256)
+def _fields(width: int, count: int) -> tuple:
+    """(join, split) for count unsigned fields of width bits in one int,
+    width a power of two >= 8: join packs a sequence of count ints, item
+    j in bits j * width .. (j + 1) * width - 1, and split(packed) reads an
+    int's fields back as a tuple; split(packed, keep), where keep holds 0
+    or 1 per field, lists only the fields whose keep is 1.  One struct
+    call reads fields of 8-64 bits; wider fields are cut from the int's
+    little-endian bytes, and the keep flags are every width / 8-th byte of
+    keep's.  One field is the int itself, so a one-word block packs
+    nothing."""
+    if count == 1:
+        return itemgetter(0), _one_field
+    size = width // 8
+    total = size * count
+    if width in _FIELD_CODES:
+        packer = struct.Struct(f"<{count}{_FIELD_CODES[width]}")
+        pack, read = packer.pack, packer.unpack
+
+        def join(values) -> int:
+            return int.from_bytes(pack(*values), "little")
+    else:
+        cuts = [slice(i, i + size) for i in range(0, total, size)]
+
+        def join(values) -> int:
+            return int.from_bytes(b"".join([v.to_bytes(size, "little") for v in values]), "little")
+
+        def read(data: bytes) -> tuple:
+            return tuple(map(int.from_bytes, map(data.__getitem__, cuts), _LITTLE))
+
+    def split(packed: int, keep: int | None = None):
+        fields = read(packed.to_bytes(total, "little"))
+        if keep is None:
+            return fields
+        return list(compress(fields, keep.to_bytes(total, "little")[::size]))
+
+    return join, split
+
+
+@lru_cache(maxsize=16)
+def _copy_constants(width: int, k: int, copies: int) -> tuple[int, int]:
+    """For copies copies of a block of k fields of width bits: the int
+    with 1 in every field, and the int whose copy j holds j in each of
+    its k fields."""
+    join = _fields(width, k * copies)[0]
+    return join([1] * (k * copies)), join([j for j in range(copies) for _ in range(k)])
+
+
 def _start_outputs(vs: list[int], n: int, t: int, s: int, refined: bool = False):
-    """Yield, for each 0-based start i = 0 .. n - t, one list of the
+    """Yield, for each 0-based start i = 0 .. n - t, one sequence of the
     outputs a (t, s)-burst at i gives on every length-n center in vs.
 
     The burst at i keeps the i leading and r = n - i - t trailing bits of
@@ -146,32 +207,46 @@ def _start_outputs(vs: list[int], n: int, t: int, s: int, refined: bool = False)
     deleted block in its last bit, which fixes both end bits and leaves
     the middle s - 2 free (for s = 1, one bit that must differ from
     both).  Callers check that 0 <= t <= n and s >= 0.
+
+    The block is packed (_fields()) into fields of F bits, F the least
+    power of two >= max(8, n, n - t + s), so no output spills into the
+    next field, once per value of the insert's free bits (the s - 1 after
+    its first, or the s - 2 between its ends when refined fixes both):
+    copy j takes the value j in those bits by one OR of a cached int, so
+    one split lists a start's outputs value by value, each value over the
+    centers in vs order.  The last start takes all 2^s inserts, for
+    s >= 1 as two such splits, the second with 2^(s-1) added to every
+    field.  Where the kept outputs depend on the center (s = 0, and the
+    refined s = 1), one more int holds a keep flag per field, and split
+    drops the rest.
     """
-    split = refined and t > 0 and s > 0
+    width = max(8, 1 << (n + max(s - t, 0) - 1).bit_length())
+    ends = refined and t > 0 and s > 0
+    copies = 1 << max(s - 1 - ends, 0)
+    join, split = _fields(width, len(vs) * copies)
+    whole = join(vs * copies)
+    one, offsets = _copy_constants(width, len(vs), copies)
     for i in range(n - t + 1):
         r = n - i - t
-        low, p, q = (1 << r) - 1, r + t - 1, s - 1 + r  # x_{i+1} is bit p of v
-        if split:
+        if not (r or ends):
+            base = (whole >> t & one * ((1 << n - t) - 1)) << s | offsets
+            out = split(base)
+            yield out + split(base + copies * one) if s else out
+            continue
+        low = whole & one * ((1 << r) - 1)
+        top = whole >> r + t - 1  # x_{i+1} is bit 0 of each field
+        if s == 0:
+            kept = (top >> 1 & one * ((1 << i) - 1)) << r | low
+            yield split(kept, (top ^ whole >> r - 1) & one)
+            continue
+        head = (top & one * ((2 << i) - 1) ^ one) << s - 1 + r | low
+        if not ends:
+            yield split(head | offsets << r)
+        elif s == 1:
             # x_{i+t}, the deleted block's last bit, is bit r of v
-            if s == 1:
-                yield [((v >> p ^ 1) << q) | (v & low) for v in vs if (v >> p ^ v >> r) & 1 == 0]
-            else:
-                bases = [((v >> p ^ 1) << q) | (v & low) | ((~v >> r & 1) << r) for v in vs]
-                yield _spread(bases, 2 << r, 1 << (s - 2))
-        elif not r:
-            yield _spread([v >> t << s for v in vs], 1, 1 << s)
-        elif s == 0:
-            yield [(v >> (p + 1) << r) | (v & low) for v in vs if (v >> p ^ v >> (r - 1)) & 1]
+            yield split(head, (top ^ whole >> r) & one ^ one)
         else:
-            yield _spread([((v >> p ^ 1) << q) | (v & low) for v in vs], 1 << r, 1 << (s - 1))
-
-
-def _spread(bases: list[int], step: int, count: int) -> list[int]:
-    """base + j * step for j < count, for each base."""
-    if count == 1:
-        return bases
-    offsets = range(0, count * step, step)
-    return [b + o for o in offsets for b in bases]
+            yield split(head | ((whole >> r & one) ^ one) << r | offsets << r + 1)
 
 
 def _burst_outputs(v: int, n: int, t: int, s: int, refined: bool = False) -> list[int]:

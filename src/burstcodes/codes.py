@@ -92,14 +92,13 @@ from those rests (_row_words), and no other bucket's ever are.
 from __future__ import annotations
 
 import math
-import struct
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate, compress, product
 from operator import mul, ne
 
-from .channel import _check_room
+from .channel import _check_room, _fields
 from .errors import DecodeAmbiguity, DecodeFailure, GuardLimit
 from .words import _check_int, check_word
 
@@ -143,9 +142,6 @@ PATTERN_111_TO_0 = "pattern-111->0"
 PATTERN_101_TO_0 = "pattern-101->0"
 
 DEFAULT_ENUM_GUARD = 24
-
-# the struct code of the unsigned field of each width in bits
-_FIELD_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}
 
 
 @dataclass(frozen=True)
@@ -725,13 +721,12 @@ def _row_counts(row, m: int):
     pass checks for that bit before it reads any field.  step(rest, pos,
     bit) runs once per (rest, pos, bit); its increment d, taken mod M,
     moves every r to r + d, which is one cyclic rotation of the packed int,
-    and no work at all when d is 0 mod M.  At the end one struct call reads
-    each key's fields from the int's little-endian bytes, as W-bit unsigned
-    ints; a field wider than 64 bits, which struct has no code for, is read
-    from its own W / 8 bytes.  The first int to reach a rest is stored as it
-    is and later ones are added to it, so no int is copied just to start a
-    sum.  With the weight in the leading residue (lead (0, 1)), c21's and
-    svt21's rows reach one rest a level, so the pass makes 2 m step calls.
+    and no work at all when d is 0 mod M.  At the end channel._fields()
+    reads each key's fields as W-bit unsigned ints.  The first int to
+    reach a rest is stored as it is and later ones are added to it, so no
+    int is copied just to start a sum.  With the weight in the leading
+    residue (lead (0, 1)), c21's and svt21's rows reach one rest a level,
+    so the pass makes 2 m step calls.
     Picks the best key by the (-count, key) rule, on the key itself, not on
     r.  Returns the levels, per position 0..m a tuple of the rests reached
     after that many positions; the best key; and the number of row words
@@ -775,13 +770,8 @@ def _row_counts(row, m: int):
         if packed.bit_count() == 1:
             # all 2^m words in one cell r, which no m-bit field holds: packed is 2^m << r m
             return levels, _key(mods, lead, (packed.bit_length() - 1) // m - 1, tail), 1 << m
-    if width in _FIELD_CODES:
-        read = struct.Struct(f"<{mod}{_FIELD_CODES[width]}").unpack
-    else:
-        def read(data: bytes, size: int = width // 8) -> tuple:
-            return tuple(int.from_bytes(data[i : i + size], "little")
-                         for i in range(0, len(data), size))
-    counts = {tail: read(packed.to_bytes(span // 8, "little")) for tail, packed in groups.items()}
+    split = _fields(width, mod)[1]
+    counts = {tail: split(packed) for tail, packed in groups.items()}
     size = max(map(max, counts.values()))
 
     def least(c: tuple) -> int:

@@ -90,8 +90,10 @@ def verify_disjoint(members, t: int, s: int) -> VerificationReport:
     Outputs are ints, pooled per word length, since words of different
     lengths never meet.  Each pool is filled one start at a time over
     all codewords of its length, from channel._start_outputs(), which
-    gives every codeword's outputs once each; the book passes when every
-    pool holds as many ints as were made, and never builds an owner
+    packs them into the fields of one int, builds a start's outputs for
+    all of them with a few whole-int operations and one struct read, and
+    gives every codeword's outputs once each.  The book passes when
+    every pool holds as many ints as were made, and never builds an owner
     table.  When one holds fewer, one owner walk goes over the book
     codeword by codeword: each codeword's outputs are replayed in sorted
     order, and each is owned by the first codeword of its length that

@@ -4,7 +4,10 @@
 every start times every word of `all_words(s)`, spliced by slicing,
 deduplicated in a set and sorted.  The package must give equal `Ball`s
 and equal ball-law reports (timings aside), and its per-start output
-lists must hold each output of a center once.
+lists must hold each output of a center once.  `ref_start_outputs` is
+the kernel as one list element per center per start, before the
+centers were packed into the fields of one int; the packed kernel must
+give the same lists, in the same order.
 """
 
 import random
@@ -44,6 +47,33 @@ def ref_refined_ball(x, k, l):
                 continue
             out.add(head + ins + tail)
     return Ball(x, k, l, tuple(sorted(out)), refined=True)
+
+
+def ref_start_outputs(vs, n, t, s, refined=False):
+    """Per start, the list of every center's outputs, spliced one center
+    at a time: the bases, then each offset, centers in vs order."""
+    split = refined and t > 0 and s > 0
+    for i in range(n - t + 1):
+        r = n - i - t
+        low, p, q = (1 << r) - 1, r + t - 1, s - 1 + r  # x_{i+1} is bit p of v
+        if split:
+            # x_{i+t}, the deleted block's last bit, is bit r of v
+            if s == 1:
+                yield [((v >> p ^ 1) << q) | (v & low) for v in vs if (v >> p ^ v >> r) & 1 == 0]
+            else:
+                bases = [((v >> p ^ 1) << q) | (v & low) | ((~v >> r & 1) << r) for v in vs]
+                yield ref_spread(bases, 2 << r, 1 << (s - 2))
+        elif not r:
+            yield ref_spread([v >> t << s for v in vs], 1, 1 << s)
+        elif s == 0:
+            yield [(v >> (p + 1) << r) | (v & low) for v in vs if (v >> p ^ v >> (r - 1)) & 1]
+        else:
+            yield ref_spread([((v >> p ^ 1) << q) | (v & low) for v in vs], 1 << r, 1 << (s - 1))
+
+
+def ref_spread(bases, step, count):
+    """base + j * step for j < count, for each base."""
+    return [b + o for o in range(0, count * step, step) for b in bases]
 
 
 def ref_ball_laws(n_values, t_max, s_max):
@@ -147,6 +177,39 @@ def test_start_lists_give_each_ball_output_once(n):
                 # many centers at once: start i lists every center's start-i outputs
                 for i, out in enumerate(_start_outputs(vs, n, t, s, refined)):
                     assert sorted(out) == sorted(u for lists in per_center for u in lists[i])
+
+
+def assert_kernels_agree(vs, n, t_values, s_max=4):
+    for t in t_values:
+        for s in range(s_max + 1):
+            for refined in (False, True):
+                got = [list(out) for out in _start_outputs(vs, n, t, s, refined)]
+                assert got == list(ref_start_outputs(vs, n, t, s, refined)), (vs[:3], n, t, s, refined)
+
+
+@pytest.mark.parametrize("n", range(0, 11))
+def test_packed_kernel_gives_the_list_kernels_lists(n):
+    # every word as one block, no word, and seeded blocks of 1 and 3
+    # words; every word on its own up to n = 6, where a block is one int
+    rng = random.Random(4200 + n)
+    words = list(range(1 << n))
+    blocks = [words, [], [rng.getrandbits(n)], [rng.getrandbits(n) for _ in range(3)]]
+    if n <= 6:
+        blocks += [[v] for v in words]
+    for vs in blocks:
+        assert_kernels_agree(vs, n, range(n + 1))
+
+
+@pytest.mark.parametrize("n", [31, 33, 64, 65, 130])
+def test_packed_kernel_across_field_widths(n):
+    # the fields are 32 bits up to 32-bit outputs, then 64, then 128 and
+    # 256, which no struct code reads; s > t makes the outputs longer
+    rng = random.Random(4300 + n)
+    t_values = [0, 1, 2, 3, n - 1, n]
+    for size in (0, 1, 3, 9):
+        assert_kernels_agree([rng.getrandbits(n) for _ in range(size)], n, t_values)
+    # the all-zero and all-one words fill no field and every field
+    assert_kernels_agree([0, (1 << n) - 1], n, t_values)
 
 
 def test_reference_covers_empty_outputs():

@@ -247,16 +247,22 @@ def ref_pair_splices(
     sum is V + ones[p] + p * change + b1, and after lo only b1 != y_p is
     tried, since with b1 = y_p the word is that of (y_{p-1}, b0) at p - 1.
     """
+    return ref_pair_splices_by_sum(y, ones, V, mod, lo, hi, changes).get(target % mod, {})
+
+
+def ref_pair_splices_by_sum(
+    y: str, ones: list[int], V: int, mod: int, lo: int, hi: int, changes
+) -> dict:
+    """ref_pair_splices() for every target at once, from one walk: each
+    VT sum mod mod that a splice reaches, to its words."""
     first, later = ref_splice_pairs(changes)
-    target = (target - V) % mod
-    seen = {}
+    by_sum = {}
     table = first
     for p, yp in enumerate(y[lo - 1 : hi], lo):
         for change, b1, pair in table[yp]:
-            if (ones[p] + p * change + b1) % mod == target:
-                seen[y[: p - 1] + pair + y[p:]] = p
+            by_sum.setdefault((V + ones[p] + p * change + b1) % mod, {})[y[: p - 1] + pair + y[p:]] = p
         table = later
-    return seen
+    return by_sum
 
 
 REF_PATTERN_OF = {
@@ -361,10 +367,11 @@ def test_pair_splices_match_the_reference_loop(n):
         ones, V = ref_suffix_ones(y)
         for mod in {2 * n - 1, n + 1, 3, 5}:
             for changes in SPLICE_CHANGES:
+                weight = splice_weight(y, changes)
                 for lo, hi in windows:
+                    by_sum = ref_pair_splices_by_sum(y, ones, V, mod, lo, hi, changes)
                     for target in range(mod):
-                        want = ref_pair_splices(y, ones, V, mod, target, lo, hi, changes)
-                        weight = splice_weight(y, changes)
+                        want = by_sum.get(target, {})
                         assert _pair_splices(y, mod, target, lo, hi, weight) == want, (
                             y, mod, target, lo, hi, changes,
                         )

@@ -481,6 +481,23 @@ def test_the_owner_walk_on_a_large_book(plant):
     assert verify_equivalence(book, 2, 1).counts == {"forward_pass": both, "swapped_pass": both}
 
 
+@pytest.mark.parametrize("n", [70, 130])
+@pytest.mark.parametrize("t,s", [(2, 1), (1, 2), (1, 0)])
+def test_wide_books_match_the_owner_dict_reference(n, t, s):
+    # fields of 128 and 256 bits, past every struct code: 30 seeded words,
+    # which share no output, then the same with the 21st codeword's
+    # last bit flipped planted after it, which a burst at the last start
+    # takes to that codeword's output
+    rng = random.Random(7000 + n)
+    book = [format(rng.getrandbits(n), f"0{n}b") for _ in range(30)]
+    x = book[20]
+    planted = book[:21] + [x[:-1] + "10"[int(x[-1])]] + book[21:]
+    for members, passes in ((book, True), (planted, False)):
+        rep = verify_disjoint(members, t, s)
+        assert (rep.verdict, rep.counts, rep.witness) == ref_verify_disjoint(members, t, s)
+        assert rep.verdict == passes
+
+
 def test_a_passing_book_is_never_walked_codeword_by_codeword(monkeypatch):
     real, walks = verify._clash_walk, []
 
