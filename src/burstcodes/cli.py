@@ -114,7 +114,10 @@ def cmd_ball(args) -> int:
             b, formula = refined_ball(x, k, l), refined_ball_size(x, k, l)
         else:
             kind, sizes = "ball", {"t": args.t, "s": args.s}
-            b, formula = ball(x, args.t, args.s), ball_size_formula(len(x), args.t, args.s)
+            # with no insert the full ball is the refined (t, 0)-ball
+            b, formula = ball(x, args.t, args.s), (
+                ball_size_formula(len(x), args.t, args.s) if args.s
+                else refined_ball_size(x, args.t, 0))
         payload = {"center": x, **sizes, "size": b.size, "formula": formula,
                    "members": list(b.members)}
         shown = " ".join(f"{key}={val}" for key, val in sizes.items())

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import time
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 from itertools import repeat
 from operator import or_
@@ -309,19 +310,20 @@ def verify_ball_laws(n_values, t_max: int = 4, s_max: int = 4) -> dict[str, Veri
     10 with the default sizes, 2^6 at 12 and 2^4 at 14.  The full ball
     is built on its own, never from the parts.
 
-    Each length has its constants built once, so a block costs one bit
-    count per mask and a few compares per kind over the block's lists:
-    the full sizes against their closed forms; the part sizes against
-    theirs, where those with k = 0 or l >= 2 do not depend on the word
-    and are computed once per length, the others once per word; and per
-    (t, s) one OR per word and two sums, since the ball tiled by all
-    parts but (t, s) is the full (t - 1, s - 1)-ball.  A block any
-    compare fails is checked again word by word by the plain loop over
-    each (t, s) and its parts, which counts and records every failure,
-    so the reports are those of that loop alone.  Counts are per (t, s)
-    and part.  The walk meets words out of numeric order, so each
-    witness is its law's failure with the smallest (n, x), the one an
-    ascending sweep meets first.
+    Each length has its constants built once, and each law is one check
+    over the block's lists, after one bit count per mask: the full sizes
+    against their closed form; each refined part once, in the order the
+    (t, s) pairs first use it, against its closed form, one value per
+    length where k = 0 or l >= 2; and per (t, s) the union of its parts'
+    masks and the block's total of their sizes, carried on from the
+    (t - 1, s - 1) pair, since parts(t, s) = parts(t - 1, s - 1) + [(t, s)].
+    A union never holds more than its parts' total, so when every union
+    is its ball and the block's totals agree, so does each word's.  Only
+    a failing check walks the block's words, recording each failure as
+    the plain loop over each (t, s) and its parts would, a part's once
+    per (t, s) it tiles.  The walk meets words out of numeric order, so
+    each witness is its law's failure with the smallest (n, x), the one
+    an ascending sweep meets first.
     Raises ValueError unless t_max and s_max are ints >= 1, which any
     combination needs, for a sweep with no length >= 1, and for a
     length that is not an int >= 0; GuardLimit for a length above
@@ -362,7 +364,7 @@ def verify_ball_laws(n_values, t_max: int = 4, s_max: int = 4) -> dict[str, Veri
             wit[law] = n, v, fields
 
     steps = [[_step_plan(n, *kind) for kind in kinds if kind[0] <= n] for n in range(top + 1)]
-    plans, tables = {}, {}
+    plans = {}
     words = combos = formula_checks = 0
     for n in n_values:
         pairs = [
@@ -370,62 +372,55 @@ def verify_ball_laws(n_values, t_max: int = 4, s_max: int = 4) -> dict[str, Veri
              [(k, l, kinds.index((k, l, True))) for k, l in _refined_parts(t, s)])
             for t, s in sizes if max(t, s) <= n
         ]
-        kls = dict.fromkeys(kl for *_, used in pairs for kl in used)
-        plans[n] = pairs, kls
+        uses = Counter(kl for *_, used in pairs for kl in used)
         words += 1 << n
         combos += len(pairs) << n
-        formula_checks += sum(len(used) for *_, used in pairs) << n
+        formula_checks += uses.total() << n
         if pairs:
-            # per (t, s), the ball its other parts tile and its own part
-            # (t, s): parts(t, s) = parts(t - 1, s - 1) + [(t, s)] for
-            # t >= s and t < s alike, so that ball is the full
-            # (t - 1, s - 1)-ball, or its one part where t or s is 1
-            full = {(t, s): i for t, s, _, i, _ in pairs}
-            tables[n] = (
-                [(i, formula) for _, _, formula, i, _ in pairs],
-                [(j, _refined_size(0, n, k, l)) for k, l, j in kls if k == 0 or l >= 2],
-                [(j, k, l) for k, l, j in kls if k and l < 2],
-                [(i, full[t - 1, s - 1] if (t - 1, s - 1) in full
-                  else kinds.index((t - 1, s - 1, True)), kinds.index((t, s, True)), formula)
-                 for t, s, formula, i, _ in pairs],
+            # each (t, s) carries on from the (t - 1, s - 1) pair, or from
+            # its first part where t or s is 1 and there is no such pair
+            at = {(t, s): p for p, (t, s, *_) in enumerate(pairs)}
+            plans[n] = (
+                [(*pair, at.get((pair[0] - 1, pair[1] - 1))) for pair in pairs],
+                [(k, l, j, count, _refined_size(0, n, k, l) if k == 0 or l >= 2 else None)
+                 for (k, l, j), count in uses.items()],
             )
 
-    def slow(v: int, n: int, masks: list) -> None:
-        pairs, kls = plans[n]
-        known = {i: (masks[i].bit_count(), _refined_size(v, n, k, l)) for k, l, i in kls}
-        for t, s, formula, i, used in pairs:
-            size = masks[i].bit_count()
-            if size != formula:
-                fail("size", v, n, t=t, s=s, enumerated=size, formula=formula)
-            union = total = 0
-            for k, l, j in used:
-                got, predicted = known[j]
-                total += got
-                union |= masks[j]
-                if predicted != got:
-                    fail("refined-size", v, n, k=k, l=l, enumerated=got, formula=predicted)
-            if not (union == masks[i] and total == union.bit_count()):
-                fail("partition", v, n, t=t, s=s, parts_total=total,
-                     union=union.bit_count(), ball=size)
-
     def check(vs: list, n: int, masks: list) -> None:
-        table = tables.get(n)
-        if table is None:
+        if n not in plans:
             return
-        fulls, fixed, varying, tiles = table
-        size = len(vs)
+        pairs, parts = plans[n]
         got = [[*map(int.bit_count, kind)] for kind in masks]
-        if not (
-            all(got[i].count(formula) == size for i, formula in fulls)
-            and all(got[j].count(part) == size for j, part in fixed)
-            and all(got[j] == [*map(_refined_size, vs, repeat(n), repeat(k), repeat(l))]
-                    for j, k, l in varying)
-            and all(masks[i] == [*map(or_, masks[a], masks[b])]
-                    and sum(got[a]) + sum(got[b]) == formula * size
-                    for i, a, b, formula in tiles)
-        ):
-            for w, v in enumerate(vs):
-                slow(v, n, [kind[w] for kind in masks])
+        for t, s, formula, i, _, _ in pairs:
+            if got[i].count(formula) != len(vs):
+                for v, size in zip(vs, got[i]):
+                    if size != formula:
+                        fail("size", v, n, t=t, s=s, enumerated=size, formula=formula)
+        for k, l, j, count, fixed in parts:
+            want = ([fixed] * len(vs) if fixed is not None
+                    else [*map(_refined_size, vs, repeat(n), repeat(k), repeat(l))])
+            if got[j] != want:
+                for v, size, predicted in zip(vs, got[j], want):
+                    if size != predicted:
+                        for _ in range(count):
+                            fail("refined-size", v, n, k=k, l=l, enumerated=size,
+                                 formula=predicted)
+        carried = []
+        for t, s, _, i, used, carry in pairs:
+            first, j = used[0][2], used[-1][2]
+            union, total = carried[carry] if carry is not None else (masks[first], sum(got[first]))
+            union = [*map(or_, union, masks[j])]
+            total += sum(got[j])
+            # a union that is its ball is carried as the ball, so a block
+            # that passes holds no union of its own
+            whole = union == masks[i]
+            carried.append((masks[i] if whole else union, total))
+            if not whole or total != sum(got[i]):
+                for w, v in enumerate(vs):
+                    parts_total = sum(got[m][w] for _, _, m in used)
+                    if union[w] != masks[i][w] or parts_total != union[w].bit_count():
+                        fail("partition", v, n, t=t, s=s, parts_total=parts_total,
+                             union=union[w].bit_count(), ball=got[i][w])
 
     # one-word blocks down to length split, so that a block holds at
     # most 2^(top - split) words at the top length, within _BLOCK_BYTES

@@ -1,12 +1,13 @@
 """The ball-law sweep's block checks against the plain per-word loop.
 
-ref_ball_law_sweep() is verify_ball_laws() with the word check that the
-block compares replace: one channel._sibling_step() per word, on a
-one-word block, whose child with the word's top bit it keeps, then the
-loop over each (t, s) and its parts for every word.  Both read the
-masks, the ball-size formula and the refined closed forms through the
-verify module, so faults planted there reach both, and the whole
-reports, witnesses included, must agree.
+verify_ball_laws() checks each law once over a block of words, and
+walks the block's words only where that check fails.
+ref_ball_law_sweep() checks every law of every word: one
+channel._sibling_step() per word, on a one-word block, whose child with
+the word's top bit it keeps, then the loop over each (t, s) and its
+parts.  Both read the masks, the ball-size formula and the refined
+closed forms through the verify module, so faults planted there reach
+both, and the whole reports, counts and witnesses included, must agree.
 """
 
 import random
@@ -244,7 +245,8 @@ def test_a_word_only_one_compare_sees_falls_back(monkeypatch, owner, sharer, siz
     got = _plain(verify_ball_laws([4, 5], 3, 3))
     assert got == _plain(ref_ball_law_sweep([4, 5], 3, 3))
     # every other word of n = 5 fails its wrong closed forms; v alone
-    # breaks the tiling
+    # breaks the tiling, so the block's tiling check fails on its total
+    # alone, and its walk finds v
     assert got["partition"]["counts"]["failures"] == 1
     assert got["partition"]["witness"] == {"x": "10110", "t": 3, "s": 1, "parts_total": 5,
                                            "union": 4, "ball": 4}
@@ -253,7 +255,8 @@ def test_a_word_only_one_compare_sees_falls_back(monkeypatch, owner, sharer, siz
 def test_an_overlap_only_the_parts_total_sees_falls_back(monkeypatch):
     # (2, 0) takes an output of (3, 1) at v, and its closed form is one
     # too big at v alone: every size in v's block matches and every
-    # union is its ball, so only the parts' total shows the overlap
+    # union is its ball, so only the parts' total shows the overlap; the
+    # block's tiling check fails on its total, and its walk finds v
     kinds = verify._ball_law_kinds(3, 3, 5)[1]
     v = 0b10110
     faults = {(5, v): [("share", kinds.index((3, 1, True)), kinds.index((2, 0, True)), 0)]}
@@ -287,3 +290,26 @@ def test_a_fault_inside_a_full_block_gives_the_plain_loops_report(monkeypatch):
         assert got[law]["counts"]["failures"] == 3
         assert got[law]["witness"]["x"] == x
     assert got["size"]["verdict"] == "pass"
+
+
+def test_the_witness_is_the_smallest_word_across_blocks(monkeypatch):
+    # at n = 10 the sweep checks its blocks of 2^8 words by 2-bit suffix
+    # in the order 00, 10, 01, 11, so it meets the fault at 514 (suffix
+    # 10) before the one at 5 (suffix 01); the witness is still the
+    # smaller word, the one an ascending sweep meets first
+    kinds = verify._ball_law_kinds(4, 4, 10)[1]
+    part = kinds.index((2, 1, True))
+    _inject(monkeypatch, {(10, v): [("drop", part, 0)] for v in (514, 5)}, kinds)
+    step, met = verify._sibling_step, []
+
+    def sibling_step(vs, n, plan, suffix_masks):
+        if n == 10:
+            met.extend(v for v in vs + [v | 1 << 9 for v in vs] if v in (514, 5))
+        return step(vs, n, plan, suffix_masks)
+
+    monkeypatch.setattr(verify, "_sibling_step", sibling_step)
+    got = _plain(verify_ball_laws(range(4, 11)))
+    assert met == [514, 5]
+    assert got == _plain(ref_ball_law_sweep(range(4, 11), 4, 4))
+    for law in ("refined-size", "partition"):
+        assert got[law]["witness"]["x"] == "0000000101"

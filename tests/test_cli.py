@@ -65,6 +65,20 @@ def test_ball_refined_no_formula(capsys):
     assert "refined ball k=3 l=0: size 5, formula 5, match" in out
 
 
+def test_ball_with_no_insert_takes_the_refined_closed_form(capsys):
+    # the full (t, 0)-ball is the refined (t, 0)-ball, whose closed form
+    # holds where ball_size_formula() needs s >= 1
+    for t, size in (("2", 3), ("0", 1)):
+        code, out, _ = run(capsys, "ball", "0110", "--t", t, "--s", "0")
+        assert code == 0
+        assert f"ball t={t} s=0: size {size}, formula {size}, match" in out
+        code, out, _ = run(capsys, "ball", "0110", "--t", t, "--s", "0", "--json")
+        assert code == 0
+        d = json.loads(out)
+        assert d["size"] == d["formula"] == size
+        assert d["members"] == list(ball("0110", int(t), 0).members)
+
+
 def test_ball_json_matches_library(capsys):
     code, out, _ = run(capsys, "ball", "101000111", "--t", "4", "--s", "1", "--json")
     assert code == 0
