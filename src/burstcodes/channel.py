@@ -375,10 +375,12 @@ def ball(x: str, t: int, s: int) -> Ball:
 
 
 def ball_size_formula(n: int, t: int, s: int) -> int:
-    """Closed-form |B_{t,s}| = (n - t + 2) * 2^(s-1); center-independent."""
+    """Closed-form |B_{t,s}| = (n - t + 2) * 2^(s-1); center-independent.
+
+    Holds at every n >= t, where ball() has a start, s > n included."""
     _check_sizes(t, s)
     _check_int(s, 1, "closed form needs s >= 1")
-    _check_int(n, max(t, s), "need n >= max(t, s), got n={}, t={}, s={}", n, t, s)
+    _check_room(n, t, s)
     return (n - t + 2) * 2 ** (s - 1)
 
 

@@ -52,14 +52,12 @@ def _parse_window(text: str) -> tuple[int, int]:
     return int(parts[0]), int(parts[1])
 
 
-def _parse_n_range(text: str) -> list[int]:
+def _parse_n_range(text: str) -> range:
     """'12' or '8..16', inclusive."""
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        lo, hi = int(lo), int(hi)
-        _check_int(hi, lo, "empty range {!r}", text)
-        return list(range(lo, hi + 1))
-    return [int(text)]
+    lo, hi = text.split("..", 1) if ".." in text else (text, text)
+    lo, hi = int(lo), int(hi)
+    _check_int(hi, lo, "empty range {!r}", text)
+    return range(lo, hi + 1)
 
 
 def _gather_words(args) -> list[str]:
@@ -249,51 +247,45 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    _need(args, "t", "s", "n")
+    t, s, m = args.t, args.s, max(args.t, args.s)
+    # no burst fits below max(t, s), so no row prints there
     ns = _parse_n_range(args.n)
+    ns = range(max(ns.start, m), ns.stop)
     # the first family whose burst is exactly (t, s), else cts; its bucket
     # count multiplies its rows' moduli, None where it has no rows at n
-    fam = next((f for f in FAMILIES.values() if f.burst == (args.t, args.s)), FAMILIES["cts"])
-    # the bound rises with n and no guarantee passes it, so the last n's
-    # bound is the largest int printed: refuse one that str() would refuse
-    top, limit = ns[-1], getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit and top >= max(args.t, args.s) and (
-        sphere_packing_bound(top, args.t, args.s) >= 10**limit
-    ):
-        raise GuardLimit(f"the bound at n={top} has more than {limit} digits, "
-                         "past this Python's int-to-string limit")
-    rows = []
+    fam = next((f for f in FAMILIES.values() if f.burst == (t, s)), FAMILIES["cts"])
+    # every refusal comes before the first line, so each row prints as it is made
+    if ns:
+        sphere_packing_bound(m, t, s)  # 1, once t and s are checked
+        # the bound rises with n and no guarantee passes it, so the last n's
+        # bound is the largest int printed: refuse one that str() would
+        # refuse.  Past the exponent e = n - m + 1 = 4 * limit, 2^e / (e + 1)
+        # has more than limit digits for every limit Python takes (0, or 640
+        # and up), so only a bound below that is built to be compared
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit and (ns[-1] - m + 1 > 4 * limit
+                      or sphere_packing_bound(ns[-1], t, s) >= 10**limit):
+            raise GuardLimit(f"the bound at n={ns[-1]} has more than {limit} digits, "
+                             "past this Python's int-to-string limit")
+    if not args.json:
+        print(f"bounds t={t} s={s}")
+        print(f"{'n':>4}  {'bound':>14}  {'log2':>9}  {'guarantee':>10}  {'max_red':>8}")
     for n in ns:
-        if n < max(args.t, args.s):
-            continue
-        cap = sphere_packing_bound(n, args.t, args.s)
+        cap = sphere_packing_bound(n, t, s)
+        log2 = round(math.log2(cap), 4)
         try:
-            automata = fam.rows(n, args.t, args.s, None, None)
+            automata = fam.rows(n, t, s, None, None)
             buckets = math.prod(mod for _, _, mods, _ in automata for mod in mods)
         except ValueError:
             buckets = None
-        guarantee = None if buckets is None else -(-(1 << n) // buckets)
-        rows.append(
-            {
-                "n": n,
-                "bound": cap,
-                "log2_bound": round(math.log2(cap), 4) if cap else None,
-                "guaranteed_size": guarantee,
-                "max_redundancy": None if buckets is None else round(math.log2(buckets), 4),
-            }
-        )
-    # every line is formatted before any prints, so a refusal prints none
-    if args.json:
-        lines = [json.dumps(row, sort_keys=True) for row in rows]
-    else:
-        lines = [f"bounds t={args.t} s={args.s}",
-                 f"{'n':>4}  {'bound':>14}  {'log2':>9}  {'guarantee':>10}  {'max_red':>8}"]
-        for r in rows:
-            guar = "-" if r["guaranteed_size"] is None else str(r["guaranteed_size"])
-            red = "-" if r["max_redundancy"] is None else f"{r['max_redundancy']:.4f}"
-            lines.append(f"{r['n']:>4}  {r['bound']:>14}  {r['log2_bound']:>9.4f}  "
-                         f"{guar:>10}  {red:>8}")
-    sys.stdout.write("".join(f"{line}\n" for line in lines))
+        guar = None if buckets is None else -(-(1 << n) // buckets)
+        red = None if buckets is None else round(math.log2(buckets), 4)
+        if args.json:
+            print(json.dumps({"n": n, "bound": cap, "log2_bound": log2,
+                              "guaranteed_size": guar, "max_redundancy": red}, sort_keys=True))
+        else:
+            guar, red = ("-", "-") if buckets is None else (guar, f"{red:.4f}")
+            print(f"{n:>4}  {cap:>14}  {log2:>9.4f}  {guar:>10}  {red:>8}")
     return 0
 
 

@@ -669,8 +669,9 @@ def rll_member(x: str, f: int) -> bool:
 
 def _within_run_cap(x: str, f: int) -> bool:
     """rll_member() for checked arguments: no f + 1 equal symbols stand in
-    a row, two substring searches in C."""
-    return "0" * (f + 1) not in x and "1" * (f + 1) not in x
+    a row, two substring searches in C; a cap of at least len(x) holds at
+    once, before a search string that long is built."""
+    return f >= len(x) or "0" * (f + 1) not in x and "1" * (f + 1) not in x
 
 
 def c21rll_member(x: str, a: int, b: int, n: int, f: int | None = None) -> bool:

@@ -266,8 +266,8 @@ def cts_decode(y: str, params: CtsParams, *, trace: bool = False):
     refusal reads as theirs: row 1's names cts_decode, the others'
     svt21_decode.
     """
-    k, m, s, f, mod1, mod, masks = _check_params(params, CtsParams)._decoding
-    _check_received(y, params.n - k)
+    _check_received(y, _check_params(params, CtsParams).n - params.k)
+    k, m, s, f, mod1, mod, masks = params._decoding
     # params checked its syndromes and shape, and y its length, so each
     # row is a word of length m - 1 >= 1 and skips the public checks
     sums = _row_sums(int(y, 2), masks)

@@ -326,10 +326,11 @@ def verify_ball_laws(n_values, t_max: int = 4, s_max: int = 4) -> dict[str, Veri
     an ascending sweep meets first.
     Raises ValueError unless t_max and s_max are ints >= 1, which any
     combination needs, for a sweep with no length >= 1, and for a
-    length that is not an int >= 0; GuardLimit for a length above
-    BALL_LAW_GUARD, and, before any mask is built, for a sweep whose
-    estimated mask work (_ball_law_work) exceeds that of the default
-    sizes t_max = s_max = 4 up to BALL_LAW_GUARD.
+    length that is not an int >= 0; GuardLimit for the first length read
+    above BALL_LAW_GUARD, before any later one is read, and, before any
+    mask is built, for a sweep whose estimated mask work (_ball_law_work)
+    exceeds that of the default sizes t_max = s_max = 4 up to
+    BALL_LAW_GUARD.
 
     Returns reports keyed 'size', 'partition', 'refined-size'.
     """
@@ -337,16 +338,17 @@ def verify_ball_laws(n_values, t_max: int = 4, s_max: int = 4) -> dict[str, Veri
         _check_int(size, None, "burst sizes must be ints, got {!r}", size)
     _check_int(min(t_max, s_max), 1, "ball-law sweep needs t_max, s_max >= 1, got {}, {}",
                t_max, s_max)
-    n_values = list(_check_iter(n_values, "ball-law sweep lengths must be an iterable of ints, "
-                                "got {!r}", n_values))
-    for n in n_values:
+    lengths = set()
+    for n in _check_iter(n_values, "ball-law sweep lengths must be an iterable of ints, "
+                         "got {!r}", n_values):
         _check_int(n, None, "ball-law sweep lengths must be ints, got {!r}", n)
-    n_values = sorted(set(n_values))
+        if n > BALL_LAW_GUARD:
+            raise GuardLimit(f"ball-law sweep at n={n} exceeds guard {BALL_LAW_GUARD}")
+        lengths.add(n)
+    n_values = sorted(lengths)
     _check_int(max(n_values, default=0), 1, "ball-law sweep needs a length >= 1, got {}", n_values)
     _check_int(n_values[0], 0, "ball-law sweep lengths must be >= 0, got {}", n_values[0])
     top = n_values[-1]
-    if top > BALL_LAW_GUARD:
-        raise GuardLimit(f"ball-law sweep at n={top} exceeds guard {BALL_LAW_GUARD}")
     sizes, kinds = _ball_law_kinds(t_max, s_max, top)
     work = _ball_law_work(top, kinds)
     if work > _BALL_LAW_WORK:

@@ -306,10 +306,19 @@ def _random_argv(rng, name, head, flags, takes_words, missing):
 
 
 # past Python's default int-to-string limit of 4,300 digits, the bound at
-# these n has too many digits to print
+# the first two n's has too many digits to print; the rest name lengths,
+# ranges or run caps too large to build anything of their size from
 PINNED_ARGV = (
     ["bounds", "--t", "2", "--s", "1", "--n", "14300"],
     ["bounds", "--t", "2", "--s", "1", "--n", "14298..14302", "--json"],
+    ["bounds", "--t", "2", "--s", "1", "--n", "1000000000000"],
+    ["bounds", "--t", "1000000000000", "--s", "1", "--n", "1..1000000000000", "--json"],
+    ["verify", "ball-laws", "--n-max", "100000000000"],
+    ["decode", "cts", "--t", "4", "--s", "2", "--n", "100000000000", "--params", "1,2,3,4", "0101"],
+    ["decode", "c21rll", "--n", "8", "--f", "100000000000", "--params", "3,0", "0101010"],
+    ["verify", "roundtrip", "c21rll", "--n", "8", "--f", "100000000000"],
+    ["simulate", "c21rll", "--n", "8", "--f", "100000000000"],
+    ["ball", "011", "--t", "1", "--s", "5"],
 )
 
 

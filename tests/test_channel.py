@@ -264,6 +264,18 @@ def test_ball_size_law_smoke():
         assert ball(x, 1, 3).size == ball_size_formula(6, 1, 3) == 28
 
 
+def test_ball_size_formula_holds_wherever_a_burst_starts():
+    # every n >= t, an insert longer than the word (s > n) included
+    for n in range(6):
+        for t in range(n + 1):
+            for s in range(1, 7):
+                want = ball_size_formula(n, t, s)
+                for x in all_words(n):
+                    assert ball(x, t, s).size == want, (x, t, s)
+    with pytest.raises(ValueError, match=r"no \(3, 1\)-burst fits in length n=2"):
+        ball_size_formula(2, 3, 1)
+
+
 def test_partition_smoke_t_less_than_s():
     # t=1, s=2: refined parts at (k, l) = (0,1) and (1,2)
     for x in all_words(4):

@@ -79,6 +79,13 @@ def test_ball_with_no_insert_takes_the_refined_closed_form(capsys):
         assert d["members"] == list(ball("0110", int(t), 0).members)
 
 
+def test_ball_with_an_insert_longer_than_the_word(capsys):
+    # the closed form holds at every n >= t, so t <= n < s has one too
+    code, out, err = run(capsys, "ball", "011", "--t", "1", "--s", "5")
+    assert (code, err) == (0, "")
+    assert "ball t=1 s=5: size 64, formula 64, match" in out.splitlines()
+
+
 def test_ball_json_matches_library(capsys):
     code, out, _ = run(capsys, "ball", "101000111", "--t", "4", "--s", "1", "--json")
     assert code == 0
@@ -324,6 +331,30 @@ def test_verify_book_checks(capsys):
         assert json.loads(out)["verdict"] == "pass"
 
 
+def test_verify_ball_laws_refuses_a_huge_n_max_at_the_first_length_past_the_guard(capsys):
+    code, out, err = run(capsys, "verify", "ball-laws", "--n-max", "100000000000")
+    assert (code, out, err) == (3, "", "guard: ball-law sweep at n=15 exceeds guard 14\n")
+
+
+def test_decode_cts_checks_the_word_length_before_the_row_masks(capsys):
+    code, out, err = run(capsys, "decode", "cts", "--t", "4", "--s", "2", "--n", "100000000000",
+                         "--params", "1,2,3,4", "0101")
+    assert (code, out) == (2, "")
+    assert err == "error: received word must have length 99999999998, got 4\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["decode", "c21rll", "--n", "8", "--params", "3,0", "0101010"],
+    ["verify", "roundtrip", "c21rll", "--n", "8"],
+    ["simulate", "c21rll", "--n", "8", "--trials", "20"],
+])
+def test_a_run_cap_past_the_length_is_no_cap(capsys, argv):
+    # a cap of 10^11 would build a string that long; it reads as a cap of n
+    code, out, _ = run(capsys, *argv, "--f", "100000000000")
+    assert code == 0
+    assert out.replace("100000000000", "8") == run(capsys, *argv, "--f", "8")[1]
+
+
 def test_verify_ball_laws_over_the_work_guard_exits_3(capsys):
     code, out, err = run(
         capsys, "verify", "ball-laws", "--n-max", "12", "--t-max", "12", "--s-max", "12"
@@ -507,6 +538,45 @@ def test_bounds_past_the_int_string_limit_refuses_before_printing(capsys):
         assert code == 0 and json.loads(out)["n"] == 14300
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def test_bounds_refuses_from_the_range_ends_before_it_builds_anything(capsys):
+    # 2^(10^12) would not fit in memory, nor would a list of 10^12 lengths
+    if getattr(sys, "get_int_max_str_digits", lambda: 0)():
+        code, out, err = run(capsys, "bounds", "--t", "2", "--s", "1", "--n", "1000000000000")
+        assert (code, out) == (3, "") and "n=1000000000000 has more than" in err
+    big = "1000000000000"
+    code, out, err = run(capsys, "bounds", "--t", big, "--s", "1", "--n", f"1..{big}")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        f"bounds t={big} s=1",
+        "   n           bound       log2   guarantee   max_red",
+        f"{big}               1     0.0000           -         -",
+    ]
+    code, out, _ = run(capsys, "bounds", "--t", big, "--s", "1", "--n", f"1..{big}", "--json")
+    assert code == 0 and json.loads(out) == {
+        "n": 10**12, "bound": 1, "log2_bound": 0.0, "guaranteed_size": None,
+        "max_redundancy": None}
+
+
+def test_bounds_refuses_before_the_header(capsys):
+    # an open-ended range is no single length
+    for argv in (["--n", "5.."], ["--n", "..5"], ["--n", "12..8"]):
+        assert run(capsys, "bounds", "--t", "2", "--s", "1", *argv)[:2] == (2, "")
+    # t and s are checked before the header prints, with the limit off too
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    try:
+        for off in (False, True):
+            if off and limit is not None:
+                sys.set_int_max_str_digits(0)
+            code, out, err = run(capsys, "bounds", "--t", "0", "--s", "1", "--n", "1..5")
+            assert (code, out) == (2, "") and "t >= 1 and s >= 1" in err
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+    # a range wholly below max(t, s) has no row to refuse: the header alone
+    code, out, _ = run(capsys, "bounds", "--t", "0", "--s", "5", "--n", "1..3")
+    assert code == 0 and out.splitlines()[0] == "bounds t=0 s=5" and len(out.splitlines()) == 2
 
 
 def test_the_bound_rises_with_n_and_no_guarantee_passes_it(capsys):

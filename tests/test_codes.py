@@ -237,6 +237,13 @@ def test_rll_member():
         rll_member("01", 0)
 
 
+def test_a_run_cap_past_the_word_holds_before_any_search_string_is_built():
+    # "0" * (f + 1) at f = 10^11 would not fit in memory
+    for x in ("", "0", "0101", "1111"):
+        assert rll_member(x, 10**11) and rll_member(x, max(len(x), 1))
+    assert not rll_member("1111", 3)
+
+
 def test_rll_space_is_big_enough_n8():
     count = sum(1 for x in all_words(8) if rll_member(x, rll_max_run(8)))
     assert count == 250

@@ -1,5 +1,6 @@
 """Verification reports: verdicts, witnesses, JSON shape."""
 
+import itertools
 import json
 import math
 import random
@@ -253,6 +254,16 @@ def test_ball_laws_refuse_a_sweep_over_the_work_guard_at_once(n_values, t_max, s
     start = time.perf_counter()
     with pytest.raises(GuardLimit, match="work guard"):
         verify_ball_laws(n_values, t_max, s_max)
+    assert time.perf_counter() - start < 0.1
+
+
+@pytest.mark.parametrize("n_values", [lambda: range(2, 10**11), lambda: itertools.count(2),
+                                      lambda: [3, 15, 10**11]], ids=["range", "endless", "list"])
+def test_ball_laws_refuse_the_first_length_past_the_guard_as_it_is_read(n_values):
+    # no list of 10^11 lengths is built, and an endless one ends too
+    start = time.perf_counter()
+    with pytest.raises(GuardLimit, match=f"n=15 exceeds guard {verify.BALL_LAW_GUARD}"):
+        verify_ball_laws(n_values())
     assert time.perf_counter() - start < 0.1
 
 
