@@ -7,7 +7,9 @@ center word; refined_ball() restricts to outputs whose inserted block
 disagrees with the deleted block at both boundary symbols, which is the
 partition device behind the closed-form ball size.
 
-Both run on one integer kernel, _start_outputs(): a word of length n is
+Both run on one integer kernel, _start_outputs(), with one mode: a
+refined ball keeps the kernel's outputs whose insert differs from the
+deleted block at both ends (_burst_outputs()).  A word of length n is
 the int whose binary digits it spells (x_1 most significant), and each
 output is spliced together with shifts and masks, so no string is built
 until the members are listed.  The kernel runs one start at a time over
@@ -49,7 +51,7 @@ import struct
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import compress, repeat, zip_longest
-from operator import itemgetter, or_
+from operator import or_
 
 from .errors import GuardLimit
 from .words import _check_int, check_word
@@ -135,10 +137,6 @@ _FIELD_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}
 _LITTLE = repeat("little")  # the byte order of every field, for map()
 
 
-def _one_field(u: int, keep: int | None = None) -> tuple:
-    return () if keep == 0 else (u,)
-
-
 @lru_cache(maxsize=256)
 def _fields(width: int, count: int) -> tuple:
     """(join, split) for count unsigned fields of width bits in one int,
@@ -148,10 +146,7 @@ def _fields(width: int, count: int) -> tuple:
     or 1 per field, lists only the fields whose keep is 1.  One struct
     call reads fields of 8-64 bits; wider fields are cut from the int's
     little-endian bytes, and the keep flags are every width / 8-th byte of
-    keep's.  One field is the int itself, so a one-word block packs
-    nothing."""
-    if count == 1:
-        return itemgetter(0), _one_field
+    keep's."""
     size = width // 8
     total = size * count
     if width in _FIELD_CODES:
@@ -187,7 +182,7 @@ def _copy_constants(width: int, k: int, copies: int) -> tuple[int, int]:
     return join([1] * (k * copies)), join([j for j in range(copies) for _ in range(k)])
 
 
-def _start_outputs(vs: list[int], n: int, t: int, s: int, refined: bool = False):
+def _start_outputs(vs: list[int], n: int, t: int, s: int):
     """Yield, for each 0-based start i = 0 .. n - t, one sequence of the
     outputs a (t, s)-burst at i gives on every length-n center in vs.
 
@@ -203,32 +198,26 @@ def _start_outputs(vs: list[int], n: int, t: int, s: int, refined: bool = False)
     i + 1 exactly when x_{i+1} = x_{i+t+1}, so only starts where they
     differ are kept.  The last start keeps everything, and each center's
     outputs appear once each: (n - t) * 2^(s-1) + 2^s of them, |B|.
-    With refined set and t, s >= 1, the insert must also differ from the
-    deleted block in its last bit, which fixes both end bits and leaves
-    the middle s - 2 free (for s = 1, one bit that must differ from
-    both).  Callers check that 0 <= t <= n and s >= 0.
+    Callers check that 0 <= t <= n and s >= 0.
 
     The block is packed (_fields()) into fields of F bits, F the least
     power of two >= max(8, n, n - t + s), so no output spills into the
-    next field, once per value of the insert's free bits (the s - 1 after
-    its first, or the s - 2 between its ends when refined fixes both):
+    next field, once per value of the s - 1 insert bits after its first:
     copy j takes the value j in those bits by one OR of a cached int, so
     one split lists a start's outputs value by value, each value over the
     centers in vs order.  The last start takes all 2^s inserts, for
     s >= 1 as two such splits, the second with 2^(s-1) added to every
-    field.  Where the kept outputs depend on the center (s = 0, and the
-    refined s = 1), one more int holds a keep flag per field, and split
-    drops the rest.
+    field.  With s = 0 the kept outputs depend on the center, so one more
+    int holds a keep flag per field, and split drops the rest.
     """
     width = max(8, 1 << (n + max(s - t, 0) - 1).bit_length())
-    ends = refined and t > 0 and s > 0
-    copies = 1 << max(s - 1 - ends, 0)
+    copies = 1 << max(s - 1, 0)
     join, split = _fields(width, len(vs) * copies)
     whole = join(vs * copies)
     one, offsets = _copy_constants(width, len(vs), copies)
     for i in range(n - t + 1):
         r = n - i - t
-        if not (r or ends):
+        if not r:
             base = (whole >> t & one * ((1 << n - t) - 1)) << s | offsets
             out = split(base)
             yield out + split(base + copies * one) if s else out
@@ -238,21 +227,24 @@ def _start_outputs(vs: list[int], n: int, t: int, s: int, refined: bool = False)
         if s == 0:
             kept = (top >> 1 & one * ((1 << i) - 1)) << r | low
             yield split(kept, (top ^ whole >> r - 1) & one)
-            continue
-        head = (top & one * ((2 << i) - 1) ^ one) << s - 1 + r | low
-        if not ends:
-            yield split(head | offsets << r)
-        elif s == 1:
-            # x_{i+t}, the deleted block's last bit, is bit r of v
-            yield split(head, (top ^ whole >> r) & one ^ one)
         else:
-            yield split(head | ((whole >> r & one) ^ one) << r | offsets << r + 1)
+            yield split((top & one * ((2 << i) - 1) ^ one) << s - 1 + r | low | offsets << r)
 
 
 def _burst_outputs(v: int, n: int, t: int, s: int, refined: bool = False) -> list[int]:
     """Every output of a (t, s)-burst on the length-n word whose bits are
-    v, each once: _start_outputs() on the one center v."""
-    return [u for out in _start_outputs([v], n, t, s, refined) for u in out]
+    v, each once: _start_outputs() on the one center v.  Refined, with
+    t, s >= 1, it keeps those whose insert differs from the deleted block
+    at both ends: at start i, bits r and r + s - 1 of u against bits r and
+    r + t - 1 of v, r = n - i - t.  That is exact, since the kernel lists
+    each output once, at the start i where it first differs from v, at
+    x_{i+1}, or at the last start, and a refined output of start i differs
+    there first."""
+    starts = _start_outputs([v], n, t, s)
+    if not (refined and t and s):
+        return [u for out in starts for u in out]
+    return [u for r, out in zip(range(n - t, -1, -1), starts) for u in out
+            if (u ^ v) >> r & (u >> r + s - 1 ^ v >> r + t - 1) & 1]
 
 
 @lru_cache(maxsize=None)

@@ -17,6 +17,7 @@ import functools
 import json
 import math
 import sys
+from collections import Counter
 from dataclasses import asdict
 
 from . import c31, cts
@@ -252,21 +253,24 @@ def cmd_bounds(args) -> int:
     ns = _parse_n_range(args.n)
     ns = range(max(ns.start, m), ns.stop)
     # the first family whose burst is exactly (t, s), else cts; its bucket
-    # count multiplies its rows' moduli, None where it has no rows at n
+    # count multiplies its rows' moduli, each distinct row's product raised
+    # to the row's count, None where it has no rows at n
     fam = next((f for f in FAMILIES.values() if f.burst == (t, s)), FAMILIES["cts"])
     # every refusal comes before the first line, so each row prints as it is made
     if ns:
         sphere_packing_bound(m, t, s)  # 1, once t and s are checked
         # the bound rises with n and no guarantee passes it, so the last n's
         # bound is the largest int printed: refuse one that str() would
-        # refuse.  Past the exponent e = n - m + 1 = 4 * limit, 2^e / (e + 1)
-        # has more than limit digits for every limit Python takes (0, or 640
-        # and up), so only a bound below that is built to be compared
+        # refuse, or with the limit off would refuse at CPython's default.
+        # Past the exponent e = n - m + 1 = 4 * limit, 2^e / (e + 1) has
+        # more than limit digits for every limit Python takes (640 and up),
+        # so only a bound below that is built to be compared
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        if limit and (ns[-1] - m + 1 > 4 * limit
-                      or sphere_packing_bound(ns[-1], t, s) >= 10**limit):
+        whose = "this Python's" if limit else "CPython's default"
+        limit = limit or getattr(sys.int_info, "default_max_str_digits", 4300)
+        if ns[-1] - m + 1 > 4 * limit or sphere_packing_bound(ns[-1], t, s) >= 10**limit:
             raise GuardLimit(f"the bound at n={ns[-1]} has more than {limit} digits, "
-                             "past this Python's int-to-string limit")
+                             f"past {whose} int-to-string limit")
     if not args.json:
         print(f"bounds t={t} s={s}")
         print(f"{'n':>4}  {'bound':>14}  {'log2':>9}  {'guarantee':>10}  {'max_red':>8}")
@@ -275,7 +279,8 @@ def cmd_bounds(args) -> int:
         log2 = round(math.log2(cap), 4)
         try:
             automata = fam.rows(n, t, s, None, None)
-            buckets = math.prod(mod for _, _, mods, _ in automata for mod in mods)
+            buckets = math.prod(math.prod(mods) ** count
+                                for (_, _, mods, _), count in Counter(automata).items())
         except ValueError:
             buckets = None
         guar = None if buckets is None else -(-(1 << n) // buckets)

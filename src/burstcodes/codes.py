@@ -327,9 +327,10 @@ def _pair_splices(y: str, mod: int, target: int, lo: int, hi: int, weight: int |
     None of changes 0 and 1, a bit put in.
 
     y's sums, its VT sum V and weight w as the _row_sum() of int(y, 2)
-    as one row, then the solve.
+    as one row, then the solve.  The empty y of a length-1 word reads as
+    0, and the solve puts the bit in at the front.
     """
-    V, w = _row_sum(int(y, 2), _row_masks(1, len(y))[0][1])
+    V, w = _row_sum(int(y or "0", 2), _row_masks(1, len(y))[0][1])
     return _splice_solve(y, V, w, mod, target, lo, hi, weight)
 
 
@@ -406,9 +407,6 @@ def vt_decode(y: str, a: int, n: int) -> str:
     _check_syndromes(a)
     _check_room(n, 1, 0)
     _check_received(y, n - 1)
-    if not y:
-        # no symbol to splice at: the one bit whose sum is a
-        return "01"[a % 2]
     # inserting a bit next to y_p replaces y_p by a pair that keeps it at
     # one end, a weight change of 0 or 1
     return _expect_one(_pair_splices(y, n + 1, a, 1, n - 1, None), "vt_decode")[0]
@@ -777,9 +775,7 @@ def _row_counts(row, m: int):
 
     def least(c: tuple) -> int:
         # a group's keys share their other entries, so its least key has
-        # the least lead entries; with one lead entry that is the least r
-        if len(lead) == 1:
-            return c.index(size)
+        # the least lead entries
         ties = compress(range(mod), map(size.__eq__, c))
         return min(ties, key=lambda r: [r % mods[j] for j in lead])
 
@@ -893,13 +889,13 @@ def _largest_bucket(n: int, rows: tuple):
     starts at init.  step(rest, pos, bit) reads the bit at 1-based row
     position pos and returns (d, next rest), d the increment of the
     leading residue (any int), or None to leave the word out; the leading
-    residue starts at 0, and the passes add d and reduce it themselves.  The leading residue, each lead entry its
-    remainder mod that entry's modulus, and the first entries of the
-    final rest, in the other places, are the row's key, and a word's key
-    is its rows' keys joined.  Rows share no
-    coordinate, so bucket sizes multiply across rows and the best key
-    is the rows' best keys joined; ties go to the smallest key.  Lengths
-    above DEFAULT_ENUM_GUARD are refused before any counting.
+    residue starts at 0, and the passes add d and reduce it themselves.
+    The leading residue, each lead entry its remainder mod that entry's
+    modulus, and the first entries of the final rest, in the other places,
+    are the row's key, and a word's key is its rows' keys joined.  Rows
+    share no coordinate, so bucket sizes multiply across rows and the best
+    key is the rows' best keys joined; ties go to the smallest key.
+    Lengths above DEFAULT_ENUM_GUARD are refused before any counting.
 
     step never sees the leading residue, so no pass keys on it.  The forward
     pass steps each rest of a row of length m = n / k once per position and

@@ -1,6 +1,7 @@
 """Channel geometry: frozen ball examples, size laws, partition smoke tests."""
 
 import random
+from itertools import compress
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from burstcodes.channel import (
     BurstSpec,
     _burst_outputs,
+    _fields,
     _sibling_step,
     _step_plan,
     apply_burst,
@@ -256,6 +258,22 @@ def test_burst_mask_agrees_with_the_set_kernel(n):
                 for v, mask in zip(words, got):
                     want = _as_mask(_burst_outputs(v, n, t, s, refined))
                     assert mask == want, (v, n, t, s, refined)
+
+
+@pytest.mark.parametrize("width", [8, 16, 32, 64, 128, 256])
+@pytest.mark.parametrize("count", [1, 2, 3, 17])
+def test_field_codec_round_trips(width, count):
+    # struct reads fields of 8-64 bits, byte cuts the wider ones; one
+    # field takes the same path as many
+    rng = random.Random(width * 100 + count)
+    join, split = _fields(width, count)
+    top = (1 << width) - 1
+    for values in ([0] * count, [top] * count, [rng.getrandbits(width) for _ in range(count)]):
+        packed = join(values)
+        assert packed == sum(v << j * width for j, v in enumerate(values))
+        assert split(packed) == tuple(values)
+        for flags in ([1] * count, [0] * count, [rng.getrandbits(1) for _ in range(count)]):
+            assert split(packed, join(flags)) == list(compress(values, flags)), (values, flags)
 
 
 def test_ball_size_law_smoke():

@@ -7,7 +7,8 @@ and equal ball-law reports (timings aside), and its per-start output
 lists must hold each output of a center once.  `ref_start_outputs` is
 the kernel as one list element per center per start, before the
 centers were packed into the fields of one int; the packed kernel must
-give the same lists, in the same order.
+give the same lists, in the same order.  Its refined lists are what a
+refined ball keeps of each center's outputs, in the same order too.
 """
 
 import random
@@ -16,6 +17,7 @@ import pytest
 
 from burstcodes.channel import (
     Ball,
+    _burst_outputs,
     _members,
     _start_outputs,
     ball,
@@ -163,28 +165,35 @@ def _kernel_centers(n):
 def test_start_lists_give_each_ball_output_once(n):
     # verify_disjoint's pass path counts on this: a center's per-start
     # lists repeat no output, so a pool that holds fewer ints than were
-    # made has met two codewords
+    # made has met two codewords; a refined ball keeps some of them
     vs = _kernel_centers(n)
     for t in range(n + 1):
         for s in range(5):
-            for refined, ref in ((False, ref_ball), (True, ref_refined_ball)):
-                per_center = [list(_start_outputs([v], n, t, s, refined)) for v in vs]
-                for v, lists in zip(vs, per_center):
-                    flat = [u for out in lists for u in out]
-                    assert len(flat) == len(set(flat)), (v, n, t, s, refined)
-                    x = format(v, f"0{n}b") if n else ""
-                    assert _members(flat, n - t + s) == ref(x, t, s).members, (x, t, s, refined)
-                # many centers at once: start i lists every center's start-i outputs
-                for i, out in enumerate(_start_outputs(vs, n, t, s, refined)):
-                    assert sorted(out) == sorted(u for lists in per_center for u in lists[i])
+            per_center = [list(_start_outputs([v], n, t, s)) for v in vs]
+            refined = [_burst_outputs(v, n, t, s, True) for v in vs]
+            for v, lists, kept in zip(vs, per_center, refined):
+                x = format(v, f"0{n}b") if n else ""
+                flat = [u for out in lists for u in out]
+                for got, ref in ((flat, ref_ball), (kept, ref_refined_ball)):
+                    assert len(got) == len(set(got)), (v, n, t, s, ref)
+                    assert _members(got, n - t + s) == ref(x, t, s).members, (x, t, s, ref)
+            # many centers at once: start i lists every center's start-i outputs
+            for i, out in enumerate(_start_outputs(vs, n, t, s)):
+                assert sorted(out) == sorted(u for lists in per_center for u in lists[i])
+            # and the centers' refined outputs are the list kernel's refined lists
+            want = sorted(u for out in ref_start_outputs(vs, n, t, s, True) for u in out)
+            assert sorted(u for kept in refined for u in kept) == want, (n, t, s)
 
 
 def assert_kernels_agree(vs, n, t_values, s_max=4):
     for t in t_values:
         for s in range(s_max + 1):
-            for refined in (False, True):
-                got = [list(out) for out in _start_outputs(vs, n, t, s, refined)]
-                assert got == list(ref_start_outputs(vs, n, t, s, refined)), (vs[:3], n, t, s, refined)
+            got = [list(out) for out in _start_outputs(vs, n, t, s)]
+            assert got == list(ref_start_outputs(vs, n, t, s)), (vs[:3], n, t, s)
+            # each center's refined outputs, in the list kernel's order
+            for v in vs:
+                want = [u for out in ref_start_outputs([v], n, t, s, True) for u in out]
+                assert _burst_outputs(v, n, t, s, True) == want, (v, n, t, s)
 
 
 @pytest.mark.parametrize("n", range(0, 11))

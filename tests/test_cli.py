@@ -1,6 +1,7 @@
 """CLI behavior: golden outputs, JSON shapes, exit codes."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from burstcodes import BurstSpec, apply_burst, ball, c31_param_search, codes, verify
+from burstcodes import BurstSpec, apply_burst, ball, c31_param_search, codes, cts, verify
 from burstcodes.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -532,12 +533,26 @@ def test_bounds_past_the_int_string_limit_refuses_before_printing(capsys):
             assert run(capsys, "bounds", "--t", "2", "--s", "1", "--n", n, "--json")[:2] == (3, "")
         code, out, _ = run(capsys, "bounds", "--t", "2", "--s", "1", "--n", "14299")
         assert code == 0 and len(out.splitlines()[-1].split()[1]) == 4300
-        # with no limit, the guard has nothing to refuse
+        # with no limit, the guard refuses at CPython's default
         sys.set_int_max_str_digits(0)
-        code, out, _ = run(capsys, "bounds", "--t", "2", "--s", "1", "--n", "14300", "--json")
-        assert code == 0 and json.loads(out)["n"] == 14300
+        assert run(capsys, "bounds", "--t", "2", "--s", "1", "--n", "14300", "--json")[:2] == (3, "")
+        code, out, _ = run(capsys, "bounds", "--t", "2", "--s", "1", "--n", "14299", "--json")
+        assert code == 0 and json.loads(out)["n"] == 14299
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def test_bounds_with_the_limit_off_refuses_at_the_default(capsys, monkeypatch):
+    # 2^(10^12) has no place in memory, limit or none; the refusal is
+    # the one the default limit gives, before the header
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0, raising=False)
+    code, out, err = run(capsys, "bounds", "--t", "2", "--s", "1", "--n", "1000000000000")
+    assert (code, out) == (3, "") and "more than" in err and "default" in err
+    default = getattr(sys.int_info, "default_max_str_digits", 4300)
+    assert f"more than {default} digits" in err
+    # below it, the rows print as with the limit on
+    code, out, _ = run(capsys, "bounds", "--t", "2", "--s", "1", "--n", "1..12", "--json")
+    assert code == 0 and json.loads(out.splitlines()[-1])["guaranteed_size"] == 45
 
 
 def test_bounds_refuses_from_the_range_ends_before_it_builds_anything(capsys):
@@ -557,6 +572,18 @@ def test_bounds_refuses_from_the_range_ends_before_it_builds_anything(capsys):
     assert code == 0 and json.loads(out) == {
         "n": 10**12, "bound": 1, "log2_bound": 0.0, "guaranteed_size": None,
         "max_redundancy": None}
+
+
+def test_bounds_multiplies_each_distinct_row_once(capsys):
+    # cts at t = 600, s = 300 has 300 rows, row 1 and 299 copies of one
+    # SVT21 row: the bucket count is the direct product of every row's moduli
+    for n in (600, 2400):
+        buckets = math.prod(mod for _, _, mods, _ in cts._rows(n, 600, 300) for mod in mods)
+        code, out, _ = run(capsys, "bounds", "--t", "600", "--s", "300", "--n", str(n), "--json")
+        row = json.loads(out)
+        assert code == 0 and row["guaranteed_size"] == -(-(1 << n) // buckets)
+        assert row["max_redundancy"] == round(math.log2(buckets), 4)
+    assert row["guaranteed_size"] > 2**600
 
 
 def test_bounds_refuses_before_the_header(capsys):
